@@ -28,10 +28,12 @@ Coverage points are plain strings, namespaced by origin:
 * ``storage:<fault>`` — storage faults actually injected by
   :class:`~repro.storage.faulty.FaultyStorage` (e.g. ``storage:bit_rot``).
 
-The map is deliberately not thread-local: the threads backend runs ranks
-concurrently, and a lost increment under a data race only underreports a
-*count*, never unsets a point — set-of-points coverage stays exact
-because dict key insertion is atomic under the GIL.
+The map is deliberately not thread-local: every rank fiber runs on its
+own carrier thread, and all of them must record into the one active map.
+Fibers never run concurrently, so within a job the counts are exact; two
+jobs in different threads of one process (the service's executor) could
+only lose an increment of a *count*, never unset a point — dict key
+insertion is atomic under the GIL.
 """
 
 from __future__ import annotations

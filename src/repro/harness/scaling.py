@@ -14,17 +14,18 @@ beyond a tolerance.
 
 Feasible because the engine's default backend is the cooperative rank
 scheduler (:mod:`repro.mpi.scheduler`): a 256-rank job costs 256 parked
-carrier fibers and one run loop, not 256 free-running 1 MiB threads.
-The sweep also accepts ``engine="threads"`` for differential runs and
-``engine="sharded[:N]"`` to split the simulated nodes across N forked
-worker processes (:mod:`repro.mpi.sharded`), which is what pushes the
-sweep past 4096 ranks (see :mod:`repro.harness.shardstudy`).
+carrier fibers handing off to one another, not 256 free-running 1 MiB
+threads.  The sweep also accepts ``engine="sharded[:N]"`` to split the
+simulated nodes across N forked worker processes
+(:mod:`repro.mpi.sharded`), which is what pushes the sweep past 4096
+ranks (see :mod:`repro.harness.shardstudy`) and doubles as a
+differential run against the cooperative engine.
 
 Command line::
 
     python -m repro.harness.scaling --json BENCH_scaling.json
     python -m repro.harness.scaling --ranks 16,64,256 --apps ring,heat
-    python -m repro.harness.scaling --platforms lemieux --engine threads
+    python -m repro.harness.scaling --platforms lemieux --engine sharded:2
     python -m repro.harness.scaling --ranks 1024,4096 --engine sharded:8
 
 Exit status 0 iff every (platform, app) series satisfies the flatness

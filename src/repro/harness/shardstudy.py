@@ -298,8 +298,7 @@ def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
                          "least X times faster than cooperative; refused "
                          "when the machine has fewer cores than shards")
     add_engine_arg(ap, help="engine compared against cooperative: "
-                            "threads or sharded[:N] (default: "
-                            "sharded:<--shards>)")
+                            "sharded[:N] (default: sharded:<--shards>)")
     add_storage_arg(ap, help="stable-storage flavor forced on both "
                              "campaign passes and the scaling point "
                              "(default: the scenarios' native backends)")

@@ -2,10 +2,12 @@
 
 Public surface:
 
-* :func:`run_job` / :class:`Engine` — launch an SPMD job.  Two backends:
-  the default deterministic cooperative scheduler (one rank fiber at a
-  time; scales to the paper's 256+ process counts) and a thread-per-rank
-  escape hatch (``engine="threads"``).
+* :func:`run_job` / :class:`Engine` — launch an SPMD job.  Ranks always
+  run as fibers under the deterministic cooperative scheduler (one rank
+  at a time; scales to the paper's 256+ process counts); ``engine=``
+  picks how many processes carry those loops — one (``cooperative``,
+  the default), forked node-shards (``sharded[:N]``), or one real OS
+  process per node with real SIGKILL faults (``processes[:N]``).
 * :class:`MPI` — the per-rank facade handed to application ``main(mpi)``.
 * :mod:`~repro.mpi.timemodel` — virtual-time machine models (Lemieux,
   Velocity 2, CMI, the Table-1 uniprocessors, and a testing model).

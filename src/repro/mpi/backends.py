@@ -1,20 +1,15 @@
 """Pluggable execution backends behind one registry.
 
 ``Engine`` used to dispatch its launch paths through an inline
-``if/elif`` over backend-name strings, with the spelling table, the
-wall-watchdog arming, and the per-study ``--engine`` help text each
-keeping a private copy of the backend vocabulary.  This module is the
-single source of truth instead:
+``if/elif`` over backend-name strings, with the spelling table and the
+per-study ``--engine`` help text each keeping a private copy of the
+backend vocabulary.  This module is the single source of truth instead:
 
 * :class:`ExecutionBackend` — the interface one backend implements:
   its canonical name and accepted spellings, capability flags
   (``supports_real_kill``, ``supports_shards``, ``deterministic``),
   an :meth:`~ExecutionBackend.available` environment probe, and the
   :meth:`~ExecutionBackend.launch` path that actually runs rank bodies.
-  The base class owns the wall-clock watchdog: backends that need a
-  Timer (``uses_wall_timer``) get it armed *and* cancelled here, in one
-  ``try/finally``, so no launch path — normal exit, abort, or a raise
-  mid-start — can leak a live Timer.
 * :data:`BACKENDS` / :func:`register` — the registry.  ``harness.jobs``
   derives the ``--engine`` CLI validation and help text from it, and
   ``service.JobSpec`` validates submissions against it, so an unknown
@@ -24,18 +19,18 @@ single source of truth instead:
   Backends with ``takes_count`` accept a ``":N"`` suffix
   (``"sharded:8"``, ``"processes:2"``).
 
-The four registered backends are ``cooperative`` (deterministic fiber
-scheduler, the oracle), ``threads`` (thread-per-rank escape hatch),
-``sharded[:N]`` (forked node-shards under an LBTS window, DESIGN.md
-§10), and ``processes[:N]`` (real OS processes with real SIGKILL fault
-delivery and recovery from shared stable storage, DESIGN.md §12 —
-defined in :mod:`repro.mpi.processes`).
+The three registered backends are ``cooperative`` (deterministic fiber
+scheduler, the oracle), ``sharded[:N]`` (forked node-shards under an
+LBTS window, DESIGN.md §10), and ``processes[:N]`` (real OS processes
+with real SIGKILL fault delivery and recovery from shared stable
+storage, DESIGN.md §12 — defined in :mod:`repro.mpi.processes`).  All
+three run ranks on the cooperative scheduler; the latter two run one
+scheduler loop per forked worker.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 import warnings
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -48,10 +43,10 @@ __all__ = [
 class ExecutionBackend:
     """One way of executing a job's rank bodies.
 
-    Subclasses implement :meth:`_launch`; everything else — watchdog
-    ownership, availability fallback, capability introspection — is
-    shared.  Backends are stateless singletons: per-run state lives on
-    the :class:`~repro.mpi.engine.Engine`.
+    Subclasses implement :meth:`launch`; everything else — availability
+    fallback, capability introspection — is shared.  Backends are
+    stateless singletons: per-run state lives on the
+    :class:`~repro.mpi.engine.Engine`.
     """
 
     #: canonical name (also the registry key)
@@ -75,9 +70,6 @@ class ExecutionBackend:
     #: completed runs are bit-reproducible against the cooperative
     #: oracle on the differential battery's kernels
     deterministic: bool = True
-    #: arm a wall-clock Timer that wakes all mailboxes at the deadline
-    #: (backends whose run loop cannot observe the deadline itself)
-    uses_wall_timer: bool = False
 
     def available(self) -> Optional[str]:
         """``None`` if the backend can run here, else a reason string.
@@ -90,30 +82,7 @@ class ExecutionBackend:
 
     def launch(self, engine, body: Callable[[int], None], timeout: float,
                errors: List[Tuple[int, str]], returns: List[Any]) -> None:
-        """Run ``body(rank)`` for every rank, mutating state in place.
-
-        Owns the wall watchdog: armed before and cancelled after
-        :meth:`_launch` in one ``try/finally``, so neither an abort nor
-        an exception mid-launch leaks a live Timer (the bug the old
-        per-backend arming made possible).
-        """
-        watchdog: Optional[threading.Timer] = None
-        if self.uses_wall_timer:
-            # Blocking waits have no timeout; the watchdog wakes every
-            # mailbox at the deadline so blocked ranks observe it
-            # (check_deadline) and unwind with DeadlockError.
-            watchdog = threading.Timer(timeout + 0.05,
-                                       engine._on_wall_deadline)
-            watchdog.daemon = True
-            watchdog.start()
-        try:
-            self._launch(engine, body, timeout, errors, returns)
-        finally:
-            if watchdog is not None:
-                watchdog.cancel()
-
-    def _launch(self, engine, body: Callable[[int], None], timeout: float,
-                errors: List[Tuple[int, str]], returns: List[Any]) -> None:
+        """Run ``body(rank)`` for every rank, mutating state in place."""
         raise NotImplementedError
 
     def worker_count(self, engine) -> int:
@@ -215,61 +184,17 @@ def warn_unavailable(backend: ExecutionBackend, reason: str) -> None:
 class CooperativeBackend(ExecutionBackend):
     """Deterministic rank fibers under one run loop (the oracle).
 
-    No watchdog Timer: the run loop itself checks the wall deadline
-    between scheduling steps and detects true deadlocks (all ranks
-    blocked, no predicate true) instantly.
+    The scheduling step checks the wall deadline between switches and
+    detects true deadlocks (all ranks blocked, no predicate true)
+    instantly.
     """
 
     name = "cooperative"
     aliases = ("coop",)
     summary = "deterministic fiber scheduler, the oracle"
 
-    def _launch(self, engine, body, timeout, errors, returns) -> None:
+    def launch(self, engine, body, timeout, errors, returns) -> None:
         engine._run_cooperative(body, errors)
-
-
-class ThreadsBackend(ExecutionBackend):
-    """Thread-per-rank escape hatch / differential oracle."""
-
-    name = "threads"
-    aliases = ("threaded", "thread")
-    summary = "one OS thread per rank"
-    deterministic = False
-    uses_wall_timer = True
-
-    def _launch(self, engine, body, timeout, errors, returns) -> None:
-        old_stack = threading.stack_size()
-        try:
-            threading.stack_size(1 << 20)
-        except (ValueError, RuntimeError):  # pragma: no cover - platform
-            pass
-        threads = [threading.Thread(target=body, args=(r,), daemon=True,
-                                    name=f"rank-{r}")
-                   for r in range(engine.nprocs)]
-        try:
-            # Stack size takes effect when a thread *starts*, so the old
-            # value may only be restored after the start loop.
-            for t in threads:
-                t.start()
-        finally:
-            try:
-                threading.stack_size(old_stack)
-            except (ValueError, RuntimeError):  # pragma: no cover
-                pass
-        # Join against one shared absolute deadline (watchdog + margin):
-        # per-thread timeouts would make a hung many-rank job wait
-        # O(nprocs * timeout) instead of O(timeout).
-        import time as _time
-        join_deadline = _time.monotonic() + timeout + 30.0
-        for t in threads:
-            t.join(max(0.0, join_deadline - _time.monotonic()))
-
-        if any(t.is_alive() for t in threads):  # pragma: no cover - watchdog
-            engine.abort(None)
-            for t in threads:
-                t.join(5.0)
-            errors.append((-1,
-                           "engine watchdog: some ranks never terminated"))
 
 
 class ShardedBackend(ExecutionBackend):
@@ -286,14 +211,13 @@ class ShardedBackend(ExecutionBackend):
             return "os.fork is not available on this platform"
         return None
 
-    def _launch(self, engine, body, timeout, errors, returns) -> None:
+    def launch(self, engine, body, timeout, errors, returns) -> None:
         from .sharded import run_sharded  # local import, no cycle
         run_sharded(engine, body, timeout, errors, returns,
                     n_shards=self.worker_count(engine))
 
 
 register(CooperativeBackend())
-register(ThreadsBackend())
 register(ShardedBackend())
 
 # The processes backend lives in its own module (it is a subsystem, not

@@ -7,6 +7,11 @@ exchanges), so the virtual-time cost of a collective emerges naturally
 from the point-to-point time model: e.g. a broadcast costs about
 ``ceil(log2 p)`` message latencies, as on a real machine.
 
+The internal point-to-point helpers (:func:`_send`, :func:`_irecv`,
+:func:`_recv`, :func:`_recv_all`) ride the communicator's one message
+path without building public ``Request``/``Status`` objects, charging
+exactly what ``Send``, ``Irecv`` and ``Wait``/``Waitall`` would.
+
 Non-commutative reductions are evaluated strictly in rank order
 (gather-and-fold), as the MPI standard requires.  ``scan`` uses a rank
 chain, matching the "strictly ordered dependency chain" the paper relies
@@ -20,9 +25,8 @@ from typing import Sequence
 import numpy as np
 
 from .datatypes import from_numpy_dtype
-from .matching import ANY_TAG
 from .ops import Op
-from .requests import wait_all
+from .requests import await_match, complete_recv
 
 #: Tag space for collective-internal traffic; each collective call on a
 #: communicator uses a fresh tag so concurrent phases cannot interfere.
@@ -41,15 +45,27 @@ def _next_tag(comm) -> int:
 def _send(comm, buf: np.ndarray, dest: int, tag: int) -> None:
     comm._ctx.collective_fault_point()
     dt = from_numpy_dtype(buf.dtype)
-    payload = dt.pack(buf, buf.size)
-    comm.send_packed(payload, dest, tag, count=buf.size, type_name=dt.name,
-                     context_id=comm.shadow_id, system=True)
+    comm.send_packed(dt.pack(buf, buf.size), dest, tag, count=buf.size,
+                     type_name=dt.name, context_id=comm.shadow_id)
+
+
+def _irecv(comm, buf: np.ndarray, source: int, tag: int):
+    """``Irecv`` on the shadow context: (posted receive, datatype)."""
+    comm._check()
+    comm._ctx.enter_mpi_call()
+    return comm._post(buf, source, tag, None, comm.shadow_id)
+
+
+def _complete(comm, posted, buf: np.ndarray) -> None:
+    """``Wait`` for one :func:`_irecv`."""
+    ctx = comm._ctx
+    pr, dt = posted
+    complete_recv(ctx, await_match(ctx, pr), buf, dt)
 
 
 def _recv(comm, buf: np.ndarray, source: int, tag: int) -> None:
     comm._ctx.collective_fault_point()
-    req = comm.Irecv(buf, source=source, tag=tag, context_id=comm.shadow_id)
-    req.wait()
+    _complete(comm, _irecv(comm, buf, source, tag), buf)
 
 
 def _recv_all(comm, bufs_by_source, tag: int) -> None:
@@ -60,10 +76,14 @@ def _recv_all(comm, bufs_by_source, tag: int) -> None:
     take the mailbox's exact-signature fast path; batching them turns p-1
     sleep/wake cycles into one.
     """
-    comm._ctx.collective_fault_point()
-    reqs = [comm.Irecv(buf, source=source, tag=tag, context_id=comm.shadow_id)
-            for source, buf in bufs_by_source]
-    wait_all(reqs)
+    ctx = comm._ctx
+    ctx.collective_fault_point()
+    posted = [_irecv(comm, buf, source, tag) for source, buf in bufs_by_source]
+    if not all(pr.matched for pr, _dt in posted):
+        ctx.mailbox.wait_for(lambda: all(pr.matched for pr, _dt in posted),
+                             poll=ctx.poll_hook)
+    for (pr, dt), (_source, buf) in zip(posted, bufs_by_source):
+        complete_recv(ctx, pr.envelope, buf, dt)
 
 
 # --------------------------------------------------------------------------
@@ -313,9 +333,9 @@ def alltoall(comm, sendbuf: np.ndarray, recvbuf: np.ndarray) -> None:
     for offset in range(1, size):
         dest = (rank + offset) % size
         src = (rank - offset) % size
-        req = comm.Irecv(rp[src], source=src, tag=tag, context_id=comm.shadow_id)
+        posted = _irecv(comm, rp[src], src, tag)
         _send(comm, np.ascontiguousarray(sp[dest]), dest, tag)
-        req.wait()
+        _complete(comm, posted, rp[src])
 
 
 def alltoallv(comm, sendbuf: np.ndarray, sendcounts: Sequence[int],
@@ -331,7 +351,7 @@ def alltoallv(comm, sendbuf: np.ndarray, sendcounts: Sequence[int],
     for offset in range(1, size):
         dest = (rank + offset) % size
         src = (rank - offset) % size
-        req = comm.Irecv(rflat[roff[src]:roff[src + 1]], source=src, tag=tag,
-                         context_id=comm.shadow_id)
+        piece = rflat[roff[src]:roff[src + 1]]
+        posted = _irecv(comm, piece, src, tag)
         _send(comm, np.ascontiguousarray(sflat[soff[dest]:soff[dest + 1]]), dest, tag)
-        req.wait()
+        _complete(comm, posted, piece)

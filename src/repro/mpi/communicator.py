@@ -13,6 +13,14 @@ Communicator creation (``Dup``/``Split``/``Cart_create``) is collective;
 all members derive the same new context id from a deterministic key
 ``(parent context, per-communicator creation sequence number)`` resolved
 through an engine-global registry.
+
+Point-to-point traffic takes one path: :meth:`Communicator.send_packed`
+charges the call, timestamps an :class:`~repro.mpi.message.Envelope`
+and hands it straight to the destination mailbox, whose ``deliver``
+matches a posted receive in the same call; every receive — ``Irecv``,
+``Recv`` and the collectives' internal receives — posts through
+:meth:`Communicator._post` and completes through
+:func:`repro.mpi.requests.complete_recv`.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from . import collectives as _coll
 from .datatypes import Datatype, from_numpy_dtype
 from .errors import InvalidCommunicatorError, InvalidRankError, InvalidTagError
 from .matching import ANY_SOURCE, ANY_TAG, PostedRecv
-from .message import Envelope, MessageSignature
+from .message import Envelope
 from .ops import Op
 from .requests import Request
 from .status import Status
@@ -127,25 +135,37 @@ class Communicator:
         self._check_tag(tag)
         dt = self._resolve_type(buf, datatype)
         n = count if count is not None else (buf.size if isinstance(buf, np.ndarray) else 1)
-        payload = dt.pack(buf, n)
-        self.send_packed(payload, dest, tag, count=n, type_name=dt.name,
-                         piggyback=piggyback)
+        self.send_packed(dt.pack(buf, n), dest, tag, count=n,
+                         type_name=dt.name, piggyback=piggyback)
 
     def send_packed(self, payload: bytes, dest: int, tag: int, count: int = 0,
                     type_name: str = "MPI_BYTE", piggyback=None,
-                    context_id: Optional[int] = None, system: bool = False) -> None:
-        """Send pre-packed bytes (used by the C3 layer for replay/forwarding)."""
+                    context_id: Optional[int] = None) -> None:
+        """Send pre-packed bytes: charge the call, timestamp the envelope
+        and deliver it (also the C3 layer's replay/forwarding path).
+
+        The envelope becomes available at the receiver one transfer time
+        (plus the piggyback's wire cost, if any) after the sender's
+        clock; the destination mailbox matches it against a posted
+        receive in the same call.
+        """
         self._check()
         if dest == PROC_NULL:
             return
         ctx = self._ctx
         ctx.enter_mpi_call()
-        cid = self.context_id if context_id is None else context_id
-        sig = MessageSignature(source=self.rank, tag=tag, context_id=cid)
-        env = Envelope(signature=sig, payload=payload, count=count,
-                       type_name=type_name, dest=self._world_rank(dest),
-                       piggyback=piggyback, system=system)
-        ctx.post_envelope(env)
+        world = self._world_rank(dest)
+        machine = ctx.machine
+        nbytes = len(payload)
+        avail = ctx.clock.now + machine.transfer_time(nbytes)
+        if piggyback is not None:
+            avail += (getattr(piggyback, "nbytes", machine.piggyback_bytes)
+                      / machine.bandwidth + machine.piggyback_overhead)
+        ctx.sent_count += 1
+        ctx.sent_bytes += nbytes
+        ctx.engine.mailboxes[world].deliver(Envelope(
+            self.rank, tag, self.context_id if context_id is None else context_id,
+            payload, count, type_name, world, avail, piggyback))
 
     def Isend(self, buf, dest: int, tag: int = 0, datatype: Optional[Datatype] = None,
               count: Optional[int] = None, piggyback=None) -> Request:
@@ -174,25 +194,29 @@ class Communicator:
         if source == PROC_NULL:
             req = Request(Request.RECV, ctx, buffer=buf, count=0)
             req.envelope = Envelope(
-                signature=MessageSignature(PROC_NULL, tag if tag != ANY_TAG else 0,
-                                           self.context_id),
-                payload=b"", count=0, type_name="MPI_BYTE", dest=ctx.rank,
-                avail_time=ctx.clock.now,
-            )
+                PROC_NULL, tag if tag != ANY_TAG else 0, self.context_id,
+                b"", 0, "MPI_BYTE", ctx.rank, avail_time=ctx.clock.now)
             return req
+        pr, dt = self._post(buf, source, tag, datatype, context_id)
+        req = Request(Request.RECV, ctx, buffer=buf,
+                      count=(buf.size if isinstance(buf, np.ndarray) else 0),
+                      datatype=dt)
+        req.posted = pr
+        return req
+
+    def _post(self, buf, source: int, tag: int, datatype: Optional[Datatype],
+              context_id: Optional[int]) -> Tuple[PostedRecv, Optional[Datatype]]:
+        """Range/tag checks and the mailbox post every receive shares
+        (the caller has already charged the call)."""
         if source != ANY_SOURCE and not 0 <= source < self.size:
             raise InvalidRankError(f"source {source} out of range for {self.name}")
         self._check_tag(tag, allow_wildcard=True)
         dt = self._resolve_type(buf, datatype) if buf is not None else None
         max_bytes = buf.nbytes if isinstance(buf, np.ndarray) else (1 << 62)
-        cid = self.context_id if context_id is None else context_id
-        pr = PostedRecv(cid, source, tag, max_bytes)
-        req = Request(Request.RECV, ctx, buffer=buf,
-                      count=(buf.size if isinstance(buf, np.ndarray) else 0),
-                      datatype=dt)
-        req.posted = pr
-        ctx.mailbox.post(pr)
-        return req
+        pr = PostedRecv(self.context_id if context_id is None else context_id,
+                        source, tag, max_bytes)
+        self._ctx.mailbox.post(pr)
+        return pr, dt
 
     def Sendrecv(self, sendbuf, dest: int, sendtag: int, recvbuf, source: int,
                  recvtag: int, status: Optional[Status] = None) -> Status:

@@ -12,6 +12,11 @@ through the simulated network and what the C3 protocol logs, so
 non-contiguous regions are logged piece-by-piece exactly as the paper
 describes ("the datatype hierarchy is recursively traversed to identify and
 individually store or retrieve each piece of the message").
+
+The common case — a C-contiguous array of the named type's own dtype —
+never builds a byte map: it packs as ``tobytes()`` and unpacks with one
+``np.frombuffer`` copy.  Every path checks up front that the buffer and
+the payload are long enough for ``count`` elements.
 """
 
 from __future__ import annotations
@@ -35,6 +40,10 @@ class Datatype:
         used to step between consecutive elements of this type.
     """
 
+    #: numpy dtype whose C-contiguous arrays this type packs verbatim
+    #: (named types); ``None`` means the byte map decides
+    np_dtype = None
+
     def __init__(self, name: str, size: int, extent: int, children: Tuple["Datatype", ...] = ()):
         self.name = name
         self.size = size
@@ -42,9 +51,9 @@ class Datatype:
         self.children = children
         self.committed = False
         self.freed = False
-        #: cached (offsets array, dense?) layout — types are immutable once
-        #: constructed, so the byte map never changes
-        self._layout_cache: Tuple[np.ndarray, bool] = None
+        #: cached (offsets array, dense?, reach) layout — types are
+        #: immutable once constructed, so the byte map never changes
+        self._layout_cache: Tuple[np.ndarray, bool, int] = None
 
     # -- lifecycle ---------------------------------------------------------
     def Commit(self) -> "Datatype":
@@ -77,8 +86,9 @@ class Datatype:
         raise NotImplementedError
 
     # -- pack / unpack -----------------------------------------------------
-    def _layout(self) -> Tuple[np.ndarray, bool]:
-        """Cached byte map: (per-element offsets, is the layout dense?).
+    def _layout(self) -> Tuple[np.ndarray, bool, int]:
+        """Cached byte map: (per-element offsets, is the layout dense?,
+        reach = one past the highest offset).
 
         A *dense* layout (every byte of the extent is payload, in order —
         all named scalar types, and contiguous compositions of them)
@@ -89,22 +99,44 @@ class Datatype:
             offs = np.asarray(self.byte_offsets(), dtype=np.intp)
             dense = (self.extent == self.size and len(offs) == self.size
                      and bool((offs == np.arange(self.size, dtype=np.intp)).all()))
-            cached = self._layout_cache = (offs, dense)
+            reach = int(offs.max()) + 1 if len(offs) else 0
+            cached = self._layout_cache = (offs, dense, reach)
         return cached
+
+    def _verbatim(self, buffer, count: int, verb: str) -> bool:
+        """Is ``buffer`` a C-contiguous array of this named type's own
+        dtype (packed as-is)?  Such a buffer must hold ``count`` elements."""
+        if not (self.np_dtype is not None and type(buffer) is np.ndarray
+                and buffer.dtype is self.np_dtype
+                and buffer.flags.c_contiguous):
+            return False
+        if count > buffer.size:
+            raise InvalidDatatypeError(
+                f"buffer of {buffer.nbytes} bytes too short to {verb} "
+                f"{count} x {self.name}")
+        return True
+
+    def _byte_map(self, buffer, count: int, verb: str):
+        """``buffer`` as bytes plus the cached layout, checked to span
+        ``count`` elements: ``(raw, offsets, dense)``."""
+        self._check_usable_for_pack()
+        raw = _as_byte_view(buffer)
+        offs, dense, reach = self._layout()
+        if raw.size < ((count - 1) * self.extent + reach if count > 0 else 0):
+            raise InvalidDatatypeError(
+                f"buffer of {raw.size} bytes too short to {verb} "
+                f"{count} x {self.name}")
+        return raw, offs, dense
 
     def pack(self, buffer, count: int = 1) -> bytes:
         """Gather ``count`` elements of this type from ``buffer`` into bytes."""
-        self._check_usable_for_pack()
-        raw = _as_byte_view(buffer)
-        offs, dense = self._layout()
-        need = count * len(offs)
+        if self._verbatim(buffer, count, "pack"):
+            if count == buffer.size:
+                return buffer.tobytes()
+            return buffer.reshape(-1)[:count].tobytes()
+        raw, offs, dense = self._byte_map(buffer, count, "pack")
         if dense:
-            if raw.size < need:
-                raise InvalidDatatypeError(
-                    f"buffer of {raw.size} bytes too short to pack "
-                    f"{count} x {self.name}"
-                )
-            return raw[:need].tobytes()
+            return raw[:count * len(offs)].tobytes()
         if count == 1:
             return raw[offs].tobytes()
         idx = (np.arange(count, dtype=np.intp)[:, None] * self.extent
@@ -113,24 +145,26 @@ class Datatype:
 
     def unpack(self, payload: bytes, buffer, count: int = 1) -> None:
         """Scatter a packed payload into ``buffer`` (inverse of :meth:`pack`)."""
-        self._check_usable_for_pack()
-        raw = _as_byte_view(buffer)
-        offs, dense = self._layout()
-        src = np.frombuffer(payload, dtype=np.uint8)
-        need = count * len(offs)
-        if len(src) < need:
+        if len(payload) < count * self.size:
             raise InvalidDatatypeError(
-                f"payload of {len(src)} bytes too short for {count} x {self.name}"
-            )
+                f"payload of {len(payload)} bytes too short for "
+                f"{count} x {self.name}")
+        if self._verbatim(buffer, count, "unpack"):
+            buffer.reshape(-1)[:count] = np.frombuffer(
+                payload, dtype=self.np_dtype, count=count)
+            return
+        raw, offs, dense = self._byte_map(buffer, count, "unpack")
+        need = count * len(offs)
+        src = np.frombuffer(payload, dtype=np.uint8, count=need)
         if dense:
-            raw[:need] = src[:need]
+            raw[:need] = src
             return
         if count == 1:
-            raw[offs] = src[:need]
+            raw[offs] = src
             return
         idx = (np.arange(count, dtype=np.intp)[:, None] * self.extent
                + offs[None, :]).ravel()
-        raw[idx] = src[:need]
+        raw[idx] = src
 
     def _check_usable_for_pack(self) -> None:
         # Named types are implicitly committed; derived ones must be.

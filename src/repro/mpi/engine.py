@@ -42,12 +42,9 @@ owns its own:
   DESIGN.md §12).  The coordinator reuses the sharded framed-message
   protocol; kill evidence (waitpid-confirmed termination signals)
   lands in :attr:`JobResult.real_kills`.
-* ``"threads"`` — the original thread-per-rank model: free-running OS
-  threads, condition-variable mailboxes, 1 MiB stacks, and a wall-clock
-  watchdog as the only deadlock detector.  Kept as an escape hatch and
-  as a differential-testing oracle for the scheduler (the equivalence
-  suite checks both backends produce identical :class:`JobResult`
-  timings on deterministic kernels).
+
+Every backend runs its ranks on the cooperative scheduler; the other two
+differ only in how many processes carry those loops.
 
 Failure semantics: a triggered :class:`ProcessFailure` kills its rank,
 sets the job-wide abort flag, and every other rank unwinds with
@@ -60,8 +57,9 @@ failures surface instead of hanging.
 Blocking waits carry no timeout: they are woken precisely by deliveries
 and aborts, ``at_time`` faults are signalled by the
 :class:`VirtualTimeFaultScheduler` the moment any rank's virtual clock
-crosses the threshold, and a per-run wall-clock watchdog timer wakes all
-mailboxes at the deadline so deadlocked jobs still unwind with
+crosses the threshold, a job whose every rank blocks is a deadlock the
+scheduler detects at once, and the scheduler wakes every blocked rank
+once the wall deadline passes, so they unwind with
 :class:`DeadlockError`.  See DESIGN.md section 2.
 """
 
@@ -81,7 +79,6 @@ from .backends import BACKENDS, backend_for, resolve_backend, \
 from .errors import DeadlockError, JobAborted, ProcessFailure
 from .faults import FaultPlan, FaultSpec
 from .matching import Mailbox
-from .message import Envelope
 from .scheduler import CooperativeScheduler
 from .timemodel import MachineModel, RankClock, TESTING
 
@@ -95,15 +92,12 @@ class VirtualTimeFaultScheduler:
     earliest scheduled fault time, and when *any* rank's clock crosses it,
     the due spec is marked on its victim rank and the victim's mailbox is
     notified — so a blocked victim unwinds promptly instead of the fault
-    being discovered by timeout.
-
-    ``next_time`` is read locklessly on the clock-advance hot path; the
-    heap itself is only mutated under the lock.
+    being discovered by timeout.  ``next_time`` is what the clock-advance
+    hot path compares against.
     """
 
     def __init__(self, engine: "Engine", specs: List[FaultSpec]):
         self._engine = engine
-        self._lock = threading.Lock()
         self._heap: List[Tuple[float, int, FaultSpec]] = [
             (spec.at_time, i, spec) for i, spec in enumerate(specs)
         ]
@@ -113,10 +107,9 @@ class VirtualTimeFaultScheduler:
     def clock_crossed(self, now: float) -> None:
         """A rank clock reached ``now``: mark every spec due by then."""
         due: List[FaultSpec] = []
-        with self._lock:
-            while self._heap and self._heap[0][0] <= now:
-                due.append(heapq.heappop(self._heap)[2])
-            self.next_time = self._heap[0][0] if self._heap else math.inf
+        while self._heap and self._heap[0][0] <= now:
+            due.append(heapq.heappop(self._heap)[2])
+        self.next_time = self._heap[0][0] if self._heap else math.inf
         for spec in due:
             contexts = self._engine.rank_contexts
             if 0 <= spec.rank < len(contexts):
@@ -143,9 +136,9 @@ class RankContext:
         self.scratch: Dict[Any, Any] = {}
         #: failed non-blocking completion checks since the last nb yield
         self._nb_misses = 0
-        self._send_seq: Dict[Tuple[int, int], int] = {}
-        #: set by the virtual-time fault scheduler (possibly from another
-        #: rank's thread); consumed by this rank at its next check point
+        #: set by the virtual-time fault scheduler (from whichever rank's
+        #: clock crossed the time); consumed by this rank at its next
+        #: check point
         self._due_fault: Optional[FaultSpec] = None
 
     # -- hooks charged on every MPI call ------------------------------------
@@ -168,7 +161,7 @@ class RankContext:
         C3 call.  Checking the abort flag here is what unwinds ranks stuck
         in non-blocking poll loops (Test/Iprobe spinning): those paths
         never reach :meth:`enter_mpi_call`, and before this check a rank
-        whose peer died mid-exchange would spin until the wall watchdog.
+        whose peer died mid-exchange would spin until the wall deadline.
         Inside :meth:`Mailbox.wait_for` the predicate is evaluated before
         this hook, so an operation whose match already arrived still
         completes.
@@ -190,21 +183,16 @@ class RankContext:
         """Fairness + observation point for failed non-blocking checks.
 
         Called when a ``Test``/``Iprobe``/``has_pending``-style
-        completion check misses.  Under the cooperative scheduler a spin
-        loop would otherwise monopolize the single runner and livelock
-        the job, so every ``NB_YIELD_EVERY``-th miss observes
-        aborts/faults/deadline (like :meth:`poll_hook`) and then yields
-        the loop one scheduling turn.  Under the threaded backend misses
-        stay poll-free, exactly as before.
+        completion check misses.  A spin loop would otherwise monopolize
+        the single runner and livelock the job, so every
+        ``NB_YIELD_EVERY``-th miss observes aborts/faults/deadline (like
+        :meth:`poll_hook`) and then yields the scheduler one turn.
         """
-        sched = self.engine.scheduler
-        if sched is None:
-            return
         self._nb_misses += 1
         if self._nb_misses % self.NB_YIELD_EVERY:
             return
         self.poll_hook()
-        sched.yield_now()
+        self.engine.scheduler.yield_now()
 
     # -- protocol/collective fault check points -------------------------------
     def begin_collective(self) -> None:
@@ -283,25 +271,6 @@ class RankContext:
             return
         self.engine.fault_plan.deliver(spec, self.rank, self.clock.now)
 
-    # -- envelope transmission ----------------------------------------------
-    def post_envelope(self, env: Envelope) -> None:
-        """Timestamp, sequence, and deliver an envelope to its destination."""
-        extra = 0.0
-        if env.piggyback is not None:
-            pb_bytes = getattr(env.piggyback, "nbytes",
-                               self.machine.piggyback_bytes)
-            extra = (pb_bytes / self.machine.bandwidth
-                     + self.machine.piggyback_overhead)
-        env.send_time = self.clock.now
-        env.avail_time = (self.clock.now
-                          + self.machine.transfer_time(env.nbytes) + extra)
-        key = (env.dest, env.context_id)
-        env.seq = self._send_seq.get(key, 0)
-        self._send_seq[key] = env.seq + 1
-        self.sent_count += 1
-        self.sent_bytes += env.nbytes
-        self.engine.mailboxes[env.dest].deliver(env)
-
 
 @dataclass
 class JobResult:
@@ -360,8 +329,7 @@ class Engine:
         self.fault_plan = fault_plan or FaultPlan.none()
         self.abort_event = threading.Event()
         self.failure: Optional[ProcessFailure] = None
-        self.mailboxes = [Mailbox(r, self.abort_event) for r in range(nprocs)]
-        self._ctx_lock = threading.Lock()
+        self.mailboxes = [Mailbox(r) for r in range(nprocs)]
         self._ctx_registry: Dict[Any, Tuple[int, int]] = {}
         self._next_cid = 4
         self._wall_timeout = wall_timeout
@@ -407,16 +375,14 @@ class Engine:
         ``_next_cid`` is bumped past forced ids so later creations never
         collide with restored ones.
         """
-        with self._ctx_lock:
-            if key not in self._ctx_registry:
-                if force is not None:
-                    self._ctx_registry[key] = force
-                    self._next_cid = max(self._next_cid, force[1] + 1)
-                else:
-                    self._ctx_registry[key] = (self._next_cid,
-                                               self._next_cid + 1)
-                    self._next_cid += 2
-            return self._ctx_registry[key]
+        if key not in self._ctx_registry:
+            if force is not None:
+                self._ctx_registry[key] = force
+                self._next_cid = max(self._next_cid, force[1] + 1)
+            else:
+                self._ctx_registry[key] = (self._next_cid, self._next_cid + 1)
+                self._next_cid += 2
+        return self._ctx_registry[key]
 
     # -- virtual-time fault scheduling ---------------------------------------
     def _arm_fault_scheduler(self) -> None:
@@ -434,11 +400,6 @@ class Engine:
             ctx.clock.watch(self.fault_scheduler)
 
     # -- watchdog -------------------------------------------------------------
-    def _on_wall_deadline(self) -> None:
-        """Timer callback: wake all blocked ranks so they see the deadline."""
-        for mb in self.mailboxes:
-            mb.notify()
-
     def check_deadline(self) -> None:
         if self._deadline and _time.monotonic() > self._deadline:
             if not self.abort_event.is_set():
@@ -469,7 +430,6 @@ class Engine:
         self._arm_fault_scheduler()
         returns: List[Any] = [None] * self.nprocs
         errors: List[Tuple[int, str]] = []
-        errors_lock = threading.Lock()
 
         def worker(rank: int) -> None:
             ctx = self.rank_contexts[rank]
@@ -483,13 +443,11 @@ class Engine:
             except JobAborted:
                 pass
             except DeadlockError as exc:
-                with errors_lock:
-                    if not any(r == rank for r, _ in errors):
-                        errors.append((rank, str(exc)))
+                if not any(r == rank for r, _ in errors):
+                    errors.append((rank, str(exc)))
                 self.abort(None)
             except BaseException:
-                with errors_lock:
-                    errors.append((rank, traceback.format_exc()))
+                errors.append((rank, traceback.format_exc()))
                 self.abort(None)
 
         impl = backend_for(self.backend)
@@ -522,9 +480,9 @@ class Engine:
                          errors: List[Tuple[int, str]]) -> None:
         """Run every rank as a fiber under the deterministic scheduler.
 
-        No watchdog timer is needed: the run loop itself checks the wall
-        deadline between scheduling steps and detects true deadlocks
-        (all ranks blocked, no predicate true) instantly.
+        The scheduling step itself checks the wall deadline between
+        switches and detects true deadlocks (all ranks blocked, no
+        predicate true) instantly.
         """
         self.scheduler = CooperativeScheduler(self)
         for mb in self.mailboxes:
@@ -542,8 +500,7 @@ def run_job(nprocs: int, main: Callable, args: Tuple = (),
     ``engine`` selects the execution backend by registry name
     (:mod:`repro.mpi.backends`): ``"cooperative"`` (the default —
     deterministic rank fibers, scales to paper process counts),
-    ``"sharded[:N]"``, ``"processes[:N]"``, or ``"threads"``.  ``None``
-    defers to the ``REPRO_ENGINE`` environment variable, then the
+    ``"sharded[:N]"`` or ``"processes[:N]"``.  ``None`` defers to the ``REPRO_ENGINE`` environment variable, then the
     default.
     """
     eng = Engine(nprocs, machine=machine, fault_plan=fault_plan, seed=seed,

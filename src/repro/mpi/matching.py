@@ -25,31 +25,25 @@ breaking Chandy-Lamport's FIFO assumption.
 Paper mapping: the mailbox is the runtime's model of the MPI matching
 engine the C3 protocol reasons about — Section 2.4's non-FIFO channels
 (signature-indexed consumption), Section 3's late/early message
-classification (every envelope carries send/avail timestamps and a
-sender sequence number, which the protocol layer compares against
-epochs), and Section 4.1's piggyback channel (envelopes carry the
-sender's C3 piggyback alongside the payload).
+classification (every envelope carries its virtual availability time,
+which the receiver's clock syncs to), and Section 4.1's piggyback
+channel (envelopes carry the sender's C3 piggyback alongside the
+payload).
 
-Synchronization is backend-dependent.  Under the default cooperative
-scheduler (:mod:`repro.mpi.scheduler`) exactly one rank runs at a time,
-so the mailbox uses **no locks and no condition variables**: blocking
-operations suspend their rank fiber and deliveries mark the destination
-rank dirty, waking exactly the ranks whose wait predicate became true.
-Under the ``engine="threads"`` backend all state is protected by a
-single condition variable; blocking operations wait on it
-*indefinitely* — there is no timeout poll — and are woken precisely by
-deliveries, job aborts, the engine's virtual-time fault scheduler, and
-the wall-clock watchdog (see :mod:`repro.mpi.engine`).
+Synchronization: exactly one rank fiber runs at a time under the
+cooperative scheduler (:mod:`repro.mpi.scheduler`), so the mailbox uses
+**no locks and no condition variables**.  Blocking operations suspend
+their rank fiber through :meth:`Mailbox.wait_for`; deliveries and
+notifications add the destination rank to the scheduler's dirty set,
+which wakes exactly the ranks whose wait predicate became true.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import deque
-from contextlib import nullcontext
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
-from .errors import JobAborted, TruncationError
+from .errors import TruncationError
 from .message import Envelope
 
 ANY_SOURCE = -1
@@ -75,11 +69,10 @@ class PostedRecv:
 
     __slots__ = (
         "context_id", "source", "tag", "max_bytes", "envelope", "matched",
-        "on_match", "cancelled", "post_seq",
+        "cancelled", "post_seq",
     )
 
-    def __init__(self, context_id: int, source: int, tag: int, max_bytes: int,
-                 on_match: Optional[Callable[["PostedRecv"], None]] = None):
+    def __init__(self, context_id: int, source: int, tag: int, max_bytes: int):
         self.context_id = context_id
         self.source = source
         self.tag = tag
@@ -87,7 +80,6 @@ class PostedRecv:
         self.envelope: Optional[Envelope] = None
         self.matched = False
         self.cancelled = False
-        self.on_match = on_match
         #: mailbox-wide post order; assigned when queued unmatched
         self.post_seq = -1
 
@@ -108,25 +100,18 @@ class PostedRecv:
             )
         self.envelope = env
         self.matched = True
-        if self.on_match is not None:
-            self.on_match(self)
-
-
-#: shared reusable no-op mutex for scheduler-bound (single-runner) mailboxes
-_NO_MUTEX = nullcontext()
 
 
 class Mailbox:
     """All incoming traffic for one rank."""
 
-    def __init__(self, rank: int, abort_event: threading.Event):
+    def __init__(self, rank: int):
         self.rank = rank
-        self._abort = abort_event
-        self._cond = threading.Condition()
-        #: condition variable (threads) or no-op (cooperative scheduler)
-        self._mutex = self._cond
-        #: cooperative scheduler this mailbox reports wakeups to, if any
+        #: cooperative scheduler that suspends this rank's waits
         self._sched = None
+        #: the scheduler's dirty-rank set (a private one until bound);
+        #: every delivery and notification adds this rank to it
+        self._dirty: Set[int] = set()
         #: signature -> deque of (arrival stamp, envelope), arrival order
         self._pending: Dict[Signature, Deque[Tuple[int, Envelope]]] = {}
         self._arrival_seq = 0
@@ -148,68 +133,54 @@ class Mailbox:
         self.delivered_count = 0
         self.delivered_bytes = 0
 
-    # -- backend binding -----------------------------------------------------
     def bind_scheduler(self, scheduler) -> None:
-        """Run lock-free under a cooperative scheduler.
+        """Report wakeups to (and wait through) a cooperative scheduler.
 
-        With a single runner the condition variable is dead weight: the
-        mutex becomes a no-op and wakeups become exact dirty-rank notes
-        into the scheduler's run loop.  Called by the engine before a
-        cooperative run; a bound mailbox must no longer be touched from
-        free-running threads.
+        Called by the engine before a run: from then on deliveries mark
+        this rank in the scheduler's dirty set, and the scheduling step
+        re-examines exactly the dirty ranks' wait predicates.
         """
         self._sched = scheduler
-        self._mutex = _NO_MUTEX
+        self._dirty = scheduler._dirty
 
-    def _wake(self) -> None:
-        """Wake whoever waits on this mailbox (backend-appropriate)."""
-        if self._sched is not None:
-            self._sched.mailbox_activity(self.rank)
-        else:
-            self._cond.notify_all()
-
-    # -- delivery (called from sender threads) ------------------------------
+    # -- delivery ----------------------------------------------------------
     def deliver(self, env: Envelope) -> None:
         """Hand an envelope to this rank; matches a posted receive if any."""
-        with self._mutex:
-            self.delivered_count += 1
-            self.delivered_bytes += env.nbytes
-            pr = self._take_posted(env)
-            if pr is not None:
-                pr._match(env)
-                self._wake()
-                return
-            key = (env.context_id, env.source, env.tag)
-            bucket = self._pending.get(key)
-            if bucket is None:
-                bucket = self._pending[key] = deque()
+        self.delivered_count += 1
+        self.delivered_bytes += env.nbytes
+        key = (env.context_id, env.source, env.tag)
+        bucket = self._posted_exact.get(key)
+        pr = self._take_wild(env, bucket) if self._posted_wild else None
+        if pr is None and bucket:
+            pr = bucket.popleft()
+            if not bucket:
+                del self._posted_exact[key]
+            self._posted_total -= 1
+        if pr is not None:
+            pr._match(env)
+        else:
+            pending = self._pending.get(key)
+            if pending is None:
+                pending = self._pending[key] = deque()
                 self._ctx_sigs.setdefault(env.context_id, set()).add(key)
-            bucket.append((self._arrival_seq, env))
+            pending.append((self._arrival_seq, env))
             self._arrival_seq += 1
             self._pending_total += 1
             ctx = env.context_id
             self._pending_by_ctx[ctx] = self._pending_by_ctx.get(ctx, 0) + 1
-            self._wake()
+        self._dirty.add(self.rank)
 
-    def _take_posted(self, env: Envelope) -> Optional[PostedRecv]:
-        """Pop the earliest-posted receive accepting ``env``, if any."""
-        key = (env.context_id, env.source, env.tag)
-        bucket = self._posted_exact.get(key)
-        exact = bucket[0] if bucket else None
-        wild: Optional[PostedRecv] = None
-        if self._posted_wild:
-            for pr in self._posted_wild:
-                if pr.accepts(env):
-                    wild = pr
-                    break
-        if exact is None and wild is None:
+    def _take_wild(self, env: Envelope,
+                   bucket: Optional[Deque[PostedRecv]]) -> Optional[PostedRecv]:
+        """Pop the earliest wildcard receive accepting ``env`` if it was
+        posted before the exact bucket's head (earliest-posted wins)."""
+        for wild in self._posted_wild:
+            if wild.accepts(env):
+                break
+        else:
             return None
-        if wild is None or (exact is not None and exact.post_seq < wild.post_seq):
-            bucket.popleft()
-            if not bucket:
-                del self._posted_exact[key]
-            self._posted_total -= 1
-            return exact
+        if bucket and bucket[0].post_seq < wild.post_seq:
+            return None
         self._posted_wild.remove(wild)
         self._posted_total -= 1
         return wild
@@ -217,31 +188,29 @@ class Mailbox:
     # -- posting receives ----------------------------------------------------
     def post(self, pr: PostedRecv) -> None:
         """Post a receive; matches the oldest pending envelope if one fits."""
-        with self._mutex:
-            key = self._oldest_pending_key(pr.context_id, pr.source, pr.tag)
-            if key is not None:
-                env = self._pop_pending(key)
-                pr._match(env)
-                self._wake()
-                return
-            pr.post_seq = self._post_seq
-            self._post_seq += 1
-            if pr.wildcard:
-                self._posted_wild.append(pr)
-            else:
-                sig = (pr.context_id, pr.source, pr.tag)
-                bucket = self._posted_exact.get(sig)
-                if bucket is None:
-                    bucket = self._posted_exact[sig] = deque()
-                bucket.append(pr)
-            self._posted_total += 1
+        key = self._oldest_pending_key(pr.context_id, pr.source, pr.tag)
+        if key is not None:
+            pr._match(self._pop_pending(key))
+            self._dirty.add(self.rank)
+            return
+        pr.post_seq = self._post_seq
+        self._post_seq += 1
+        if pr.wildcard:
+            self._posted_wild.append(pr)
+        else:
+            sig = (pr.context_id, pr.source, pr.tag)
+            bucket = self._posted_exact.get(sig)
+            if bucket is None:
+                bucket = self._posted_exact[sig] = deque()
+            bucket.append(pr)
+        self._posted_total += 1
 
     def _oldest_pending_key(self, context_id: int, source: int,
                             tag: int) -> Optional[Signature]:
         """Bucket holding the oldest pending envelope matching the triple."""
         if source != ANY_SOURCE and tag != ANY_TAG:
             key = (context_id, source, tag)
-            return key if self._pending.get(key) else None
+            return key if key in self._pending else None
         if not self._pending_by_ctx.get(context_id):
             return None
         # Scan only this context's live buckets; the winner is the
@@ -279,61 +248,41 @@ class Mailbox:
 
     def cancel(self, pr: PostedRecv) -> bool:
         """Cancel a posted receive; returns False if it already matched."""
-        with self._mutex:
-            if pr.matched:
-                return False
-            pr.cancelled = True
-            if pr.wildcard:
-                if pr in self._posted_wild:
-                    self._posted_wild.remove(pr)
-                    self._posted_total -= 1
-            else:
-                sig = (pr.context_id, pr.source, pr.tag)
-                bucket = self._posted_exact.get(sig)
-                if bucket is not None and pr in bucket:
-                    bucket.remove(pr)
-                    if not bucket:
-                        del self._posted_exact[sig]
-                    self._posted_total -= 1
-            return True
+        if pr.matched:
+            return False
+        pr.cancelled = True
+        if pr.wildcard:
+            if pr in self._posted_wild:
+                self._posted_wild.remove(pr)
+                self._posted_total -= 1
+        else:
+            sig = (pr.context_id, pr.source, pr.tag)
+            bucket = self._posted_exact.get(sig)
+            if bucket is not None and pr in bucket:
+                bucket.remove(pr)
+                if not bucket:
+                    del self._posted_exact[sig]
+                self._posted_total -= 1
+        return True
 
     # -- waiting --------------------------------------------------------------
-    def wait_for(self, predicate: Callable[[], bool], poll: Optional[Callable[[], None]] = None) -> None:
-        """Block until ``predicate()`` is true or the job aborts.
-
-        The predicate is checked *before* the abort flag so an operation
-        whose match has already arrived completes instead of being
-        retroactively reported as aborted.
+    def wait_for(self, predicate: Callable[[], bool],
+                 poll: Optional[Callable[[], None]] = None) -> None:
+        """Suspend this rank's fiber until ``predicate()`` is true or the
+        job aborts (:meth:`CooperativeScheduler.wait
+        <repro.mpi.scheduler.CooperativeScheduler.wait>`).
 
         There is no timeout: the wait is woken precisely by deliveries
-        into this mailbox, by :meth:`notify` (job abort, due virtual-time
-        faults, the wall-clock watchdog).  ``poll`` (if given) runs on
-        every wakeup — the engine uses it to raise due faults and
-        deadline errors inside the blocked rank's own thread.
-
-        Under a cooperative scheduler the same contract holds, but the
-        wait suspends this rank's fiber instead of a condition variable;
-        the scheduler resumes it when the predicate becomes true.
+        into this mailbox and by :meth:`notify` (job abort, due
+        virtual-time faults).  ``poll`` (if given) runs on every wakeup —
+        the engine uses it to raise due faults and deadline errors
+        inside the blocked rank's own fiber.
         """
-        if self._sched is not None:
-            self._sched.wait(predicate, poll)
-            return
-        with self._mutex:
-            while True:
-                if predicate():
-                    return
-                if self._abort.is_set():
-                    raise JobAborted()
-                if poll is not None:
-                    poll()
-                    if predicate():
-                        return
-                self._cond.wait()
+        self._sched.wait(predicate, poll)
 
     def notify(self) -> None:
-        """Wake any thread blocked on this mailbox (abort, fault, watchdog)."""
-        with self._mutex:
-            self._wake()
+        """Wake this rank if it is blocked (abort, due fault)."""
+        self._dirty.add(self.rank)
 
     def pop_pending(self, context_id: int, source: int, tag: int) -> Optional[Envelope]:
         """Pop the oldest pending envelope matching the triple, if any.
@@ -343,32 +292,27 @@ class Mailbox:
         the matching engine ever seeing a posted/pending rendezvous.
         Ordering is the same oldest-arrival rule a wildcard receive uses.
         """
-        with self._mutex:
-            key = self._oldest_pending_key(context_id, source, tag)
-            if key is None:
-                return None
-            return self._pop_pending(key)
+        key = self._oldest_pending_key(context_id, source, tag)
+        if key is None:
+            return None
+        return self._pop_pending(key)
 
     # -- probing ---------------------------------------------------------------
     def probe_pending(self, context_id: int, source: int, tag: int) -> Optional[Envelope]:
         """Oldest pending envelope matching the triple, without removing it."""
-        with self._mutex:
-            key = self._oldest_pending_key(context_id, source, tag)
-            if key is None:
-                return None
-            return self._pending[key][0][1]
+        key = self._oldest_pending_key(context_id, source, tag)
+        if key is None:
+            return None
+        return self._pending[key][0][1]
 
     def has_pending(self, context_id: int) -> bool:
         """O(1): is any envelope pending on this context?"""
-        with self._mutex:
-            return bool(self._pending_by_ctx.get(context_id))
+        return context_id in self._pending_by_ctx
 
     def pending_count(self, context_id: Optional[int] = None) -> int:
-        with self._mutex:
-            if context_id is None:
-                return self._pending_total
-            return self._pending_by_ctx.get(context_id, 0)
+        if context_id is None:
+            return self._pending_total
+        return self._pending_by_ctx.get(context_id, 0)
 
     def posted_count(self) -> int:
-        with self._mutex:
-            return self._posted_total
+        return self._posted_total

@@ -2,16 +2,17 @@
 
 A :class:`MessageSignature` is the triple the paper uses to identify
 messages in its registries: ``<sending node number, tag, communicator>``.
-An :class:`Envelope` is a message in flight: signature, payload bytes,
-element count/type info, the virtual time at which it becomes available at
-the receiver, and a small *piggyback* area used by the C3 coordination
-layer (the paper piggybacks 3 bits: a 2-bit epoch color and 1 logging bit).
+An :class:`Envelope` is a message in flight: the signature fields, payload
+bytes, element count/type info, the virtual time at which it becomes
+available at the receiver, and a small *piggyback* area used by the C3
+coordination layer (the paper piggybacks 3 bits: a 2-bit epoch color and
+1 logging bit).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Tuple
 
 
 @dataclass(frozen=True)
@@ -26,38 +27,37 @@ class MessageSignature:
         return (self.source, self.tag, self.context_id)
 
 
-# Sequence numbers give the mailbox its per-signature non-overtaking order.
-@dataclass
 class Envelope:
-    signature: MessageSignature
-    payload: bytes
-    count: int
-    type_name: str
-    dest: int
-    seq: int = 0
-    send_time: float = 0.0
-    avail_time: float = 0.0
-    piggyback: Any = None
-    system: bool = False  # control-plane / collective-internal traffic
+    """One message in flight.
+
+    The signature fields live directly on the envelope (one is built per
+    message, so no per-message signature object); ``nbytes`` is fixed at
+    construction because payloads are immutable ``bytes``.
+    """
+
+    __slots__ = ("source", "tag", "context_id", "payload", "nbytes", "count",
+                 "type_name", "dest", "avail_time", "piggyback")
+
+    def __init__(self, source: int, tag: int, context_id: int, payload: bytes,
+                 count: int, type_name: str, dest: int,
+                 avail_time: float = 0.0, piggyback: Any = None):
+        self.source = source
+        self.tag = tag
+        self.context_id = context_id
+        self.payload = payload
+        self.nbytes = len(payload)
+        self.count = count
+        self.type_name = type_name
+        self.dest = dest
+        self.avail_time = avail_time
+        self.piggyback = piggyback
 
     @property
-    def source(self) -> int:
-        return self.signature.source
-
-    @property
-    def tag(self) -> int:
-        return self.signature.tag
-
-    @property
-    def context_id(self) -> int:
-        return self.signature.context_id
-
-    @property
-    def nbytes(self) -> int:
-        return len(self.payload)
+    def signature(self) -> MessageSignature:
+        return MessageSignature(self.source, self.tag, self.context_id)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<Envelope {self.source}->{self.dest} tag={self.tag} "
-            f"ctx={self.context_id} {self.nbytes}B seq={self.seq}>"
+            f"ctx={self.context_id} {self.nbytes}B>"
         )

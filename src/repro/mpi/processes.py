@@ -121,7 +121,7 @@ class ProcessesBackend(ExecutionBackend):
             return int(count)
         return engine.nprocs  # >= node count, so: one process per node
 
-    def _launch(self, engine, body: Callable[[int], None], timeout: float,
+    def launch(self, engine, body: Callable[[int], None], timeout: float,
                 errors: List[Tuple[int, str]], returns: List[Any]) -> None:
         require_shared_store(engine)
         from .sharded import run_sharded  # local import, no cycle

@@ -10,7 +10,6 @@ to read the received data" (paper, Section 4.1, Figure 6).
 
 from __future__ import annotations
 
-import threading
 from typing import List, Optional, Sequence, Tuple
 
 from .datatypes import Datatype
@@ -20,8 +19,34 @@ from .message import Envelope
 from .status import Status
 
 
+def await_match(ctx, pr: PostedRecv) -> Envelope:
+    """The envelope a posted receive matched, parking the rank's fiber
+    until it arrives (no scheduler call if it already has)."""
+    if not pr.matched:
+        ctx.mailbox.wait_for(lambda: pr.matched, poll=ctx.poll_hook)
+    return pr.envelope
+
+
+def complete_recv(ctx, env: Envelope, buf, dt: Optional[Datatype]) -> int:
+    """Completion of one matched receive: sync the clock to the
+    envelope's arrival, charge one call overhead, unpack the payload
+    into ``buf``; returns the element count a Status reports."""
+    clock = ctx.clock
+    clock.sync_to(env.avail_time)
+    clock.advance(ctx.machine.call_overhead)
+    size = dt.size if dt is not None else 0
+    # the payload may hold fewer elements than were posted
+    elems = env.nbytes // size if size else 0
+    if buf is not None and dt is not None:
+        dt.unpack(env.payload, buf, count=elems)
+    return elems if size else env.count
+
+
 class Request:
     """One outstanding non-blocking operation."""
+
+    __slots__ = ("kind", "_rank_ctx", "buffer", "count", "datatype",
+                 "posted", "envelope", "released")
 
     SEND = "send"
     RECV = "recv"
@@ -35,9 +60,7 @@ class Request:
         self.datatype = datatype
         self.posted: Optional[PostedRecv] = None
         self.envelope: Optional[Envelope] = None
-        self.complete_time: Optional[float] = None
         self.released = False
-        self._delivered = False  # payload unpacked into the user buffer
 
     # -- state ---------------------------------------------------------------
     def is_complete(self) -> bool:
@@ -51,27 +74,16 @@ class Request:
             return True
         return False
 
-    def _deliver_to_buffer(self) -> Status:
-        """Unpack the payload into the user buffer, once, and build a Status."""
-        if self.kind == Request.SEND:
-            return Status(source=self._rank_ctx.rank, tag=0, count=self.count)
-        env = self.envelope
-        assert env is not None
-        if not self._delivered:
-            if self.buffer is not None and self.datatype is not None:
-                # Element count in the payload may be smaller than posted.
-                elems = env.nbytes // self.datatype.size if self.datatype.size else 0
-                self.datatype.unpack(env.payload, self.buffer, count=elems)
-            self._delivered = True
-        elems = (env.nbytes // self.datatype.size) if (self.datatype and self.datatype.size) else env.count
-        return Status(source=env.source, tag=env.tag, count=elems, nbytes=env.nbytes)
-
     # -- completion ------------------------------------------------------------
     def wait(self) -> Status:
-        """Block until complete; returns the filled Status (``MPI_Wait``)."""
+        """Block until complete; returns the filled Status (``MPI_Wait``).
+
+        A receive that already matched completes without entering the
+        scheduler."""
         self._check_not_released()
-        ctx = self._rank_ctx
-        ctx.mailbox.wait_for(self.is_complete, poll=ctx.poll_hook)
+        if not self.is_complete():
+            ctx = self._rank_ctx
+            ctx.mailbox.wait_for(self.is_complete, poll=ctx.poll_hook)
         status = self._finish()
         self.released = True
         return status
@@ -90,14 +102,13 @@ class Request:
 
     def _finish(self) -> Status:
         ctx = self._rank_ctx
-        if self.kind == Request.RECV:
-            env = self.envelope
-            assert env is not None
-            ctx.clock.sync_to(env.avail_time)
-        ctx.clock.advance(ctx.machine.call_overhead)
-        if self.complete_time is None:
-            self.complete_time = ctx.clock.now
-        return self._deliver_to_buffer()
+        if self.kind == Request.SEND:
+            ctx.clock.advance(ctx.machine.call_overhead)
+            return Status(source=ctx.rank, tag=0, count=self.count)
+        env = self.envelope
+        count = complete_recv(ctx, env, self.buffer, self.datatype)
+        return Status(source=env.source, tag=env.tag, count=count,
+                      nbytes=env.nbytes)
 
     def cancel(self) -> bool:
         """Cancel an unmatched receive request (``MPI_Cancel``)."""

@@ -1,11 +1,12 @@
 """Deterministic cooperative rank scheduler.
 
-The default execution backend of the :class:`~repro.mpi.engine.Engine`.
-Each rank's ``main`` runs as a *fiber*: a task that executes until it
-reaches a blocking point — a mailbox wait (``Recv``/``Wait``/``Probe``,
-collective internals, the C3 checkpoint coordination paths) or a failed
-non-blocking completion check (``Test``/``Iprobe`` spin loops) — and
-then yields control back to a single run loop.  Exactly one rank
+The execution model of the :class:`~repro.mpi.engine.Engine` — the one
+in-process path every backend runs ranks on (the sharded and processes
+backends run one of these loops per worker).  Each rank's ``main`` runs
+as a *fiber*: a task that executes until it reaches a blocking point — a
+mailbox wait (``Recv``/``Wait``/``Probe``, collective internals, the C3
+checkpoint coordination paths) or a failed non-blocking completion check
+(``Test``/``Iprobe`` spin loops) — and then yields.  Exactly one rank
 executes at any instant, so
 
 * the schedule is **deterministic**: runnable ranks are serviced from a
@@ -14,39 +15,53 @@ executes at any instant, so
   delivery points are a pure function of the program and the fault
   plan — every run of the same job is bit-identical;
 * the mailbox needs **no locks and no condition variables**: all
-  matching state is mutated by whichever single task is running (the
-  engine binds each mailbox to the scheduler, replacing its condition
-  variable with a wakeup note into the run loop);
-* **wakeups are exact**: a delivery or notification marks the target
-  rank dirty, and the run loop re-evaluates only dirty ranks' wait
-  predicates, resuming exactly the ranks whose predicate became true
-  (or that have a due fault to observe) — there are no notify-all
-  storms and no timeout polls;
+  matching state is mutated by whichever single task is running, and a
+  delivery or notification is a note in the scheduler's dirty set;
+* **wakeups are exact**: a dirty rank's wait predicate is re-evaluated,
+  and exactly the ranks whose predicate became true (or that have a due
+  fault to observe) are resumed — there are no notify-all storms and no
+  timeout polls;
 * **deadlock is detected instantly**: when every live rank is blocked
   and no wait predicate holds, no future delivery can occur (only
   ranks send), so the scheduler declares deadlock immediately instead
-  of burning the wall-clock watchdog timeout.
+  of waiting out a wall-clock timeout.
 
 CPython cannot suspend an arbitrary call stack (no first-class
 continuations, and ``greenlet`` is not a dependency), so each fiber is
-*carried* by a parked OS thread with a small stack: the carrier blocks
-on a private semaphore whenever its task is not scheduled, and the
-run-loop/task handoff is two semaphore operations.  The cooperative
-discipline — one runner at a time, explicit yield points — is what
-delivers the determinism and the scalability; the carrier threads are
-an implementation detail that never run concurrently.  This is what
-lets platform models run at the paper's true process counts (256+ ranks
-sweep in :mod:`repro.harness.scaling`) instead of the downscaled 4/8/16
-used by the original thread-per-rank engine.
+*carried* by a parked OS thread with a small stack.  A carrier parks on
+a raw ``_thread`` lock born held — a ``threading.Semaphore`` is a
+pure-Python condition variable that allocates a fresh lock on every
+blocking acquire, a raw lock is one C call each way.
+
+**Hand-off.** A parking task runs the scheduling step itself: it files
+itself (blocked, yielded or done), re-examines the dirty ranks, pops the
+FIFO head and releases that carrier's lock directly — one OS hand-off
+per switch instead of a trip through the run loop and back.  If the
+head is the parking task itself it simply keeps running.  The run loop
+(the thread that called :meth:`CooperativeScheduler.run`) gets the
+baton back only when the step cannot name a successor, and keeps every
+job the parking task cannot do:
+
+* quiescence and deadlock — no task runnable, ask :meth:`_on_quiescent`
+  (the sharded worker's master link), else declare deadlock;
+* the :meth:`_on_idle_spin` hook after a run of no-progress switches;
+* the ``HANDOFF_GRACE`` watchdog: it waits for the baton at most until
+  the job's wall deadline plus the grace, then abandons the task that
+  never yielded;
+* the end of the run — joining the finished carriers, so none outlives
+  :meth:`run`.
+
+Abort and wall-deadline handling is part of the step, so whichever
+thread holds the baton wakes every blocked rank once the job aborts or
+its deadline passes.  Switch counts, the FIFO order and the rank-ordered
+wakeups are exactly those of a loop that resumes every task itself.
 
 Rank code must reach its blocking points *through the simulated MPI
 layer*: a task that blocks on a bare OS primitive (``Event.wait``,
-``time.sleep`` loops) stalls the run loop, because it parks the only
-running carrier without yielding.  The scheduler guards against this
-with a handoff timeout slightly beyond the job's wall deadline — the
-stuck rank is abandoned (its daemon carrier leaks) and the job aborts
-with an engine-watchdog error, mirroring the threaded backend's
-behavior for ranks that never terminate.
+``time.sleep`` loops) stalls the job, because it holds the baton without
+yielding.  The run loop's watchdog abandons such a task (its daemon
+carrier leaks, flagged ``RankTask.leaked``) and the job aborts with an
+engine-watchdog error.
 
 See DESIGN.md section 4 for the execution-model contract.
 """
@@ -55,6 +70,7 @@ from __future__ import annotations
 
 import threading
 import time as _time
+from _thread import allocate_lock
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Set
 
@@ -67,15 +83,22 @@ _YIELDED = "yielded"
 _DONE = "done"
 
 
+def _held_lock():
+    """A raw lock born held: ``acquire`` parks until someone releases it."""
+    lock = allocate_lock()
+    lock.acquire()
+    return lock
+
+
 class RankTask:
     """One rank's fiber: a parked carrier thread plus scheduling state."""
 
-    __slots__ = ("rank", "sem", "thread", "state", "predicate", "leaked")
+    __slots__ = ("rank", "lock", "thread", "state", "predicate", "leaked")
 
     def __init__(self, rank: int):
         self.rank = rank
         #: the carrier parks here whenever the task is not scheduled
-        self.sem = threading.Semaphore(0)
+        self.lock = _held_lock()
         self.thread: Optional[threading.Thread] = None
         self.state = _YIELDED
         #: wait predicate registered by the current blocking operation
@@ -85,13 +108,12 @@ class RankTask:
 
 
 class CooperativeScheduler:
-    """Single run loop advancing one rank fiber at a time."""
+    """One rank fiber at a time, handed off directly between carriers."""
 
     #: carrier-thread stack size: tasks never recurse deeply, and with
     #: one runner at a time there is no per-thread working set beyond
-    #: the (lazily committed) stack — 512 KiB is half the threaded
-    #: backend's 1 MiB and bounds a 1024-rank job to 0.5 GiB of
-    #: *virtual* address space
+    #: the (lazily committed) stack — 512 KiB bounds a 1024-rank job to
+    #: 0.5 GiB of *virtual* address space
     STACK_BYTES = 512 << 10
 
     #: extra wall-clock grace beyond the job deadline before the run
@@ -109,12 +131,19 @@ class CooperativeScheduler:
         #: the subset of ranks this loop runs (None = all engine ranks);
         #: the sharded backend runs one loop per simulated-node group
         self.ranks = None if ranks is None else [int(r) for r in ranks]
-        #: the run loop parks here while a task runs
-        self._main = threading.Semaphore(0)
+        #: the run loop parks here while the baton is with the tasks
+        self._main = _held_lock()
         self._current: Optional[RankTask] = None
-        #: ranks whose mailbox saw activity since they blocked
+        #: ranks whose mailbox saw activity since they blocked (mailboxes
+        #: bound to this scheduler add to this very set)
         self._dirty: Set[int] = set()
         self._blocked: Dict[int, RankTask] = {}
+        self._runnable: Deque[RankTask] = deque()
+        self._live = 0
+        self._idle_spins = 0
+        #: set by the parking task that found :meth:`_on_idle_spin` due
+        self._spin_hook_due = False
+        self._deadline = 0.0
         #: set when every live rank is blocked with no wakeup possible;
         #: observed by parked tasks, which unwind with DeadlockError
         self.deadlocked = False
@@ -123,24 +152,16 @@ class CooperativeScheduler:
         #: statistics: fiber context switches performed
         self.switches = 0
 
-    # -- wakeup notes (called from mailboxes, possibly off-loop) -----------
-    def mailbox_activity(self, rank: int) -> None:
-        """Note a delivery/notification for ``rank`` (its wait predicate
-        may have become true); ``set.add`` is atomic, so faults signalled
-        from the engine's abort path are safe too."""
-        self._dirty.add(rank)
-
     # -- task-side suspension points ---------------------------------------
     def wait(self, predicate: Callable[[], bool],
              poll: Optional[Callable[[], None]] = None) -> None:
-        """Cooperative :meth:`Mailbox.wait_for`: park until the predicate
-        holds or the job aborts/deadlocks.
+        """Park the running fiber until the predicate holds or the job
+        aborts/deadlocks.
 
-        Semantics match the threaded wait loop exactly: the predicate is
-        checked before the abort flag (an operation whose match already
-        arrived completes even under abort), and ``poll`` runs on every
-        wakeup in the task's own context so due faults and deadline
-        errors raise on the right rank.
+        The predicate is checked before the abort flag (an operation
+        whose match already arrived completes even under abort), and
+        ``poll`` runs on every wakeup in the task's own context so due
+        faults and deadline errors raise on the right rank.
         """
         task = self._current
         abort = self.engine.abort_event
@@ -170,15 +191,82 @@ class CooperativeScheduler:
             self._park(task, _YIELDED)
 
     def _park(self, task: RankTask, state: str) -> None:
+        """File ``task`` as ``state`` and pass the baton on."""
+        if task.leaked:  # pragma: no cover - abandoned by the watchdog
+            if state is not _DONE:
+                task.lock.acquire()  # touch nothing; never resumed
+            return
         task.state = state
-        self._main.release()
-        task.sem.acquire()
-        task.state = _RUNNING
+        nxt = self._step(task)
+        if nxt is task:
+            task.state = _RUNNING
+            return
+        (self._main if nxt is None else nxt.lock).release()
+        if state is not _DONE:
+            task.lock.acquire()
+            task.state = _RUNNING
 
     def _deadlock_message(self) -> str:
         return (f"cooperative deadlock: all live ranks blocked with no "
                 f"matching traffic possible "
                 f"(blocked ranks: {self._deadlock_ranks})")
+
+    # -- the scheduling step -------------------------------------------------
+    def _step(self, task: RankTask) -> Optional[RankTask]:
+        """File a parking task, then name (and count) its successor.
+
+        ``None`` hands the baton back to the run loop: no task is
+        runnable, the idle-spin hook is due, or every task is done.
+        """
+        state = task.state
+        if state is _DONE:
+            self._live -= 1
+            self._idle_spins = 0
+        elif state is _BLOCKED:
+            self._blocked[task.rank] = task
+            self._idle_spins += 1
+        else:  # _YIELDED: round-robin to the back of the queue
+            self._runnable.append(task)
+            self._idle_spins += 1
+        if self._dirty:
+            self._idle_spins = 0
+        elif self._idle_spins >= self.SPIN_HOOK_EVERY:
+            self._idle_spins = 0
+            self._spin_hook_due = True
+            return None
+        if not self._live:
+            return None
+        nxt = self._next_runnable()
+        if nxt is not None:
+            self._current = nxt
+            self.switches += 1
+        return nxt
+
+    def _next_runnable(self) -> Optional[RankTask]:
+        """Apply aborts and wakeups, then pop the FIFO head (if any)."""
+        blocked = self._blocked
+        runnable = self._runnable
+        if (self.engine.abort_event.is_set()
+                or _time.monotonic() > self._deadline):
+            # Wake everything: blocked tasks observe the abort flag
+            # (JobAborted) or the expired deadline (their poll's
+            # check_deadline raises DeadlockError and aborts).
+            for r in sorted(blocked):
+                runnable.append(blocked.pop(r))
+            self._dirty.clear()
+        elif self._dirty:
+            # Exact wakeups: only dirty ranks are re-examined, and only
+            # those whose predicate holds (or that must observe a due
+            # fault) are resumed — in rank order.
+            wake = self._dirty & blocked.keys()
+            self._dirty.clear()
+            contexts = self.engine.rank_contexts
+            for r in sorted(wake):
+                task = blocked[r]
+                if task.predicate() or contexts[r].has_due_fault:
+                    del blocked[r]
+                    runnable.append(task)
+        return runnable.popleft() if runnable else None
 
     # -- extension hooks (overridden by the sharded worker loop) -----------
     def _on_quiescent(self) -> bool:
@@ -199,13 +287,12 @@ class CooperativeScheduler:
     # -- carriers ------------------------------------------------------------
     def _start_carriers(self, body: Callable[[int], None]) -> None:
         def carrier(task: RankTask) -> None:
-            task.sem.acquire()          # wait to be scheduled the first time
+            task.lock.acquire()         # wait to be scheduled the first time
             task.state = _RUNNING
             try:
                 body(task.rank)         # never raises (engine worker wrapper)
             finally:
-                task.state = _DONE
-                self._main.release()
+                self._park(task, _DONE)
 
         old_stack = threading.stack_size()
         try:
@@ -224,26 +311,6 @@ class CooperativeScheduler:
             except (ValueError, RuntimeError):  # pragma: no cover
                 pass
 
-    def _switch_to(self, task: RankTask, deadline: float) -> bool:
-        """Resume a task until it parks; False if it had to be abandoned."""
-        self._current = task
-        self.switches += 1
-        task.sem.release()
-        while True:
-            budget = max(1.0, deadline + self.HANDOFF_GRACE
-                         - _time.monotonic())
-            if self._main.acquire(timeout=budget):
-                if task.state != _RUNNING:
-                    return True
-                # phantom permit from a previously abandoned task that
-                # finally parked; swallow it and keep waiting
-                continue  # pragma: no cover - degraded mode
-            # The task never yielded: it is stuck in a non-MPI blocking
-            # call or an unbounded compute.  Abandon it (daemon carrier
-            # leaks) and fail the job like the threaded watchdog would.
-            task.leaked = True  # pragma: no cover - degraded mode
-            return False  # pragma: no cover
-
     # -- the run loop ----------------------------------------------------------
     def run(self, body: Callable[[int], None], deadline: float,
             errors: List) -> None:
@@ -251,36 +318,27 @@ class CooperativeScheduler:
         engine = self.engine
         ranks = self.ranks if self.ranks is not None else range(engine.nprocs)
         self._tasks = [RankTask(r) for r in ranks]
-        runnable: Deque[RankTask] = deque(self._tasks)
-        blocked = self._blocked
-        abort = engine.abort_event
+        self._runnable.extend(self._tasks)
+        self._live = len(self._tasks)
+        self._deadline = deadline
         self._start_carriers(body)
-        live = len(self._tasks)
-        idle_spins = 0
+        try:
+            self._loop(deadline, errors)
+        finally:
+            # A finished carrier releases its successor and then exits;
+            # join it so no carrier thread outlives the run.
+            for task in self._tasks:
+                if task.state is _DONE:
+                    task.thread.join()
 
-        while live:
-            wall_expired = _time.monotonic() > deadline
-            if abort.is_set() or wall_expired:
-                # Wake everything: blocked tasks observe the abort flag
-                # (JobAborted) or the expired deadline (their poll's
-                # check_deadline raises DeadlockError and aborts).
-                for r in sorted(blocked):
-                    runnable.append(blocked.pop(r))
-                self._dirty.clear()
-            elif self._dirty:
-                # Exact wakeups: only dirty ranks are re-examined, and
-                # only those whose predicate holds (or that must observe
-                # a due fault) are resumed — in rank order.
-                wake = self._dirty & blocked.keys()
-                self._dirty.clear()
-                contexts = engine.rank_contexts
-                for r in sorted(wake):
-                    task = blocked[r]
-                    if task.predicate() or contexts[r].has_due_fault:
-                        del blocked[r]
-                        runnable.append(task)
-            if not runnable:
-                if not blocked:  # pragma: no cover - defensive
+    def _loop(self, deadline: float, errors: List) -> None:
+        while self._live:
+            if self._spin_hook_due:
+                self._spin_hook_due = False
+                self._on_idle_spin()
+            task = self._next_runnable()
+            if task is None:
+                if not self._blocked:  # pragma: no cover - defensive
                     break
                 # Every live rank is blocked and no predicate holds.  In
                 # a sharded run another shard (or an in-transit envelope)
@@ -294,34 +352,27 @@ class CooperativeScheduler:
                 # _deadlock_ranks itself; keep its list in that case.
                 self.deadlocked = True
                 if not self._deadlock_ranks:
-                    self._deadlock_ranks = sorted(blocked)
-                for r in sorted(blocked):
-                    runnable.append(blocked.pop(r))
+                    self._deadlock_ranks = sorted(self._blocked)
+                for r in sorted(self._blocked):
+                    self._runnable.append(self._blocked.pop(r))
                 continue
-            task = runnable.popleft()
-            if task.state == _DONE:  # pragma: no cover - defensive
+            self._current = task
+            self.switches += 1
+            task.lock.release()
+            # The baton now travels between carriers; it comes back when
+            # a step cannot name a successor.
+            budget = max(1.0, deadline + self.HANDOFF_GRACE
+                         - _time.monotonic())
+            if self._main.acquire(timeout=budget):
                 continue
-            if not self._switch_to(task, deadline):
-                # Abandoned a stuck task: abort the job and stop
-                # trusting the cooperative invariant for it.
-                errors.append((  # pragma: no cover - degraded mode
-                    -1,
-                    f"cooperative engine watchdog: rank {task.rank} never "
-                    f"yielded (blocked outside the simulated MPI layer?)"))
-                engine.abort(None)  # pragma: no cover
-                live -= 1  # pragma: no cover
-                continue  # pragma: no cover
-            if task.state == _DONE:
-                live -= 1
-                idle_spins = 0
-            elif task.state == _BLOCKED:
-                blocked[task.rank] = task
-                idle_spins += 1
-            else:  # _YIELDED: round-robin to the back of the queue
-                runnable.append(task)
-                idle_spins += 1
-            if self._dirty:
-                idle_spins = 0
-            elif idle_spins >= self.SPIN_HOOK_EVERY:
-                idle_spins = 0
-                self._on_idle_spin()
+            # The running task never yielded: it is stuck in a non-MPI
+            # blocking call or an unbounded compute.  Abandon it (daemon
+            # carrier leaks) and fail the job.
+            stuck = self._current  # pragma: no cover - degraded mode
+            stuck.leaked = True  # pragma: no cover
+            errors.append((  # pragma: no cover
+                -1,
+                f"cooperative engine watchdog: rank {stuck.rank} never "
+                f"yielded (blocked outside the simulated MPI layer?)"))
+            self.engine.abort(None)  # pragma: no cover
+            self._live -= 1  # pragma: no cover

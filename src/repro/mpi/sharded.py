@@ -32,8 +32,8 @@ Why this shape:
   :class:`~repro.mpi.engine.JobResult` (returns, clocks, sent counts)
   is bit-identical to the cooperative engine's.  Killed runs guarantee
   the victim's failure record; surviving peers' unwind clocks are not
-  compared (same grade as the threads backend), and kill+restart is
-  pinned end-to-end on the recovered result instead;
+  compared (they depend on when each shard observes the abort), and
+  kill+restart is pinned end-to-end on the recovered result instead;
 * **shards=1 degenerates exactly** — one shard means no fork and no
   window: the run *is* the cooperative run, same scheduler, same
   switch count.

@@ -17,7 +17,6 @@ application would have been delayed had it written remotely in-line
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -39,10 +38,9 @@ class DrainDevice:
     crash-consistent — a rank killed mid-drain leaves sections without a
     marker, and recovery falls back to the previous committed line.
 
-    Under the default cooperative scheduler exactly one rank runs at a
-    time, so submission order — and therefore every completion time — is
-    deterministic.  The lock only matters for the threaded escape-hatch
-    backend.
+    Exactly one rank runs at a time under the cooperative scheduler, so
+    submission order — and therefore every completion time — is
+    deterministic, and the device needs no lock.
     """
 
     def __init__(self, machine: MachineModel, nprocs: int):
@@ -53,7 +51,6 @@ class DrainDevice:
         nodes = -(-nprocs // self.procs_per_node)  # ceil
         #: per-node virtual time the disk becomes idle
         self._busy_until = [0.0] * nodes
-        self._lock = threading.Lock()
         #: accounting the studies read
         self.submissions = 0
         self.submitted_bytes = 0
@@ -73,18 +70,16 @@ class DrainDevice:
         if nbytes < 0:
             raise ValueError(f"nbytes must be >= 0, got {nbytes}")
         node = self.node_of(rank)
-        with self._lock:
-            start = max(now, self._busy_until[node])
-            done = start + self.machine.disk_write_time(nbytes)
-            self._busy_until[node] = done
-            self.submissions += 1
-            self.submitted_bytes += nbytes
-            return done
+        start = max(now, self._busy_until[node])
+        done = start + self.machine.disk_write_time(nbytes)
+        self._busy_until[node] = done
+        self.submissions += 1
+        self.submitted_bytes += nbytes
+        return done
 
     def busy_until(self, rank: int) -> float:
         """Virtual time ``rank``'s node disk becomes idle (for tests)."""
-        with self._lock:
-            return self._busy_until[self.node_of(rank)]
+        return self._busy_until[self.node_of(rank)]
 
 
 @dataclass

@@ -73,9 +73,9 @@ class TestScalingSweep:
 
     def test_sweep_respects_engine_choice(self):
         rows = scaling_rows(ranks=(4,), apps={"ring": SCALING_APPS["ring"]},
-                            platforms=("testing",), engine="threads",
+                            platforms=("testing",), engine="sharded:2",
                             parallel=False)
-        assert rows[0]["engine"] == "threads"
+        assert rows[0]["engine"] == "sharded:2"
 
 
 class TestFlatnessCheck:
@@ -107,10 +107,10 @@ class TestFlatnessCheck:
 
 
 class TestCampaignOnEngine:
-    """Satellite: a campaign smoke cell runs on the new engine (and the
-    escape hatch stays selectable)."""
+    """A campaign smoke cell runs on the cooperative engine and on a
+    forked-shard one."""
 
-    @pytest.mark.parametrize("engine", ["cooperative", "threads"])
+    @pytest.mark.parametrize("engine", ["cooperative", "sharded:2"])
     def test_ring_recovery_scenario(self, engine):
         scenarios = build_matrix(["ring"], ["testing"], ["mid_run"],
                                  nprocs=4, engine=engine)

@@ -1,14 +1,14 @@
 """The execution-backend registry: one source of truth for engines.
 
 DESIGN.md §12: ``repro.mpi.backends`` owns the backend vocabulary —
-spellings, capability flags, availability probes, watchdog ownership —
-and every other layer (``Engine.run`` dispatch, the study CLIs'
-``--engine``, ``service.JobSpec`` validation) derives from it.  These
-tests pin the registry contents, the resolution semantics the old
-inline table provided (so existing spellings keep working), the
-capability flags the studies consult, the unified watchdog's no-leak
-guarantee, and the degrade-with-a-reason path for a registered but
-unavailable backend.
+spellings, capability flags, availability probes — and every other
+layer (``Engine.run`` dispatch, the study CLIs' ``--engine``,
+``service.JobSpec`` validation) derives from it.  These tests pin the
+registry contents, the resolution semantics the old inline table
+provided (so existing spellings keep working), the capability flags the
+studies consult, that the deleted ``threads`` backend is refused with
+the registry's own message everywhere, and the degrade-with-a-reason
+path for a registered but unavailable backend.
 """
 
 import threading
@@ -28,9 +28,8 @@ from repro.mpi.processes import ProcessesBackend
 # ---------------------------------------------------------------------------
 
 class TestRegistry:
-    def test_four_backends_registered(self):
-        assert engine_choices() == ["cooperative", "threads", "sharded",
-                                    "processes"]
+    def test_three_backends_registered(self):
+        assert engine_choices() == ["cooperative", "sharded", "processes"]
 
     def test_every_backend_is_self_consistent(self):
         for name, b in BACKENDS.items():
@@ -40,7 +39,6 @@ class TestRegistry:
 
     def test_aliases_resolve_to_canonical(self):
         assert resolve_backend("coop") == "cooperative"
-        assert resolve_backend("threaded") == "threads"
         assert resolve_backend("shard") == "sharded"
         assert resolve_backend("process") == "processes"
         assert resolve_backend("procs") == "processes"
@@ -50,7 +48,7 @@ class TestRegistry:
         assert resolve_backend("processes:2") == "processes:2"
         assert resolve_backend("procs:8") == "processes:8"
         with pytest.raises(ValueError, match="takes no ':N' suffix"):
-            resolve_backend("threads:2")
+            resolve_backend("coop:2")
         with pytest.raises(ValueError, match="bad worker count"):
             resolve_backend("processes:zero")
 
@@ -88,13 +86,6 @@ class TestCapabilityFlags:
         assert coop.deterministic
         assert not coop.supports_real_kill
         assert not coop.supports_shards
-        assert not coop.uses_wall_timer
-
-    def test_threads_flags(self):
-        threads = BACKENDS["threads"]
-        assert not threads.deterministic
-        assert threads.uses_wall_timer
-        assert not threads.supports_real_kill
 
     def test_sharded_flags(self):
         sharded = BACKENDS["sharded"]
@@ -111,69 +102,41 @@ class TestCapabilityFlags:
 
 
 # ---------------------------------------------------------------------------
-# Unified watchdog ownership (the Timer-leak bugfix)
+# The deleted threads backend: refused with the registry's message (the
+# study CLIs' exit 2 is pinned with the other CLI checks in
+# test_processes.py)
 # ---------------------------------------------------------------------------
+
+_UNKNOWN_THREADS = "unknown engine backend 'threads'"
+
+
+class TestThreadsRemoved:
+    @pytest.mark.parametrize("spelling", ["threads", "threaded", "thread"])
+    def test_resolve_backend_refuses_every_old_spelling(self, spelling):
+        with pytest.raises(ValueError,
+                           match=f"unknown engine backend '{spelling}'"):
+            resolve_backend(spelling)
+
+    def test_repro_engine_env_refused(self, monkeypatch):
+        monkeypatch.setenv("REPRO_ENGINE", "threads")
+        with pytest.raises(ValueError, match=_UNKNOWN_THREADS):
+            resolve_backend(None)
+        with pytest.raises(ValueError, match=_UNKNOWN_THREADS):
+            run_job(2, lambda mpi: mpi.rank)
+
+    def test_jobspec_refused(self):
+        from repro.service import JobSpec
+
+        with pytest.raises(ValueError, match=_UNKNOWN_THREADS):
+            JobSpec(app="ring", engine="threads")
+
 
 def _live_timers():
     return [t for t in threading.enumerate()
             if isinstance(t, threading.Timer) and t.is_alive()]
 
 
-class _Stub:
-    def __init__(self):
-        self.deadline_fired = False
-
-    def _on_wall_deadline(self):  # pragma: no cover - must not fire
-        self.deadline_fired = True
-
-
 class TestWatchdogOwnership:
-    def test_timer_cancelled_on_clean_exit(self):
-        class Quick(ExecutionBackend):
-            name = "quick"
-            uses_wall_timer = True
-
-            def _launch(self, engine, body, timeout, errors, returns):
-                pass
-
-        stub = _Stub()
-        Quick().launch(stub, lambda r: None, 30.0, [], [])
-        deadline = threading.Event()
-        for _ in range(50):
-            if not _live_timers():
-                break
-            deadline.wait(0.05)
-        assert not _live_timers()
-        assert not stub.deadline_fired
-
-    def test_timer_cancelled_when_launch_raises(self):
-        class Boom(ExecutionBackend):
-            name = "boom"
-            uses_wall_timer = True
-
-            def _launch(self, engine, body, timeout, errors, returns):
-                raise RuntimeError("mid-launch failure")
-
-        stub = _Stub()
-        with pytest.raises(RuntimeError, match="mid-launch"):
-            Boom().launch(stub, lambda r: None, 30.0, [], [])
-        for _ in range(50):
-            if not _live_timers():
-                break
-            threading.Event().wait(0.05)
-        assert not _live_timers()
-        assert not stub.deadline_fired
-
-    def test_threads_job_leaves_no_timer_behind(self):
-        result = run_job(2, lambda mpi: mpi.rank, engine="threads",
-                         wall_timeout=30)
-        result.raise_errors()
-        for _ in range(50):
-            if not _live_timers():
-                break
-            threading.Event().wait(0.05)
-        assert not _live_timers()
-
     def test_cooperative_never_arms_a_timer(self):
         before = len(_live_timers())
         result = run_job(2, lambda mpi: mpi.rank, engine="cooperative",

@@ -17,22 +17,17 @@ class TestBackendSelection:
 
     def test_aliases(self):
         assert resolve_backend("coop") == "cooperative"
-        assert resolve_backend("threaded") == "threads"
-        assert resolve_backend("THREADS") == "threads"
+        assert resolve_backend("COOPERATIVE") == "cooperative"
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown engine backend"):
             run_job(2, lambda mpi: mpi.rank, engine="fibers")
 
     def test_env_var_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "threads")
-        assert resolve_backend(None) == "threads"
+        monkeypatch.setenv("REPRO_ENGINE", "sharded:2")
+        assert resolve_backend(None) == "sharded:2"
         # explicit argument beats the environment
         assert resolve_backend("cooperative") == "cooperative"
-
-    def test_threads_backend_still_runs(self):
-        result = run_job(4, lambda mpi: mpi.rank, engine="threads")
-        assert result.returns == [0, 1, 2, 3]
 
 
 class TestPaperScaleSmoke:
@@ -98,8 +93,8 @@ def _wildcard_kernel(mpi):
     """Seeded, wildcard-heavy, schedule-independent kernel.
 
     Wildcards are exercised two ways that keep matching deterministic
-    under ANY thread interleaving, so both backends must produce
-    bit-identical results:
+    under ANY interleaving of the ranks (across shards too), so every
+    backend must produce bit-identical results:
 
     * ``ANY_TAG`` receives from a *specific* source — the overflow
       (wildcard) list arbitration runs, but per-source FIFO pins the
@@ -142,21 +137,21 @@ def _wildcard_kernel(mpi):
 
 
 class TestBackendEquivalence:
-    """Threads and cooperative must agree bit-for-bit on deterministic
-    kernels — the scheduler's differential-testing oracle."""
+    """Sharded and cooperative must agree bit-for-bit on deterministic
+    kernels — the scheduler is the differential-testing oracle."""
 
     @pytest.mark.parametrize("nprocs", [2, 8])
     def test_wildcard_kernel_jobresult_equivalence(self, nprocs):
         coop = run_job(nprocs, _wildcard_kernel, wall_timeout=60,
                        engine="cooperative")
-        thr = run_job(nprocs, _wildcard_kernel, wall_timeout=60,
-                      engine="threads")
+        shard = run_job(nprocs, _wildcard_kernel, wall_timeout=60,
+                        engine="sharded:2")
         coop.raise_errors()
-        thr.raise_errors()
-        assert coop.returns == thr.returns
-        assert coop.clocks == thr.clocks          # bitwise virtual times
-        assert coop.sent_counts == thr.sent_counts
-        assert coop.sent_bytes == thr.sent_bytes
+        shard.raise_errors()
+        assert coop.returns == shard.returns
+        assert coop.clocks == shard.clocks        # bitwise virtual times
+        assert coop.sent_counts == shard.sent_counts
+        assert coop.sent_bytes == shard.sent_bytes
 
 
 class TestInstantDeadlockDetection:
@@ -277,12 +272,172 @@ class TestSchedulerInternals:
         for mb in eng.mailboxes:
             assert mb._sched is eng.scheduler
 
-    def test_threads_engine_keeps_condition_variables(self):
-        from repro.mpi.engine import Engine
 
-        eng = Engine(3, engine="threads")
-        eng.run(lambda mpi: mpi.rank)
-        assert eng.backend == "threads"
-        assert eng.scheduler is None
-        for mb in eng.mailboxes:
-            assert mb._sched is None
+# ---------------------------------------------------------------------------
+# Schedule pins: the exact interleaving, not only the results
+# ---------------------------------------------------------------------------
+
+def _app_kernel(app):
+    """``app`` from the scaling sweep as a plain rank body."""
+    from repro.harness.scaling import SCALING_APPS
+    from repro.statesave.context import Context
+
+    params = SCALING_APPS[app.__name__]
+
+    def main(mpi):
+        return app(Context(mpi), **params)
+    return main
+
+
+def _schedule_observation(nprocs, main, kill):
+    """Run on the cooperative engine; digest what the schedule decides."""
+    import hashlib
+    import json
+
+    from repro.mpi import LEMIEUX
+    from repro.mpi.engine import Engine
+
+    plan = FaultPlan([FaultSpec(rank=kill[0], at_time=kill[1])]) if kill \
+        else None
+    eng = Engine(nprocs, machine=LEMIEUX, fault_plan=plan, wall_timeout=60,
+                 engine="cooperative")
+    result = eng.run(main)
+    result.raise_errors()
+
+    def digest(value):
+        text = json.dumps(value, sort_keys=True)
+        return hashlib.blake2b(text.encode(), digest_size=8).hexdigest()
+
+    return {
+        "switches": eng.scheduler.switches,
+        "clocks": digest([c.hex() for c in result.clocks]),
+        "sent": digest([result.sent_counts, result.sent_bytes]),
+        "returns": digest(repr(result.returns)),
+        "failure": None if result.failure is None else
+        [result.failure.rank, result.failure.time.hex()],
+    }
+
+
+def _spin_kernel(mpi):
+    """Rank 0 spins on ``Test`` while every peer is blocked on it, so its
+    fairness yields find no other runnable rank (the step hands the
+    baton back to the parking task itself)."""
+    comm = mpi.COMM_WORLD
+    buf = np.zeros(1)
+    if mpi.rank == 0:
+        req = comm.Irecv(buf, source=1, tag=1)
+        for _ in range(40):
+            mpi.compute(1e-5)
+            assert not mpi.Test(req)[0]
+        for dest in range(1, mpi.size):
+            comm.Send(np.array([1.0]), dest=dest, tag=2)
+        mpi.Wait(req)
+    else:
+        comm.Recv(buf, source=0, tag=2)
+        if mpi.rank == 1:
+            comm.Send(buf + 1, dest=0, tag=1)
+    return float(buf[0])
+
+
+#: (kernel, ranks, (victim, at_time) or None) -> observation, recorded on
+#: the scheduler that resumed every task from its run loop (two OS
+#: hand-offs per switch); direct hand-off between carriers must
+#: reproduce every value
+SCHEDULE_PINS = {
+    ("ring", 64, None): dict(
+        switches=789, clocks="761f407f4099e69a", sent="ea388e9b870c8d8e",
+        returns="7991101a4fa95986", failure=None),
+    ("ring", 64, (33, 0.3)): dict(
+        switches=436, clocks="07c3c75116482bf4", sent="b44616d55fa20cfe",
+        returns="1523163764395b44", failure=[33, "0x1.33730a9fd2540p-2"]),
+    ("heat", 64, None): dict(
+        switches=1556, clocks="ba42f990d928ad93", sent="e00904aa937ed6d6",
+        returns="00b5d1bbf27fd332", failure=None),
+    ("heat", 64, (17, 2.4)): dict(
+        switches=814, clocks="346a5f762fb6b45e", sent="2fb1ee26da3f0d5e",
+        returns="1523163764395b44", failure=[17, "0x1.cd5f11cd20c25p+0"]),
+    ("wildcard", 16, None): dict(
+        switches=419, clocks="4bb2fb81e27ee243", sent="08c5ba844936b232",
+        returns="eba02fa6962060b6", failure=None),
+    ("wildcard", 16, (5, 1e-4)): dict(
+        switches=76, clocks="ea373e4148222648", sent="e1325a5e7591d3bd",
+        returns="4924454cace3ed23", failure=[5, "0x1.903cbd6468cecp-14"]),
+    ("spin", 8, None): dict(
+        switches=18, clocks="7e04eb359fe35f58", sent="f72695194253f6c3",
+        returns="7c18d24e7ffbe220", failure=None),
+    ("spin", 8, (0, 2e-4)): dict(
+        switches=16, clocks="4b33214f55b4af4f", sent="aa1d6628b37b29dc",
+        returns="41fd8cc0ee79b2ae", failure=[0, "0x1.5097c80841ee2p-12"]),
+}
+
+_PIN_KERNELS = {"ring": _app_kernel(ring), "heat": _app_kernel(heat),
+                "wildcard": _wildcard_kernel, "spin": _spin_kernel}
+
+
+class TestSchedulePins:
+    @pytest.mark.parametrize("case", sorted(SCHEDULE_PINS, key=repr),
+                             ids=lambda c: f"{c[0]}@{c[1]}"
+                             + ("-killed" if c[2] else ""))
+    def test_schedule_is_pinned(self, case):
+        kernel, nprocs, kill = case
+        got = _schedule_observation(nprocs, _PIN_KERNELS[kernel], kill)
+        assert got == SCHEDULE_PINS[case]
+        assert (got["failure"] is None) == (kill is None)
+
+
+# ---------------------------------------------------------------------------
+# Carrier hygiene: no carrier thread outlives its job
+# ---------------------------------------------------------------------------
+
+def _live_carriers():
+    import threading
+
+    return [t.name for t in threading.enumerate()
+            if t.name.startswith("coop-rank-") and t.is_alive()]
+
+
+def _ring_exchange(mpi):
+    comm = mpi.COMM_WORLD
+    buf = np.zeros(2)
+    for _ in range(4):
+        comm.Sendrecv(np.full(2, float(mpi.rank)), (mpi.rank + 1) % mpi.size,
+                      1, buf, (mpi.rank - 1) % mpi.size, 1)
+        mpi.compute(1e-3)
+    return float(buf.sum())
+
+
+def _app_raises(mpi):
+    if mpi.rank == 2:
+        raise ValueError("boom")
+    return _ring_exchange(mpi)
+
+
+def _deadlocks(mpi):
+    mpi.COMM_WORLD.Recv(np.zeros(1), source=(mpi.rank + 1) % mpi.size, tag=9)
+
+
+#: name -> (rank body, fault plan, how the job ends)
+_LEAK_CASES = {
+    "clean": (_ring_exchange, None, "ok"),
+    "fault": (_ring_exchange, FaultPlan([FaultSpec(rank=3, at_time=2e-3)]),
+              "failure"),
+    "deadlock": (_deadlocks, None, "deadlock"),
+    "app-raises": (_app_raises, None, "error"),
+}
+
+
+class TestCarrierLeaks:
+    @pytest.mark.parametrize("name", list(_LEAK_CASES))
+    def test_no_carrier_survives_the_job(self, name):
+        main, plan, outcome = _LEAK_CASES[name]
+        assert not _live_carriers()
+        result = run_job(8, main, fault_plan=plan, wall_timeout=30)
+        assert _live_carriers() == []
+        if outcome == "ok":
+            result.raise_errors()
+        elif outcome == "failure":
+            assert result.failure is not None and result.failure.rank == 3
+        elif outcome == "deadlock":
+            assert "deadlock" in result.errors[0][1]
+        else:
+            assert result.errors and result.errors[0][0] == 2

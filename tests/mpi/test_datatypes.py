@@ -151,6 +151,60 @@ class TestPackErrors:
         with pytest.raises(InvalidDatatypeError):
             dt.DOUBLE.pack(a, 4)
 
+    # Regression: short buffers raised raw numpy IndexError/ValueError.
+    def test_vector_pack_from_short_buffer(self):
+        t = dt.VectorType(3, 1, 2, dt.DOUBLE).Commit()
+        with pytest.raises(InvalidDatatypeError, match="too short to pack"):
+            t.pack(np.zeros(3), 1)
+
+    def test_vector_unpack_into_short_buffer(self):
+        t = dt.VectorType(3, 1, 2, dt.DOUBLE).Commit()
+        with pytest.raises(InvalidDatatypeError, match="too short to unpack"):
+            t.unpack(bytes(24), np.zeros(3), 1)
+
+    def test_named_unpack_into_short_buffer(self):
+        with pytest.raises(InvalidDatatypeError, match="too short to unpack"):
+            dt.DOUBLE.unpack(bytes(32), np.zeros(2), 4)
+
+    def test_named_pack_from_short_buffer(self):
+        with pytest.raises(InvalidDatatypeError, match="too short to pack"):
+            dt.DOUBLE.pack(np.zeros(2), 3)
+
+    def test_short_payload_on_the_named_fast_path(self):
+        with pytest.raises(InvalidDatatypeError, match="payload"):
+            dt.DOUBLE.unpack(bytes(8), np.zeros(4), 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(dt.NAMED_TYPES)),
+    size=st.integers(0, 9),
+    count=st.integers(0, 9),
+)
+def test_named_fast_path_matches_the_byte_map(name, size, count):
+    """Property: a C-contiguous array of the named type's own dtype
+    (packed verbatim) and its uint8 view (packed through the byte map)
+    give the same payload, unpack to the same bytes, and fail alike."""
+    t = dt.NAMED_TYPES[name]
+    rng = np.random.default_rng(size * 10 + count)
+    raw = rng.integers(0, 256, size * t.size, dtype=np.uint8)
+    if t.np_dtype == np.bool_:
+        raw &= 1  # only 0/1 are valid bools
+    a = raw.view(t.np_dtype)
+    if count > size:
+        for buf in (a, raw):
+            with pytest.raises(InvalidDatatypeError):
+                t.pack(buf, count)
+            with pytest.raises(InvalidDatatypeError):
+                t.unpack(bytes(count * t.size), buf, count)
+        return
+    payload = t.pack(a, count)
+    assert payload == t.pack(raw, count) == raw[:count * t.size].tobytes()
+    fast, generic = np.zeros_like(a), np.zeros_like(raw)
+    t.unpack(payload, fast, count)
+    t.unpack(payload, generic, count)
+    assert fast.view(np.uint8).tobytes() == generic.tobytes()
+
 
 @settings(max_examples=60, deadline=None)
 @given(

@@ -173,7 +173,9 @@ class TestRankStacks:
     def test_stack_size_restored_only_after_threads_start(self, monkeypatch):
         """Regression: ``threading.stack_size`` takes effect at thread
         *start*; restoring the old value before the start loop silently
-        reverted the intended 1 MiB rank stacks."""
+        reverts the intended carrier stacks."""
+        from repro.mpi.scheduler import CooperativeScheduler
+
         events = []
         real_stack_size = threading.stack_size
 
@@ -184,24 +186,24 @@ class TestRankStacks:
         real_start = threading.Thread.start
 
         def recording_start(self):
-            if self.name.startswith("rank-"):
+            if self.name.startswith("coop-rank-"):
                 events.append(("start", self.name))
             return real_start(self)
 
         monkeypatch.setattr(threading, "stack_size", recording_stack_size)
         monkeypatch.setattr(threading.Thread, "start", recording_start)
-        result = run_job(2, lambda mpi: mpi.rank, wall_timeout=30,
-                         engine="threads")
+        result = run_job(2, lambda mpi: mpi.rank, wall_timeout=30)
         assert result.returns == [0, 1]
 
+        carrier = (CooperativeScheduler.STACK_BYTES,)
         set_idx = next(i for i, (kind, a) in enumerate(events)
-                       if kind == "stack_size" and a == (1 << 20,))
+                       if kind == "stack_size" and a == carrier)
         restore_idx = next(i for i in range(set_idx + 1, len(events))
                            if events[i][0] == "stack_size"
-                           and events[i][1] != (1 << 20,))
+                           and events[i][1] != carrier)
         start_idxs = [i for i, (kind, _) in enumerate(events) if kind == "start"]
         assert len(start_idxs) == 2
-        # 1 MiB applied before every rank start; restored only afterwards
+        # carrier size applied before every start; restored only afterwards
         assert set_idx < min(start_idxs)
         assert restore_idx > max(start_idxs)
 
@@ -213,15 +215,15 @@ class TestAbortUnification:
         def main(mpi):
             if mpi.rank == 1:
                 raise ValueError("boom")
-            # Blocks on a bare OS event (not a simulated-MPI wait), so this
-            # regression is only expressible on the free-running threaded
-            # backend; the cooperative equivalent lives in
-            # tests/mpi/test_cooperative.py.
-            assert mpi._ctx.engine.abort_event.wait(timeout=30)
+            # Hand the scheduler turns (no MPI call, so no call-entry
+            # check) until the peer's error has aborted the job; the
+            # next MPI call must then unwind at entry.
+            while not mpi._ctx.engine.abort_event.is_set():
+                mpi._ctx.engine.scheduler.yield_now()
             mpi.COMM_WORLD.Send(np.zeros(1), dest=0, tag=0)
             return "survived"
 
-        result = run_job(2, main, wall_timeout=60, engine="threads")
+        result = run_job(2, main, wall_timeout=60)
         assert result.errors and result.errors[0][0] == 1
         assert result.returns[0] is None  # unwound, did not outlive the abort
 

@@ -1,22 +1,20 @@
 """Mailbox matching semantics: wildcards, ordering, truncation."""
 
-import threading
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.mpi import run_job
 from repro.mpi.errors import JobAborted, TruncationError
 from repro.mpi.matching import ANY_SOURCE, ANY_TAG, Mailbox, PostedRecv, signature_matches
 from repro.mpi.message import Envelope, MessageSignature
 
 
-def env(source=0, tag=0, ctx=0, payload=b"x", dest=0, seq=0):
-    return Envelope(MessageSignature(source, tag, ctx), payload, len(payload),
-                    "MPI_BYTE", dest, seq=seq)
+def env(source=0, tag=0, ctx=0, payload=b"x", dest=0):
+    return Envelope(source, tag, ctx, payload, len(payload), "MPI_BYTE", dest)
 
 
 def mailbox():
-    return Mailbox(0, threading.Event())
+    return Mailbox(0)
 
 
 class TestSignatureMatching:
@@ -115,35 +113,45 @@ class TestMailbox:
         assert mb.pending_count() == 1
 
     def test_abort_wakes_wait(self):
-        abort = threading.Event()
-        mb = Mailbox(0, abort)
-        abort.set()
-        with pytest.raises(JobAborted):
-            mb.wait_for(lambda: False)
+        def main(mpi):
+            mpi._ctx.engine.abort_event.set()
+            with pytest.raises(JobAborted):
+                mpi._ctx.mailbox.wait_for(lambda: False)
+            return "unwound"
+
+        assert run_job(1, main).returns == ["unwound"]
 
     def test_abort_after_delivery_still_completes(self):
         # Regression: the predicate must be checked before the abort flag,
         # or an operation whose match already arrived is retroactively
         # reported as JobAborted.
-        abort = threading.Event()
-        mb = Mailbox(0, abort)
-        pr = PostedRecv(0, 0, 0, 100)
-        mb.post(pr)
-        mb.deliver(env(0, 0, 0, b"data"))
-        abort.set()
-        mb.wait_for(lambda: pr.matched)  # must NOT raise JobAborted
-        assert pr.envelope.payload == b"data"
+        def main(mpi):
+            mb = mpi._ctx.mailbox
+            pr = PostedRecv(0, 0, 0, 100)
+            mb.post(pr)
+            mb.deliver(env(0, 0, 0, b"data"))
+            mpi._ctx.engine.abort_event.set()
+            mb.wait_for(lambda: pr.matched)  # must NOT raise JobAborted
+            return pr.envelope.payload
+
+        assert run_job(1, main).returns == [b"data"]
 
     def test_delivery_wakes_blocked_waiter_without_timeout(self):
         # The wait has no timeout poll: a delivery must wake it directly.
-        mb = mailbox()
-        pr = PostedRecv(0, 0, 0, 100)
-        mb.post(pr)
-        t = threading.Thread(target=mb.wait_for, args=(lambda: pr.matched,))
-        t.start()
-        mb.deliver(env(0, 0, 0))
-        t.join(timeout=5.0)
-        assert not t.is_alive()
+        def main(mpi):
+            mb = mpi._ctx.engine.mailboxes[0]
+            if mpi.rank == 0:
+                pr = PostedRecv(0, 1, 0, 100)
+                mb.post(pr)
+                mb.wait_for(lambda: pr.matched)
+                return pr.envelope.payload
+            mb.deliver(env(1, 0, 0, b"woken"))
+            return None
+
+        result = run_job(2, main, wall_timeout=60)
+        result.raise_errors()
+        assert result.returns == [b"woken", None]
+        assert result.wall_seconds < 5.0
 
     def test_stats(self):
         mb = mailbox()

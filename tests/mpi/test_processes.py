@@ -230,7 +230,7 @@ class TestCampaignSkips:
     def test_simulated_engines_never_skip(self):
         from repro.harness.campaign import build_matrix, skip_reason
 
-        for engine in (None, "cooperative", "threads", "sharded:2"):
+        for engine in (None, "cooperative", "sharded:2"):
             [s] = build_matrix(["ring"], ["testing"], ["mid_run"],
                                engine=engine, storage="memory")
             assert skip_reason(s) is None
@@ -315,6 +315,16 @@ class TestUniformEngineCLI:
         assert ei.value.code == 2
         err = capsys.readouterr().err
         assert "unknown engine backend 'mpi4py'" in err
+
+    @pytest.mark.parametrize("module", _STUDY_MAINS)
+    def test_deleted_threads_engine_exits_2(self, module, capsys):
+        import importlib
+
+        main = importlib.import_module(module).main
+        with pytest.raises(SystemExit) as ei:
+            main(["--engine", "threads"])
+        assert ei.value.code == 2
+        assert "unknown engine backend 'threads'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("module", _STUDY_MAINS)
     def test_bad_count_suffix_exits_2(self, module, capsys):

@@ -63,7 +63,7 @@ class TestJobSpec:
     def test_every_headline_field_changes_the_key(self):
         base = spec()
         variants = [spec(app="heat", kills=()), spec(nprocs=3),
-                    spec(seed=7), spec(engine="threads"),
+                    spec(seed=7), spec(engine="sharded:2"),
                     spec(storage="wal")]
         keys = {base.cache_key()} | {v.cache_key() for v in variants}
         assert len(keys) == 1 + len(variants)
@@ -113,7 +113,7 @@ class TestGoldenRunCache:
 
     def test_any_key_component_change_misses(self):
         variants = [spec(seed=1), spec(nprocs=3), spec(storage="wal"),
-                    spec(engine="threads"), spec(interval_frac=0.4)]
+                    spec(engine="sharded:2"), spec(interval_frac=0.4)]
 
         async def go():
             async with CampaignService(workers=2) as svc:
