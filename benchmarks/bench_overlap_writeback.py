@@ -16,8 +16,9 @@ import json
 
 from conftest import run_once
 
+from repro.harness.jobs import render_text
 from repro.harness.overlap import (
-    fault_rows, overhead_rows, render_faults, render_overlap,
+    FAULT_TABLE, fault_rows, overhead_rows, render_overlap,
 )
 
 
@@ -32,7 +33,7 @@ def test_overlap_writeback_study(benchmark):
     print()
     print(render_overlap(o_rows))
     print()
-    print(render_faults(f_rows))
+    print(render_text(FAULT_TABLE, f_rows))
     # Every overhead cell: overlapped commit strictly cheaper than the
     # in-line write; every fault cell: bitwise recovery from the prior
     # line with <= 2 recovery lines left on storage.

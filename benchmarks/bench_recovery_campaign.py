@@ -9,20 +9,21 @@ per-scenario verdicts next to the timing artifact.
 from conftest import run_once
 
 from repro.harness import (
-    campaign_restart_rows, render_campaign, render_restart, run_campaign,
-    smoke_matrix,
+    RESTART_TABLE, campaign_restart_rows, render_campaign, render_text,
+    run_campaign, smoke_matrix, write_artifact,
 )
 
 
 def test_recovery_campaign_smoke(benchmark):
     report = run_once(benchmark, lambda: run_campaign(smoke_matrix()))
-    report.write_json("CAMPAIGN_smoke.json")
+    write_artifact("CAMPAIGN_smoke.json",
+                   {"summary": report.summary(), "rows": report.rows})
     print()
     print(render_campaign(report.rows))
     print()
-    print(render_restart(
-        "Campaign restart costs (virtual s, multi-process scenarios)",
-        campaign_restart_rows(report.rows)))
+    print(render_text(
+        RESTART_TABLE, campaign_restart_rows(report.rows),
+        title="Campaign restart costs (virtual s, multi-process scenarios)"))
     # Every kernel must kill, restart, and verify bitwise-identical
     # results — the paper's recovery-correctness claim.
     assert report.ok, f"failed scenarios: {report.summary()['failed']}"

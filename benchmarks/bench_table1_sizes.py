@@ -9,7 +9,7 @@ actually commits per process and gates on the Table-1 inequality.
 
 from conftest import run_once
 
-from repro.harness import render_table1, table1_rows
+from repro.harness import CONDOR_TABLE, render_text, table1_rows
 from repro.harness.paperdata import TABLE1
 from repro.harness.sizes import render_sizes, table_sizes_rows
 
@@ -17,7 +17,7 @@ from repro.harness.sizes import render_sizes, table_sizes_rows
 def test_table1_checkpoint_sizes(benchmark):
     rows = run_once(benchmark, table1_rows)
     print()
-    print(render_table1(rows))
+    print(render_text(CONDOR_TABLE, rows))
     # Shape assertions: C3 never (meaningfully) larger than Condor, and EP
     # shows by far the largest reduction on both platforms, as in Table 1.
     for platform in ("solaris", "linux"):

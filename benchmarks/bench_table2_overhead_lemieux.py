@@ -2,14 +2,15 @@
 
 from conftest import run_once
 
-from repro.harness import render_overhead, table2_rows
+from repro.harness import OVERHEAD_TABLE, render_text, table2_rows
 
 
 def test_table2_overhead_without_checkpoints(benchmark):
     rows = run_once(benchmark, table2_rows)
     print()
-    print(render_overhead(
-        "Table 2: Runtimes (s) on Lemieux without checkpoints", rows))
+    print(render_text(
+        OVERHEAD_TABLE, rows,
+        title="Table 2: Runtimes (s) on Lemieux without checkpoints"))
     # Paper's conclusions: overhead < 10% on all codes at every scale, and
     # no runaway growth with the process count (scalability claim).
     for r in rows:

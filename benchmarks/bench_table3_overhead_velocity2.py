@@ -2,15 +2,16 @@
 
 from conftest import run_once
 
-from repro.harness import render_overhead, table3_rows
+from repro.harness import OVERHEAD_TABLE, render_text, table3_rows
 
 
 def test_table3_overhead_without_checkpoints(benchmark):
     rows = run_once(benchmark, table3_rows)
     print()
-    print(render_overhead(
-        "Table 3: Runtimes (s) on Velocity 2 without checkpoints "
-        "(HPL on CMI)", rows))
+    print(render_text(
+        OVERHEAD_TABLE, rows,
+        title="Table 3: Runtimes (s) on Velocity 2 without checkpoints "
+              "(HPL on CMI)"))
     smg = [r for r in rows if r["code"] == "SMG2000"]
     others = [r for r in rows if r["code"] != "SMG2000"]
     # The paper's stand-out result: SMG2000's overhead on Velocity 2 is

@@ -7,14 +7,15 @@ checkpoint cost (#3 - #1).
 
 from conftest import run_once
 
-from repro.harness import render_checkpoint, table4_rows
+from repro.harness import CHECKPOINT_TABLE, render_text, table4_rows
 
 
 def test_table4_checkpoint_overhead(benchmark):
     rows = run_once(benchmark, table4_rows)
     print()
-    print(render_checkpoint(
-        "Table 4: Runtimes (s) on Lemieux with one checkpoint", rows))
+    print(render_text(
+        CHECKPOINT_TABLE, rows,
+        title="Table 4: Runtimes (s) on Lemieux with one checkpoint"))
     for r in rows:
         assert r["committed"] >= 1, f"no checkpoint committed: {r}"
         # The paper's headline: the cost of one checkpoint is small —

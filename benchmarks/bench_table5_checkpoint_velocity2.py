@@ -2,15 +2,16 @@
 
 from conftest import run_once
 
-from repro.harness import render_checkpoint, table5_rows
+from repro.harness import CHECKPOINT_TABLE, render_text, table5_rows
 
 
 def test_table5_checkpoint_overhead(benchmark):
     rows = run_once(benchmark, table5_rows)
     print()
-    print(render_checkpoint(
-        "Table 5: Runtimes (s) on Velocity 2 with one checkpoint "
-        "(HPL on CMI)", rows))
+    print(render_text(
+        CHECKPOINT_TABLE, rows,
+        title="Table 5: Runtimes (s) on Velocity 2 with one checkpoint "
+              "(HPL on CMI)"))
     for r in rows:
         assert r["committed"] >= 1, f"no checkpoint committed: {r}"
         assert r["cost_s"] <= 0.1 * r["cfg1_s"] + 0.05, r

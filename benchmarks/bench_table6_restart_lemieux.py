@@ -2,14 +2,15 @@
 
 from conftest import run_once
 
-from repro.harness import render_restart, table6_rows
+from repro.harness import RESTART_TABLE, render_text, table6_rows
 
 
 def test_table6_restart_cost(benchmark):
     rows = run_once(benchmark, table6_rows)
     print()
-    print(render_restart(
-        "Table 6: Restart costs (s) on Lemieux (uniprocessor)", rows))
+    print(render_text(
+        RESTART_TABLE, rows,
+        title="Table 6: Restart costs (s) on Lemieux (uniprocessor)"))
     # The paper's conclusion: restart costs are negligible — with one
     # exception below ~5%, most under 2%.
     for r in rows:

@@ -17,8 +17,9 @@ import json
 
 from conftest import run_once
 
+from repro.harness.jobs import render_text
 from repro.harness.walstudy import (
-    commit_rows, discipline_rows, render_commits, render_discipline,
+    COMMIT_TABLE, DISCIPLINE_TABLE, commit_rows, discipline_rows,
 )
 
 
@@ -31,9 +32,9 @@ def test_wal_group_commit_study(benchmark):
         json.dump({"commits": c_rows, "discipline": d_rows}, f, indent=2,
                   default=str)
     print()
-    print(render_commits(c_rows))
+    print(render_text(COMMIT_TABLE, c_rows))
     print()
-    print(render_discipline(d_rows))
+    print(render_text(DISCIPLINE_TABLE, d_rows))
     bad = ([f"{r['platform']}/{r['kernel']}: {r['failure']}"
             for r in c_rows if not r["passed"]]
            + [f"{r['backend']}/ppn{r['procs_per_node']}: {r['failure']}"

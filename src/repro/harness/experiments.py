@@ -1,10 +1,10 @@
 """Experiment drivers: one function per table of the paper's Section 6.
 
 Each driver returns a list of row dicts carrying both the measured value
-and the paper's value for the same cell, and a ``render_*`` helper
-produces the paper-layout text table.  The benchmark files under
-``benchmarks/`` call these drivers; EXPERIMENTS.md is generated from the
-same rows.
+and the paper's value for the same cell, and one :class:`~repro.harness.
+jobs.Table` per paper table lays them out — the benchmark files under
+``benchmarks/`` print it with ``render_text`` and EXPERIMENTS.md is
+generated from the same rows with ``render_markdown``.
 """
 
 from __future__ import annotations
@@ -24,12 +24,9 @@ from .platforms import (
     PLATFORMS, RESTART_CODES, RESTART_MACHINES, SIZE_SCALE, TABLE1_CODES,
     TABLE1_PLATFORMS,
 )
+from .jobs import Table
 from .parallel import run_cells
-from .report import render_table
-from .runner import (
-    c3_cell, measure_c3, measure_original, measure_restart, original_cell,
-    restart_cell,
-)
+from .runner import c3_cell, original_cell, restart_cell
 
 # ---------------------------------------------------------------------------
 # Table 1 — checkpoint sizes, Condor vs C3
@@ -85,18 +82,16 @@ def table1_rows() -> List[Dict]:
     return rows
 
 
-def render_table1(rows: List[Dict]) -> str:
-    table_rows = [
-        [r["platform"], r["code"], r["condor_mb"], r["c3_mb"],
-         r["reduction_pct"], r["paper_reduction_pct"]]
-        for r in rows
-    ]
-    return render_table(
-        f"Table 1: Condor and C3 checkpoint sizes "
-        f"(MB, paper scale = measured x {SIZE_SCALE})",
-        ["Platform", "Code", "Condor", "C3", "Reduction%", "paper Red.%"],
-        table_rows, widths=[8, 8, 10, 10, 10, 11],
-    )
+CONDOR_TABLE = Table(
+    f"Table 1: Condor and C3 checkpoint sizes "
+    f"(MB, paper scale = measured x {SIZE_SCALE})", (
+        ("Platform", "platform"),
+        ("Code", "code"),
+        ("Condor MB (meas.)", "condor_mb"),
+        ("C3 MB (meas.)", "c3_mb"),
+        ("Reduction % (meas.)", "reduction_pct"),
+        ("Reduction % (paper)", "paper_reduction_pct"),
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -151,19 +146,20 @@ def table3_rows(parallel: Optional[bool] = None) -> List[Dict]:
                           paperdata.TABLE3, parallel=parallel)
 
 
-def render_overhead(title: str, rows: List[Dict]) -> str:
-    table_rows = [
-        [r["code"], f"{r['paper_procs']} ({r['paper_nodes']})",
-         r["sim_procs"], r["original_s"], r["c3_s"], r["overhead_pct"],
-         r["paper_overhead_pct"]]
-        for r in rows
-    ]
-    return render_table(
-        title,
-        ["Code", "Procs(Nodes)", "sim p", "Original s", "C3 s",
-         "Overhead%", "paper Ovh%"],
-        table_rows, widths=[9, 12, 6, 11, 11, 10, 10],
-    )
+def _procs(row: Dict) -> str:
+    return f"{row['paper_procs']} ({row['paper_nodes']})"
+
+
+#: Tables 2-3 (the benches title each with its platform)
+OVERHEAD_TABLE = Table("Runtimes (s) without checkpoints", (
+    ("Code", "code"),
+    ("Procs (paper)", _procs),
+    ("Ranks (sim)", "sim_procs"),
+    ("Original s (meas.)", "original_s"),
+    ("C3 s (meas.)", "c3_s"),
+    ("Overhead % (meas.)", "overhead_pct"),
+    ("Overhead % (paper)", "paper_overhead_pct"),
+))
 
 
 # ---------------------------------------------------------------------------
@@ -239,20 +235,20 @@ def table5_rows(parallel: Optional[bool] = None) -> List[Dict]:
                             paperdata.TABLE5, parallel=parallel)
 
 
-def render_checkpoint(title: str, rows: List[Dict]) -> str:
-    table_rows = [
-        [r["code"], f"{r['paper_procs']} ({r['paper_nodes']})",
-         r["sim_procs"], r["cfg1_s"], r["cfg2_s"], r["cfg3_s"],
-         r.get("overlap_s"), r["size_per_proc_mb"], r["cost_s"],
-         r.get("overlap_cost_s"), r["paper_cost_s"]]
-        for r in rows
-    ]
-    return render_table(
-        title,
-        ["Code", "Procs(Nodes)", "sim p", "#1 s", "#2 s", "#3 s", "Ovl s",
-         "Size/proc MB", "Cost s", "OvlCost s", "paper Cost"],
-        table_rows, widths=[9, 12, 6, 9, 9, 9, 9, 12, 8, 9, 10],
-    )
+#: Tables 4-5
+CHECKPOINT_TABLE = Table("Runtimes (s) with one checkpoint", (
+    ("Code", "code"),
+    ("Procs (paper)", _procs),
+    ("#1 s", "cfg1_s"),
+    ("#2 s", "cfg2_s"),
+    ("#3 s", "cfg3_s"),
+    ("Overlap s", "overlap_s"),
+    ("Size/proc MB (meas.)", "size_per_proc_mb"),
+    ("Cost s (meas.)", "cost_s"),
+    ("Overlap cost s", "overlap_cost_s"),
+    ("Size/proc MB (paper)", "paper_size_per_proc_mb"),
+    ("Cost s (paper)", "paper_cost_s"),
+))
 
 
 # ---------------------------------------------------------------------------
@@ -293,17 +289,14 @@ def table7_rows(parallel: Optional[bool] = None) -> List[Dict]:
                          parallel=parallel)
 
 
-def render_restart(title: str, rows: List[Dict]) -> str:
-    table_rows = [
-        [r["code"], r["original_s"], r["restart_cost_s"],
-         r["restart_cost_pct"], r["paper_restart_cost_pct"]]
-        for r in rows
-    ]
-    return render_table(
-        title,
-        ["Code", "Original s", "Restart cost s", "relative %", "paper %"],
-        table_rows, widths=[9, 11, 14, 11, 9],
-    )
+#: Tables 6-7
+RESTART_TABLE = Table("Restart costs (s)", (
+    ("Code", "code"),
+    ("Original s (meas.)", "original_s"),
+    ("Restart cost s (meas.)", "restart_cost_s"),
+    ("Relative % (meas.)", "restart_cost_pct"),
+    ("Relative % (paper)", "paper_restart_cost_pct"),
+))
 
 
 # ---------------------------------------------------------------------------
@@ -311,25 +304,11 @@ def render_restart(title: str, rows: List[Dict]) -> str:
 # scenario space instead of the two uniprocessor codes)
 # ---------------------------------------------------------------------------
 
-def campaign_rows(parallel: Optional[bool] = None,
-                  scenarios=None) -> List[Dict]:
-    """Run the recovery campaign and return its judged scenario rows.
-
-    Defaults to the smoke matrix (every app kernel, one kill timing
-    each); pass an explicit scenario list — e.g.
-    :func:`repro.harness.campaign.full_matrix` — for the whole space.
-    """
-    from .campaign import run_campaign, smoke_matrix
-    report = run_campaign(scenarios if scenarios is not None
-                          else smoke_matrix(), parallel=parallel)
-    return report.rows
-
-
 def campaign_restart_rows(rows: List[Dict]) -> List[Dict]:
     """Campaign rows in the Tables 6/7 restart-cost schema.
 
     Each verified kill/restart scenario yields one row with the measured
-    keys :func:`render_restart` consumes (``paper_*`` cells are None —
+    keys :data:`RESTART_TABLE` shows (``paper_*`` cells are None —
     the paper only measured the two uniprocessor machines), so campaign
     results append directly to the Table 6/7 outputs as extra
     multi-process evidence for the "restart costs are negligible" claim.

@@ -28,6 +28,13 @@ windows the campaign matrix never crosses) must together reach **100 %
 fault-window coverage** with **zero verification failures**, in about a
 minute.
 
+The CLI is :data:`STUDY` (:func:`repro.harness.jobs.study_main`), whose
+table :data:`FUZZ_TABLE` has one row per schedule tried.  It is not a
+cell grid, so its ``run`` keeps the guided loop (and ``--replay``, which
+reruns one schedule and fails on a ``fail`` verdict); outside
+``--smoke``, found failures are reported and minimized but do not fail
+the run.
+
 Usage::
 
     python -m repro.harness.fuzz --smoke --json FUZZ_smoke.json
@@ -59,10 +66,7 @@ from ..storage.stable import DiskStorage, InMemoryStorage
 from ..storage.store import ScatterStore, as_store
 from ..storage.wal import WalStore
 from .campaign import CAMPAIGN_PARAMS, COLLECTIVE_APPS
-from .jobs import (
-    STORAGE_CHOICES, add_engine_arg, add_output_args, add_seed_arg,
-    add_storage_arg, add_worker_args, write_artifact,
-)
+from .jobs import STORAGE_CHOICES, Study, Table, study_main
 from .parallel import Cell, CellError, run_cells
 from .runner import _resolve_kill, _returns_equal
 
@@ -649,10 +653,10 @@ def _run_schedule_cell(sched_dict: Dict[str, Any],
 
 def fuzz(max_schedules: int = 200, max_seconds: Optional[float] = None,
          seed: int = 0, corpus_dir: Optional[str] = None,
-         smoke: bool = False, quiet: bool = False,
-         nprocs: int = 4, engine: Optional[str] = None,
-         storage: Optional[str] = None,
-         workers: Optional[int] = None) -> Dict[str, Any]:
+         smoke: bool = False, nprocs: int = 4, engine: Optional[str] = None,
+         storage: Optional[str] = None, workers: Optional[int] = None,
+         progress: Optional[Callable[[Dict[str, Any]], None]] = None,
+         ) -> Dict[str, Any]:
     """Run the coverage-guided loop; returns the machine-readable report.
 
     The deterministic seed schedules always run first (they are the
@@ -660,7 +664,7 @@ def fuzz(max_schedules: int = 200, max_seconds: Optional[float] = None,
     schedules that light up new coverage points get mutated back into
     the queue, otherwise fresh random schedules are drawn.  Failures are
     delta-minimized and (when ``corpus_dir`` is set) pinned as corpus
-    JSON.
+    JSON.  ``progress(record)`` receives every tried schedule's record.
 
     ``engine`` forwards to every golden/faulty/resume execution;
     ``storage`` forces each schedule's stable-storage flavor (WAL-only
@@ -750,12 +754,8 @@ def fuzz(max_schedules: int = 200, max_seconds: Optional[float] = None,
             interesting.append(sched)
             for _ in range(2):
                 queue.append(mutate(rng, sched, tried * 10 + len(queue)))
-        if not quiet:
-            flag = {"pass": ".", "fail": "F", "inconclusive": "?"}
-            print(f"[{tried:4d}] {sched.label:<20} "
-                  f"{flag[record['verdict']]} "
-                  f"cov={len(achieved):3d} (+{len(new)})"
-                  + (f"  {record['failure']}" if record["failure"] else ""))
+        if progress is not None:
+            progress(record)
 
     missing = sorted(REQUIRED_COVERAGE - achieved)
     report = {
@@ -781,16 +781,23 @@ def fuzz(max_schedules: int = 200, max_seconds: Optional[float] = None,
     return report
 
 
+FUZZ_TABLE = Table("Fault fuzzer: schedules tried", (
+    ("Schedule", "label"),
+    ("Verdict", lambda r: ("PASS" if r["verdict"] == "pass"
+                           else r["verdict"].upper())),
+    ("Restarts", "restarts"),
+    ("Kills fired", lambda r: len(r.get("fired") or ())),
+    ("Storage faults", lambda r: sum((r.get("injected") or {}).values())),
+    ("Ckpts committed", "checkpoints_committed"),
+    ("Coverage points", lambda r: len(r.get("coverage") or ())),
+))
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
 
-def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
-    ap = argparse.ArgumentParser(
-        prog="python -m repro.harness.fuzz",
-        description="Coverage-guided fault fuzzer: search kill x "
-                    "storage-fault schedules for recovery bugs; minimize "
-                    "and pin failures as regression corpus JSON.")
+def _add_args(ap: argparse.ArgumentParser) -> None:
     mode = ap.add_mutually_exclusive_group()
     mode.add_argument("--smoke", action="store_true",
                       help="CI gate: seed schedules + a short guided run; "
@@ -804,59 +811,64 @@ def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
                     help="schedule budget (default 200)")
     ap.add_argument("--seconds", type=float,
                     help="wall-clock budget in seconds")
-    add_seed_arg(ap, help="master RNG seed (default 0)")
     ap.add_argument("--nprocs", type=int, default=4,
                     help="ranks for the seed schedules (default 4)")
     ap.add_argument("--corpus", metavar="DIR",
                     help="write minimized failing schedules here")
-    add_engine_arg(ap)
-    add_storage_arg(ap, help="force every schedule's stable-storage "
-                             "flavor (default: each schedule's own "
-                             "choice; WAL-only fault features promote "
-                             "memory->wal and disk->wal-disk)")
-    add_worker_args(ap)
-    add_output_args(ap)
-    return ap.parse_args(argv)
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _parse_args(argv)
+def _run(args: argparse.Namespace, progress):
     if args.replay:
-        sched = load_schedule(args.replay)
-        record = run_schedule(sched, engine=args.engine)
-        print(json.dumps(record, indent=2, sort_keys=True, default=str))
-        return 0 if record["verdict"] != "fail" else 1
-
+        record = run_schedule(load_schedule(args.replay), engine=args.engine)
+        row = dict(record, passed=record["verdict"] != "fail")
+        progress(FUZZ_TABLE, row)
+        return (record, [(FUZZ_TABLE, [row])],
+                [] if row["passed"] else [record["label"]])
     if args.smoke:
         budget = args.schedules if args.schedules != 200 else 40
         seconds = args.seconds if args.seconds is not None else 60.0
     else:
         budget = args.schedules
         seconds = args.seconds
+    records: List[Dict[str, Any]] = []
+
+    def on_record(record: Dict[str, Any]) -> None:
+        records.append(dict(record, passed=record["verdict"] != "fail"))
+        progress(FUZZ_TABLE, records[-1])
+
     report = fuzz(max_schedules=budget, max_seconds=seconds,
                   seed=args.seed, corpus_dir=args.corpus, smoke=args.smoke,
-                  quiet=args.quiet, nprocs=args.nprocs,
-                  engine=args.engine, storage=args.storage,
-                  workers=None if args.inline else args.workers)
-    if args.json:
-        write_artifact(args.json, report, sort_keys=True,
-                       trailing_newline=True)
-    print(f"\n{report['schedules_tried']} schedules in "
-          f"{report['wall_seconds']}s; "
-          f"coverage {report['window_coverage_pct']}% of required "
-          f"({len(report['coverage'])} points total); "
-          f"{len(report['failures'])} failing, "
-          f"{report['inconclusive']} inconclusive")
-    if report["missing_required"]:
-        print("missing required coverage: "
-              + ", ".join(report["missing_required"]))
+                  nprocs=args.nprocs, engine=args.engine,
+                  storage=args.storage,
+                  workers=None if args.inline else args.workers,
+                  progress=on_record)
     for failure in report["failures"]:
-        print(f"FAIL [{failure['failure_class']}] {failure['failure']}")
-        print(f"  minimized to {failure['minimized_faults']} fault(s): "
+        print(f"FAIL [{failure['failure_class']}] {failure['failure']}\n"
+              f"  minimized to {failure['minimized_faults']} fault(s): "
               f"{json.dumps(failure['minimized'])}")
+    failed = []
     if args.smoke:
-        return 0 if report["smoke_ok"] else 1
-    return 0
+        failed = ([f"missing coverage {m}" for m in report["missing_required"]]
+                  + [f"{f['schedule']['label']} [{f['failure_class']}]"
+                     for f in report["failures"]])
+    return report, [(FUZZ_TABLE, records)], failed
+
+
+STUDY = Study(
+    name="fuzz",
+    description="Coverage-guided fault fuzzer: search kill x storage-fault "
+                "schedules for recovery bugs; minimize and pin failures as "
+                "regression corpus JSON.",
+    run=_run, add_args=_add_args, shared=("storage", "seed", "quiet"),
+    help={"storage": "force every schedule's stable-storage flavor "
+                     "(default: each schedule's own choice; WAL-only fault "
+                     "features promote memory->wal and disk->wal-disk)",
+          "seed": "master RNG seed (default 0)"},
+    sort_keys=True, trailing_newline=True)
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    return study_main(STUDY, argv)
 
 
 if __name__ == "__main__":

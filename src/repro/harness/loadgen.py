@@ -20,6 +20,11 @@ The default shape — 120 submissions across 4 tenants through a
 in flight than the queue admits.  Everything is seeded, so the bench
 is reproducible run to run (latencies aside).
 
+The CLI is :data:`STUDY` (:func:`repro.harness.jobs.study_main`); its
+``run`` drives the asyncio service rather than a cell grid, and the
+one-row :data:`SERVICE_TABLE` is the summary EXPERIMENTS.md records.
+A failed gate is named in the failure roster.
+
 Command line::
 
     python -m repro.harness.loadgen --json BENCH_service.json
@@ -40,12 +45,10 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..mpi.backends import backend_for
 from ..service import CampaignService, JobSpec, canonical_result_bytes
-from .jobs import (
-    add_engine_arg, add_output_args, add_seed_arg, add_storage_arg,
-    add_worker_args, write_artifact,
-)
+from .jobs import Study, Table, study_main
 
-__all__ = ["build_mix", "drive", "main", "percentile", "run_loadgen"]
+__all__ = ["SERVICE_TABLE", "STUDY", "build_mix", "drive", "main",
+           "percentile", "run_loadgen"]
 
 #: fast kernels the mix draws from (testing-platform scale)
 MIX_APPS = ("ring", "heat", "CG")
@@ -239,16 +242,26 @@ def run_loadgen(tenants: int = 4, jobs: int = 120,
     }
 
 
+SERVICE_TABLE = Table("Campaign service: loadgen gates", (
+    ("Submissions", "submissions"),
+    ("Tenants", lambda p: p["config"]["tenants"]),
+    ("Unique", lambda p: p["config"]["unique_jobs"]),
+    ("Queue depth", lambda p: p["config"]["queue_limit"]),
+    ("Jobs/s", "throughput_jobs_per_s"),
+    ("Cache hits", lambda p: p["cache"]["hits"]),
+    ("Dup misses", lambda p: p["cache"]["duplicate_misses"]),
+    ("Bitwise mismatches", lambda p: p["cache"]["duplicate_mismatches"]),
+    ("p50 s", lambda p: p["latency_s"]["p50"]),
+    ("p99 s", lambda p: p["latency_s"]["p99"]),
+    ("Gates", lambda p: "PASS" if p["ok"] else "FAIL"),
+))
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
 
-def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
-    ap = argparse.ArgumentParser(
-        prog="python -m repro.harness.loadgen",
-        description="Drive N concurrent tenants of mixed submissions "
-                    "through the campaign service; gate verify "
-                    "failures, cache correctness, and p99 latency.")
+def _add_args(ap: argparse.ArgumentParser) -> None:
     ap.add_argument("--tenants", type=int, default=4,
                     help="concurrent tenants (default 4)")
     ap.add_argument("--jobs", type=int, default=120,
@@ -266,17 +279,9 @@ def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
     ap.add_argument("--p99-budget", type=float, default=30.0,
                     help="p99 submission-to-first-result budget in "
                          "seconds (default 30)")
-    add_engine_arg(ap)
-    add_storage_arg(ap, help="force every job's stable-storage flavor "
-                             "(default: a seeded memory/wal mix)")
-    add_seed_arg(ap, help="mix RNG seed (default 0)")
-    add_worker_args(ap)
-    add_output_args(ap)
-    return ap.parse_args(argv)
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _parse_args(argv)
+def _run(args: argparse.Namespace, progress):
     report = run_loadgen(
         tenants=args.tenants, jobs=args.jobs,
         duplicate_frac=args.duplicate_frac,
@@ -284,27 +289,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         workers=1 if args.inline else args.workers, seed=args.seed,
         storage=args.storage, engine=args.engine,
         platform=args.platform, p99_budget=args.p99_budget)
-    if not args.quiet:
-        lat = report["latency_s"]
-        print(f"{report['submissions']} submissions "
-              f"({report['config']['tenants']} tenants, "
-              f"{report['config']['unique_jobs']} unique) in "
-              f"{report['wall_seconds']}s "
-              f"({report['throughput_jobs_per_s']} jobs/s)")
-        print(f"cache: {report['cache']['hits']} hits "
-              f"(rate {report['cache']['hit_rate']}), "
-              f"{report['cache']['duplicate_misses']} duplicate "
-              f"misses, {report['cache']['duplicate_mismatches']} "
-              f"bitwise mismatches")
-        print(f"latency s: p50={lat['p50']} p90={lat['p90']} "
-              f"p99={lat['p99']} max={lat['max']} "
-              f"(budget {report['config']['p99_budget_s']})")
-    if args.json:
-        write_artifact(args.json, report)
-    for name, passed in report["gates"].items():
-        if not passed:
-            print(f"GATE FAILED: {name}")
-    return 0 if report["ok"] else 1
+    failed = [name for name, passed in report["gates"].items() if not passed]
+    return (report, [(SERVICE_TABLE, [dict(report, passed=report["ok"])])],
+            failed)
+
+
+STUDY = Study(
+    name="loadgen",
+    description="Drive N concurrent tenants of mixed submissions through "
+                "the campaign service; gate verify failures, cache "
+                "correctness, and p99 latency.",
+    run=_run, add_args=_add_args, shared=("storage", "seed", "quiet"),
+    help={"storage": "force every job's stable-storage flavor (default: a "
+                     "seeded memory/wal mix)",
+          "seed": "mix RNG seed (default 0)"})
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    return study_main(STUDY, argv)
 
 
 if __name__ == "__main__":

@@ -29,6 +29,10 @@ of the platform's drain time, so commits and GC happen *during* the run
 (the regime the paper's daemon argument assumes) rather than piling into
 the end-of-job flush.
 
+Both slices farm through :func:`repro.harness.jobs.run_study` and lay
+out as :data:`OVERLAP_TABLE` / :data:`FAULT_TABLE`; the CLI is
+:data:`STUDY` (:func:`repro.harness.jobs.study_main`).
+
 Command line::
 
     python -m repro.harness.overlap                     # all 3 platforms
@@ -41,21 +45,21 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..mpi.timemodel import MACHINES
 from .jobs import (
-    add_engine_arg, add_output_args, add_storage_arg, add_worker_args,
-    fail_exit, open_store, require_known, write_artifact,
+    Study, Table, null_row, open_store, render_text, run_study, study_main,
+    verdict,
 )
-from .parallel import Cell, CellError, run_cells
+from .parallel import Cell
 from .runner import measure_c3, measure_recovery
-from .report import render_table
 
 __all__ = [
-    "OVERLAP_KERNELS", "OVERLAP_PLATFORMS", "fault_rows", "main",
-    "measure_fault_cell", "measure_overhead_cell", "overhead_rows",
-    "render_overlap",
+    "FAULT_TABLE", "OVERLAP_KERNELS", "OVERLAP_PLATFORMS", "OVERLAP_TABLE",
+    "STUDY", "fault_rows", "main", "measure_fault_cell",
+    "measure_overhead_cell", "overhead_rows", "render_overlap",
 ]
 
 #: the three platform models of the evaluation (Tables 4-5)
@@ -130,15 +134,6 @@ _OVERHEAD_METRICS = ("cfg1_s", "cfg2_s", "cfg3_s", "overlap_s",
                      "committed_inline", "committed_overlap")
 
 
-def _dead_row(err: CellError, metrics: Sequence[str], **identity) -> Dict:
-    """A failed row for a cell whose worker process died (see parallel)."""
-    row = dict.fromkeys(metrics)
-    row.update(identity)
-    row["failure"] = err.error
-    row["passed"] = False
-    return row
-
-
 def overhead_rows(platforms: Sequence[str] = OVERLAP_PLATFORMS,
                   kernels: Optional[Sequence[str]] = None,
                   nprocs: int = 4,
@@ -155,20 +150,14 @@ def overhead_rows(platforms: Sequence[str] = OVERLAP_PLATFORMS,
                        engine=engine, storage=storage),
                   label=f"overlap:{platform}/{name}")
              for platform in platforms for name in names]
-    rows: List[Dict] = []
 
-    def on_result(_i: int, cell: Cell, result) -> None:
-        if isinstance(result, CellError):
-            result = _dead_row(result, _OVERHEAD_METRICS,
-                               platform=cell.kwargs["platform"],
-                               kernel=cell.kwargs["kernel"], nprocs=nprocs)
-        rows.append(result)
-        if on_row is not None:
-            on_row(result)
+    def dead_row(cell: Cell, err) -> Dict:
+        return null_row(err, _OVERHEAD_METRICS,
+                        platform=cell.kwargs["platform"],
+                        kernel=cell.kwargs["kernel"], nprocs=nprocs)
 
-    run_cells(cells, parallel=parallel, max_workers=max_workers,
-              on_result=on_result)
-    return rows
+    return run_study(cells, dead_row, parallel=parallel,
+                     max_workers=max_workers, progress=on_row).rows
 
 
 def _judge_overhead(row: Dict) -> Optional[str]:
@@ -212,22 +201,15 @@ def fault_rows(platforms: Sequence[str] = OVERLAP_PLATFORMS,
                        engine=engine),
                   label=f"overlap-fault:{platform}/{kill_name}")
              for platform in platforms for kill_name in FAULT_KILLS]
-    rows: List[Dict] = []
 
-    def on_result(_i: int, cell: Cell, result) -> None:
-        if isinstance(result, CellError):
-            result = _dead_row(result,
-                               ("restarts", "restored_version",
-                                "checkpoints_committed", "lines_retained"),
-                               platform=cell.kwargs["platform"],
-                               kill=cell.kwargs["kill"])
-        rows.append(result)
-        if on_row is not None:
-            on_row(result)
+    def dead_row(cell: Cell, err) -> Dict:
+        return null_row(err, ("restarts", "restored_version",
+                              "checkpoints_committed", "lines_retained"),
+                        platform=cell.kwargs["platform"],
+                        kill=cell.kwargs["kill"])
 
-    run_cells(cells, parallel=parallel, max_workers=max_workers,
-              on_result=on_result)
-    return rows
+    return run_study(cells, dead_row, parallel=parallel,
+                     max_workers=max_workers, progress=on_row).rows
 
 
 def _judge_fault(row: Dict) -> Optional[str]:
@@ -252,56 +234,38 @@ def _ms(seconds: Optional[float]) -> Optional[float]:
     return None if seconds is None else seconds * 1e3
 
 
-def render_overlap(rows: Sequence[Dict]) -> str:
-    """Paper-layout text table of the overhead cells (virtual ms)."""
-    table_rows = []
-    for r in rows:
-        table_rows.append([
-            r["platform"], r["kernel"], "PASS" if r["passed"] else "FAIL",
-            _ms(r["cfg1_s"]), _ms(r["cfg2_s"]), _ms(r["cfg3_s"]),
-            _ms(r["overlap_s"]),
-            _ms(r["inline_cost_s"]), _ms(r["overlap_cost_s"]),
-        ])
-    return render_table(
-        "Overlapped write-back vs in-line commit (Tables 4-5 extension; "
-        "virtual ms, one checkpoint)",
-        ["Platform", "Kernel", "Gate", "#1 ms", "#2 ms", "#3 ms", "Ovl ms",
-         "InlineCost", "OvlCost"],
-        table_rows, widths=[9, 8, 5, 9, 9, 9, 9, 11, 10],
-    )
+OVERLAP_TABLE = Table(
+    "Overlapped write-back vs in-line commit (Tables 4-5 extension; "
+    "virtual ms, one checkpoint)", (
+        ("Platform", "platform"),
+        ("Kernel", "kernel"),
+        ("Gate", verdict),
+        ("#1 ms", lambda r: _ms(r["cfg1_s"])),
+        ("#2 ms", lambda r: _ms(r["cfg2_s"])),
+        ("#3 ms", lambda r: _ms(r["cfg3_s"])),
+        ("Overlap ms", lambda r: _ms(r["overlap_s"])),
+        ("In-line cost ms", lambda r: _ms(r["inline_cost_s"])),
+        ("Overlap cost ms", lambda r: _ms(r["overlap_cost_s"])),
+    ))
 
+FAULT_TABLE = Table("Torn-line recovery: kill mid-drain / mid-commit", (
+    ("Fault cell", lambda r: f"{r['platform']}/{r['kill']}"),
+    ("Gate", verdict),
+    ("Restarts", "restarts"),
+    ("Restored line", "restored_version"),
+    ("Lines committed", "checkpoints_committed"),
+    ("Lines retained", "lines_retained"),
+))
 
-def render_faults(rows: Sequence[Dict]) -> str:
-    """Verdict table of the kill-mid-drain / kill-mid-commit cells."""
-    table_rows = []
-    for r in rows:
-        table_rows.append([
-            f"{r['platform']}/{r['kill']}",
-            "PASS" if r["passed"] else "FAIL",
-            r.get("restarts"), r.get("restored_version"),
-            r.get("checkpoints_committed"), r.get("lines_retained"),
-        ])
-    return render_table(
-        "Torn-line recovery: kill mid-drain / mid-commit",
-        ["Cell", "Gate", "Restarts", "RestoredV", "Committed", "Held"],
-        table_rows, widths=[24, 5, 8, 9, 9, 5],
-    )
+#: kept importable under the package's lazy exports
+render_overlap = partial(render_text, OVERLAP_TABLE)
 
 
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
 
-def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
-    ap = argparse.ArgumentParser(
-        prog="python -m repro.harness.overlap",
-        description="Overlapped write-back study: per-checkpoint overhead "
-                    "of the production drain pipeline vs the in-line "
-                    "Tables 4-5 configuration #3, plus kill-mid-drain / "
-                    "kill-mid-commit torn-line recovery; exits non-zero "
-                    "if overlap is not strictly cheaper on every cell or "
-                    "any fault cell fails to recover bitwise with <= 2 "
-                    "retained lines.")
+def _add_args(ap: argparse.ArgumentParser) -> None:
     ap.add_argument("--platforms",
                     help="comma-separated platform models "
                          f"(default: {', '.join(OVERLAP_PLATFORMS)})")
@@ -310,61 +274,22 @@ def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
                          f"(default: {', '.join(sorted(OVERLAP_KERNELS))})")
     ap.add_argument("--nprocs", type=int, default=4,
                     help="simulated ranks per run (default 4)")
-    add_engine_arg(ap)
-    add_storage_arg(ap)
     ap.add_argument("--skip-faults", action="store_true",
                     help="overhead cells only (no kill/restart slice)")
-    add_worker_args(ap)
-    add_output_args(ap)
-    return ap.parse_args(argv)
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _parse_args(argv)
-    platforms = (args.platforms.split(",") if args.platforms
-                 else list(OVERLAP_PLATFORMS))
-    kernels = args.kernels.split(",") if args.kernels else None
-    rc = require_known(platforms, MACHINES, "platforms")
-    if rc is None and kernels:
-        rc = require_known(kernels, OVERLAP_KERNELS, "kernels")
-    if rc:
-        return rc
-
-    def show_overhead(r: Dict) -> None:
-        if args.quiet:
-            return
-        verdict = "PASS" if r["passed"] else f"FAIL ({r['failure']})"
-        costs = ("" if r["inline_cost_s"] is None else
-                 f": inline={r['inline_cost_s'] * 1e3:.3f}ms "
-                 f"overlap={r['overlap_cost_s'] * 1e3:.3f}ms")
-        print(f"{verdict} {r['platform']}/{r['kernel']}{costs}", flush=True)
-
-    def show_fault(r: Dict) -> None:
-        if args.quiet:
-            return
-        verdict = "PASS" if r["passed"] else f"FAIL ({r['failure']})"
-        print(f"{verdict} {r['platform']}/{r['kill']}: "
-              f"restored=v{r.get('restored_version')} "
-              f"held={r.get('lines_retained')}", flush=True)
-
+def _run(args: argparse.Namespace, progress):
     t0 = time.time()
+    platforms = args.platforms or list(OVERLAP_PLATFORMS)
     parallel = False if args.inline else None
-    o_rows = overhead_rows(platforms, kernels, nprocs=args.nprocs,
+    o_rows = overhead_rows(platforms, args.kernels, nprocs=args.nprocs,
                            engine=args.engine, storage=args.storage,
                            parallel=parallel, max_workers=args.workers,
-                           on_row=show_overhead)
-    f_rows = []
-    if not args.skip_faults:
-        f_rows = fault_rows(platforms, nprocs=args.nprocs,
-                            engine=args.engine, parallel=parallel,
-                            max_workers=args.workers, on_row=show_fault)
-    wall = time.time() - t0
-
-    print()
-    print(render_overlap(o_rows))
-    if f_rows:
-        print()
-        print(render_faults(f_rows))
+                           on_row=partial(progress, OVERLAP_TABLE))
+    f_rows = [] if args.skip_faults else fault_rows(
+        platforms, nprocs=args.nprocs, engine=args.engine,
+        parallel=parallel, max_workers=args.workers,
+        on_row=partial(progress, FAULT_TABLE))
     failures = ([f"{r['platform']}/{r['kernel']}"
                  for r in o_rows if not r["passed"]]
                 + [f"{r['platform']}/{r['kill']}"
@@ -374,16 +299,30 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "fault_cells": len(f_rows),
         "passed": len(o_rows) + len(f_rows) - len(failures),
         "failed": failures,
-        "wall_seconds": wall,
+        "wall_seconds": time.time() - t0,
     }
-    print(f"\n{summary['passed']}/{len(o_rows) + len(f_rows)} cells within "
-          f"the overlap gates ({wall:.1f}s wall)")
-    if args.json:
-        write_artifact(args.json, {"summary": summary, "overhead": o_rows,
-                                   "faults": f_rows})
-    if failures:
-        return fail_exit(failures)
-    return 0
+    tables = [(OVERLAP_TABLE, o_rows)]
+    if f_rows:
+        tables.append((FAULT_TABLE, f_rows))
+    return ({"summary": summary, "overhead": o_rows, "faults": f_rows},
+            tables, failures)
+
+
+STUDY = Study(
+    name="overlap",
+    description="Overlapped write-back study: per-checkpoint overhead of "
+                "the production drain pipeline vs the in-line Tables 4-5 "
+                "configuration #3, plus kill-mid-drain / kill-mid-commit "
+                "torn-line recovery; exits non-zero if overlap is not "
+                "strictly cheaper on every cell or any fault cell fails to "
+                "recover bitwise with <= 2 retained lines.",
+    run=_run, add_args=_add_args,
+    selections=(("platforms", MACHINES, "platforms"),
+                ("kernels", OVERLAP_KERNELS, "kernels")))
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    return study_main(STUDY, argv)
 
 
 if __name__ == "__main__":

@@ -35,9 +35,8 @@ so the *reduction percentages* are directly comparable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterator, Mapping, Optional, Tuple
 
-from ..apps import APPS
 from ..mpi.timemodel import (
     CMI, LEMIEUX, LINUX_UNIPROC, MachineModel, SOLARIS_UNIPROC, VELOCITY2,
 )
@@ -196,11 +195,6 @@ PLATFORMS: Dict[str, PlatformConfig] = {
     "velocity2": PlatformConfig("velocity2", VELOCITY2, VELOCITY2_CODES,
                                 machine_overrides={"HPL": CMI}),
 }
-
-
-def velocity2_machine_for(app_name: str) -> MachineModel:
-    """Machine per Tables 3/5 row (the paper ran HPL on CMI)."""
-    return PLATFORMS["velocity2"].machine_for(app_name)
 
 
 #: Table 1 codes with per-app parameters sized so the C3 checkpoint lands

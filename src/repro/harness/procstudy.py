@@ -8,8 +8,9 @@ This study is its acceptance harness:
 
 1. **Campaign slice** — the seeded campaign smoke matrix (every app
    kernel, rotated kill timings) is run twice over ``wal-disk``
-   storage: once on the cooperative oracle, once on
-   ``processes[:N]``.
+   storage: once on the cooperative oracle, once on ``processes[:N]``
+   (:func:`repro.harness.campaign.diff_campaigns`, the kernel the
+   sharded study shares).
 2. **Real-kill gate** — every fault-injected processes cell must
    report at least one *waitpid-confirmed* SIGKILL delivery
    (``real_kills >= 1``, counted by :func:`repro.harness.runner.
@@ -17,13 +18,13 @@ This study is its acceptance harness:
    <repro.mpi.engine.JobResult>` evidence) and at least one restart
    from the on-disk WAL — a slice whose kills didn't physically take a
    process is vacuous and fails.
-3. **Cross-engine diff** — row pairs are compared under the shardstudy
-   tolerance contract at its *real-kill grade*
-   (:func:`repro.harness.shardstudy.diff_rows` with
-   ``real_kill=True``): verification verdicts, restart counts, and
-   fired-kill evidence exactly; everything coupled to what the crash
-   physically left durable (a real kill loses the victim's staged WAL
-   tail whole, the simulated engines model a torn tail) structurally.
+3. **Cross-engine diff** — row pairs are compared under the
+   engine-differential contract at its *real-kill grade*
+   (:func:`repro.harness.campaign.diff_rows` with ``real_kill=True``):
+   verification verdicts, restart counts, and fired-kill evidence
+   exactly; everything coupled to what the crash physically left
+   durable (a real kill loses the victim's staged WAL tail whole, the
+   simulated engines model a torn tail) structurally.
 
 Usage::
 
@@ -33,26 +34,23 @@ Usage::
 Exit status 0 iff both campaign passes verified, every processes cell
 passed the real-kill gate, and every row pair matched under the
 contract.  ``--json`` writes the machine-readable report the CI
-``process-backend`` job uploads.
+``process-backend`` job uploads.  The CLI is :data:`STUDY`
+(:func:`repro.harness.jobs.study_main`); its one-row
+:data:`PROC_TABLE` is the summary EXPERIMENTS.md records.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
-import sys
 import time
+from functools import partial
 from typing import Dict, List, Optional, Sequence
 
-from .campaign import APP_KERNELS, run_campaign, smoke_matrix
-from .jobs import (
-    add_engine_arg, add_output_args, add_seed_arg, add_worker_args,
-    fail_exit, require_known, split_csv, write_artifact,
-)
-from .shardstudy import diff_rows
+from .campaign import APP_KERNELS, CAMPAIGN_TABLE, diff_campaigns, smoke_matrix
+from .jobs import Study, Table, study_main
 
-__all__ = ["gate_real_kills", "main", "run_study"]
+__all__ = ["PROC_TABLE", "STUDY", "gate_real_kills", "main"]
 
 
 def gate_real_kills(rows: Sequence[Dict]) -> List[str]:
@@ -76,87 +74,20 @@ def gate_real_kills(rows: Sequence[Dict]) -> List[str]:
     return bad
 
 
-def run_study(procs: Optional[int] = None, nprocs: int = 4,
-              apps: Optional[Sequence[str]] = None, seed: int = 0,
-              rtol: float = 2e-2, engine: Optional[str] = None,
-              parallel: Optional[bool] = False,
-              max_workers: Optional[int] = None, progress=None) -> Dict:
-    """The full study; returns the ``BENCH_processes.json`` payload.
-
-    ``engine`` overrides the real-kill engine under study (default
-    ``processes`` or ``processes:<procs>``); ``apps`` restricts the
-    smoke slice to a kernel subset.  Both passes run over ``wal-disk``
-    storage so the processes pass has stable bytes to recover from and
-    the oracle pass exercises the identical store stack.
-    """
-    study_engine = engine or (
-        f"processes:{procs}" if procs is not None else "processes")
-    scenarios = smoke_matrix(nprocs=nprocs, seed=seed, storage="wal-disk")
-    if apps is not None:
-        keep = set(apps)
-        scenarios = [s for s in scenarios if s.app in keep]
-
-    runs = {}
-    for eng in (None, study_engine):
-        name = eng or "cooperative"
-        if progress:
-            progress(f"campaign[{name}]: {len(scenarios)} cells")
-        cells = [dataclasses.replace(s, engine=eng) for s in scenarios]
-        report = run_campaign(
-            cells, parallel=parallel, max_workers=max_workers,
-            progress=(None if progress is None else
-                      lambda row, _n=name: progress(
-                          f"  [{_n}] {row['scenario']}: "
-                          + ("SKIP" if row.get("skipped")
-                             else "PASS" if row["passed"] else "FAIL")
-                          + (f" ({row.get('real_kills', 0)} real kills, "
-                             f"{row.get('restarts', 0)} restarts)"
-                             if not row.get("skipped") else ""))))
-        runs[name] = report
-
-    coop = runs["cooperative"]
-    proc = runs[study_engine]
-    mismatches: List[str] = []
-    for rc, rp in zip(coop.rows, proc.rows):
-        mismatches.extend(
-            diff_rows(rc["scenario"], rc, rp, rtol=rtol, real_kill=True))
-    kill_gate = gate_real_kills(proc.rows)
-
-    return {
-        "engine": study_engine,
-        "cells": len(scenarios),
-        "cpu_count": os.cpu_count(),
-        "campaign_wall_seconds": {
-            "cooperative": coop.wall_seconds,
-            study_engine: proc.wall_seconds,
-        },
-        "real_kills_total": sum(r.get("real_kills", 0)
-                                for r in proc.rows),
-        "restarts_total": sum(r.get("restarts", 0) for r in proc.rows),
-        "cooperative_ok": coop.ok,
-        "processes_ok": proc.ok,
-        "kill_gate_ok": not kill_gate,
-        "kill_gate_failures": kill_gate,
-        "cells_match": not mismatches,
-        "mismatches": mismatches,
-        "summary": {
-            "cooperative": coop.summary(),
-            study_engine: proc.summary(),
-        },
-        "rows": {
-            "cooperative": coop.rows,
-            study_engine: proc.rows,
-        },
-    }
+PROC_TABLE = Table("Processes backend: real SIGKILLs vs the oracle", (
+    ("Cells", "cells"),
+    ("Real SIGKILLs", "real_kills_total"),
+    ("Restarts", "restarts_total"),
+    ("Coop wall s",
+     lambda p: round(p["campaign_wall_seconds"]["cooperative"], 1)),
+    ("Processes wall s",
+     lambda p: round(p["campaign_wall_seconds"][p["engine"]], 1)),
+    ("Kill gate", lambda p: "pass" if p["kill_gate_ok"] else "FAIL"),
+    ("Cells match", lambda p: "yes" if p["cells_match"] else "NO"),
+))
 
 
-def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
-    ap = argparse.ArgumentParser(
-        prog="python -m repro.harness.procstudy",
-        description="Real-SIGKILL differential study: the campaign smoke "
-                    "slice over wal-disk on cooperative vs "
-                    "engine=processes, with a waitpid-confirmed kill "
-                    "gate and the real-kill-grade row diff.")
+def _add_args(ap: argparse.ArgumentParser) -> None:
     ap.add_argument("--procs", type=int,
                     help="OS processes for the real-kill pass "
                          "(default: one per simulated node)")
@@ -168,54 +99,68 @@ def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
     ap.add_argument("--rtol", type=float, default=2e-2,
                     help="relative tolerance for the numeric fields of "
                          "the row diff (default 2e-2)")
-    add_engine_arg(ap, help="real-kill engine under study (default: "
-                            "processes, or processes:<--procs>)")
-    add_seed_arg(ap)
-    add_worker_args(ap)
-    add_output_args(ap, quiet=True)
-    return ap.parse_args(argv)
+
+
+def _run(args: argparse.Namespace, progress):
+    t0 = time.time()
+    engine = args.engine or (
+        f"processes:{args.procs}" if args.procs is not None else "processes")
+    scenarios = smoke_matrix(nprocs=args.nprocs, seed=args.seed,
+                             storage="wal-disk")
+    if args.apps is not None:
+        scenarios = [s for s in scenarios if s.app in args.apps]
+    coop, proc, mismatches = diff_campaigns(
+        scenarios, engine, real_kill=True, rtol=args.rtol,
+        parallel=args.workers is not None and not args.inline,
+        max_workers=args.workers, progress=partial(progress, CAMPAIGN_TABLE))
+    kill_gate = gate_real_kills(proc.rows)
+    payload = {
+        "engine": engine,
+        "cells": len(scenarios),
+        "cpu_count": os.cpu_count(),
+        "campaign_wall_seconds": {
+            "cooperative": coop.wall_seconds,
+            engine: proc.wall_seconds,
+        },
+        "real_kills_total": sum(r.get("real_kills", 0) for r in proc.rows),
+        "restarts_total": sum(r.get("restarts", 0) for r in proc.rows),
+        "cooperative_ok": coop.ok,
+        "processes_ok": proc.ok,
+        "kill_gate_ok": not kill_gate,
+        "kill_gate_failures": kill_gate,
+        "cells_match": not mismatches,
+        "mismatches": mismatches,
+        "summary": {
+            "cooperative": coop.summary(),
+            engine: proc.summary(),
+        },
+        "rows": {
+            "cooperative": coop.rows,
+            engine: proc.rows,
+        },
+        "wall_seconds": time.time() - t0,
+    }
+    failed = (payload["summary"]["cooperative"]["failed"]
+              + payload["summary"][engine]["failed"]
+              + kill_gate + mismatches)
+    return (payload, [(PROC_TABLE, [dict(payload, passed=not failed)])],
+            failed)
+
+
+STUDY = Study(
+    name="procstudy",
+    description="Real-SIGKILL differential study: the campaign smoke "
+                "slice over wal-disk on cooperative vs engine=processes, "
+                "with a waitpid-confirmed kill gate and the real-kill-grade "
+                "row diff.",
+    run=_run, add_args=_add_args, shared=("seed", "quiet"),
+    selections=(("apps", APP_KERNELS, "apps"),),
+    help={"engine": "real-kill engine under study (default: processes, "
+                    "or processes:<--procs>)"})
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _parse_args(argv)
-    apps = split_csv(args.apps, APP_KERNELS) if args.apps else None
-    if apps is not None:
-        code = require_known(apps, APP_KERNELS, "apps")
-        if code is not None:
-            return code
-    farm = args.workers is not None and not args.inline
-    t0 = time.time()
-    report = run_study(procs=args.procs, nprocs=args.nprocs, apps=apps,
-                       seed=args.seed, rtol=args.rtol, engine=args.engine,
-                       parallel=True if farm else False,
-                       max_workers=args.workers,
-                       progress=(None if args.quiet
-                                 else lambda msg: print(msg, flush=True)))
-    report["wall_seconds"] = time.time() - t0
-
-    name = report["engine"]
-    print(f"campaign[{name}]: {report['cells']} cells, "
-          f"{report['real_kills_total']} waitpid-confirmed SIGKILLs, "
-          f"{report['restarts_total']} restarts from stable storage")
-    print(f"verdicts ok: coop={report['cooperative_ok']} "
-          f"processes={report['processes_ok']} | kill gate: "
-          f"{report['kill_gate_ok']} | cells match: "
-          f"{report['cells_match']}")
-    for m in report["kill_gate_failures"][:20]:
-        print(f"  KILL-GATE {m}", file=sys.stderr)
-    for m in report["mismatches"][:20]:
-        print(f"  MISMATCH {m}", file=sys.stderr)
-
-    if args.json:
-        write_artifact(args.json, report)
-
-    if not (report["cooperative_ok"] and report["processes_ok"]):
-        failed = (report["summary"]["cooperative"]["failed"]
-                  + report["summary"][name]["failed"])
-        return fail_exit(failed, "scenarios")
-    if not report["kill_gate_ok"] or not report["cells_match"]:
-        return 1
-    return 0
+    return study_main(STUDY, argv)
 
 
 if __name__ == "__main__":

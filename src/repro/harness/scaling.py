@@ -29,9 +29,13 @@ Command line::
     python -m repro.harness.scaling --ranks 1024,4096 --engine sharded:8
 
 Exit status 0 iff every (platform, app) series satisfies the flatness
-criterion; the JSON report carries the rows, the violations, and the
-sweep configuration, and is uploaded by the ``scaling-smoke`` CI job as
-``BENCH_scaling.json``.
+criterion (the violations are the failure roster); a malformed
+``--ranks`` or an unknown ``--apps`` / ``--platforms`` value exits 2
+before anything runs.  The JSON report carries the rows, the
+violations, and the sweep configuration, and is uploaded by the
+``scaling-smoke`` CI job as ``BENCH_scaling.json``.  The CLI is
+:data:`STUDY` (:func:`repro.harness.jobs.study_main`), its table
+:data:`SCALING_TABLE`.
 """
 
 from __future__ import annotations
@@ -39,22 +43,19 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..mpi.engine import resolve_backend
 from ..mpi.timemodel import MACHINES
-from .jobs import (
-    add_engine_arg, add_output_args, add_storage_arg, add_worker_args,
-    open_store, require_known, write_artifact,
-)
+from .jobs import Study, Table, open_store, render_text, study_main
 from .parallel import Cell, run_cells
-from .report import render_table
 from .runner import measure_c3, measure_original
 
 __all__ = [
-    "SCALING_APPS", "SCALING_PLATFORMS", "SCALING_RANKS", "check_flatness",
-    "main", "measure_scaling_point", "render_scaling", "scaling_cell",
-    "scaling_rows", "write_report",
+    "SCALING_APPS", "SCALING_PLATFORMS", "SCALING_RANKS", "SCALING_TABLE",
+    "STUDY", "check_flatness", "main", "measure_scaling_point",
+    "render_scaling", "scaling_cell", "scaling_rows",
 ]
 
 #: the sweep's process counts: 16 (the old simulator ceiling) up to 256
@@ -189,39 +190,35 @@ def check_flatness(rows: Sequence[Dict],
     return violations
 
 
-def render_scaling(rows: Sequence[Dict]) -> str:
-    """Overhead-vs-process-count text table (one row per sweep cell)."""
-    table_rows = [[r["platform"], r["app"], r["nprocs"], r["engine"],
-                   round(r["original_seconds"], 6),
-                   round(r["c3_seconds"], 6),
-                   round(r["overhead_pct"], 2)]
-                  for r in rows]
-    return render_table(
-        "Scaling study: C3 overhead vs process count (weak scaling)",
-        ["Platform", "Code", "Procs", "Engine", "Original s", "C3 s",
-         "Ovh %"],
-        table_rows,
-        widths=[10, 6, 6, 12, 12, 12, 7],
-    )
+SCALING_TABLE = Table(
+    "Scaling study: C3 overhead vs process count (weak scaling)", (
+        ("Platform", "platform"),
+        ("Code", "app"),
+        ("Ranks", "nprocs"),
+        ("Original s", lambda r: round(r["original_seconds"], 4)),
+        ("C3 s", lambda r: round(r["c3_seconds"], 4)),
+        ("Overhead %", lambda r: round(r["overhead_pct"], 2)),
+    ))
 
-
-def write_report(path: str, rows: Sequence[Dict], violations: Sequence[str],
-                 config: Dict) -> None:
-    """Write the machine-readable sweep report (``BENCH_scaling.json``)."""
-    write_artifact(path, {"config": config, "violations": list(violations),
-                          "rows": list(rows)})
+#: kept importable under the package's lazy exports
+render_scaling = partial(render_text, SCALING_TABLE)
 
 
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
 
-def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
-    ap = argparse.ArgumentParser(
-        prog="python -m repro.harness.scaling",
-        description="Sweep 16->256 simulated ranks on the paper's cluster "
-                    "models and verify the flat overhead-vs-process-count "
-                    "claim of Tables 2-3.")
+class _RankCounts:
+    """The ``--ranks`` vocabulary: any positive decimal integer."""
+
+    def __contains__(self, value: str) -> bool:
+        return value.isdigit() and int(value) > 0
+
+    def __iter__(self):
+        yield "positive integers"
+
+
+def _add_args(ap: argparse.ArgumentParser) -> None:
     ap.add_argument("--ranks", default=",".join(map(str, SCALING_RANKS)),
                     help="comma-separated rank counts "
                          f"(default {','.join(map(str, SCALING_RANKS))})")
@@ -231,55 +228,44 @@ def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
     ap.add_argument("--platforms", default=",".join(SCALING_PLATFORMS),
                     help="comma-separated machine models "
                          f"(default {','.join(SCALING_PLATFORMS)})")
-    add_engine_arg(ap)
-    add_storage_arg(ap)
     ap.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE_PCT,
                     help="flatness tolerance in percentage points "
                          f"(default {DEFAULT_TOLERANCE_PCT})")
-    add_worker_args(ap)
-    add_output_args(ap, quiet=False)
-    return ap.parse_args(argv)
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _parse_args(argv)
-    ranks = tuple(int(r) for r in args.ranks.split(","))
-    rc = require_known(args.apps.split(","), SCALING_APPS, "scaling apps")
-    if rc:
-        return rc
-    apps = {a: SCALING_APPS[a] for a in args.apps.split(",")}
-    platforms = tuple(args.platforms.split(","))
-    rc = require_known(platforms, MACHINES, "platforms")
-    if rc:
-        return rc
-
-    t0 = time.time()
-    rows = scaling_rows(ranks=ranks, apps=apps, platforms=platforms,
+def _run(args: argparse.Namespace, progress):
+    ranks = tuple(int(r) for r in args.ranks)
+    apps = {a: SCALING_APPS[a] for a in args.apps}
+    rows = scaling_rows(ranks=ranks, apps=apps, platforms=args.platforms,
                         engine=args.engine, storage=args.storage,
                         parallel=False if args.inline else None,
                         max_workers=args.workers)
     violations = check_flatness(rows, tolerance_pct=args.tolerance)
-    print(render_scaling(rows))
-    print(f"\n{len(rows)} sweep cells in {time.time() - t0:.1f}s wall "
-          f"(engine={resolve_backend(args.engine)}, "
-          f"ranks {min(ranks)}->{max(ranks)})")
-    if args.json:
-        config = {
-            "ranks": list(ranks), "apps": sorted(apps),
-            "platforms": list(platforms),
-            "engine": resolve_backend(args.engine),
-            "tolerance_pct": args.tolerance,
-        }
-        if args.storage is not None:
-            config["storage"] = args.storage
-        write_report(args.json, rows, violations, config)
-    if violations:
-        print("FLATNESS VIOLATIONS:", file=sys.stderr)
-        for v in violations:
-            print(f"  {v}", file=sys.stderr)
-        return 1
-    print("flat-overhead claim holds at every (platform, app) series")
-    return 0
+    config = {
+        "ranks": list(ranks), "apps": sorted(apps),
+        "platforms": list(args.platforms),
+        "engine": resolve_backend(args.engine),
+        "tolerance_pct": args.tolerance,
+    }
+    if args.storage is not None:
+        config["storage"] = args.storage
+    return ({"config": config, "violations": violations, "rows": rows},
+            [(SCALING_TABLE, rows)], violations)
+
+
+STUDY = Study(
+    name="scaling",
+    description="Sweep 16->256 simulated ranks on the paper's cluster "
+                "models and verify the flat overhead-vs-process-count "
+                "claim of Tables 2-3.",
+    run=_run, add_args=_add_args, shared=("storage",),
+    selections=(("ranks", _RankCounts(), "rank counts"),
+                ("apps", SCALING_APPS, "scaling apps"),
+                ("platforms", MACHINES, "platforms")))
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    return study_main(STUDY, argv)
 
 
 if __name__ == "__main__":

@@ -9,29 +9,25 @@ machine-readable report (``BENCH_shard.json``):
    original vs. C3 makespan, exactly like a ``scaling`` sweep cell.
 2. **Is it the same simulator, only faster?**  The recovery campaign
    matrix is run twice — cooperative and ``sharded:N`` — with identical
-   scenarios, and the reports are diffed cell by cell.  Everything a
-   scenario *verifies* (returns, recovery success, log-replay and
-   send-suppression evidence) must match exactly; virtual timings
-   match bitwise for point-to-point apps and to a relative tolerance
-   for collective-heavy apps, whose drain-triggered commit actions
-   land at control-drain observation points (DESIGN.md §10 documents
-   the contract; ``tests/mpi/test_sharded.py`` pins it).  Because the
-   observing drain itself can differ on those apps, anything coupled
-   to *where* a commit landed relative to a kill or to job completion
-   is compared structurally instead of numerically: commit instants
-   (``line_durable_at``, ``drain_sync_penalty``), retained-line
-   counts, the restore-from-line vs. log-replay recovery path when a
-   kill races a commit, storm-cell kill counts (survivors execute an
-   engine-dependent number of ops before observing an abort), and
-   failed executions' makespans — see :func:`diff_rows` for the exact
-   per-field rules.
+   scenarios (:func:`repro.harness.campaign.diff_campaigns`), and the
+   rows are diffed cell by cell under the engine-differential contract
+   of :func:`repro.harness.campaign.diff_rows` (DESIGN.md §10.4):
+   everything a scenario *verifies* matches exactly, virtual timings
+   bitwise for point-to-point apps and to a relative tolerance for the
+   collective-heavy ones, and whatever is coupled to *where* a commit
+   or an abort was observed is compared structurally.
 
 Both campaign passes run the cells inline (no process pool), so the
 wall-clock comparison isolates the engine: the cooperative pass is one
 interpreter, the sharded pass forks N node-shards per cell.  On a
 multi-core runner the sharded pass must win; ``--require-speedup X``
 turns that expectation into the exit status (CI gates at >= 4 shards on
->= 4 cores; on fewer cores the gate is refused as vacuous).
+>= 4 cores).  The gate is refused up front — exit 2, before any cell
+runs — on fewer cores than shards (vacuous) or with ``--workers``
+(pool-farmed passes no longer time the engine).
+
+The CLI is :data:`STUDY` (:func:`repro.harness.jobs.study_main`); its
+one-row :data:`SHARD_TABLE` is the summary EXPERIMENTS.md records.
 
 Command line::
 
@@ -45,240 +41,39 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import os
-import sys
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
-from .campaign import full_matrix, run_campaign, smoke_matrix
-from .jobs import (
-    add_engine_arg, add_output_args, add_storage_arg, add_worker_args,
-    write_artifact,
-)
+from .campaign import diff_campaigns, full_matrix, smoke_matrix
+from .jobs import Study, Table, study_main
 from .scaling import measure_scaling_point
 
-__all__ = [
-    "diff_rows", "main", "run_study", "scale_smoke",
-]
-
-#: virtual timings that may skew by a few drain-position-coupled commit
-#: charges on collective-heavy apps: compared under ``rtol`` instead of
-#: bitwise (the skew is a handful of call overheads, so it is only
-#: visible at the TESTING machine's microsecond-scale makespans)
-_TOLERANT_FIELDS = ("golden_seconds", "clean_c3_seconds")
-#: commit/GC instants evaluated *at* drain observation points: on
-#: collective apps the observing drain itself differs, so the values
-#: carry no cross-engine meaning — compared for presence only
-_DRAIN_FIELDS = ("line_durable_at", "drain_sync_penalty")
-#: derived from failed executions' makespans (abort-observation
-#: instants): compared structurally, never numerically
-_ABORT_FIELDS = ("total_faulty_seconds", "restart_cost_seconds")
+__all__ = ["SHARD_TABLE", "STUDY", "main"]
 
 
-def _close(a, b, rtol: float, atol: float = 0.0) -> bool:
-    if a is None or b is None:
-        return a is None and b is None
-    return math.isclose(float(a), float(b), rel_tol=rtol, abs_tol=atol)
+def _other_wall(payload) -> float:
+    """The campaign wall of the engine compared against cooperative."""
+    return next(v for k, v in payload["campaign_wall_seconds"].items()
+                if k != "cooperative")
 
 
-def diff_rows(label: str, rc: Dict, rs: Dict,
-              rtol: float = 2e-2, real_kill: bool = False) -> List[str]:
-    """Mismatches between a cooperative and a sharded campaign row.
-
-    Empty list = the cell is equivalent under the engine-differential
-    contract.  ``engine`` naturally differs and is skipped.  Two
-    schedule-coupled regimes get structural instead of numeric
-    comparison (both verify bitwise; the *path* to the verified state
-    is what differs):
-
-    * ``storm`` cells inject kills probabilistically per executed op,
-      and how many ops a survivor executes before observing an abort
-      is engine-dependent — so the kill count itself is coupled;
-    * a kill whose instant races a drain-triggered commit on a
-      collective-heavy app lands on opposite sides of the commit per
-      engine, flipping the recovery path between restore-from-line and
-      pure log replay (and shifting every makespan downstream of it).
-
-    ``real_kill=True`` is the relaxed grade for diffing a simulated
-    engine against a ``supports_real_kill`` one (DESIGN.md §12): a real
-    SIGKILL destroys the victim node's *whole* staged WAL tail where
-    the simulated engines model a torn tail, so every field coupled to
-    what the crash left durable — the commit count, and the replay /
-    suppression evidence of the recovering execution — is compared
-    structurally.  The verification verdicts (``verified*``), the
-    restart count, and the fired-kill evidence stay exact: recovery
-    must still reach bitwise-identical results, however it got there.
-    ``real_kills`` itself naturally differs (that is the point) and is
-    skipped like ``engine``.
-    """
-    storm = rc.get("kill_timing") == "storm"
-    # did both engines take the same recovery path?  if not, makespans
-    # downstream of the recovery are not numerically comparable
-    same_path = rc.get("restored_version") == rs.get("restored_version")
-    bad: List[str] = []
-    for k in sorted(set(rc) | set(rs)):
-        if k == "engine" or (real_kill and k == "real_kills"):
-            continue
-        v, w = rc.get(k), rs.get(k)
-        if k in _TOLERANT_FIELDS:
-            ok = _close(v, w, rtol)
-        elif k == "c3_overhead_pct":
-            # a ratio of two close numbers: the EP kernels amplify the
-            # clean-run commit-position skew into ~2 points of overhead
-            # at microsecond-scale makespans
-            ok = _close(v, w, rtol, atol=2.5)
-        elif k in _DRAIN_FIELDS:
-            ok = (v is None) == (w is None)
-        elif k == "lines_retained":
-            # GC runs at drain observation points; a run that finishes
-            # before the final GC pass retains more lines (never fewer
-            # than one — the recovery line itself)
-            ok = (isinstance(v, int) and isinstance(w, int)
-                  and (v == w or (v >= 1 and w >= 1)))
-        elif k == "checkpoints_committed":
-            # a commit racing the kill instant lands before it on one
-            # engine and after it on the other; under a storm the
-            # restart counts themselves differ, and each extra restart
-            # replays its own commit schedule
-            ok = (isinstance(v, int) and isinstance(w, int)
-                  and (abs(v - w) <= 1 or storm or real_kill))
-        elif k == "restored_version":
-            # restore-from-line vs. log-replay is commit-race-coupled;
-            # require each engine's own restore evidence to be
-            # internally consistent instead
-            ok = all((r.get("restored_version") is None)
-                     == (not r.get("restore_seconds"))
-                     for r in (rc, rs))
-        elif k == "restore_seconds":
-            ok = True  # judged with restored_version above
-        elif k == "restarts":
-            ok = v == w or (storm and isinstance(v, int)
-                            and isinstance(w, int) and v >= 1 and w >= 1)
-        elif k == "run_seconds":
-            # failed-run makespans are abort-observation times; the
-            # recovered (final) run agrees tightly only when both
-            # engines recovered the same way
-            ok = (isinstance(v, list) and isinstance(w, list)
-                  and bool(v) and bool(w)
-                  and float(v[-1]) > 0 and float(w[-1]) > 0)
-            if ok and not storm:
-                ok = len(v) == len(w) and (
-                    not same_path or real_kill
-                    or _close(float(v[-1]), float(w[-1]), rtol))
-        elif k in _ABORT_FIELDS:
-            ok = (v is None) == (w is None) and (
-                v is None or (v > 0) == (w > 0))
-        elif real_kill and k in ("replayed_from_log", "suppressed_sends"):
-            # what a crash leaves in the durable log differs between a
-            # lost-whole staged tail (real SIGKILL) and a torn tail
-            # (simulated), so the recovering execution's replay and
-            # suppression counts carry no cross-grade meaning
-            ok = (isinstance(v, int) and isinstance(w, int)
-                  and v >= 0 and w >= 0)
-        elif k == "fired":
-            # describe() strings embed resolved at_time instants, which
-            # inherit the collective-app golden-runtime skew; storm
-            # kill counts are abort-observation-coupled outright
-            ok = (isinstance(v, list) and isinstance(w, list)
-                  and (len(v) == len(w)
-                       or (storm and bool(v) and bool(w))))
-        else:
-            ok = v == w
-        if not ok:
-            bad.append(f"{label}: {k}: {v!r} != {w!r}")
-    return bad
+SHARD_TABLE = Table("Sharded engine: scaling point + differential campaign", (
+    ("Ranks", lambda p: p["scaling_point"]["nprocs"]),
+    ("Platform", lambda p: p["scaling_point"]["platform"]),
+    ("Original s", lambda p: round(p["scaling_point"]["original_seconds"],
+                                   4)),
+    ("C3 s", lambda p: round(p["scaling_point"]["c3_seconds"], 4)),
+    ("Overhead %", lambda p: round(p["scaling_point"]["overhead_pct"], 2)),
+    ("Cells", "cells"),
+    ("Coop wall s",
+     lambda p: round(p["campaign_wall_seconds"]["cooperative"], 1)),
+    ("Sharded wall s", lambda p: round(_other_wall(p), 1)),
+    ("Cells match", lambda p: "yes" if p["cells_match"] else "NO"),
+))
 
 
-def scale_smoke(nprocs: int, shards: int, platform: str = "lemieux",
-                app: str = "ring", params: Optional[dict] = None,
-                wall_timeout: float = 600.0,
-                engine: Optional[str] = None,
-                storage: Optional[str] = None) -> Dict:
-    """One large-rank scaling point on the engine under study."""
-    params = params if params is not None else dict(payload=16, niter=4,
-                                                   work=0.1)
-    return measure_scaling_point(app, nprocs, platform, params,
-                                 engine=engine or f"sharded:{shards}",
-                                 wall_timeout=wall_timeout,
-                                 storage=storage)
-
-
-def run_study(shards: int = 4, matrix: str = "smoke", nprocs: int = 4,
-              scale_ranks: int = 4096, scale_shards: Optional[int] = None,
-              rtol: float = 2e-2, engine: Optional[str] = None,
-              storage: Optional[str] = None,
-              parallel: Optional[bool] = False,
-              max_workers: Optional[int] = None, progress=None) -> Dict:
-    """The full study; returns the ``BENCH_shard.json`` payload.
-
-    ``engine`` overrides the engine compared against cooperative
-    (default ``sharded:<shards>``); ``storage`` forces a stable-storage
-    flavor on both campaign passes and the scaling point (default: the
-    scenarios' native backends).  ``parallel`` defaults to ``False``
-    because the wall-clock comparison only isolates the engine when
-    both campaign passes run inline.
-    """
-    study_engine = engine or f"sharded:{shards}"
-    scenarios = (full_matrix(nprocs=nprocs) if matrix == "full"
-                 else smoke_matrix(nprocs=nprocs))
-    if storage is not None:
-        scenarios = [dataclasses.replace(s, storage=storage)
-                     for s in scenarios]
-
-    point = scale_smoke(scale_ranks, scale_shards or shards,
-                        engine=engine, storage=storage)
-
-    runs = {}
-    for eng in (None, study_engine):
-        name = eng or "cooperative"
-        if progress:
-            progress(f"campaign[{name}]: {len(scenarios)} cells")
-        cells = [dataclasses.replace(s, engine=eng) for s in scenarios]
-        report = run_campaign(cells, parallel=parallel,
-                              max_workers=max_workers)
-        runs[name] = report
-
-    coop = runs["cooperative"]
-    shard = runs[study_engine]
-    mismatches: List[str] = []
-    for rc, rs in zip(coop.rows, shard.rows):
-        mismatches.extend(diff_rows(rc["scenario"], rc, rs, rtol=rtol))
-
-    speedup = (coop.wall_seconds / shard.wall_seconds
-               if shard.wall_seconds else float("inf"))
-    report = {
-        "shards": shards,
-        "matrix": matrix,
-        "cells": len(scenarios),
-        "cpu_count": os.cpu_count(),
-        "scaling_point": point,
-        "campaign_wall_seconds": {
-            "cooperative": coop.wall_seconds,
-            study_engine: shard.wall_seconds,
-        },
-        "speedup": speedup,
-        "cooperative_ok": coop.ok,
-        "sharded_ok": shard.ok,
-        "cells_match": not mismatches,
-        "mismatches": mismatches,
-        "summary": {
-            "cooperative": coop.summary(),
-            study_engine: shard.summary(),
-        },
-    }
-    if engine is not None:
-        report["engine"] = study_engine
-    if storage is not None:
-        report["storage"] = storage
-    return report
-
-
-def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
-    ap = argparse.ArgumentParser(
-        prog="python -m repro.harness.shardstudy",
-        description="Scale smoke + cooperative-vs-sharded campaign "
-                    "comparison for the sharded virtual-time engine.")
+def _add_args(ap: argparse.ArgumentParser) -> None:
     ap.add_argument("--shards", type=int, default=4,
                     help="worker processes for the sharded passes "
                          "(default 4)")
@@ -297,65 +92,92 @@ def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
                     help="exit 1 unless sharded campaign wall is at "
                          "least X times faster than cooperative; refused "
                          "when the machine has fewer cores than shards")
-    add_engine_arg(ap, help="engine compared against cooperative: "
-                            "sharded[:N] (default: sharded:<--shards>)")
-    add_storage_arg(ap, help="stable-storage flavor forced on both "
-                             "campaign passes and the scaling point "
-                             "(default: the scenarios' native backends)")
-    add_worker_args(ap)
-    add_output_args(ap, quiet=False)
-    return ap.parse_args(argv)
+
+
+def _farm(args: argparse.Namespace) -> bool:
+    return args.workers is not None and not args.inline
+
+
+def _refuse(args: argparse.Namespace) -> Optional[str]:
+    if args.require_speedup is None:
+        return None
+    if _farm(args):
+        return ("refusing --require-speedup with --workers: pool-farmed "
+                "campaign passes do not isolate the engine")
+    cores = os.cpu_count() or 1
+    if cores < args.shards:
+        return (f"refusing --require-speedup: {cores} cores < "
+                f"{args.shards} shards makes the gate vacuous")
+    return None
+
+
+def _run(args: argparse.Namespace, progress):
+    t0 = time.time()
+    engine = args.engine or f"sharded:{args.shards}"
+    scenarios = (full_matrix(nprocs=args.nprocs) if args.matrix == "full"
+                 else smoke_matrix(nprocs=args.nprocs))
+    if args.storage is not None:
+        scenarios = [dataclasses.replace(s, storage=args.storage)
+                     for s in scenarios]
+    point = measure_scaling_point(
+        "ring", args.scale_ranks, "lemieux",
+        dict(payload=16, niter=4, work=0.1), engine=engine,
+        wall_timeout=600.0, storage=args.storage)
+    coop, shard, mismatches = diff_campaigns(
+        scenarios, engine, rtol=args.rtol, parallel=_farm(args),
+        max_workers=args.workers)
+    speedup = (coop.wall_seconds / shard.wall_seconds
+               if shard.wall_seconds else float("inf"))
+    payload = {
+        "shards": args.shards,
+        "matrix": args.matrix,
+        "cells": len(scenarios),
+        "cpu_count": os.cpu_count(),
+        "scaling_point": point,
+        "campaign_wall_seconds": {
+            "cooperative": coop.wall_seconds,
+            engine: shard.wall_seconds,
+        },
+        "speedup": speedup,
+        "cooperative_ok": coop.ok,
+        "sharded_ok": shard.ok,
+        "cells_match": not mismatches,
+        "mismatches": mismatches,
+        "summary": {
+            "cooperative": coop.summary(),
+            engine: shard.summary(),
+        },
+    }
+    if args.engine is not None:
+        payload["engine"] = engine
+    if args.storage is not None:
+        payload["storage"] = args.storage
+    payload["wall_seconds"] = time.time() - t0
+    failed = ([f"cooperative:{s}" for s in coop.summary()["failed"]]
+              + [f"{engine}:{s}" for s in shard.summary()["failed"]]
+              + mismatches)
+    if (args.require_speedup is not None
+            and speedup < args.require_speedup):
+        failed.append(f"speedup {speedup:.2f}x below required "
+                      f"{args.require_speedup:.2f}x")
+    return (payload, [(SHARD_TABLE, [dict(payload, passed=not failed)])],
+            failed)
+
+
+STUDY = Study(
+    name="shardstudy",
+    description="Scale smoke + cooperative-vs-sharded campaign comparison "
+                "for the sharded virtual-time engine.",
+    run=_run, add_args=_add_args, refuse=_refuse, shared=("storage",),
+    help={"engine": "engine compared against cooperative: sharded[:N] "
+                    "(default: sharded:<--shards>)",
+          "storage": "stable-storage flavor forced on both campaign passes "
+                     "and the scaling point (default: the scenarios' "
+                     "native backends)"})
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _parse_args(argv)
-    farm = args.workers is not None and not args.inline
-    if args.require_speedup is not None and farm:
-        print("refusing --require-speedup with --workers: pool-farmed "
-              "campaign passes do not isolate the engine", file=sys.stderr)
-        return 2
-    t0 = time.time()
-    report = run_study(shards=args.shards, matrix=args.matrix,
-                       nprocs=args.nprocs, scale_ranks=args.scale_ranks,
-                       rtol=args.rtol, engine=args.engine,
-                       storage=args.storage,
-                       parallel=True if farm else False,
-                       max_workers=args.workers,
-                       progress=lambda msg: print(msg, flush=True))
-    report["wall_seconds"] = time.time() - t0
-
-    point = report["scaling_point"]
-    walls = report["campaign_wall_seconds"]
-    print(f"scaling point: {point['app']} x {point['nprocs']} ranks on "
-          f"{point['platform']}: original {point['original_seconds']:.4f}s, "
-          f"C3 {point['c3_seconds']:.4f}s "
-          f"({point['overhead_pct']:+.2f}%), "
-          f"{point['wall_seconds']:.1f}s wall")
-    for name, wall in walls.items():
-        print(f"campaign[{name}]: {report['cells']} cells, {wall:.1f}s wall")
-    print(f"speedup: {report['speedup']:.2f}x | cells match: "
-          f"{report['cells_match']} | verdicts ok: "
-          f"coop={report['cooperative_ok']} sharded={report['sharded_ok']}")
-    for m in report["mismatches"][:20]:
-        print(f"  MISMATCH {m}", file=sys.stderr)
-
-    if args.json:
-        write_artifact(args.json, report)
-
-    ok = (report["cells_match"] and report["cooperative_ok"]
-          and report["sharded_ok"])
-    if args.require_speedup is not None:
-        cores = os.cpu_count() or 1
-        if cores < args.shards:
-            print(f"refusing --require-speedup: {cores} cores < "
-                  f"{args.shards} shards makes the gate vacuous",
-                  file=sys.stderr)
-            return 2
-        if report["speedup"] < args.require_speedup:
-            print(f"speedup {report['speedup']:.2f}x below required "
-                  f"{args.require_speedup:.2f}x", file=sys.stderr)
-            ok = False
-    return 0 if ok else 1
+    return study_main(STUDY, argv)
 
 
 if __name__ == "__main__":

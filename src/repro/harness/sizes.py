@@ -34,6 +34,10 @@ strictly smaller than its Condor baseline, if a run commits no
 checkpoint (a vacuous measurement), or if an incremental delta exceeds
 the full save it patches.
 
+The CLI is :data:`STUDY` (:func:`repro.harness.jobs.study_main`), its
+table :data:`SIZES_TABLE`; cells farm through :func:`repro.harness.jobs.
+run_study`.
+
 Command line::
 
     python -m repro.harness.sizes                       # all 6 kernels
@@ -46,6 +50,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from functools import partial
 from typing import Dict, List, Optional, Sequence
 
 from ..apps import APPS
@@ -53,21 +58,19 @@ from ..apps.instrumented import INSTRUMENTED_APPS
 from ..baselines.condor import CondorCheckpointer, measure_sizes
 from ..core.ccc import run_c3, run_original
 from ..core.protocol import C3Config
-from ..mpi.timemodel import LINUX_UNIPROC, MachineModel, SOLARIS_UNIPROC
+from ..mpi.timemodel import MachineModel
 from ..statesave.serializer import dumps
 from ..storage.stable import InMemoryStorage
 from ..storage.wal import WalStore
 from .jobs import (
-    add_engine_arg, add_output_args, add_storage_arg, add_worker_args,
-    fail_exit, require_known, write_artifact,
+    Study, Table, null_row, render_text, run_study, study_main, verdict,
 )
-from .parallel import Cell, CellError, run_cells
-from .platforms import SIZE_SCALE
-from .report import render_table
+from .parallel import Cell
+from .platforms import TABLE1_PLATFORMS
 
 __all__ = [
-    "SIZES_PARAMS", "SIZES_PLATFORMS", "main", "measure_kernel_sizes",
-    "render_sizes", "table_sizes_rows",
+    "SIZES_PARAMS", "SIZES_PLATFORMS", "SIZES_TABLE", "STUDY", "main",
+    "measure_kernel_sizes", "render_sizes", "table_sizes_rows",
 ]
 
 #: study parameters: larger working sets than the campaign's (so sizes
@@ -83,14 +86,7 @@ SIZES_PARAMS: Dict[str, dict] = {
 
 #: uniprocessor platforms of Table 1, static segments at 1/SIZE_SCALE
 #: footprint like the Table-1 driver (the *reduction* stays comparable)
-SIZES_PLATFORMS: Dict[str, MachineModel] = {
-    "solaris": SOLARIS_UNIPROC.with_overrides(
-        static_segment_bytes=SOLARIS_UNIPROC.static_segment_bytes
-        // SIZE_SCALE),
-    "linux": LINUX_UNIPROC.with_overrides(
-        static_segment_bytes=LINUX_UNIPROC.static_segment_bytes
-        // SIZE_SCALE),
-}
+SIZES_PLATFORMS: Dict[str, MachineModel] = TABLE1_PLATFORMS
 
 #: scaled byte constants, matching the Table-1 driver's conventions
 _CONDOR_RUNTIME_SCALED = 35 * 1024 // 10
@@ -287,61 +283,43 @@ def table_sizes_rows(kernels: Optional[Sequence[str]] = None,
     names = list(kernels) if kernels else sorted(INSTRUMENTED_APPS)
     cells = sizes_cells(names, nprocs=nprocs, platform=platform,
                         engine=engine, storage=storage)
-    rows: List[Dict] = []
 
-    def on_result(_i: int, cell: Cell, result) -> None:
-        if isinstance(result, CellError):
-            err = result
-            result = dict.fromkeys(_SIZES_METRICS)
-            result.update(kernel=cell.kwargs["app_name"], nprocs=nprocs,
-                          platform=cell.kwargs["machine"].name,
-                          failure=err.error, passed=False)
-        rows.append(result)
-        if on_row is not None:
-            on_row(result)
+    def dead_row(cell: Cell, err) -> Dict:
+        return null_row(err, _SIZES_METRICS, kernel=cell.kwargs["app_name"],
+                        nprocs=nprocs, platform=cell.kwargs["machine"].name)
 
-    run_cells(cells, parallel=parallel, max_workers=max_workers,
-              on_result=on_result)
-    return rows
+    return run_study(cells, dead_row, parallel=parallel,
+                     max_workers=max_workers, progress=on_row).rows
 
 
 def _kb(value) -> Optional[float]:
     return None if value is None else value / 1e3
 
 
-def render_sizes(rows: Sequence[Dict]) -> str:
-    """Paper-layout text table (sizes in KB at the scaled footprint)."""
-    table_rows = []
-    for r in rows:
-        table_rows.append([
-            r["kernel"], "PASS" if r["passed"] else "FAIL",
-            _kb(r["condor_bytes"]), _kb(r["c3_bytes"]),
-            r["reduction_pct"],
-            _kb(r["c3_committed_bytes"]),
-            _kb(r.get("wal_retained_bytes", 0)),
-            _kb(r["incremental_delta_bytes"]),
-            r["checkpoints_committed"],
-        ])
-    return render_table(
-        "Checkpoint sizes per process: Condor image vs C3 (instrumented "
-        "kernels, scaled footprint)",
-        ["Kernel", "Gate", "Condor KB", "C3 KB", "Red.%", "Committed KB",
-         "WAL KB", "Delta KB", "Lines"],
-        table_rows, widths=[10, 5, 11, 9, 7, 12, 8, 9, 6],
-    )
+SIZES_TABLE = Table(
+    "Checkpoint sizes per process: Condor image vs C3 (instrumented "
+    "kernels, scaled footprint)", (
+        ("Kernel", "kernel"),
+        ("Gate", verdict),
+        ("Condor KB", lambda r: _kb(r["condor_bytes"])),
+        ("C3 KB", lambda r: _kb(r["c3_bytes"])),
+        ("Reduction %", "reduction_pct"),
+        ("Committed KB", lambda r: _kb(r["c3_committed_bytes"])),
+        ("WAL retained KB", lambda r: _kb(r.get("wal_retained_bytes", 0))),
+        ("Incremental delta KB",
+         lambda r: _kb(r["incremental_delta_bytes"])),
+        ("Lines", "checkpoints_committed"),
+    ))
+
+#: kept importable under the package's lazy exports
+render_sizes = partial(render_text, SIZES_TABLE)
 
 
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
 
-def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
-    ap = argparse.ArgumentParser(
-        prog="python -m repro.harness.sizes",
-        description="Per-process checkpoint sizes of the precompiler-"
-                    "instrumented kernels vs the Condor system-level "
-                    "baseline and incremental deltas (Tables 1/4); exits "
-                    "non-zero on any size inversion.")
+def _add_args(ap: argparse.ArgumentParser) -> None:
     ap.add_argument("--kernels",
                     help="comma-separated instrumented kernels "
                          f"(default: {', '.join(sorted(INSTRUMENTED_APPS))})")
@@ -350,42 +328,16 @@ def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
     ap.add_argument("--platform", choices=sorted(SIZES_PLATFORMS),
                     default="linux",
                     help="Table-1 uniprocessor model (default linux)")
-    add_engine_arg(ap)
-    add_storage_arg(ap)
-    add_worker_args(ap)
-    add_output_args(ap)
-    return ap.parse_args(argv)
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _parse_args(argv)
-    kernels = (args.kernels.split(",") if args.kernels
-               else sorted(INSTRUMENTED_APPS))
-    rc = require_known(kernels, APPS, "kernels")
-    if rc:
-        return rc
-    done = [0]
-
-    def show_row(row: Dict) -> None:
-        done[0] += 1
-        if args.quiet:
-            return
-        verdict = "PASS" if row["passed"] else f"FAIL ({row['failure']})"
-        sizes = ("" if row["condor_bytes"] is None else
-                 f"condor={row['condor_bytes']} c3={row['c3_bytes']} "
-                 f"({row['reduction_pct']:.1f}% smaller)")
-        print(f"[{done[0]}/{len(kernels)}] {verdict} {row['kernel']}: "
-              f"{sizes}", flush=True)
-
+def _run(args: argparse.Namespace, progress):
     t0 = time.time()
-    rows = table_sizes_rows(kernels, nprocs=args.nprocs,
+    rows = table_sizes_rows(args.kernels, nprocs=args.nprocs,
                             platform=args.platform, engine=args.engine,
                             storage=args.storage,
                             parallel=False if args.inline else None,
-                            max_workers=args.workers, on_row=show_row)
-    wall = time.time() - t0
-    print()
-    print(render_sizes(rows))
+                            max_workers=args.workers,
+                            on_row=partial(progress, SIZES_TABLE))
     failures = [r["kernel"] for r in rows if not r["passed"]]
     summary = {
         "kernels": len(rows),
@@ -393,15 +345,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "failed": failures,
         "platform": args.platform,
         "nprocs": args.nprocs,
-        "wall_seconds": wall,
+        "wall_seconds": time.time() - t0,
     }
-    print(f"\n{summary['passed']}/{summary['kernels']} kernels within the "
-          f"Table-1 inequality ({wall:.1f}s wall)")
-    if args.json:
-        write_artifact(args.json, {"summary": summary, "rows": rows})
-    if failures:
-        return fail_exit(failures, what="kernels")
-    return 0
+    return ({"summary": summary, "rows": rows}, [(SIZES_TABLE, rows)],
+            failures)
+
+
+STUDY = Study(
+    name="sizes",
+    description="Per-process checkpoint sizes of the precompiler-"
+                "instrumented kernels vs the Condor system-level baseline "
+                "and incremental deltas (Tables 1/4); exits non-zero on any "
+                "size inversion.",
+    run=_run, add_args=_add_args,
+    selections=(("kernels", APPS, "kernels"),))
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    return study_main(STUDY, argv)
 
 
 if __name__ == "__main__":

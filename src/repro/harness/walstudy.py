@@ -23,6 +23,10 @@ Two row families, both gate-judged (exit status 1 on violation):
   pinned form of the acceptance bound — and a reopened store must
   replay to the same index with bitwise-identical payloads.
 
+Both slices farm through :func:`repro.harness.jobs.run_study` and lay
+out as :data:`COMMIT_TABLE` / :data:`DISCIPLINE_TABLE`; the CLI is
+:data:`STUDY` (:func:`repro.harness.jobs.study_main`).
+
 Command line::
 
     python -m repro.harness.walstudy                    # all 3 platforms
@@ -36,6 +40,7 @@ import argparse
 import sys
 import tempfile
 import time
+from functools import partial
 from typing import Dict, List, Optional, Sequence
 
 from ..core.ccc import run_c3, run_original
@@ -45,18 +50,15 @@ from ..storage.manifest import section_digest
 from ..storage.stable import DiskStorage, InMemoryStorage
 from ..storage.store import as_store
 from ..storage.wal import WalStore
-from .jobs import (
-    add_engine_arg, add_output_args, add_storage_arg, add_worker_args,
-    fail_exit, require_known, write_artifact,
-)
+from .jobs import Study, Table, null_row, run_study, study_main, verdict
 from .overlap import OVERLAP_KERNELS
-from .parallel import Cell, CellError, run_cells
-from .report import render_table
+from .parallel import Cell
+from .runner import _with_params
 
 __all__ = [
-    "WAL_KERNELS", "WAL_PLATFORMS", "commit_rows", "discipline_rows",
-    "main", "measure_commit_cell", "measure_discipline_cell",
-    "render_commits", "render_discipline",
+    "COMMIT_TABLE", "DISCIPLINE_TABLE", "STUDY", "WAL_KERNELS",
+    "WAL_PLATFORMS", "commit_rows", "discipline_rows", "main",
+    "measure_commit_cell", "measure_discipline_cell",
 ]
 
 #: the three platform models of the evaluation; their procs_per_node
@@ -93,8 +95,8 @@ def measure_commit_cell(platform: str, kernel: str, nprocs: int = 4,
     backend, for quick differential runs via ``--storage memory``).
     """
     machine = MACHINES[platform]
-    golden = run_original(name_app(kernel), nprocs, machine=machine,
-                          engine=engine)
+    app = _with_params(kernel, WAL_KERNELS[kernel])
+    golden = run_original(app, nprocs, machine=machine, engine=engine)
     golden.raise_errors()
     config = C3Config(
         checkpoint_interval=golden.virtual_time * INTERVAL_FRAC)
@@ -105,7 +107,7 @@ def measure_commit_cell(platform: str, kernel: str, nprocs: int = 4,
             return DiskStorage(f"{tmp}/{tag}")
 
         scatter_backend = make_backend("scatter")
-        result, _ = run_c3(name_app(kernel), nprocs, machine=machine,
+        result, _ = run_c3(app, nprocs, machine=machine,
                            storage=scatter_backend, config=config,
                            engine=engine)
         result.raise_errors()
@@ -117,9 +119,8 @@ def measure_commit_cell(platform: str, kernel: str, nprocs: int = 4,
 
         wal_backend = make_backend("wal")
         store = WalStore(wal_backend)
-        result, _ = run_c3(name_app(kernel), nprocs, machine=machine,
-                           storage=store, config=config,
-                           engine=engine)
+        result, _ = run_c3(app, nprocs, machine=machine, storage=store,
+                           config=config, engine=engine)
         result.raise_errors()
         wal_lines = store.last_committed_global(nprocs) or 0
         wal_fsyncs = wal_backend.fsync_count
@@ -174,22 +175,14 @@ def commit_rows(platforms: Sequence[str] = WAL_PLATFORMS,
                        engine=engine, backend=backend),
                   label=f"wal:{platform}/{name}")
              for platform in platforms for name in names]
-    rows: List[Dict] = []
 
-    def on_result(_i: int, cell: Cell, result) -> None:
-        if isinstance(result, CellError):
-            err = result
-            result = dict.fromkeys(_COMMIT_METRICS)
-            result.update(platform=cell.kwargs["platform"],
-                          kernel=cell.kwargs["kernel"], nprocs=nprocs,
-                          failure=err.error, passed=False)
-        rows.append(result)
-        if on_row is not None:
-            on_row(result)
+    def dead_row(cell: Cell, err) -> Dict:
+        return null_row(err, _COMMIT_METRICS,
+                        platform=cell.kwargs["platform"],
+                        kernel=cell.kwargs["kernel"], nprocs=nprocs)
 
-    run_cells(cells, parallel=parallel, max_workers=max_workers,
-              on_result=on_result)
-    return rows
+    return run_study(cells, dead_row, parallel=parallel,
+                     max_workers=max_workers, progress=on_row).rows
 
 
 #: metric keys nulled out in the row of a cell whose worker died
@@ -201,19 +194,6 @@ _COMMIT_METRICS = (
     "segments_compacted", "scatter_stored_bytes", "wal_stored_bytes",
     "scatter_lines_retained", "wal_lines_retained",
 )
-
-
-def name_app(name: str):
-    """The campaign-style app callable for one study kernel."""
-    from ..apps import APPS
-    app = APPS[name]
-    params = WAL_KERNELS[name]
-
-    def wrapped(ctx):
-        return app(ctx, **params)
-
-    wrapped.__name__ = f"{name}_walstudy"
-    return wrapped
 
 
 def _judge_commit(row: Dict) -> Optional[str]:
@@ -312,25 +292,15 @@ def discipline_rows(nprocs: int = 4, lines: int = 6,
                        lines=lines),
                   label=f"wal-discipline:{backend_name}/ppn{ppn}")
              for backend_name in backends for ppn in (1, 2, nprocs)]
-    rows: List[Dict] = []
 
-    def on_result(_i: int, cell: Cell, result) -> None:
-        if isinstance(result, CellError):
-            err = result
-            result = dict.fromkeys(("nodes", "lines", "fsyncs",
-                                    "fsyncs_per_node_per_line",
-                                    "replay_bitwise"))
-            result.update(backend=cell.kwargs["backend_name"],
-                          nprocs=nprocs,
-                          procs_per_node=cell.kwargs["ppn"],
-                          failure=err.error, passed=False)
-        rows.append(result)
-        if on_row is not None:
-            on_row(result)
+    def dead_row(cell: Cell, err) -> Dict:
+        return null_row(err, ("nodes", "lines", "fsyncs",
+                              "fsyncs_per_node_per_line", "replay_bitwise"),
+                        backend=cell.kwargs["backend_name"], nprocs=nprocs,
+                        procs_per_node=cell.kwargs["ppn"])
 
-    run_cells(cells, parallel=parallel, max_workers=max_workers,
-              on_result=on_result)
-    return rows
+    return run_study(cells, dead_row, parallel=parallel,
+                     max_workers=max_workers, progress=on_row).rows
 
 
 def _judge_discipline(row: Dict) -> Optional[str]:
@@ -343,57 +313,38 @@ def _judge_discipline(row: Dict) -> Optional[str]:
     return None
 
 
-def render_commits(rows: Sequence[Dict]) -> str:
-    table_rows = []
-    for r in rows:
-        table_rows.append([
-            r["platform"], r["kernel"], "PASS" if r["passed"] else "FAIL",
-            r["wal_lines"],
-            r["scatter_fsyncs_per_line"], r["wal_fsyncs_per_line"],
-            r["wal_fsyncs_per_node_per_line"],
-            r["group_commits"], r["segments_retired"],
-            r["wal_lines_retained"],
-        ])
-    return render_table(
-        "WAL group commit vs per-file scatter (DiskStorage; fsyncs per "
-        "committed line)",
-        ["Platform", "Kernel", "Gate", "Lines", "Scatter f/l", "WAL f/l",
-         "WAL f/node/l", "GrpCommits", "SegRetired", "Held"],
-        table_rows, widths=[9, 8, 5, 6, 12, 9, 13, 10, 10, 5],
-    )
+COMMIT_TABLE = Table(
+    "WAL group commit vs per-file scatter (DiskStorage; fsyncs per "
+    "committed line)", (
+        ("Platform", "platform"),
+        ("Kernel", "kernel"),
+        ("Gate", verdict),
+        ("Lines", "wal_lines"),
+        ("Scatter fsync/line", "scatter_fsyncs_per_line"),
+        ("WAL fsync/line", "wal_fsyncs_per_line"),
+        ("WAL fsync/node/line", "wal_fsyncs_per_node_per_line"),
+        ("Group commits", "group_commits"),
+        ("Segments retired", "segments_retired"),
+        ("Lines retained", "wal_lines_retained"),
+    ))
 
-
-def render_discipline(rows: Sequence[Dict]) -> str:
-    table_rows = []
-    for r in rows:
-        table_rows.append([
-            f"{r['backend']}/ppn{r['procs_per_node']}",
-            "PASS" if r["passed"] else "FAIL",
-            r["nodes"], r["lines"], r["fsyncs"],
-            r["fsyncs_per_node_per_line"],
-            "yes" if r["replay_bitwise"] else "NO",
-        ])
-    return render_table(
-        "Group-commit discipline: exactly one fsync per node per line",
-        ["Cell", "Gate", "Nodes", "Lines", "Fsyncs", "F/node/line",
-         "Replay="],
-        table_rows, widths=[12, 5, 6, 6, 7, 12, 8],
-    )
+DISCIPLINE_TABLE = Table(
+    "Group-commit discipline: exactly one fsync per node per line", (
+        ("Cell", lambda r: f"{r['backend']}/ppn{r['procs_per_node']}"),
+        ("Gate", verdict),
+        ("Nodes", "nodes"),
+        ("Lines", "lines"),
+        ("Fsyncs", "fsyncs"),
+        ("Fsync/node/line", "fsyncs_per_node_per_line"),
+        ("Replay bitwise", lambda r: "yes" if r["replay_bitwise"] else "NO"),
+    ))
 
 
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
 
-def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
-    ap = argparse.ArgumentParser(
-        prog="python -m repro.harness.walstudy",
-        description="WAL group-commit study: fsyncs per committed line of "
-                    "the log-structured engine vs the per-file scatter "
-                    "layout on real files, plus exact-count group-commit "
-                    "discipline cells; exits non-zero if group commit does "
-                    "not reduce fsyncs per line, exceeds one fsync per "
-                    "node per line, or GC retains more than 2 lines.")
+def _add_args(ap: argparse.ArgumentParser) -> None:
     ap.add_argument("--platforms",
                     help="comma-separated platform models "
                          f"(default: {', '.join(WAL_PLATFORMS)})")
@@ -402,69 +353,24 @@ def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
                          f"(default: {', '.join(sorted(WAL_KERNELS))})")
     ap.add_argument("--nprocs", type=int, default=4,
                     help="simulated ranks per run (default 4)")
-    add_engine_arg(ap)
-    add_storage_arg(ap, help="storage backend under *both* engines of the "
-                             "commit cells: disk (the study default: real "
-                             "files, real fsyncs) or memory/wal flavors "
-                             "mapping to the in-memory backend")
     ap.add_argument("--skip-discipline", action="store_true",
                     help="commit cells only (no controlled-count slice)")
-    add_worker_args(ap)
-    add_output_args(ap)
-    return ap.parse_args(argv)
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _parse_args(argv)
-    platforms = (args.platforms.split(",") if args.platforms
-                 else list(WAL_PLATFORMS))
-    kernels = args.kernels.split(",") if args.kernels else None
-    rc = require_known(platforms, MACHINES, "platforms")
-    if rc is None and kernels:
-        rc = require_known(kernels, WAL_KERNELS, "kernels")
-    if rc:
-        return rc
+def _run(args: argparse.Namespace, progress):
+    t0 = time.time()
     # the study inherently compares scatter vs WAL; --storage selects the
     # backend both engines run over (disk flavors = the study default)
-    backend = ("memory" if args.storage in ("memory", "wal") else "disk")
-
-    def show_commit(r: Dict) -> None:
-        if args.quiet:
-            return
-        verdict = "PASS" if r["passed"] else f"FAIL ({r['failure']})"
-        counts = ("" if r["scatter_fsyncs_per_line"] is None else
-                  f": scatter={r['scatter_fsyncs_per_line']:.1f} f/line "
-                  f"wal={r['wal_fsyncs_per_line']:.2f} f/line")
-        print(f"{verdict} {r['platform']}/{r['kernel']}{counts}", flush=True)
-
-    def show_discipline(r: Dict) -> None:
-        if args.quiet:
-            return
-        verdict = "PASS" if r["passed"] else f"FAIL ({r['failure']})"
-        counts = ("" if r["fsyncs"] is None else
-                  f": {r['fsyncs']} fsyncs for {r['nodes']} nodes x "
-                  f"{r['lines']} lines")
-        print(f"{verdict} {r['backend']}/ppn{r['procs_per_node']}{counts}",
-              flush=True)
-
-    t0 = time.time()
+    backend = "memory" if args.storage in ("memory", "wal") else "disk"
     parallel = False if args.inline else None
-    c_rows = commit_rows(platforms, kernels, nprocs=args.nprocs,
-                         engine=args.engine, parallel=parallel,
-                         max_workers=args.workers, backend=backend,
-                         on_row=show_commit)
-    d_rows = []
-    if not args.skip_discipline:
-        d_rows = discipline_rows(nprocs=args.nprocs, parallel=parallel,
-                                 max_workers=args.workers,
-                                 on_row=show_discipline)
-    wall = time.time() - t0
-
-    print()
-    print(render_commits(c_rows))
-    if d_rows:
-        print()
-        print(render_discipline(d_rows))
+    c_rows = commit_rows(args.platforms or list(WAL_PLATFORMS), args.kernels,
+                         nprocs=args.nprocs, engine=args.engine,
+                         parallel=parallel, max_workers=args.workers,
+                         backend=backend,
+                         on_row=partial(progress, COMMIT_TABLE))
+    d_rows = [] if args.skip_discipline else discipline_rows(
+        nprocs=args.nprocs, parallel=parallel, max_workers=args.workers,
+        on_row=partial(progress, DISCIPLINE_TABLE))
     failures = ([f"{r['platform']}/{r['kernel']}"
                  for r in c_rows if not r["passed"]]
                 + [f"{r['backend']}/ppn{r['procs_per_node']}"
@@ -474,16 +380,34 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "discipline_cells": len(d_rows),
         "passed": len(c_rows) + len(d_rows) - len(failures),
         "failed": failures,
-        "wall_seconds": wall,
+        "wall_seconds": time.time() - t0,
     }
-    print(f"\n{summary['passed']}/{len(c_rows) + len(d_rows)} cells within "
-          f"the WAL gates ({wall:.1f}s wall)")
-    if args.json:
-        write_artifact(args.json, {"summary": summary, "commits": c_rows,
-                                   "discipline": d_rows})
-    if failures:
-        return fail_exit(failures)
-    return 0
+    tables = [(COMMIT_TABLE, c_rows)]
+    if d_rows:
+        tables.append((DISCIPLINE_TABLE, d_rows))
+    return ({"summary": summary, "commits": c_rows, "discipline": d_rows},
+            tables, failures)
+
+
+STUDY = Study(
+    name="walstudy",
+    description="WAL group-commit study: fsyncs per committed line of the "
+                "log-structured engine vs the per-file scatter layout on "
+                "real files, plus exact-count group-commit discipline "
+                "cells; exits non-zero if group commit does not reduce "
+                "fsyncs per line, exceeds one fsync per node per line, or "
+                "GC retains more than 2 lines.",
+    run=_run, add_args=_add_args,
+    selections=(("platforms", MACHINES, "platforms"),
+                ("kernels", WAL_KERNELS, "kernels")),
+    help={"storage": "storage backend under *both* engines of the commit "
+                     "cells: disk (the study default: real files, real "
+                     "fsyncs) or memory/wal flavors mapping to the "
+                     "in-memory backend"})
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    return study_main(STUDY, argv)
 
 
 if __name__ == "__main__":

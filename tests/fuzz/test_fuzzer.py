@@ -201,8 +201,7 @@ def test_minimizer_shrinks_stretch_counts():
 # ---------------------------------------------------------------------------
 
 def test_fuzz_smoke_floor_reaches_full_required_coverage():
-    report = fuzz(max_schedules=len(seed_schedules()), smoke=True,
-                  quiet=True)
+    report = fuzz(max_schedules=len(seed_schedules()), smoke=True)
     assert report["missing_required"] == []
     assert report["window_coverage_pct"] == 100.0
     assert report["failures"] == []

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.harness.shardstudy import diff_rows
+from repro.harness.campaign import diff_rows
 
 #: a fully self-consistent campaign row (one restore-from-line restart)
 BASE = {

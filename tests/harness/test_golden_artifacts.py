@@ -60,17 +60,10 @@ def study_artifact(module: str, tmp_path) -> str:
 
 
 def shard_kernel_artifact() -> str:
-    import dataclasses
-
-    from repro.harness.campaign import build_matrix, run_campaign
-    from repro.harness.shardstudy import diff_rows
+    from repro.harness.campaign import build_matrix, diff_campaigns
 
     scenarios = build_matrix(["ring"], ["testing"], ["mid_run"])
-    coop = run_campaign(scenarios, parallel=False)
-    other = run_campaign([dataclasses.replace(s, engine="sharded:2")
-                          for s in scenarios], parallel=False)
-    mismatches = [m for rc, rs in zip(coop.rows, other.rows)
-                  for m in diff_rows(rc["scenario"], rc, rs)]
+    coop, other, mismatches = diff_campaigns(scenarios, "sharded:2")
     return pinned_text({"cooperative": coop.rows, "sharded:2": other.rows,
                         "mismatches": mismatches})
 

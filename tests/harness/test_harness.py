@@ -1,15 +1,15 @@
-"""Harness plumbing: report rendering, runners, paper-data integrity."""
+"""Harness plumbing: table rendering, runners, paper-data integrity."""
 
 import pytest
 
 import os
 
-from repro.harness import paperdata, render_table
+from repro.harness import paperdata
+from repro.harness.jobs import Table, render_markdown, render_text
 from repro.harness.parallel import Cell, CellError, default_workers, run_cells
 from repro.harness.platforms import (
     LEMIEUX_CODES, RESTART_CODES, TABLE1_CODES, VELOCITY2_CODES,
 )
-from repro.harness.report import fmt
 from repro.harness.runner import (
     c3_cell, measure_c3, measure_original, measure_restart, original_cell,
 )
@@ -17,14 +17,21 @@ from repro.mpi.timemodel import TESTING
 
 
 class TestReport:
+    TABLE = Table("Title", (("A", "a"), ("B", lambda r: r["b"])))
+
     def test_fmt_none_is_unavailable_marker(self):
-        assert fmt(None).strip() == "-*"
+        row = {"a": None, "b": 1}
+        assert render_text(self.TABLE, [row]).split()[-2] == "-*"
+        assert render_markdown(self.TABLE, [row]).endswith("| – | 1 |")
 
     def test_fmt_float(self):
-        assert fmt(3.14159, decimals=2).strip() == "3.14"
+        # two decimals at >= 0.1, four significant digits below it
+        md = render_markdown(self.TABLE, [{"a": 3.14159, "b": 0.00123456}])
+        assert md.splitlines()[-1] == "| 3.14 | 0.001235 |"
 
     def test_render_table_shape(self):
-        out = render_table("Title", ["A", "B"], [[1, 2.5], [None, "x"]])
+        out = render_text(self.TABLE, [{"a": 1, "b": 2.5},
+                                       {"a": None, "b": "x"}])
         lines = out.splitlines()
         assert lines[0] == "Title"
         assert "A" in lines[2] and "B" in lines[2]

@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.harness.jobs import render_text
 from repro.harness.overlap import (
-    OVERLAP_KERNELS, _judge_fault, _judge_overhead, fault_rows,
-    overhead_rows, render_faults, render_overlap,
+    FAULT_TABLE, OVERLAP_KERNELS, _judge_fault, _judge_overhead, fault_rows,
+    overhead_rows, render_overlap,
 )
 
 
@@ -27,7 +28,7 @@ def test_fault_gate_passes_on_one_platform():
         assert r["passed"], r["failure"]
         assert r["restored_version"] == 1      # fell back past the torn line
         assert r["lines_retained"] <= 2
-    out = render_faults(rows)
+    out = render_text(FAULT_TABLE, rows)
     assert "cmi/mid_drain" in out
 
 

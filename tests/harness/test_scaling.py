@@ -69,7 +69,7 @@ class TestScalingSweep:
         assert len(rows) == 2
         assert sorted(r["nprocs"] for r in rows) == [4, 8]
         text = render_scaling(rows)
-        assert "Ovh %" in text and "testing" in text
+        assert "Overhead %" in text and "testing" in text
 
     def test_sweep_respects_engine_choice(self):
         rows = scaling_rows(ranks=(4,), apps={"ring": SCALING_APPS["ring"]},

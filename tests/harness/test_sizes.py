@@ -106,7 +106,7 @@ class TestCLI:
         assert report["summary"]["passed"] == 2
         assert {r["kernel"] for r in report["rows"]} == \
             {"EP+ccc", "heat+ccc"}
-        assert "Table-1 inequality" in capsys.readouterr().out
+        assert "2/2 cells passed" in capsys.readouterr().out
 
     def test_unknown_kernel_exits_two(self, capsys):
         assert main(["--kernels", "bogus"]) == 2

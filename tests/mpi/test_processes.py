@@ -16,6 +16,7 @@ The acceptance contract (DESIGN.md §12, pinned here):
   unknown engine spellings at submission construction.
 """
 
+import os
 import signal
 
 import numpy as np
@@ -335,3 +336,50 @@ class TestUniformEngineCLI:
             main(["--engine", "cooperative:2"])
         assert ei.value.code == 2
         assert "takes no ':N' suffix" in capsys.readouterr().err
+
+
+#: (study module, argv with one bad selection, expected stderr fragment)
+_BAD_SELECTIONS = [
+    ("repro.harness.campaign", ["--apps", "bogus"], "unknown apps"),
+    ("repro.harness.campaign", ["--platforms", "bogus"],
+     "unknown platforms"),
+    ("repro.harness.campaign", ["--kills", "bogus"], "unknown kill timings"),
+    ("repro.harness.campaign", ["--smoke", "--apps", "ring"],
+     "--smoke selects a fixed matrix"),
+    ("repro.harness.scaling", ["--ranks", "16,x"], "unknown rank counts"),
+    ("repro.harness.scaling", ["--apps", "bogus"], "unknown scaling apps"),
+    ("repro.harness.scaling", ["--platforms", "bogus"], "unknown platforms"),
+    ("repro.harness.sizes", ["--kernels", "bogus"], "unknown kernels"),
+    ("repro.harness.overlap", ["--platforms", "bogus"], "unknown platforms"),
+    ("repro.harness.overlap", ["--kernels", "bogus"], "unknown kernels"),
+    ("repro.harness.walstudy", ["--platforms", "bogus"],
+     "unknown platforms"),
+    ("repro.harness.walstudy", ["--kernels", "bogus"], "unknown kernels"),
+    ("repro.harness.procstudy", ["--apps", "bogus"], "unknown apps"),
+]
+
+
+class TestUniformSelectionCLI:
+    """A bad selection exits 2 with one message, before anything runs."""
+
+    @pytest.mark.parametrize("module,argv,message", _BAD_SELECTIONS)
+    def test_unknown_selection_exits_2(self, module, argv, message, capsys):
+        import importlib
+
+        main = importlib.import_module(module).main
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+
+    def test_vacuous_speedup_gate_refused_before_any_cell(self, monkeypatch,
+                                                          capsys):
+        from repro.harness import shardstudy
+
+        def boom(*_a, **_kw):
+            raise AssertionError("the study ran before the refusal")
+
+        monkeypatch.setattr(shardstudy, "diff_campaigns", boom)
+        monkeypatch.setattr(shardstudy, "measure_scaling_point", boom)
+        shards = (os.cpu_count() or 1) + 1
+        assert shardstudy.main(["--shards", str(shards),
+                                "--require-speedup", "1.0"]) == 2
+        assert "makes the gate vacuous" in capsys.readouterr().err

@@ -1,525 +1,385 @@
 #!/usr/bin/env python
-"""Regenerate EXPERIMENTS.md from the table drivers.
+"""Regenerate EXPERIMENTS.md from the study tables.
 
-Runs every experiment of the paper's Section 6 and writes the
-paper-vs-measured record.  Takes a few minutes.
+Every table is rendered by ``render_markdown`` from the same ``Table``
+the terminal prints: the paper's Tables 1-7 from the row drivers of
+``repro.harness.experiments``, and every study named in
+``repro.harness.jobs.STUDIES`` from its record's ``run`` at the command
+line listed in ``STUDY_ARGV`` below.  This file holds only the prose
+around them.  Takes a minute or two.
 
 Usage: python tools/generate_experiments_md.py
 """
 
-import io
-import sys
+import importlib
 import time
 
-from repro.harness import (
-    ablation_blocking_vs_nonblocking, ablation_initiation,
-    ablation_logging_phases, ablation_piggyback, campaign_rows,
-    check_flatness, fault_rows, overhead_rows, render_checkpoint,
-    render_overhead, render_restart, render_table1, scaling_rows,
-    table1_rows, table2_rows, table3_rows, table4_rows, table5_rows,
-    table6_rows, table7_rows, table_sizes_rows,
-)
+from repro.harness import experiments as ex
+from repro.harness.fuzz import seed_schedules
+from repro.harness.jobs import STUDIES, parse_study_args, render_markdown
 from repro.harness.platforms import SIZE_SCALE
-from repro.harness.fuzz import run_schedule, seed_schedules
-from repro.harness.loadgen import run_loadgen
-from repro.harness.procstudy import run_study as proc_study
-from repro.harness.shardstudy import run_study as shard_study
-from repro.harness.walstudy import commit_rows as wal_commit_rows
-from repro.harness.walstudy import discipline_rows as wal_discipline_rows
+
+#: the command line each study section records
+STUDY_ARGV = {
+    "campaign": [],
+    "scaling": [],
+    "sizes": [],
+    "overlap": [],
+    "walstudy": [],
+    "shardstudy": ["--shards", "2"],
+    "procstudy": [],
+    "fuzz": ["--schedules", str(len(seed_schedules()))],
+    "loadgen": ["--tenants", "4", "--jobs", "24", "--duplicate-frac", "0.25",
+                "--queue-limit", "8", "--workers", "4"],
+}
+
+HEADER = (
+    "# EXPERIMENTS — paper vs. reproduction, every table and figure\n\n"
+    "Generated by `tools/generate_experiments_md.py`.  All 'measured' "
+    "values come from the same drivers the benchmark suite runs "
+    "(`pytest benchmarks/ --benchmark-only -s`).\n\n"
+    "**Scale mapping.** The paper ran on real clusters at 32–1024 MPI "
+    "processes for hours; the reproduction runs the identical protocol "
+    "code paths on a simulator with calibrated virtual-time machine "
+    "models at 4/8/16 ranks (Tables 2–5) and 1 rank "
+    "(Tables 1, 6, 7), with application working sets scaled down "
+    f"(Table 1 sizes at 1/{SIZE_SCALE} of the paper's footprint, reported "
+    "re-scaled).  Comparable columns are the *relative* ones — overhead "
+    "percentages, reductions, cost ratios — and the orderings/anomalies "
+    "the paper calls out.  Absolute seconds are not comparable by "
+    "design.  The cooperative rank scheduler additionally runs jobs at "
+    "the paper's *true* process counts: the scaling study below sweeps "
+    "16–256 simulated ranks, and every Tables 2–5 cell is runnable at "
+    "its original count via `ScalePoint.procs(\"paper\")`.\n\n")
 
 
-def _us(seconds):
-    """Virtual seconds -> microseconds; errored rows have no measurement."""
-    return None if seconds is None else seconds * 1e6
+def _scaling_check(payload) -> str:
+    if payload["violations"]:
+        return "**VIOLATED**: " + "; ".join(payload["violations"]) + "."
+    return ("no violations; the paper's scalability claim reproduces at "
+            "its original process counts.")
 
 
-def md_table(headers, rows):
-    out = ["| " + " | ".join(headers) + " |",
-           "|" + "|".join("---" for _ in headers) + "|"]
-    for row in rows:
-        cells = []
-        for c in row:
-            if c is None:
-                cells.append("–")
-            elif isinstance(c, float):
-                # keep significance for ms-scale virtual times
-                cells.append(f"{c:.2f}" if abs(c) >= 0.1 else f"{c:.4g}")
-            else:
-                cells.append(str(c))
-        out.append("| " + " | ".join(cells) + " |")
-    return "\n".join(out)
+def _shard_check(payload) -> str:
+    if payload["cells_match"]:
+        return ("verification verdicts exact everywhere, timings within the "
+                "drain-position tolerance classes of DESIGN.md §10.4.")
+    return "**DIVERGED**: " + "; ".join(payload["mismatches"][:5]) + "."
+
+
+def _proc_check(payload) -> str:
+    if payload["kill_gate_ok"] and payload["cells_match"]:
+        return ("the recovery protocol survives real crashes, not just "
+                "simulated unwinds.")
+    return ("**FAILED**: " + "; ".join((payload["kill_gate_failures"]
+                                       + payload["mismatches"])[:5]) + ".")
+
+
+#: EXPERIMENTS.md in order, one entry per section: (a study name or a
+#: function returning paper-table ``[(Table, rows)]``, heading, intro,
+#: prose before each further table, shape check as text or as a
+#: function of the study's payload)
+SECTIONS = (
+    (lambda: [(ex.CONDOR_TABLE, ex.table1_rows())],
+     "Table 1 — Condor vs C3 checkpoint sizes (uniprocessor)", "", (),
+     "**Shape check:** C3 ≤ Condor everywhere; EP's reduction is an "
+     "order of magnitude above every other code on both platforms "
+     "(the static segment dominates its image), and the Solaris "
+     "reductions exceed the Linux ones because its static segment is "
+     "larger — all as in the paper."),
+    ("sizes",
+     "Checkpoint sizes — the precompiler path "
+     "(Table 1 / Tables 4-5 \"Size/proc\")",
+     "The rows above use handwritten Context-API kernels; this study "
+     "(`python -m repro.harness.sizes`, CI job `table1-sizes`) repeats "
+     "the size claim over the **precompiler-instrumented** kernels "
+     "(`repro.apps.instrumented`, `# ccc:` directives only): per process "
+     "it compares the Condor full-image accounting against C3's live "
+     "data, the serialized state payload, what the protocol actually "
+     "committed for the last recovery line, and the incremental "
+     "dirty-page delta.  Sizes are at the scaled footprint (KB):",
+     (),
+     "**Shape check:** every instrumented kernel's C3 checkpoint is "
+     "strictly below its Condor image (the CI gate), EP's reduction "
+     "dominates (its state is ten counters and two sums), and heat's "
+     "incremental delta collapses to the few pages its rod array "
+     "dirties per step.  The WAL column is what the production "
+     "log-structured store physically retains per process after segment "
+     "GC — bounded by two committed lines plus record framing."),
+    (lambda: [(ex.OVERHEAD_TABLE, ex.table2_rows()),
+              (ex.OVERHEAD_TABLE, ex.table3_rows())],
+     "Table 2 — runtime overhead without checkpoints, Lemieux", "",
+     ("## Table 3 — runtime overhead without checkpoints, Velocity 2 "
+      "(HPL on CMI)",),
+     "**Shape check:** on Lemieux every code stays below 10% at every "
+     "scale with no growth trend strong enough to threaten scalability "
+     "(the paper's claim); on Velocity 2, SMG2000 blows up to ~40–50% "
+     "while everything else stays under ~12% and HPL is below 1% — the "
+     "paper's anomaly, modelled as the platform's per-message piggyback "
+     "penalty hitting SMG2000's many small messages."),
+    ("scaling",
+     "Scaling study — overhead vs process count at paper scale",
+     "Tables 2–3's headline claim is that overhead stays small and "
+     "roughly flat \"up to hundreds of processes\".  The table rows above "
+     "reproduce individual cells at downscaled ranks; this sweep "
+     "(`python -m repro.harness.scaling`, `bench_scaling.py`) reproduces "
+     "the claim itself at the paper's true scales: 16 → 256 simulated "
+     "ranks on the cooperative scheduler, weak scaling (constant "
+     "per-rank working set), original vs C3-without-checkpoints:",
+     (),
+     lambda p: "**Shape check:** every (platform, code) series stays low "
+               "at every rank count and the 256-rank overhead sits within "
+               "the flatness tolerance of the small-rank trend — "
+               + _scaling_check(p)),
+    ("shardstudy",
+     "Sharded engine — 4096 ranks and the engine-differential campaign",
+     "The sweep above tops out at 256 ranks because the cooperative "
+     "scheduler runs one fiber at a time.  The sharded backend "
+     "(`engine=\"sharded:N\"`, DESIGN.md §10) partitions the simulated "
+     "nodes across forked workers under a conservative lookahead "
+     "window; `python -m repro.harness.shardstudy` (CI job "
+     "`shard-scaling`, artifact `BENCH_shard.json`) measures one "
+     "4096-rank point and reruns the campaign matrix on both engines, "
+     "diffing every cell under the §10.4 determinism contract (the CI "
+     "job runs the full 480-cell matrix; the smoke slice is recorded "
+     "here):",
+     (),
+     lambda p: "**Shape check:** the 4096-rank overhead stays in the flat "
+               "band of the 16–256 sweep, and every campaign cell matches "
+               "the cooperative engine — " + _shard_check(p)),
+    ("procstudy",
+     "Processes backend — faults as real SIGKILLs, recovery from "
+     "WAL-on-disk",
+     "Every engine above *simulates* fail-stop as a Python unwind.  "
+     "`engine=\"processes\"` (DESIGN.md §12) makes the paper's fault "
+     "model literal: each simulated node is a real forked OS process "
+     "and a due fault SIGKILLs it — whatever it had staged but not "
+     "committed is genuinely lost — then recovery restarts from WAL "
+     "stable storage on real disk.  `python -m repro.harness.procstudy` "
+     "(CI job `process-backend`, artifact `BENCH_processes.json`) runs "
+     "the campaign smoke slice over `wal-disk` on both engines, "
+     "requires every fault-injected cell to deliver at least one "
+     "waitpid-confirmed SIGKILL and restart, and diffs row pairs under "
+     "the real-kill-grade contract (§12.3):",
+     (),
+     lambda p: "**Shape check:** every fault-injected cell's kill "
+               "physically took an OS process (confirmed by `waitpid` "
+               "status) and every cell recovered to bitwise-identical "
+               "results — " + _proc_check(p)),
+    (lambda: [(ex.CHECKPOINT_TABLE, ex.table4_rows()),
+              (ex.CHECKPOINT_TABLE, ex.table5_rows())],
+     "Table 4 — overhead with one checkpoint, Lemieux", "",
+     ("## Table 5 — overhead with one checkpoint, Velocity 2 "
+      "(HPL on CMI)",),
+     "**Shape check:** the cost of one checkpoint is a few percent of a "
+     "run at most (the paper scales this to <4%/hour); CG has the "
+     "largest state per process and HPL by far the smallest "
+     "(recomputation instead of state saving keeps it constant across "
+     "scales, like the paper's 0.02–0.43 MB rows).  Configuration #2 "
+     "(no disk write) sits between #1 and #3, and the overlapped "
+     "write-back column sits next to #2 — the disk write disappears "
+     "from the rank's critical path."),
+    ("overlap",
+     "Overlapped write-back — the Section 6.4 pipeline as the "
+     "production commit path",
+     "Section 6.4 argues checkpoints should be written locally and "
+     "drained off the rank's critical path.  This study "
+     "(`python -m repro.harness.overlap`, CI job `overlap-overhead`) "
+     "runs steady-state-sized kernels — checkpoint interval ≫ drain "
+     "time — and compares per-checkpoint cost of the in-line write "
+     "(configuration #3) against the overlapped pipeline (stage to the "
+     "per-node virtual-time drain device, COMMIT on drain completion), "
+     "then tears the pipeline mid-drain and mid-commit and verifies "
+     "recovery falls back to the previous committed line with "
+     "superseded lines garbage-collected:",
+     ("",),
+     "**Shape check:** overlapped commit overhead collapses toward "
+     "configuration #2 on every platform (the disk write is fully "
+     "hidden), every torn-line kill recovers bitwise from the previous "
+     "committed line, and storage ends holding at most two recovery "
+     "lines per rank — the last globally committed line plus at most "
+     "one a rank's final floor read had not yet collected."),
+    ("walstudy",
+     "WAL storage engine — group commit's fsync economy",
+     "The production checkpoint store is log-structured "
+     "(`repro.storage.wal`, DESIGN.md §8): co-located ranks append "
+     "CRC-guarded records into one per-node segment stream and a "
+     "line's COMMIT markers ride down in a single batched fsync per "
+     "node — the group commit.  This study "
+     "(`python -m repro.harness.walstudy`, CI job `wal-storage`) runs "
+     "each steady-state kernel twice on the real-file disk backend — "
+     "per-file scatter layout vs WAL — and counts fsyncs per committed "
+     "recovery line:",
+     ("The discipline slice pins the bound exactly: a controlled "
+      "schedule (every rank commits 6 lines, no job noise) across node "
+      "shapes on both backends, with the disk cells reopened cold and "
+      "replayed from the log:",),
+     "**Shape check:** group commit collapses scatter's one fsync "
+     "per section per rank to ~one per node per line — an order of "
+     "magnitude on every cell — the discipline slice counts *exactly* "
+     "one fsync per node per group-committed line with bitwise replay "
+     "after a cold reopen, and segment GC holds retained lines to the "
+     "scatter baseline's bound.  The recovery campaign covers the "
+     "failure half: `--storage wal` adds torn-record and "
+     "mid-group-commit kill windows, each truncating the damaged tail "
+     "at replay and falling back to the previous committed line."),
+    (lambda: [(ex.RESTART_TABLE, ex.table6_rows()),
+              (ex.RESTART_TABLE, ex.table7_rows())],
+     "Table 6 — restart cost (uniprocessor), Lemieux", "",
+     ("## Table 7 — restart cost (uniprocessor), CMI",),
+     "**Shape check:** restart costs are negligible — at or below ~1–2% "
+     "of the run on every code (the paper: all below 2% with one ~5% "
+     "exception; its negative entries are measurement noise the "
+     "deterministic simulator does not have)."),
+    ("campaign",
+     "Recovery campaign — kill/restart/verify beyond Tables 6-7",
+     "The paper measures restart on two uniprocessor codes; the campaign "
+     "(`python -m repro.harness.campaign`) extends the claim to every "
+     "app kernel under injected fail-stop faults — mid-run kills, "
+     "multi-fault schedules, a rank killed inside a collective, at the "
+     "epoch boundary, mid-drain, or at the commit instant — each "
+     "scenario verifying bitwise-identical results after restart.  The "
+     "smoke subset (recorded here; `--full` covers "
+     "kernels × {lemieux, velocity2, cmi} × 11 timings, "
+     "`--storage disk` reruns any slice against tmpdir-rooted real "
+     "files, and `--storage wal` / `wal-disk` run the log-structured "
+     "engine with its extra torn-record and mid-group-commit kill "
+     "windows):",
+     (),
+     "**Shape check:** every scenario verifies (recovery is exact "
+     "under every kill timing), and restart costs stay within a small "
+     "multiple of one checkpoint interval — negative entries are real "
+     "here: re-execution replays logged messages instead of paying "
+     "communication latency, the paper's own argument for cheap "
+     "restarts."),
+    ("fuzz",
+     "Fault fuzzer — coverage-guided multi-fault + storage-fault sweeps",
+     "The campaign above sweeps *named* kill timings; the fuzzer "
+     "(`python -m repro.harness.fuzz`, DESIGN.md §9, CI job "
+     "`fault-fuzz-smoke`) draws arbitrary multi-fault schedules from "
+     "the full trigger vocabulary and composes them with injected "
+     "storage faults (torn writes, short appends, bit rot, ENOSPC, "
+     "stalled fsyncs), steered by a runtime coverage map; failures are "
+     "delta-minimized and pinned under `tests/fuzz/corpus/`.  The "
+     "deterministic seed set (one schedule per fault window and per "
+     "storage-fault kind) recorded here reaches 100% required "
+     "coverage on its own:",
+     (),
+     "**Shape check:** every seed schedule verifies bitwise after "
+     "restart — including recoveries that must reject a torn or "
+     "bit-rotted line and agree on an older one — and the three "
+     "storage-layer bugs the fuzzer has found (torn COMMIT marker "
+     "crash, ENOSPC group-commit crash, unvalidated restore-agreement "
+     "vote) stay fixed via their minimized corpus repros."),
+    ("loadgen",
+     "Campaign service — queued, cached, tenant-namespaced submissions",
+     "Every study above is one grid per invocation; the service layer "
+     "(`repro.service`, DESIGN.md §11) runs the same job core as "
+     "a long-lived campaign service: a bounded submission queue, "
+     "per-tenant storage namespaces on one shared backend, and a "
+     "golden-run cache keyed on `(kernel, platform, nprocs, seed, "
+     "engine, storage, config-digest)` that serves repeat submissions "
+     "bitwise-identical without re-execution.  The load generator "
+     "(`python -m repro.harness.loadgen`, CI job `campaign-service`, "
+     "artifact `BENCH_service.json`) drives concurrent tenants of "
+     "mixed recovery/overhead submissions through it; the smoke shape "
+     "recorded here:",
+     (),
+     "**Shape check:** every recovery job verifies bitwise under "
+     "concurrent execution, every duplicate submission is served from "
+     "the tenant's cache and compares bitwise-equal to its first run "
+     "(the measurement records carry only virtual-time fields, so "
+     "caching is sound), and p99 submission-to-first-result latency "
+     "stays within budget while the bounded queue applies "
+     "backpressure."),
+)
+
+FIGURES = """## Figures
+
+Figures 1–7 of the paper are architecture/protocol schematics, not data \
+plots.  Each is reproduced as executable behaviour:
+
+| Figure | Content | Reproduced by |
+|---|---|---|
+| 1 | system architecture (precompile → coordination layer) | \
+`repro.precompiler` + `examples/precompiled_app.py` |
+| 2 | epochs and late/intra/early classification | \
+`tests/core/test_message_classification.py` |
+| 3 | mode state machine | `tests/core/test_modes.py` |
+| 4 | send/receive wrapper pseudocode | \
+`tests/core/test_protocol_wrappers.py` |
+| 5 | start/commit/restore actions | \
+`tests/core/test_checkpoint_actions.py` |
+| 6 | non-blocking protocol mapping | \
+`tests/core/test_nonblocking_protocol.py` |
+| 7 | per-stream collective protocol (MPI_Gather) | \
+`tests/core/test_collective_protocol.py` |
+
+"""
+
+
+def study_tables(name: str):
+    """One study's ``(payload, [(Table, rows)])`` at its recorded command
+    line, through its record's ``run`` (no terminal output)."""
+    study = importlib.import_module(f"repro.harness.{name}").STUDY
+    args = parse_study_args(study, STUDY_ARGV[name])
+    payload, tables, _failed = study.run(args, lambda table, row: None)
+    return payload, tables
+
+
+def section(source, heading, intro, between, check) -> str:
+    print(f"{heading.split(' — ')[0]} ...", flush=True)
+    if isinstance(source, str):
+        payload, tables = study_tables(source)
+    else:
+        payload, tables = None, source()
+    out = [f"## {heading}\n\n"] + ([f"{intro}\n\n"] if intro else [])
+    for i, (table, rows) in enumerate(tables):
+        if i and between[i - 1]:
+            out.append(f"{between[i - 1]}\n\n")
+        out.append(f"{render_markdown(table, rows)}\n\n")
+    return "".join(out) + (check(payload) if callable(check) else check) \
+        + "\n\n"
+
+
+def ablations() -> str:
+    print("ablations ...", flush=True)
+    ini = ex.ablation_initiation()
+    logp = ex.ablation_logging_phases()
+    pig = ex.ablation_piggyback()
+    blk = ex.ablation_blocking_vs_nonblocking()
+    return (
+        "## Ablations (Section 4.5 design choices)\n\n"
+        "**Any-process vs distinguished initiator** — both commit; "
+        f"any-process: {ini['any_process']['control_msgs']} control msgs, "
+        f"{ini['any_process']['virtual_seconds']:.6f}s; distinguished: "
+        f"{ini['distinguished']['control_msgs']} control msgs, "
+        f"{ini['distinguished']['virtual_seconds']:.6f}s.\n\n"
+        "**Stream reductions vs result-logging** — stream-based: "
+        f"{logp['stream_reductions']['log_bytes']} log bytes / "
+        f"{logp['stream_reductions']['events_logged']} events; "
+        "result-logging: "
+        f"{logp['result_logging']['log_bytes']} log bytes / "
+        f"{logp['result_logging']['events_logged']} events.\n\n"
+        "**3-bit vs full-epoch piggyback** — full/3bit runtime ratio "
+        f"{pig['overhead_ratio']:.4f} on SMG2000 (the 3-bit economy of "
+        "Section 3.2).\n\n"
+        "**Non-blocking vs blocking coordination** — LU 10 iters, 2 "
+        f"checkpoints: original {blk['original_s']:.6f}s, C3 "
+        f"{blk['c3_s']:.6f}s, blocking {blk['blocking_s']:.6f}s "
+        f"(barrier stall {blk['blocking_stall_s']:.6f}s).  Blocking also "
+        "*requires* pragma-aligned global synchronization, which HPL and "
+        "most NPB codes do not have — the paper's Section 1 motivation.\n\n")
 
 
 def main() -> None:
+    studied = [s[0] for s in SECTIONS if isinstance(s[0], str)]
+    assert sorted(studied) == sorted(STUDIES), "a study has no section"
     t0 = time.time()
-    buf = io.StringIO()
-    w = buf.write
-
-    w("# EXPERIMENTS — paper vs. reproduction, every table and figure\n\n")
-    w("Generated by `tools/generate_experiments_md.py`.  All 'measured' "
-      "values come from the same drivers the benchmark suite runs "
-      "(`pytest benchmarks/ --benchmark-only -s`).\n\n")
-    w("**Scale mapping.** The paper ran on real clusters at 32–1024 MPI "
-      "processes for hours; the reproduction runs the identical protocol "
-      "code paths on a simulator with calibrated virtual-time machine "
-      "models at 4/8/16 ranks (Tables 2–5) and 1 rank "
-      "(Tables 1, 6, 7), with application working sets scaled down "
-      "(Table 1 sizes at 1/%d of the paper's footprint, reported "
-      "re-scaled).  Comparable columns are the *relative* ones — overhead "
-      "percentages, reductions, cost ratios — and the orderings/anomalies "
-      "the paper calls out.  Absolute seconds are not comparable by "
-      "design.  The cooperative rank scheduler additionally runs jobs at "
-      "the paper's *true* process counts: the scaling study below sweeps "
-      "16–256 simulated ranks, and every Tables 2–5 cell is runnable at "
-      "its original count via `ScalePoint.procs(\"paper\")`.\n\n"
-      % SIZE_SCALE)
-
-    # ---- Table 1 ---------------------------------------------------------
-    print("table 1 ...", flush=True)
-    rows = table1_rows()
-    w("## Table 1 — Condor vs C3 checkpoint sizes (uniprocessor)\n\n")
-    w(md_table(
-        ["Platform", "Code", "Condor MB (meas.)", "C3 MB (meas.)",
-         "Reduction % (meas.)", "Reduction % (paper)"],
-        [[r["platform"], r["code"], r["condor_mb"], r["c3_mb"],
-          r["reduction_pct"], r["paper_reduction_pct"]] for r in rows]))
-    w("\n\n**Shape check:** C3 ≤ Condor everywhere; EP's reduction is an "
-      "order of magnitude above every other code on both platforms "
-      "(the static segment dominates its image), and the Solaris "
-      "reductions exceed the Linux ones because its static segment is "
-      "larger — all as in the paper.\n\n")
-
-    # ---- Checkpoint sizes over the instrumented kernels --------------------
-    print("checkpoint sizes (instrumented kernels) ...", flush=True)
-    rows = table_sizes_rows()
-    w("## Checkpoint sizes — the precompiler path "
-      "(Table 1 / Tables 4-5 \"Size/proc\")\n\n")
-    w("The rows above use handwritten Context-API kernels; this study "
-      "(`python -m repro.harness.sizes`, CI job `table1-sizes`) repeats "
-      "the size claim over the **precompiler-instrumented** kernels "
-      "(`repro.apps.instrumented`, `# ccc:` directives only): per process "
-      "it compares the Condor full-image accounting against C3's live "
-      "data, the serialized state payload, what the protocol actually "
-      "committed for the last recovery line, and the incremental "
-      "dirty-page delta.  Sizes are at the scaled footprint (KB):\n\n")
-    w(md_table(
-        ["Kernel", "Gate", "Condor KB", "C3 KB", "Reduction %",
-         "Committed KB", "WAL retained KB", "Incremental delta KB",
-         "Lines"],
-        [[r["kernel"], "PASS" if r["passed"] else "FAIL",
-          r["condor_bytes"] / 1e3, r["c3_bytes"] / 1e3, r["reduction_pct"],
-          r["c3_committed_bytes"] / 1e3,
-          r.get("wal_retained_bytes", 0) / 1e3,
-          (r["incremental_delta_bytes"] / 1e3
-           if r["incremental_delta_bytes"] is not None else None),
-          r["checkpoints_committed"]] for r in rows]))
-    w("\n\n**Shape check:** every instrumented kernel's C3 checkpoint is "
-      "strictly below its Condor image (the CI gate), EP's reduction "
-      "dominates (its state is ten counters and two sums), and heat's "
-      "incremental delta collapses to the few pages its rod array "
-      "dirties per step.  The WAL column is what the production "
-      "log-structured store physically retains per process after segment "
-      "GC — bounded by two committed lines plus record framing.\n\n")
-
-    # ---- Tables 2-3 -------------------------------------------------------
-    for name, fn, title in (("2", table2_rows, "Lemieux"),
-                            ("3", table3_rows, "Velocity 2 (HPL on CMI)")):
-        print(f"table {name} ...", flush=True)
-        rows = fn()
-        w(f"## Table {name} — runtime overhead without checkpoints, "
-          f"{title}\n\n")
-        w(md_table(
-            ["Code", "Procs (paper)", "Ranks (sim)", "Original s (meas.)",
-             "C3 s (meas.)", "Overhead % (meas.)", "Overhead % (paper)"],
-            [[r["code"], f"{r['paper_procs']} ({r['paper_nodes']})",
-              r["sim_procs"], r["original_s"], r["c3_s"], r["overhead_pct"],
-              r["paper_overhead_pct"]] for r in rows]))
-        w("\n\n")
-    w("**Shape check:** on Lemieux every code stays below 10% at every "
-      "scale with no growth trend strong enough to threaten scalability "
-      "(the paper's claim); on Velocity 2, SMG2000 blows up to ~40–50% "
-      "while everything else stays under ~12% and HPL is below 1% — the "
-      "paper's anomaly, modelled as the platform's per-message piggyback "
-      "penalty hitting SMG2000's many small messages.\n\n")
-
-    # ---- Scaling study (Tables 2-3 scalability claim) ----------------------
-    print("scaling study (16-256 ranks) ...", flush=True)
-    rows = scaling_rows()
-    violations = check_flatness(rows)
-    w("## Scaling study — overhead vs process count at paper scale\n\n")
-    w("Tables 2–3's headline claim is that overhead stays small and "
-      "roughly flat \"up to hundreds of processes\".  The table rows above "
-      "reproduce individual cells at downscaled ranks; this sweep "
-      "(`python -m repro.harness.scaling`, `bench_scaling.py`) reproduces "
-      "the claim itself at the paper's true scales: 16 → 256 simulated "
-      "ranks on the cooperative scheduler, weak scaling (constant "
-      "per-rank working set), original vs C3-without-checkpoints:\n\n")
-    w(md_table(
-        ["Platform", "Code", "Ranks", "Original s", "C3 s", "Overhead %"],
-        [[r["platform"], r["app"], r["nprocs"],
-          round(r["original_seconds"], 4), round(r["c3_seconds"], 4),
-          round(r["overhead_pct"], 2)] for r in rows]))
-    w("\n\n**Shape check:** every (platform, code) series stays low at "
-      "every rank count and the 256-rank overhead sits within the "
-      "flatness tolerance of the small-rank trend — ")
-    if violations:
-        w("**VIOLATED**: " + "; ".join(violations) + ".\n\n")
-    else:
-        w("no violations; the paper's scalability claim reproduces at "
-          "its original process counts.\n\n")
-
-    # ---- Sharded engine study ----------------------------------------------
-    print("sharded engine study (4096 ranks + differential) ...", flush=True)
-    shard = shard_study(shards=2, matrix="smoke", scale_ranks=4096)
-    pt = shard["scaling_point"]
-    walls = shard["campaign_wall_seconds"]
-    w("## Sharded engine — 4096 ranks and the engine-differential "
-      "campaign\n\n")
-    w("The sweep above tops out at 256 ranks because the cooperative "
-      "scheduler runs one fiber at a time.  The sharded backend "
-      "(`engine=\"sharded:N\"`, DESIGN.md §10) partitions the simulated "
-      "nodes across forked workers under a conservative lookahead "
-      "window; `python -m repro.harness.shardstudy` (CI job "
-      "`shard-scaling`, artifact `BENCH_shard.json`) measures one "
-      "4096-rank point and reruns the campaign matrix on both engines, "
-      "diffing every cell under the §10.4 determinism contract (the CI "
-      "job runs the full 480-cell matrix; the smoke slice is recorded "
-      "here):\n\n")
-    w(md_table(
-        ["Ranks", "Platform", "Original s", "C3 s", "Overhead %",
-         "Cells", "Coop wall s", "Sharded wall s", "Cells match"],
-        [[pt["nprocs"], pt["platform"],
-          round(pt["original_seconds"], 4), round(pt["c3_seconds"], 4),
-          round(pt["overhead_pct"], 2), shard["cells"],
-          round(walls["cooperative"], 1),
-          round(walls["sharded:2"], 1),
-          "yes" if shard["cells_match"] else "NO"]]))
-    w("\n\n**Shape check:** the 4096-rank overhead stays in the flat "
-      "band of the 16–256 sweep, and every campaign cell matches the "
-      "cooperative engine — ")
-    if shard["cells_match"]:
-        w("verification verdicts exact everywhere, timings within the "
-          "drain-position tolerance classes of DESIGN.md §10.4.\n\n")
-    else:
-        w("**DIVERGED**: " + "; ".join(shard["mismatches"][:5]) + ".\n\n")
-
-    # ---- Processes backend: real-SIGKILL differential ----------------------
-    print("processes backend study (real SIGKILLs + differential) ...",
-          flush=True)
-    proc = proc_study()
-    pwalls = proc["campaign_wall_seconds"]
-    w("## Processes backend — faults as real SIGKILLs, recovery from "
-      "WAL-on-disk\n\n")
-    w("Every engine above *simulates* fail-stop as a Python unwind.  "
-      "`engine=\"processes\"` (DESIGN.md §12) makes the paper's fault "
-      "model literal: each simulated node is a real forked OS process "
-      "and a due fault SIGKILLs it — whatever it had staged but not "
-      "committed is genuinely lost — then recovery restarts from WAL "
-      "stable storage on real disk.  `python -m repro.harness.procstudy` "
-      "(CI job `process-backend`, artifact `BENCH_processes.json`) runs "
-      "the campaign smoke slice over `wal-disk` on both engines, "
-      "requires every fault-injected cell to deliver at least one "
-      "waitpid-confirmed SIGKILL and restart, and diffs row pairs under "
-      "the real-kill-grade contract (§12.3):\n\n")
-    w(md_table(
-        ["Cells", "Real SIGKILLs", "Restarts", "Coop wall s",
-         "Processes wall s", "Kill gate", "Cells match"],
-        [[proc["cells"], proc["real_kills_total"],
-          proc["restarts_total"],
-          round(pwalls["cooperative"], 1),
-          round(pwalls[proc["engine"]], 1),
-          "pass" if proc["kill_gate_ok"] else "FAIL",
-          "yes" if proc["cells_match"] else "NO"]]))
-    w("\n\n**Shape check:** every fault-injected cell's kill physically "
-      "took an OS process (confirmed by `waitpid` status) and every "
-      "cell recovered to bitwise-identical results — ")
-    if proc["kill_gate_ok"] and proc["cells_match"]:
-        w("the recovery protocol survives real crashes, not just "
-          "simulated unwinds.\n\n")
-    else:
-        w("**FAILED**: "
-          + "; ".join((proc["kill_gate_failures"]
-                       + proc["mismatches"])[:5]) + ".\n\n")
-
-    # ---- Tables 4-5 --------------------------------------------------------
-    for name, fn, title in (("4", table4_rows, "Lemieux"),
-                            ("5", table5_rows, "Velocity 2 (HPL on CMI)")):
-        print(f"table {name} ...", flush=True)
-        rows = fn()
-        w(f"## Table {name} — overhead with one checkpoint, {title}\n\n")
-        w(md_table(
-            ["Code", "Procs (paper)", "#1 s", "#2 s", "#3 s", "Overlap s",
-             "Size/proc MB (meas.)", "Cost s (meas.)", "Overlap cost s",
-             "Size/proc MB (paper)", "Cost s (paper)"],
-            [[r["code"], f"{r['paper_procs']} ({r['paper_nodes']})",
-              r["cfg1_s"], r["cfg2_s"], r["cfg3_s"], r["overlap_s"],
-              r["size_per_proc_mb"], r["cost_s"], r["overlap_cost_s"],
-              r["paper_size_per_proc_mb"], r["paper_cost_s"]]
-             for r in rows]))
-        w("\n\n")
-    w("**Shape check:** the cost of one checkpoint is a few percent of a "
-      "run at most (the paper scales this to <4%/hour); CG has the largest "
-      "state per process and HPL by far the smallest (recomputation "
-      "instead of state saving keeps it constant across scales, like the "
-      "paper's 0.02–0.43 MB rows).  Configuration #2 (no disk write) sits "
-      "between #1 and #3, and the overlapped write-back column sits next "
-      "to #2 — the disk write disappears from the rank's critical path.\n\n")
-
-    # ---- Overlapped write-back study ---------------------------------------
-    print("overlapped write-back ...", flush=True)
-    o_rows = overhead_rows()
-    f_rows = fault_rows()
-    w("## Overlapped write-back — the Section 6.4 pipeline as the "
-      "production commit path\n\n")
-    w("Section 6.4 argues checkpoints should be written locally and "
-      "drained off the rank's critical path.  This study "
-      "(`python -m repro.harness.overlap`, CI job `overlap-overhead`) "
-      "runs steady-state-sized kernels — checkpoint interval ≫ drain "
-      "time — and compares per-checkpoint cost of the in-line write "
-      "(configuration #3) against the overlapped pipeline (stage to the "
-      "per-node virtual-time drain device, COMMIT on drain completion), "
-      "then tears the pipeline mid-drain and mid-commit and verifies "
-      "recovery falls back to the previous committed line with "
-      "superseded lines garbage-collected:\n\n")
-    w(md_table(
-        ["Platform", "Kernel", "Gate", "#1 ms", "#2 ms", "#3 ms",
-         "Overlap ms", "In-line cost ms", "Overlap cost ms"],
-        [[r["platform"], r["kernel"], "PASS" if r["passed"] else "FAIL",
-          r["cfg1_s"] * 1e3, r["cfg2_s"] * 1e3, r["cfg3_s"] * 1e3,
-          r["overlap_s"] * 1e3, r["inline_cost_s"] * 1e3,
-          r["overlap_cost_s"] * 1e3] for r in o_rows]))
-    w("\n\n")
-    w(md_table(
-        ["Fault cell", "Gate", "Restarts", "Restored line",
-         "Lines committed", "Lines retained"],
-        [[f"{r['platform']}/{r['kill']}",
-          "PASS" if r["passed"] else "FAIL", r.get("restarts"),
-          r.get("restored_version"), r.get("checkpoints_committed"),
-          r.get("lines_retained")] for r in f_rows]))
-    w("\n\n**Shape check:** overlapped commit overhead collapses toward "
-      "configuration #2 on every platform (the disk write is fully "
-      "hidden), every torn-line kill recovers bitwise from the previous "
-      "committed line, and storage ends holding at most two recovery "
-      "lines per rank — the last globally committed line plus at most "
-      "one a rank's final floor read had not yet collected.\n\n")
-
-    # ---- WAL storage engine ------------------------------------------------
-    print("WAL group-commit study ...", flush=True)
-    wc_rows = wal_commit_rows()
-    wd_rows = wal_discipline_rows()
-    w("## WAL storage engine — group commit's fsync economy\n\n")
-    w("The production checkpoint store is log-structured "
-      "(`repro.storage.wal`, DESIGN.md §8): co-located ranks append "
-      "CRC-guarded records into one per-node segment stream and a "
-      "line's COMMIT markers ride down in a single batched fsync per "
-      "node — the group commit.  This study "
-      "(`python -m repro.harness.walstudy`, CI job `wal-storage`) runs "
-      "each steady-state kernel twice on the real-file disk backend — "
-      "per-file scatter layout vs WAL — and counts fsyncs per committed "
-      "recovery line:\n\n")
-    w(md_table(
-        ["Platform", "Kernel", "Gate", "Lines", "Scatter fsync/line",
-         "WAL fsync/line", "WAL fsync/node/line", "Group commits",
-         "Segments retired", "Lines retained"],
-        [[r["platform"], r["kernel"], "PASS" if r["passed"] else "FAIL",
-          r["wal_lines"], r["scatter_fsyncs_per_line"],
-          r["wal_fsyncs_per_line"], r["wal_fsyncs_per_node_per_line"],
-          r["group_commits"], r["segments_retired"],
-          r["wal_lines_retained"]] for r in wc_rows]))
-    w("\n\nThe discipline slice pins the bound exactly: a controlled "
-      "schedule (every rank commits 6 lines, no job noise) across node "
-      "shapes on both backends, with the disk cells reopened cold and "
-      "replayed from the log:\n\n")
-    w(md_table(
-        ["Cell", "Gate", "Nodes", "Lines", "Fsyncs", "Fsync/node/line",
-         "Replay bitwise"],
-        [[f"{r['backend']}/ppn{r['procs_per_node']}",
-          "PASS" if r["passed"] else "FAIL", r["nodes"], r["lines"],
-          r["fsyncs"], r["fsyncs_per_node_per_line"],
-          "yes" if r["replay_bitwise"] else "NO"] for r in wd_rows]))
-    w("\n\n**Shape check:** group commit collapses scatter's one fsync "
-      "per section per rank to ~one per node per line — an order of "
-      "magnitude on every cell — the discipline slice counts *exactly* "
-      "one fsync per node per group-committed line with bitwise replay "
-      "after a cold reopen, and segment GC holds retained lines to the "
-      "scatter baseline's bound.  The recovery campaign covers the "
-      "failure half: `--storage wal` adds torn-record and "
-      "mid-group-commit kill windows, each truncating the damaged tail "
-      "at replay and falling back to the previous committed line.\n\n")
-
-    # ---- Tables 6-7 ----------------------------------------------------------
-    for name, fn, title in (("6", table6_rows, "Lemieux"),
-                            ("7", table7_rows, "CMI")):
-        print(f"table {name} ...", flush=True)
-        rows = fn()
-        w(f"## Table {name} — restart cost (uniprocessor), {title}\n\n")
-        w(md_table(
-            ["Code", "Original s (meas.)", "Restart cost s (meas.)",
-             "Relative % (meas.)", "Relative % (paper)"],
-            [[r["code"], r["original_s"], r["restart_cost_s"],
-              r["restart_cost_pct"], r["paper_restart_cost_pct"]]
-             for r in rows]))
-        w("\n\n")
-    w("**Shape check:** restart costs are negligible — at or below ~1–2% "
-      "of the run on every code (the paper: all below 2% with one ~5% "
-      "exception; its negative entries are measurement noise the "
-      "deterministic simulator does not have).\n\n")
-
-    # ---- Recovery campaign ------------------------------------------------
-    print("recovery campaign ...", flush=True)
-    rows = campaign_rows()
-    w("## Recovery campaign — kill/restart/verify beyond Tables 6-7\n\n")
-    w("The paper measures restart on two uniprocessor codes; the campaign "
-      "(`python -m repro.harness.campaign`) extends the claim to every "
-      "app kernel under injected fail-stop faults — mid-run kills, "
-      "multi-fault schedules, a rank killed inside a collective, at the "
-      "epoch boundary, mid-drain, or at the commit instant — each "
-      "scenario verifying bitwise-identical results after restart.  The "
-      "smoke subset (recorded here; `--full` covers "
-      "kernels × {lemieux, velocity2, cmi} × 11 timings, "
-      "`--storage disk` reruns any slice against tmpdir-rooted real "
-      "files, and `--storage wal` / `wal-disk` run the log-structured "
-      "engine with its extra torn-record and mid-group-commit kill "
-      "windows):\n\n")
-    w(md_table(
-        ["Scenario", "Verdict", "Restarts", "Ckpts committed",
-         "Lines retained", "Golden µs", "Restart cost µs", "Replayed",
-         "Suppressed"],
-        [[r["scenario"], "PASS" if r["passed"] else "FAIL",
-          r.get("restarts"), r.get("checkpoints_committed"),
-          r.get("lines_retained"),
-          _us(r.get("golden_seconds")), _us(r.get("restart_cost_seconds")),
-          r.get("replayed_from_log"), r.get("suppressed_sends")]
-         for r in rows]))
-    w("\n\n**Shape check:** every scenario verifies (recovery is exact "
-      "under every kill timing), and restart costs stay within a small "
-      "multiple of one checkpoint interval — negative entries are real "
-      "here: re-execution replays logged messages instead of paying "
-      "communication latency, the paper's own argument for cheap "
-      "restarts.\n\n")
-
-    # ---- Fault fuzzer ------------------------------------------------------
-    print("fault fuzzer (seed schedules) ...", flush=True)
-    fz_cache: dict = {}
-    fz_rows = [run_schedule(s, fz_cache) for s in seed_schedules()]
-    w("## Fault fuzzer — coverage-guided multi-fault + storage-fault "
-      "sweeps\n\n")
-    w("The campaign above sweeps *named* kill timings; the fuzzer "
-      "(`python -m repro.harness.fuzz`, DESIGN.md \u00a79, CI job "
-      "`fault-fuzz-smoke`) draws arbitrary multi-fault schedules from "
-      "the full trigger vocabulary and composes them with injected "
-      "storage faults (torn writes, short appends, bit rot, ENOSPC, "
-      "stalled fsyncs), steered by a runtime coverage map; failures are "
-      "delta-minimized and pinned under `tests/fuzz/corpus/`.  The "
-      "deterministic seed set (one schedule per fault window and per "
-      "storage-fault kind) recorded here reaches 100% required "
-      "coverage on its own:\n\n")
-    w(md_table(
-        ["Schedule", "Verdict", "Restarts", "Kills fired",
-         "Storage faults", "Ckpts committed", "Coverage points"],
-        [[r["label"],
-          "PASS" if r["verdict"] == "pass" else r["verdict"].upper(),
-          r.get("restarts"), len(r.get("fired") or ()),
-          sum((r.get("injected") or {}).values()),
-          r.get("checkpoints_committed"), len(r.get("coverage") or ())]
-         for r in fz_rows]))
-    w("\n\n**Shape check:** every seed schedule verifies bitwise after "
-      "restart \u2014 including recoveries that must reject a torn or "
-      "bit-rotted line and agree on an older one \u2014 and the three "
-      "storage-layer bugs the fuzzer has found (torn COMMIT marker "
-      "crash, ENOSPC group-commit crash, unvalidated restore-agreement "
-      "vote) stay fixed via their minimized corpus repros.\n\n")
-
-    # ---- Campaign service --------------------------------------------------
-    print("campaign service loadgen ...", flush=True)
-    svc = run_loadgen(tenants=4, jobs=24, duplicate_frac=0.25,
-                      queue_limit=8, workers=4, seed=0)
-    cfg, lat = svc["config"], svc["latency_s"]
-    w("## Campaign service — queued, cached, tenant-namespaced "
-      "submissions\n\n")
-    w("Every study above is one grid per invocation; the service layer "
-      "(`repro.service`, DESIGN.md §11) runs the same job core as "
-      "a long-lived campaign service: a bounded submission queue, "
-      "per-tenant storage namespaces on one shared backend, and a "
-      "golden-run cache keyed on `(kernel, platform, nprocs, seed, "
-      "engine, storage, config-digest)` that serves repeat submissions "
-      "bitwise-identical without re-execution.  The load generator "
-      "(`python -m repro.harness.loadgen`, CI job `campaign-service`, "
-      "artifact `BENCH_service.json`) drives concurrent tenants of "
-      "mixed recovery/overhead submissions through it; the smoke shape "
-      "recorded here:\n\n")
-    w(md_table(
-        ["Submissions", "Tenants", "Unique", "Queue depth", "Jobs/s",
-         "Cache hits", "Dup misses", "Bitwise mismatches", "p50 s",
-         "p99 s", "Gates"],
-        [[svc["submissions"], cfg["tenants"], cfg["unique_jobs"],
-          cfg["queue_limit"], svc["throughput_jobs_per_s"],
-          svc["cache"]["hits"], svc["cache"]["duplicate_misses"],
-          svc["cache"]["duplicate_mismatches"], lat["p50"], lat["p99"],
-          "PASS" if svc["ok"] else "FAIL"]]))
-    w("\n\n**Shape check:** every recovery job verifies bitwise under "
-      "concurrent execution, every duplicate submission is served from "
-      "the tenant's cache and compares bitwise-equal to its first run "
-      "(the measurement records carry only virtual-time fields, so "
-      "caching is sound), and p99 submission-to-first-result latency "
-      "stays within budget while the bounded queue applies "
-      "backpressure.\n\n")
-
-    # ---- Figures ----------------------------------------------------------------
-    w("## Figures\n\n")
-    w("Figures 1–7 of the paper are architecture/protocol schematics, not "
-      "data plots.  Each is reproduced as executable behaviour:\n\n")
-    w("| Figure | Content | Reproduced by |\n|---|---|---|\n")
-    for fig, content, where in (
-        ("1", "system architecture (precompile → coordination layer)",
-         "`repro.precompiler` + `examples/precompiled_app.py`"),
-        ("2", "epochs and late/intra/early classification",
-         "`tests/core/test_message_classification.py`"),
-        ("3", "mode state machine", "`tests/core/test_modes.py`"),
-        ("4", "send/receive wrapper pseudocode",
-         "`tests/core/test_protocol_wrappers.py`"),
-        ("5", "start/commit/restore actions",
-         "`tests/core/test_checkpoint_actions.py`"),
-        ("6", "non-blocking protocol mapping",
-         "`tests/core/test_nonblocking_protocol.py`"),
-        ("7", "per-stream collective protocol (MPI_Gather)",
-         "`tests/core/test_collective_protocol.py`"),
-    ):
-        w(f"| {fig} | {content} | {where} |\n")
-    w("\n")
-
-    # ---- Ablations ------------------------------------------------------------------
-    print("ablations ...", flush=True)
-    w("## Ablations (Section 4.5 design choices)\n\n")
-    ini = ablation_initiation()
-    w("**Any-process vs distinguished initiator** — both commit; "
-      f"any-process: {ini['any_process']['control_msgs']} control msgs, "
-      f"{ini['any_process']['virtual_seconds']:.6f}s; distinguished: "
-      f"{ini['distinguished']['control_msgs']} control msgs, "
-      f"{ini['distinguished']['virtual_seconds']:.6f}s.\n\n")
-    logp = ablation_logging_phases()
-    w("**Stream reductions vs result-logging** — stream-based: "
-      f"{logp['stream_reductions']['log_bytes']} log bytes / "
-      f"{logp['stream_reductions']['events_logged']} events; "
-      "result-logging: "
-      f"{logp['result_logging']['log_bytes']} log bytes / "
-      f"{logp['result_logging']['events_logged']} events.\n\n")
-    pig = ablation_piggyback()
-    w("**3-bit vs full-epoch piggyback** — full/3bit runtime ratio "
-      f"{pig['overhead_ratio']:.4f} on SMG2000 (the 3-bit economy of "
-      "Section 3.2).\n\n")
-    blk = ablation_blocking_vs_nonblocking()
-    w("**Non-blocking vs blocking coordination** — LU 10 iters, 2 "
-      f"checkpoints: original {blk['original_s']:.6f}s, C3 "
-      f"{blk['c3_s']:.6f}s, blocking {blk['blocking_s']:.6f}s "
-      f"(barrier stall {blk['blocking_stall_s']:.6f}s).  Blocking also "
-      "*requires* pragma-aligned global synchronization, which HPL and "
-      "most NPB codes do not have — the paper's Section 1 motivation.\n\n")
-
-    w(f"_Generated in {time.time() - t0:.0f}s._\n")
-
+    text = (HEADER + "".join(section(*s) for s in SECTIONS) + FIGURES
+            + ablations() + f"_Generated in {time.time() - t0:.0f}s._\n")
     with open("EXPERIMENTS.md", "w") as f:
-        f.write(buf.getvalue())
+        f.write(text)
     print("wrote EXPERIMENTS.md")
 
 
