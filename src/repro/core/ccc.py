@@ -70,6 +70,23 @@ def _c3_main(mpi: MPI, app: Callable, config: C3Config,
     return result, protocol.stats
 
 
+def _c3_exchanges_control(app: Callable, config: C3Config, storage,
+                          restoring: bool, app_args: Tuple) -> bool:
+    """Can a rank of this job exchange out-of-band control traffic?
+
+    A checkpoint timer starts lines (Checkpoint-Initiated to every
+    peer) and a restore redistributes the early registries; ranks drain
+    that traffic at whatever call they happen to be in, so the point
+    where a rank learns of a line depends on fiber order.  The engine
+    then keeps the point-to-point collectives, whose fiber schedule is
+    the pinned one (DESIGN.md §2.5).
+    """
+    return config.checkpoint_interval is not None or restoring
+
+
+_c3_main._exchanges_control = _c3_exchanges_control
+
+
 def run_c3(app: Callable, nprocs: int, machine: MachineModel = TESTING,
            storage=None,
            config: Optional[C3Config] = None,

@@ -13,7 +13,14 @@ Two transports:
 
 * **native** (normal execution) — the data, with each stream's piggyback
   embedded as an 8-byte header, travels through the runtime's optimized
-  collective algorithms; the protocol only touches the call sites.
+  collective algorithms (in a closed-form job, one rendezvous per call:
+  DESIGN.md §2.5); the protocol only touches the call sites.  Its
+  accounting is arithmetic over the whole call: the send side counts
+  every stream in one pass, and when every incoming stream decodes as
+  intra-epoch in RUN mode — the failure-free steady state — the headers
+  are checked through one array view, the per-peer receive counters move
+  in one pass and the payloads land with one slice assignment.  Late and
+  early streams, and every other mode, take the per-stream path;
 * **emulated** (during recovery, or always with the
   ``emulate_collectives`` ablation) — every logical stream is a plain
   point-to-point message through the protocol's restore-aware primitives,
@@ -21,6 +28,13 @@ Two transports:
   consistent receivers are suppressed.  A job started in recovery mode
   stays emulated for its lifetime: switching back requires a globally
   agreed flip point that the paper does not specify (see DESIGN.md).
+
+User buffers follow the raw layer's contract, so a C3 run and an original
+run accept exactly the same buffers: a buffer the raw algorithm sends or
+receives verbatim (a broadcast buffer, an allgather or alltoall row) must
+be C-contiguous (:func:`_pack`, :func:`_unpack_into`); a buffer it copies
+or assigns (reduction and gather inputs, gather rows at the root, scatter
+and scan results) may have any layout (:func:`_assign`).
 
 Reduction operations cannot log individual streams once the payload has
 been aggregated, so ``Reduce`` is transformed into a Gather plus a local
@@ -35,13 +49,14 @@ exercised by the ablation bench.
 from __future__ import annotations
 
 import struct
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Iterable, Optional, Tuple
 
 import numpy as np
 
-from ..mpi.datatypes import from_numpy_dtype
+from ..mpi.datatypes import reshape_in_place
+from ..mpi.errors import InvalidDatatypeError
 from ..mpi.ops import Op
-from .epoch import WirePiggyback
+from .epoch import INTRA, LATE, classify
 from .modes import Mode, ProtocolError
 from .registries import DATA, EventLog
 
@@ -58,20 +73,36 @@ def _use_emulation(p: "C3Protocol") -> bool:
     return p.recovering or p.config.emulate_collectives
 
 
+def _contiguous(buf) -> None:
+    if isinstance(buf, np.ndarray) and not buf.flags.c_contiguous:
+        raise InvalidDatatypeError("communication buffers must be C-contiguous")
+
+
 def _pack(buf: np.ndarray) -> bytes:
-    arr = np.ascontiguousarray(buf)
-    return arr.tobytes()
+    """A buffer the raw algorithm sends verbatim: C-contiguous."""
+    _contiguous(buf)
+    return buf.tobytes()
+
+
+def _elements(payload: bytes, buf: np.ndarray) -> np.ndarray:
+    src = np.frombuffer(payload, dtype=buf.dtype)
+    if src.size != buf.size:
+        raise ProtocolError(
+            f"collective stream size mismatch: got {src.size} elements, "
+            f"expected {buf.size}"
+        )
+    return src
 
 
 def _unpack_into(payload: bytes, buf: np.ndarray) -> None:
-    flat = buf.reshape(-1)
-    src = np.frombuffer(payload, dtype=buf.dtype)
-    if src.size != flat.size:
-        raise ProtocolError(
-            f"collective stream size mismatch: got {src.size} elements, "
-            f"expected {flat.size}"
-        )
-    flat[:] = src
+    """A stream the raw algorithm receives into ``buf``: C-contiguous."""
+    _contiguous(buf)
+    buf.reshape(-1)[:] = _elements(payload, buf)
+
+
+def _assign(payload: bytes, buf: np.ndarray) -> None:
+    """A stream the raw algorithm assigns into ``buf``: any layout."""
+    buf[...] = _elements(payload, buf).reshape(buf.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -94,18 +125,23 @@ def _stream_send(p: "C3Protocol", centry: "CommEntry", dest: int,
     p.counters.on_send(dest_world)
 
 
-def _stream_send_accounting(p: "C3Protocol", centry: "CommEntry",
-                            dest: int) -> None:
-    """Send-protocol bookkeeping for one native-transport stream.
+def _account_sends(p: "C3Protocol", centry: "CommEntry",
+                   dests: Iterable[int]) -> None:
+    """Send-protocol bookkeeping for the native streams to ``dests``.
 
     The C3 layer piggybacks on every communication stream it originates,
     including the per-stream headers inside native collectives, so the
-    platform's per-message piggyback cost applies here too (this is the
-    term behind the paper's Velocity-2 anomaly).
+    platform's per-message piggyback cost applies to each stream (this is
+    the term behind the paper's Velocity-2 anomaly) — one clock charge per
+    stream, in stream order, so the clock sums the same terms.
     """
-    p.counters.on_send(centry.raw.group.translate(dest))
+    world = centry.raw.group.world_ranks
+    sent = p.counters.sent_count
+    advance = p.mpi._ctx.clock.advance
     m = p.machine
-    p.mpi.compute(m.coll_stream_overhead + p.codec.nbytes / m.bandwidth)
+    for dest in dests:
+        sent[world[dest]] += 1
+        advance(m.coll_stream_overhead + p.codec.nbytes / m.bandwidth)
 
 
 def _stream_recv(p: "C3Protocol", centry: "CommEntry", source: int,
@@ -134,7 +170,6 @@ def _stream_account(p: "C3Protocol", centry: "CommEntry", source: int,
                     sender_epoch: int, stopped_logging: bool,
                     payload: bytes) -> None:
     """Receive-protocol bookkeeping for one incoming stream."""
-    from .epoch import EARLY, INTRA, LATE, classify
     raw = centry.raw
     kind = classify(sender_epoch, p.epoch)
     source_world = raw.group.translate(source)
@@ -162,14 +197,73 @@ def _stream_account(p: "C3Protocol", centry: "CommEntry", source: int,
             p._stop_nondet_logging()
 
 
-def _native_header(p: "C3Protocol") -> bytes:
-    return _HDR.pack(p._piggyback().value)
+def _wire(p: "C3Protocol", payload: bytes) -> np.ndarray:
+    """One native stream: the 8-byte piggyback header, then the payload."""
+    return np.frombuffer(_HDR.pack(p._piggyback().value) + payload,
+                         dtype=np.uint8)
+
+
+def _wire_rows(p: "C3Protocol", rows: np.ndarray) -> np.ndarray:
+    """One native stream per row of ``rows`` (copied, any layout), each
+    behind this rank's piggyback header."""
+    payload = np.ascontiguousarray(rows).reshape(len(rows), -1)
+    wire = np.empty((len(rows), _HDR.size + payload.nbytes // len(rows)),
+                    dtype=np.uint8)
+    wire[:, :_HDR.size] = np.frombuffer(_HDR.pack(p._piggyback().value),
+                                        dtype=np.uint8)
+    wire[:, _HDR.size:] = payload.view(np.uint8)
+    return wire
 
 
 def _parse_header(p: "C3Protocol", raw_bytes: bytes):
     (word,) = _HDR.unpack_from(raw_bytes)
     pb = p.codec.decode(word, p.epoch)
     return pb.sender_epoch, pb.stopped_logging, raw_bytes[_HDR.size:]
+
+
+def _arithmetic(p: "C3Protocol", buf: np.ndarray, nbytes: int) -> bool:
+    """The arithmetic path's preconditions besides the headers: RUN mode,
+    and ``buf`` a C-contiguous target of exactly ``nbytes`` payload bytes."""
+    return (p.modes.mode is Mode.RUN and buf.flags.c_contiguous
+            and buf.nbytes == nbytes)
+
+
+def _intra_words(p: "C3Protocol") -> Tuple[int, int]:
+    """The header words an intra-epoch stream carries (the logging bit
+    is irrelevant in RUN mode)."""
+    return p.codec.encode(p.epoch, False), p.codec.encode(p.epoch, True)
+
+
+def _deliver_rows(p: "C3Protocol", centry: "CommEntry", wire: np.ndarray,
+                  recvbuf: np.ndarray, mine: int,
+                  receive=_unpack_into) -> None:
+    """Receive protocol and delivery for a native Gather/Allgather/Alltoall.
+
+    Row ``src`` of ``wire`` is stream ``src``'s header and payload; row
+    ``mine`` is this rank's own piece (not a stream, assigned as the raw
+    algorithm assigns it).  The other rows land in the matching rows of
+    ``recvbuf`` through ``receive``.
+    """
+    size = len(wire)
+    words = np.ascontiguousarray(wire[:, :_HDR.size]).view("<i8")
+    intra = _intra_words(p)
+    if (_arithmetic(p, recvbuf, wire.size - _HDR.size * size)
+            and ((words == intra[0]) | (words == intra[1])).all()):
+        received = p.counters.received_count
+        world = centry.raw.group.world_ranks
+        for src in range(size):
+            if src != mine:
+                received[world[src]] += 1
+        recvbuf.reshape(size, -1).view(np.uint8)[:] = wire[:, _HDR.size:]
+        return
+    out = reshape_in_place(recvbuf, (size, -1))
+    for src in range(size):
+        if src == mine:
+            _assign(wire[src, _HDR.size:].tobytes(), out[src])
+            continue
+        sender_epoch, stopped, payload = _parse_header(p, wire[src].tobytes())
+        _stream_account(p, centry, src, sender_epoch, stopped, payload)
+        receive(payload, out[src])
 
 
 # ---------------------------------------------------------------------------
@@ -197,17 +291,20 @@ def bcast(p: "C3Protocol", centry: "CommEntry", buf: np.ndarray,
         return
     p.stats.collectives_native += 1
     if rank == root:
-        for dest in range(size):
-            if dest != root:
-                _stream_send_accounting(p, centry, dest)
-        wire = np.frombuffer(_native_header(p) + _pack(buf), dtype=np.uint8).copy()
+        wire = _wire(p, _pack(buf))
+        _account_sends(p, centry, (d for d in range(size) if d != root))
         raw.Bcast(wire, root=root)
-    else:
-        wire = np.empty(_HDR.size + buf.nbytes, dtype=np.uint8)
-        raw.Bcast(wire, root=root)
-        sender_epoch, stopped, payload = _parse_header(p, wire.tobytes())
-        _stream_account(p, centry, root, sender_epoch, stopped, payload)
-        _unpack_into(payload, buf)
+        return
+    wire = np.empty(_HDR.size + buf.nbytes, dtype=np.uint8)
+    raw.Bcast(wire, root=root)
+    (word,) = _HDR.unpack_from(wire)
+    if _arithmetic(p, buf, buf.nbytes) and word in _intra_words(p):
+        p.counters.received_count[raw.group.world_ranks[root]] += 1
+        buf.reshape(-1).view(np.uint8)[:] = wire[_HDR.size:]
+        return
+    sender_epoch, stopped, payload = _parse_header(p, wire.tobytes())
+    _stream_account(p, centry, root, sender_epoch, stopped, payload)
+    _unpack_into(payload, buf)
 
 
 def gather(p: "C3Protocol", centry: "CommEntry", sendbuf: np.ndarray,
@@ -216,40 +313,32 @@ def gather(p: "C3Protocol", centry: "CommEntry", sendbuf: np.ndarray,
     p._poll_control()
     raw = centry.raw
     size, rank = raw.size, raw.rank
-    piece = _pack(sendbuf)
+    piece = np.ascontiguousarray(sendbuf).tobytes()
     if size == 1:
         if recvbuf is not None:
-            _unpack_into(piece, recvbuf.reshape(-1))
+            _assign(piece, reshape_in_place(recvbuf, (1, -1))[0])
         return
     if _use_emulation(p):
         p.stats.collectives_emulated += 1
         if rank != root:
             _stream_send(p, centry, root, piece)
             return
-        out = recvbuf.reshape(size, -1)
+        out = reshape_in_place(recvbuf, (size, -1))
         for src in range(size):
             if src == rank:
-                _unpack_into(piece, out[src])
+                _assign(piece, out[src])
             else:
                 payload = _stream_recv(p, centry, src, sendbuf.nbytes)
-                _unpack_into(payload, out[src])
+                _assign(payload, out[src])
         return
     p.stats.collectives_native += 1
-    wire_piece = np.frombuffer(_native_header(p) + piece, dtype=np.uint8).copy()
+    wire_piece = _wire(p, piece)
     if rank == root:
         wire_out = np.empty((size, wire_piece.size), dtype=np.uint8)
         raw.Gather(wire_piece, wire_out, root=root)
-        out = recvbuf.reshape(size, -1)
-        for src in range(size):
-            if src == rank:
-                _unpack_into(piece, out[src])
-                continue
-            sender_epoch, stopped, payload = _parse_header(
-                p, wire_out[src].tobytes())
-            _stream_account(p, centry, src, sender_epoch, stopped, payload)
-            _unpack_into(payload, out[src])
+        _deliver_rows(p, centry, wire_out, recvbuf, rank, receive=_assign)
     else:
-        _stream_send_accounting(p, centry, root)
+        _account_sends(p, centry, (root,))
         raw.Gather(wire_piece, None, root=root)
 
 
@@ -260,41 +349,36 @@ def scatter(p: "C3Protocol", centry: "CommEntry", sendbuf: Optional[np.ndarray],
     raw = centry.raw
     size, rank = raw.size, raw.rank
     if size == 1:
-        _unpack_into(_pack(sendbuf.reshape(-1)), recvbuf.reshape(-1))
+        _assign(np.ascontiguousarray(sendbuf).tobytes(), recvbuf)
         return
     if _use_emulation(p):
         p.stats.collectives_emulated += 1
         if rank == root:
             pieces = sendbuf.reshape(size, -1)
             for dest in range(size):
+                piece = np.ascontiguousarray(pieces[dest]).tobytes()
                 if dest == rank:
-                    _unpack_into(_pack(pieces[dest]), recvbuf.reshape(-1))
+                    _assign(piece, recvbuf)
                 else:
-                    _stream_send(p, centry, dest, _pack(pieces[dest]))
+                    _stream_send(p, centry, dest, piece)
         else:
             payload = _stream_recv(p, centry, root, recvbuf.nbytes)
-            _unpack_into(payload, recvbuf.reshape(-1))
+            _assign(payload, recvbuf)
         return
     p.stats.collectives_native += 1
     if rank == root:
-        header = _native_header(p)
         pieces = sendbuf.reshape(size, -1)
-        wires = []
-        for dest in range(size):
-            if dest != root:
-                _stream_send_accounting(p, centry, dest)
-            wires.append(np.frombuffer(header + _pack(pieces[dest]),
-                                       dtype=np.uint8))
-        wire_send = np.stack(wires)
+        wire_send = _wire_rows(p, pieces)
+        _account_sends(p, centry, (d for d in range(size) if d != root))
         wire_recv = np.empty(wire_send.shape[1], dtype=np.uint8)
         raw.Scatter(wire_send, wire_recv, root=root)
-        _unpack_into(_pack(pieces[rank]), recvbuf.reshape(-1))
+        _assign(np.ascontiguousarray(pieces[rank]).tobytes(), recvbuf)
     else:
         wire_recv = np.empty(_HDR.size + recvbuf.nbytes, dtype=np.uint8)
         raw.Scatter(None, wire_recv, root=root)
         sender_epoch, stopped, payload = _parse_header(p, wire_recv.tobytes())
         _stream_account(p, centry, root, sender_epoch, stopped, payload)
-        _unpack_into(payload, recvbuf.reshape(-1))
+        _assign(payload, recvbuf)
 
 
 def allgather(p: "C3Protocol", centry: "CommEntry", sendbuf: np.ndarray,
@@ -303,10 +387,10 @@ def allgather(p: "C3Protocol", centry: "CommEntry", sendbuf: np.ndarray,
     p._poll_control()
     raw = centry.raw
     size, rank = raw.size, raw.rank
-    piece = _pack(sendbuf)
-    out = recvbuf.reshape(size, -1)
+    piece = np.ascontiguousarray(sendbuf).tobytes()
+    out = reshape_in_place(recvbuf, (size, -1))
     if size == 1:
-        _unpack_into(piece, out[0])
+        _assign(piece, out[0])
         return
     if _use_emulation(p):
         p.stats.collectives_emulated += 1
@@ -315,25 +399,17 @@ def allgather(p: "C3Protocol", centry: "CommEntry", sendbuf: np.ndarray,
                 _stream_send(p, centry, dest, piece)
         for src in range(size):
             if src == rank:
-                _unpack_into(piece, out[src])
+                _assign(piece, out[src])
             else:
                 payload = _stream_recv(p, centry, src, sendbuf.nbytes)
                 _unpack_into(payload, out[src])
         return
     p.stats.collectives_native += 1
-    for dest in range(size):
-        if dest != rank:
-            _stream_send_accounting(p, centry, dest)
-    wire_piece = np.frombuffer(_native_header(p) + piece, dtype=np.uint8).copy()
+    _account_sends(p, centry, (d for d in range(size) if d != rank))
+    wire_piece = _wire(p, piece)
     wire_out = np.empty((size, wire_piece.size), dtype=np.uint8)
     raw.Allgather(wire_piece, wire_out)
-    for src in range(size):
-        if src == rank:
-            _unpack_into(piece, out[src])
-            continue
-        sender_epoch, stopped, payload = _parse_header(p, wire_out[src].tobytes())
-        _stream_account(p, centry, src, sender_epoch, stopped, payload)
-        _unpack_into(payload, out[src])
+    _deliver_rows(p, centry, wire_out, recvbuf, rank)
 
 
 def alltoall(p: "C3Protocol", centry: "CommEntry", sendbuf: np.ndarray,
@@ -343,38 +419,28 @@ def alltoall(p: "C3Protocol", centry: "CommEntry", sendbuf: np.ndarray,
     raw = centry.raw
     size, rank = raw.size, raw.rank
     sp = sendbuf.reshape(size, -1)
-    rp = recvbuf.reshape(size, -1)
+    rp = reshape_in_place(recvbuf, (size, -1))
     if size == 1:
-        _unpack_into(_pack(sp[0]), rp[0])
+        _assign(np.ascontiguousarray(sp[0]).tobytes(), rp[0])
         return
     if _use_emulation(p):
         p.stats.collectives_emulated += 1
         for dest in range(size):
             if dest != rank:
-                _stream_send(p, centry, dest, _pack(sp[dest]))
-        _unpack_into(_pack(sp[rank]), rp[rank])
+                _stream_send(p, centry, dest,
+                             np.ascontiguousarray(sp[dest]).tobytes())
+        _assign(np.ascontiguousarray(sp[rank]).tobytes(), rp[rank])
         for src in range(size):
             if src != rank:
                 payload = _stream_recv(p, centry, src, rp[src].nbytes)
                 _unpack_into(payload, rp[src])
         return
     p.stats.collectives_native += 1
-    header = _native_header(p)
-    wires = []
-    for dest in range(size):
-        if dest != rank:
-            _stream_send_accounting(p, centry, dest)
-        wires.append(np.frombuffer(header + _pack(sp[dest]), dtype=np.uint8))
-    wire_send = np.stack(wires)
+    _account_sends(p, centry, (d for d in range(size) if d != rank))
+    wire_send = _wire_rows(p, sp)
     wire_recv = np.empty_like(wire_send)
     raw.Alltoall(wire_send, wire_recv)
-    for src in range(size):
-        if src == rank:
-            _unpack_into(_pack(sp[rank]), rp[rank])
-            continue
-        sender_epoch, stopped, payload = _parse_header(p, wire_recv[src].tobytes())
-        _stream_account(p, centry, src, sender_epoch, stopped, payload)
-        _unpack_into(payload, rp[src])
+    _deliver_rows(p, centry, wire_recv, recvbuf, rank)
 
 
 def barrier(p: "C3Protocol", centry: "CommEntry") -> None:
@@ -452,7 +518,7 @@ def _logged_reduction(p: "C3Protocol", centry: "CommEntry",
     raw = centry.raw
     if p.modes.mode is Mode.RESTORE and len(p.event_log):
         payload = p.event_log.replay(EventLog.COLLECTIVE_RESULT)
-        _unpack_into(payload, recvbuf)
+        _assign(payload, recvbuf)
         p.stats.replayed_from_log += 1
         return
     if scan:
@@ -461,5 +527,6 @@ def _logged_reduction(p: "C3Protocol", centry: "CommEntry",
         raw.Allreduce(sendbuf, recvbuf, op)
     p.stats.collectives_native += 1
     if p.modes.is_logging_late:
-        p.event_log.record(EventLog.COLLECTIVE_RESULT, _pack(recvbuf))
+        p.event_log.record(EventLog.COLLECTIVE_RESULT,
+                           np.ascontiguousarray(recvbuf).tobytes())
         p.stats.events_logged += 1

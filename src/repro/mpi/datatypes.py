@@ -341,6 +341,22 @@ class StructType(Datatype):
         self._check_usable()
 
 
+def reshape_in_place(buffer: np.ndarray, shape) -> np.ndarray:
+    """``buffer`` seen with ``shape``: a view, never a copy.
+
+    Collectives write user receive buffers through a reshape (rows of a
+    gather, the flat piece of a scatterv).  ``ndarray.reshape`` silently
+    copies a strided view it cannot reshape, and whatever is written into
+    that copy is lost; such a buffer is refused like any other
+    non-contiguous communication buffer instead.
+    """
+    view = buffer.reshape(shape)
+    if (not buffer.flags.c_contiguous and view.size
+            and not np.may_share_memory(view, buffer)):
+        raise InvalidDatatypeError("communication buffers must be C-contiguous")
+    return view
+
+
 def _as_byte_view(buffer) -> np.ndarray:
     """View any contiguous buffer (numpy array / bytearray) as mutable bytes."""
     if isinstance(buffer, np.ndarray):

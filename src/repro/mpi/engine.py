@@ -344,6 +344,10 @@ class Engine:
         #: recording store wrappers here, so rank bodies must read the
         #: job arguments through the engine rather than a closure
         self._job_args: Tuple = ()
+        #: open collective rendezvous of a closed-form launch, keyed by
+        #: (shadow context, call sequence); None runs every collective
+        #: point-to-point (see :meth:`_closed_form_eligible`)
+        self._rendezvous: Optional[Dict[Tuple[int, int], Any]] = None
 
     def shard_count(self) -> int:
         """Requested worker-process count for the sharded backend.
@@ -459,6 +463,8 @@ class Engine:
             warn_unavailable(impl, reason)
             impl = BACKENDS["cooperative"]
             self.backend = impl.name
+        self._rendezvous = {} if self._closed_form_eligible(impl, main) \
+            else None
 
         t0 = _time.monotonic()
         impl.launch(self, worker, timeout, errors, returns)
@@ -475,6 +481,25 @@ class Engine:
             wall_seconds=wall,
             real_kills=list(self.real_kills),
         )
+
+    def _closed_form_eligible(self, impl, main: Callable) -> bool:
+        """May this launch evaluate collectives in closed form?
+
+        A closed-form collective reorders fibers (every rank parks once,
+        the last arriver runs the whole algorithm), so it is used only
+        when no rank can observe fiber order: one cooperative loop holds
+        every rank, no unfired fault spec can fire mid-collective, and
+        the job body does not declare out-of-band control traffic — the
+        C3 layer's job body declares it for jobs with a checkpoint timer
+        or a restore (:func:`repro.core.ccc._c3_exchanges_control`), whose
+        ranks consume control messages at fiber-order-dependent points.
+        Decided once per launch, so every rank uses the same driver
+        (DESIGN.md §2.5).
+        """
+        if impl.name != "cooperative" or self.fault_plan.unfired():
+            return False
+        declares = getattr(main, "_exchanges_control", None)
+        return declares is None or not declares(*self._job_args)
 
     def _run_cooperative(self, worker: Callable[[int], None],
                          errors: List[Tuple[int, str]]) -> None:

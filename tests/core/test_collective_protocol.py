@@ -184,3 +184,153 @@ def test_barrier_across_recovery_line():
         config=C3Config(checkpoint_interval=T * 0.15),
         fault_plan=FaultPlan([FaultSpec(rank=0, at_time=T * 0.5)]))
     assert res.returns == [12.0, 12.0, 12.0]
+
+
+# ---------------------------------------------------------------------------
+# Buffers: a C3 run accepts exactly what the original run accepts
+# ---------------------------------------------------------------------------
+
+def _strided2(rows, cols, fill=0.0):
+    """A 2-D view that drops a column: reshape(-1) would copy it."""
+    view = np.zeros((rows, cols + 1))[:, :cols]
+    view[...] = fill
+    return view
+
+
+def _strided1(n, fill=0.0):
+    view = np.zeros(2 * n)[::2]
+    view[...] = fill
+    return view
+
+
+#: name -> body(comm, rank, size) returning what the rank observed; each
+#: passes one non-contiguous buffer in one role
+_BUFFER_CASES = {
+    "bcast-2d": lambda c, r, n: c.Bcast(_strided2(2, 2, float(r == 0))),
+    "bcast-1d": lambda c, r, n: c.Bcast(_strided1(4, float(r == 0))),
+    "allreduce-recv-2d": lambda c, r, n: c.Allreduce(
+        np.full((2, 2), r + 1.0), _strided2(2, 2), SUM),
+    "allreduce-recv-1d": lambda c, r, n: c.Allreduce(
+        np.full(4, r + 1.0), _strided1(4), SUM),
+    "allreduce-send-2d": lambda c, r, n: c.Allreduce(
+        _strided2(2, 2, float(r)), np.zeros((2, 2)), SUM),
+    "reduce-send-2d": lambda c, r, n: c.Reduce(
+        _strided2(2, 2, float(r)), np.zeros((2, 2)), SUM),
+    "reduce-recv-2d": lambda c, r, n: c.Reduce(
+        np.full((2, 2), r + 1.0), _strided2(2, 2), SUM),
+    "scan-recv-2d": lambda c, r, n: c.Scan(
+        np.full((2, 2), r + 1.0), _strided2(2, 2), SUM),
+    "scan-send-2d": lambda c, r, n: c.Scan(
+        _strided2(2, 2, float(r)), np.zeros((2, 2)), SUM),
+    "gather-send-1d": lambda c, r, n: c.Gather(
+        _strided1(2, float(r)), np.zeros((n, 2))),
+    "gather-recv-2d": lambda c, r, n: c.Gather(
+        np.full(2, r + 1.0), _strided2(n, 2)),
+    "gather-recv-1d": lambda c, r, n: c.Gather(
+        np.full(2, r + 1.0), _strided1(2 * n)),
+    "gather-recv-uncopyable": lambda c, r, n: c.Gather(
+        np.full(2, r + 1.0), _strided2(2, n)),
+    "scatter-recv-2d": lambda c, r, n: c.Scatter(
+        np.arange(n * 4.0).reshape(n, 4), _strided2(2, 2)),
+    "scatter-recv-1d": lambda c, r, n: c.Scatter(
+        np.arange(n * 4.0), _strided1(4)),
+    "scatter-send-2d": lambda c, r, n: c.Scatter(
+        np.arange(n * 5.0).reshape(n, 5)[:, :4], np.zeros(4)),
+    "allgather-recv-2d": lambda c, r, n: c.Allgather(
+        np.full(2, r + 1.0), _strided2(n, 2)),
+    "allgather-recv-1d": lambda c, r, n: c.Allgather(
+        np.full(2, r + 1.0), _strided1(2 * n)),
+    "allgather-recv-strided-rows": lambda c, r, n: c.Allgather(
+        np.full(2, r + 1.0), np.zeros((n, 4))[:, ::2]),
+    "allgather-send-1d": lambda c, r, n: c.Allgather(
+        _strided1(2, float(r)), np.zeros((n, 2))),
+    "alltoall-recv-2d": lambda c, r, n: c.Alltoall(
+        np.arange(n * 2.0) + r, _strided2(n, 2)),
+    "alltoall-recv-1d": lambda c, r, n: c.Alltoall(
+        np.arange(n * 2.0) + r, _strided1(2 * n)),
+    "alltoall-send-2d": lambda c, r, n: c.Alltoall(
+        _strided2(n, 2, float(r)), np.zeros((n, 2))),
+}
+
+
+def _observed(body):
+    """The rank body, returning every buffer argument it passed."""
+    def app(ctx):
+        comm, seen = ctx.comm, []
+
+        class Recorder:
+            def __getattr__(self, name):
+                method = getattr(comm, name)
+
+                def call(*args, **kw):
+                    seen.extend(a for a in args if isinstance(a, np.ndarray))
+                    return method(*args, **kw)
+                return call
+        body(Recorder(), ctx.rank, ctx.size)
+        return [a.tolist() for a in seen]
+    return app
+
+
+def _outcome(result):
+    """The error classes raised, or what every rank observed."""
+    if result.errors:
+        return {tb.strip().splitlines()[-1].split(":")[0]
+                for _rank, tb in result.errors}
+    return result.returns
+
+
+@pytest.mark.parametrize("emulate", [False, True], ids=["native", "emulated"])
+@pytest.mark.parametrize("case", sorted(_BUFFER_CASES))
+def test_c3_and_original_accept_the_same_buffers(case, emulate):
+    """A non-contiguous buffer raises the same class under C3 as without
+    it — or works, and leaves the same contents."""
+    app = _observed(_BUFFER_CASES[case])
+    original = run_original(app, 3)
+    c3, _stats = run_c3(app, 3, config=C3Config(emulate_collectives=emulate))
+    assert _outcome(c3) == _outcome(original)
+    assert c3.failure is None and original.failure is None
+
+
+# ---------------------------------------------------------------------------
+# Native accounting as arithmetic: counters and stats end identical
+# ---------------------------------------------------------------------------
+
+def _counted_app(ctx):
+    """The collective mix, returning the protocol's per-peer counters."""
+    result = collective_mix_app(ctx)
+    ctx.comm.Scatter(np.arange(4.0 * ctx.size) if ctx.rank == 1 else None,
+                     np.zeros(4), root=1)
+    c = ctx.c3.counters
+    return (result, c.sent_count, c.received_count, c.early_received,
+            c.late_received)
+
+
+@pytest.mark.parametrize("interval", [None, 8e-4],
+                         ids=["no-checkpoints", "timer"])
+def test_arithmetic_accounting_matches_per_stream(interval, monkeypatch):
+    from dataclasses import asdict
+
+    from repro.core import collectives as c3coll
+
+    def run():
+        result, stats = run_c3(_counted_app, 4,
+                               config=C3Config(checkpoint_interval=interval))
+        result.raise_errors()
+        return result, [asdict(s) for s in stats]
+
+    taken = []
+    arithmetic = c3coll._arithmetic
+
+    def counted(*args):
+        ok = arithmetic(*args)
+        taken.append(ok)
+        return ok
+    monkeypatch.setattr(c3coll, "_arithmetic", counted)
+    fast, fast_stats = run()
+    assert any(taken)
+    monkeypatch.setattr(c3coll, "_arithmetic", lambda *args: False)
+    slow, slow_stats = run()
+    assert fast.returns == slow.returns
+    assert fast_stats == slow_stats
+    assert [c.hex() for c in fast.clocks] == [c.hex() for c in slow.clocks]
+    assert fast.sent_counts == slow.sent_counts

@@ -342,22 +342,24 @@ def _spin_kernel(mpi):
 #: (kernel, ranks, (victim, at_time) or None) -> observation, recorded on
 #: the scheduler that resumed every task from its run loop (two OS
 #: hand-offs per switch); direct hand-off between carriers must
-#: reproduce every value
+#: reproduce every value.  The clean runs take closed-form collectives
+#: (one park per rank per collective), which lowered only their switch
+#: counts: ring 789 -> 448, heat 1556 -> 1072, wildcard 419 -> 272.
 SCHEDULE_PINS = {
     ("ring", 64, None): dict(
-        switches=789, clocks="761f407f4099e69a", sent="ea388e9b870c8d8e",
+        switches=448, clocks="761f407f4099e69a", sent="ea388e9b870c8d8e",
         returns="7991101a4fa95986", failure=None),
     ("ring", 64, (33, 0.3)): dict(
         switches=436, clocks="07c3c75116482bf4", sent="b44616d55fa20cfe",
         returns="1523163764395b44", failure=[33, "0x1.33730a9fd2540p-2"]),
     ("heat", 64, None): dict(
-        switches=1556, clocks="ba42f990d928ad93", sent="e00904aa937ed6d6",
+        switches=1072, clocks="ba42f990d928ad93", sent="e00904aa937ed6d6",
         returns="00b5d1bbf27fd332", failure=None),
     ("heat", 64, (17, 2.4)): dict(
         switches=814, clocks="346a5f762fb6b45e", sent="2fb1ee26da3f0d5e",
         returns="1523163764395b44", failure=[17, "0x1.cd5f11cd20c25p+0"]),
     ("wildcard", 16, None): dict(
-        switches=419, clocks="4bb2fb81e27ee243", sent="08c5ba844936b232",
+        switches=272, clocks="4bb2fb81e27ee243", sent="08c5ba844936b232",
         returns="eba02fa6962060b6", failure=None),
     ("wildcard", 16, (5, 1e-4)): dict(
         switches=76, clocks="ea373e4148222648", sent="e1325a5e7591d3bd",
@@ -383,6 +385,121 @@ class TestSchedulePins:
         got = _schedule_observation(nprocs, _PIN_KERNELS[kernel], kill)
         assert got == SCHEDULE_PINS[case]
         assert (got["failure"] is None) == (kill is None)
+
+
+def _c3_app(kernel):
+    from repro.harness.scaling import SCALING_APPS
+
+    params = SCALING_APPS[kernel.__name__]
+    return lambda ctx: kernel(ctx, **params)
+
+
+def _c3_timer_ring16():
+    from repro.core.ccc import run_c3
+    from repro.core.protocol import C3Config
+    from repro.mpi import LEMIEUX
+
+    return run_c3(_c3_app(ring), 16, machine=LEMIEUX,
+                  config=C3Config(checkpoint_interval=0.15))[0]
+
+
+def _resume_heat16():
+    """The restart launch of a heat job killed after two committed lines."""
+    from repro.core.ccc import resume_from_manifest, run_c3
+    from repro.core.protocol import C3Config
+    from repro.mpi import LEMIEUX
+    from repro.storage.stable import InMemoryStorage
+    from repro.storage.wal import WalStore
+
+    store, config = WalStore(InMemoryStorage()), \
+        C3Config(checkpoint_interval=1.2)
+    killed, _ = run_c3(_c3_app(heat), 16, machine=LEMIEUX, storage=store,
+                       config=config,
+                       fault_plan=FaultPlan([FaultSpec(rank=3, at_time=4.2)]))
+    assert killed.failure is not None
+    return resume_from_manifest(_c3_app(heat), 16, store, machine=LEMIEUX,
+                                config=config)[0]
+
+
+def _in_collective_ring16():
+    from repro.mpi import LEMIEUX
+    from repro.mpi.engine import Engine
+
+    plan = FaultPlan([FaultSpec(rank=5, in_collective=3)])
+    return Engine(16, machine=LEMIEUX, fault_plan=plan,
+                  engine="cooperative").run(_app_kernel(ring))
+
+
+def _c3_heat64():
+    from repro.core.ccc import run_c3
+    from repro.core.protocol import C3Config
+    from repro.mpi import LEMIEUX
+
+    return run_c3(_c3_app(heat), 64, machine=LEMIEUX, config=C3Config())[0]
+
+
+#: launches that must keep the p2p schedule bit for bit, switches
+#: included — a C3 job with a checkpoint timer, a restart, an armed
+#: mid-collective kill — recorded before closed-form collectives existed
+GUARD_PINS = {
+    "c3-timer ring@16": (_c3_timer_ring16, dict(
+        switches=218, clocks="2245227df7661f57", sent="af7df80113476483",
+        returns="a41edf37a5dcc20c", failure=None)),
+    "resume heat@16": (_resume_heat16, dict(
+        switches=265, clocks="6f1837e2fe1e0500", sent="172760971b50f992",
+        returns="51e34d864f748e1d", failure=None)),
+    "in_collective ring@16": (_in_collective_ring16, dict(
+        switches=51, clocks="2128c30653e3ca1f", sent="d62bdea1fa572a1c",
+        returns="4924454cace3ed23", failure=[5, "0x1.99d2f617daf95p-4"])),
+}
+
+
+def _launch_observation(launch, monkeypatch):
+    """``_schedule_observation`` for a launch made through a runner: the
+    switches are read off the scheduler of the last launch."""
+    import hashlib
+    import json
+
+    from repro.mpi.scheduler import CooperativeScheduler
+
+    switches = []
+    run = CooperativeScheduler.run
+
+    def counted(sched, *args, **kw):
+        try:
+            return run(sched, *args, **kw)
+        finally:
+            switches.append(sched.switches)
+    monkeypatch.setattr(CooperativeScheduler, "run", counted)
+    result = launch()
+
+    def digest(value):
+        text = json.dumps(value, sort_keys=True)
+        return hashlib.blake2b(text.encode(), digest_size=8).hexdigest()
+
+    return {
+        "switches": switches[-1],
+        "clocks": digest([c.hex() for c in result.clocks]),
+        "sent": digest([result.sent_counts, result.sent_bytes]),
+        "returns": digest(repr(result.returns)),
+        "failure": None if result.failure is None else
+        [result.failure.rank, result.failure.time.hex()],
+    }
+
+
+class TestClosedFormGuard:
+    @pytest.mark.parametrize("name", list(GUARD_PINS))
+    def test_order_observing_launches_keep_the_p2p_schedule(
+            self, name, monkeypatch):
+        launch, pinned = GUARD_PINS[name]
+        assert _launch_observation(launch, monkeypatch) == pinned
+
+    def test_configuration_1_c3_heat64_only_switches_less(self, monkeypatch):
+        """Recorded before closed-form collectives: 1810 switches."""
+        got = _launch_observation(_c3_heat64, monkeypatch)
+        assert got.pop("switches") < 1810
+        assert got == dict(clocks="1449bb001d54ea31", sent="7f5d10899e204855",
+                           returns="00b5d1bbf27fd332", failure=None)
 
 
 # ---------------------------------------------------------------------------
