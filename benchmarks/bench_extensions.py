@@ -6,9 +6,7 @@ import numpy as np
 from conftest import run_once
 
 from repro.core import C3Config, run_c3
-from repro.storage import (
-    DrainDaemon, InMemoryStorage, checkpoint_bytes, last_committed_global,
-)
+from repro.storage import DrainDaemon, InMemoryStorage, as_store
 from repro.mpi.timemodel import LEMIEUX
 
 
@@ -36,7 +34,7 @@ def _compare_incremental():
                             incremental_full_interval=100))
         result.raise_errors()
         committed = min(s.checkpoints_committed for s in stats if s)
-        sizes = [checkpoint_bytes(storage, v, 0)
+        sizes = [as_store(storage).checkpoint_bytes(v, 0)
                  for v in range(1, committed + 1)]
         out[name] = {"committed": committed, "sizes": sizes,
                      "total_bytes": storage.written_bytes}
@@ -63,8 +61,9 @@ def _drain_experiment():
         _sparse_app, 8, machine=LEMIEUX, storage=storage,
         config=C3Config(checkpoint_interval=6e-4, max_checkpoints=1))
     result.raise_errors()
-    version = last_committed_global(storage, 8)
-    sizes = [checkpoint_bytes(storage, version, r) for r in range(8)]
+    store = as_store(storage)
+    version = store.last_committed_global(8)
+    sizes = [store.checkpoint_bytes(version, r) for r in range(8)]
     times = [s.last_commit_time for s in stats if s]
     report = DrainDaemon(LEMIEUX, drain_streams=4).drain(times, sizes)
     return {

@@ -15,7 +15,7 @@ Run: ``python examples/drain_daemon.py``
 from repro import C3Config, InMemoryStorage, run_c3
 from repro.apps.ft import ft
 from repro.mpi.timemodel import LEMIEUX
-from repro.storage import DrainDaemon, checkpoint_bytes, last_committed_global
+from repro.storage import DrainDaemon, as_store
 
 NPROCS = 8
 PARAMS = dict(local_rows=16, row_len=128, niter=8)
@@ -31,9 +31,10 @@ def main() -> None:
         app, NPROCS, machine=LEMIEUX, storage=storage,
         config=C3Config(checkpoint_interval=1e-3, max_checkpoints=1))
     result.raise_errors()
-    version = last_committed_global(storage, NPROCS)
+    store = as_store(storage)
+    version = store.last_committed_global(NPROCS)
     assert version is not None, "no committed recovery line"
-    sizes = [checkpoint_bytes(storage, version, r) for r in range(NPROCS)]
+    sizes = [store.checkpoint_bytes(version, r) for r in range(NPROCS)]
     commit_times = [s.last_commit_time for s in stats if s]
     print(f"recovery line v{version}: "
           f"{sum(sizes) / 1e6:.2f} MB across {NPROCS} ranks")

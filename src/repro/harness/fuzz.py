@@ -60,10 +60,9 @@ from ..core.ccc import resume_from_manifest, run_c3, run_original
 from ..core.protocol import C3Config
 from ..mpi.faults import TRIGGER_FIELDS, FaultPlan, FaultSpec
 from ..mpi.timemodel import MACHINES, TESTING
-from ..storage.faulty import (STORAGE_FAULT_KINDS, FaultyStorage, FaultyStore,
-                              StorageFault)
+from ..storage.faulty import STORAGE_FAULT_KINDS, FaultyStorage, StorageFault
 from ..storage.stable import DiskStorage, InMemoryStorage
-from ..storage.store import ScatterStore, as_store
+from ..storage.store import ScatterStore
 from ..storage.wal import WalStore
 from .campaign import CAMPAIGN_PARAMS, COLLECTIVE_APPS
 from .jobs import STORAGE_CHOICES, Study, Table, study_main
@@ -269,10 +268,8 @@ def run_schedule(sched: FuzzSchedule, cache: Optional[GoldenCache] = None,
     backend = FaultyStorage(
         base_storage,
         [StorageFault.from_dict(sf) for sf in sched.storage_faults])
-    inner_store = (WalStore(backend)
-                   if sched.storage in ("wal", "wal-disk")
-                   else ScatterStore(backend))
-    storage = FaultyStore(inner_store, backend)
+    storage = (WalStore(backend) if sched.storage in ("wal", "wal-disk")
+               else ScatterStore(backend))
 
     cmap = coverage.CoverageMap()
     previous = coverage.install(cmap)
@@ -307,11 +304,10 @@ def run_schedule(sched: FuzzSchedule, cache: Optional[GoldenCache] = None,
                 failure_class = "mismatch"
             # Store queries crash-test the recovery index too: a corrupt
             # marker that escapes validation surfaces right here.
-            store = as_store(storage)
-            committed = store.last_committed_global(
+            committed = storage.last_committed_global(
                 sched.nprocs, validate=True) or 0
             lines_retained = max(
-                (len(v) for v in store.lines_on_storage().values()),
+                (len(v) for v in storage.lines_on_storage().values()),
                 default=0)
         except _Livelock as exc:
             failure = (f"still failing after {max_restarts} restarts "

@@ -6,10 +6,10 @@ per-study ``--engine`` help text each keeping a private copy of the
 backend vocabulary.  This module is the single source of truth instead:
 
 * :class:`ExecutionBackend` — the interface one backend implements:
-  its canonical name and accepted spellings, capability flags
-  (``supports_real_kill``, ``supports_shards``, ``deterministic``),
-  an :meth:`~ExecutionBackend.available` environment probe, and the
-  :meth:`~ExecutionBackend.launch` path that actually runs rank bodies.
+  its canonical name and accepted spellings, the ``takes_count`` and
+  ``supports_real_kill`` flags, an :meth:`~ExecutionBackend.available`
+  environment probe, and the :meth:`~ExecutionBackend.launch` path that
+  actually runs rank bodies.
 * :data:`BACKENDS` / :func:`register` — the registry.  ``harness.jobs``
   derives the ``--engine`` CLI validation and help text from it, and
   ``service.JobSpec`` validates submissions against it, so an unknown
@@ -57,19 +57,10 @@ class ExecutionBackend:
     takes_count: bool = False
     #: one-line summary, folded into the shared ``--engine`` help text
     summary: str = ""
-
-    # -- capability flags (satellite: studies consult these instead of
-    # -- scattering ``if engine == ...`` checks) ----------------------------
     #: fault specs are delivered as actual SIGKILLs to OS processes;
     #: fault-injected jobs therefore need stable storage that survives
     #: the process (a disk-backed store)
     supports_real_kill: bool = False
-    #: ranks are partitioned across forked workers (parallel across
-    #: cores; cross-worker clocks synchronized by the LBTS window)
-    supports_shards: bool = False
-    #: completed runs are bit-reproducible against the cooperative
-    #: oracle on the differential battery's kernels
-    deterministic: bool = True
 
     def available(self) -> Optional[str]:
         """``None`` if the backend can run here, else a reason string.
@@ -204,7 +195,6 @@ class ShardedBackend(ExecutionBackend):
     aliases = ("shard", "shards")
     summary = "N forked node-shards, LBTS-synchronized"
     takes_count = True
-    supports_shards = True
 
     def available(self) -> Optional[str]:
         if not hasattr(os, "fork"):  # pragma: no cover - non-POSIX

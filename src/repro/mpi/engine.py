@@ -67,7 +67,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import os
 import threading
 import time as _time
 import traceback
@@ -348,18 +347,6 @@ class Engine:
         #: (shadow context, call sequence); None runs every collective
         #: point-to-point (see :meth:`_closed_form_eligible`)
         self._rendezvous: Optional[Dict[Tuple[int, int], Any]] = None
-
-    def shard_count(self) -> int:
-        """Requested worker-process count for the sharded backend.
-
-        ``"sharded:N"`` pins it; bare ``"sharded"`` uses the CPU count.
-        :func:`repro.mpi.sharded.plan_shards` clamps to the simulated
-        node count, so oversubscription is impossible either way.
-        """
-        _base, _sep, count = self.backend.partition(":")
-        if count:
-            return int(count)
-        return os.cpu_count() or 1
 
     # -- communicator context ids ------------------------------------------
     def context_for(self, key, force: Optional[Tuple[int, int]] = None

@@ -83,7 +83,7 @@ def require_shared_store(engine) -> None:
         type(arg).__name__
         for arg in engine._job_args
         if isinstance(arg, CheckpointStore)
-        and not getattr(arg.backend, "shared_across_fork", False)
+        and not arg.backend.shared_across_fork
     ]
     if bad:
         raise ValueError(
@@ -100,7 +100,6 @@ class ProcessesBackend(ExecutionBackend):
     aliases = ("process", "procs")
     summary = "one OS process per node, faults delivered as real SIGKILLs"
     takes_count = True
-    supports_shards = True
     supports_real_kill = True
 
     def available(self) -> Optional[str]:

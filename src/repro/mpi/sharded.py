@@ -511,8 +511,7 @@ class _ShardHandle:
 
 def run_sharded(engine, body: Callable[[int], None], timeout: float,
                 errors: List, returns: List[Any], *,
-                n_shards: Optional[int] = None,
-                real_kill: bool = False) -> None:
+                n_shards: int, real_kill: bool = False) -> None:
     """Fork one worker per shard and route cross-shard traffic.
 
     Mutates ``errors``/``returns`` and the engine's rank contexts in
@@ -528,8 +527,7 @@ def run_sharded(engine, body: Callable[[int], None], timeout: float,
     status before its evidence lands in ``engine.real_kills``.
     """
     shards = plan_shards(engine.nprocs, engine.machine.procs_per_node,
-                         engine.shard_count() if n_shards is None
-                         else n_shards)
+                         n_shards)
     if len(shards) == 1 and not real_kill:
         # Exact reduction: one shard IS the cooperative engine — same
         # scheduler, same schedule, same switch count, no fork.  A
@@ -907,19 +905,13 @@ def _merge(engine, handles: List[_ShardHandle], spec_list: List,
         # plan — the only case whose failure record we pin bitwise.
         failures.sort(key=lambda f: (f.time, f.rank))
         engine.failure = failures[0]
-    # Replay each shard's store mutations into the parent's real store.
-    # Per-node keyspaces are shard-disjoint, so shard-order replay
-    # reconstructs the cooperative store state; shared-across-fork
-    # backends (real disk) already hold the bytes and reload instead.
-    from ..storage.store import replay_ops
-    replayed: set = set()
+    # Bring each store the shards wrote into up to date (shard-order op
+    # replay, or a reload when the shards wrote through to a shared
+    # medium — see merge_shards).
+    from ..storage.store import merge_shards
+    merged: set = set()
     for pos in sorted(store_ops):
         store = engine._job_args[pos]
-        if id(store) in replayed:
-            continue
-        replayed.add(id(store))
-        if getattr(store.backend, "shared_across_fork", False):
-            store.reload()
-            continue
-        for _shard, ops in sorted(store_ops[pos]):
-            replay_ops(store, ops)
+        if id(store) not in merged:
+            merged.add(id(store))
+            merge_shards(store, [ops for _shard, ops in sorted(store_ops[pos])])

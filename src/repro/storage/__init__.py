@@ -1,11 +1,13 @@
-"""Stable-storage substrate: backends, commit manifest, drain daemon."""
+"""Stable-storage substrate: backends, checkpoint stores, drain daemon.
+
+Everything about checkpoint lines — commit, validation, the global
+last-committed queries, GC — is a :class:`CheckpointStore` method; wrap
+a bare backend with :func:`as_store` to ask it.  :mod:`.manifest` holds
+the commit record's one codec and the section digest.
+"""
 
 from .drain import DrainDaemon, DrainDevice, DrainReport
-from .manifest import (
-    checkpoint_bytes, commit_path, committed_map, committed_versions,
-    delete_line, last_committed_global, last_committed_local, line_manifest,
-    record_commit, section_digest, section_path, validate_line,
-)
+from .manifest import section_digest
 from .namespace import PrefixBackend, tenant_backend
 from .stable import DiskStorage, InMemoryStorage, StorageBackend, StorageError
 from .store import CheckpointStore, ScatterStore, as_store
@@ -13,11 +15,7 @@ from .wal import WalStore
 
 __all__ = [
     "StorageBackend", "InMemoryStorage", "DiskStorage", "StorageError",
-    "PrefixBackend", "tenant_backend",
-    "record_commit", "committed_map", "committed_versions",
-    "last_committed_local", "last_committed_global", "checkpoint_bytes",
-    "section_path", "commit_path", "line_manifest", "section_digest",
-    "validate_line", "delete_line",
+    "PrefixBackend", "tenant_backend", "section_digest",
     "DrainDaemon", "DrainDevice", "DrainReport",
     "CheckpointStore", "ScatterStore", "WalStore", "as_store",
 ]

@@ -8,11 +8,12 @@ about durability.  :class:`FaultyStorage` wraps any
 faults on a deterministic schedule, so the fault fuzzer
 (:mod:`repro.harness.fuzz`) can attack the section digests of the
 scatter layout (PR 5) and the record CRCs of the WAL (PR 6) at any
-operation of a run.  :class:`FaultyStore` is the matching
-:class:`~repro.storage.store.CheckpointStore` wrapper that sequences
-the crash semantics: on a failed job it first applies the stalled-sync
-data loss to the backend, *then* lets the inner store run its own crash
-model (the WAL's torn-tail append and replay).
+operation of a run.  Stores take it as their backend directly
+(``WalStore(FaultyStorage(...))``); on a failed job the store's
+:meth:`~repro.storage.store.CheckpointStore.on_job_end` first lets
+:meth:`FaultyStorage.on_job_end` apply the stalled-sync data loss,
+*then* runs its own crash model (the WAL's torn-tail append and
+replay).
 
 Fault classes (:data:`STORAGE_FAULT_KINDS`):
 
@@ -43,11 +44,10 @@ forwarding.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence
 
 from .. import coverage
 from .stable import StorageBackend, StorageError
-from .store import CheckpointStore
 
 #: every injectable fault class, in display order
 STORAGE_FAULT_KINDS = ("torn_write", "short_append", "bit_rot", "enospc",
@@ -130,7 +130,8 @@ class FaultyStorage(StorageBackend):
     so the same schedule against the same operation stream injects at
     the same instants.  Unknown attributes (the accounting counters,
     ``root``, ...) forward to the wrapped backend, so existing studies
-    read the real traffic.
+    read the real traffic; ``shared_across_fork`` answers for the
+    wrapped medium by the :class:`StorageBackend` proxy rule.
     """
 
     def __init__(self, inner: StorageBackend,
@@ -266,16 +267,17 @@ class FaultyStorage(StorageBackend):
         return self.inner.size(path)
 
     # -- crash semantics -----------------------------------------------------
-    def apply_crash(self) -> None:
-        """Lose what the stalled syncs never made durable.
+    def on_job_end(self, crashed: bool) -> None:
+        """Lose what the stalled syncs never made durable — on a crash.
 
         Every path whose last durability point was swallowed is truncated
-        back to its recorded durable length — the medium state a crash
-        exposes.  Called by :class:`FaultyStore` *before* the inner
-        store's own crash handling, so WAL replay parses the post-loss
-        bytes.
+        back to its recorded durable length: the medium state a crash
+        exposes.  The store calls this *before* its own crash handling,
+        so WAL replay parses the post-loss bytes.  A clean job end loses
+        nothing (the page cache drains after all): the stalled state is
+        just forgotten.
         """
-        for path in sorted(self._stalled):
+        for path in sorted(self._stalled) if crashed else ():
             durable = self._synced_len.get(path, 0)
             try:
                 current = self.inner.read(path)
@@ -292,99 +294,9 @@ class FaultyStorage(StorageBackend):
                 except StorageError:
                     pass
         self._stalled.clear()
-
-    def settle(self) -> None:
-        """A clean job end: the page cache drains after all, nothing is
-        lost — forget the stalled state."""
-        self._stalled.clear()
+        super().on_job_end(crashed)
 
     def __getattr__(self, name: str):
         # counters (write_count, fsync_count, ...) and backend-specific
         # attributes forward to the wrapped backend
-        if name == "inner":  # guard recursion before __init__ ran
-            raise AttributeError(name)
         return getattr(self.inner, name)
-
-
-class FaultyStore(CheckpointStore):
-    """A :class:`CheckpointStore` proxy sequencing storage-fault crashes.
-
-    Delegates every store operation to the wrapped store; its one job is
-    :meth:`on_job_end`, where a failed run first applies the backend's
-    stalled-sync loss (:meth:`FaultyStorage.apply_crash`) and only then
-    runs the inner store's crash model — the order a real crash imposes:
-    the medium loses data at the instant of the crash, recovery replays
-    whatever is left.
-    """
-
-    def __init__(self, inner: CheckpointStore,
-                 faulty_backend: Optional[FaultyStorage] = None):
-        self.inner = inner
-        self.backend = faulty_backend if faulty_backend is not None \
-            else inner.backend
-        self._faulty = faulty_backend
-
-    # -- crash sequencing ----------------------------------------------------
-    def on_job_end(self, failed_rank: Optional[int] = None) -> None:
-        if self._faulty is not None:
-            if failed_rank is None:
-                self._faulty.settle()
-            else:
-                self._faulty.apply_crash()
-        self.inner.on_job_end(failed_rank)
-
-    # -- delegation ----------------------------------------------------------
-    def configure(self, nprocs: int, procs_per_node: int = 1) -> None:
-        self.inner.configure(nprocs, procs_per_node)
-
-    def put_section(self, version, rank, section, payload):
-        self.inner.put_section(version, rank, section, payload)
-
-    def commit_line(self, version, rank, sections=None):
-        self.inner.commit_line(version, rank, sections=sections)
-
-    def delete_line(self, version, rank):
-        self.inner.delete_line(version, rank)
-
-    def flush(self):
-        self.inner.flush()
-
-    def flush_rank(self, rank):
-        self.inner.flush_rank(rank)
-
-    def read_section(self, version, rank, section):
-        return self.inner.read_section(version, rank, section)
-
-    def has_section(self, version, rank, section):
-        return self.inner.has_section(version, rank, section)
-
-    def section_size(self, version, rank, section):
-        return self.inner.section_size(version, rank, section)
-
-    def line_manifest(self, version, rank):
-        return self.inner.line_manifest(version, rank)
-
-    def validate_line(self, version, rank, deep=False):
-        return self.inner.validate_line(version, rank, deep=deep)
-
-    def committed_map(self):
-        return self.inner.committed_map()
-
-    def lines_on_storage(self):
-        return self.inner.lines_on_storage()
-
-    def checkpoint_bytes(self, version, rank):
-        return self.inner.checkpoint_bytes(version, rank)
-
-    def storage_bytes(self):
-        return self.inner.storage_bytes()
-
-    @property
-    def commit_hooks(self):
-        # the WAL's at_group_commit fault window must keep working
-        # through the wrapper
-        return self.inner.commit_hooks
-
-    @property
-    def stats(self):
-        return self.inner.stats

@@ -1,58 +1,40 @@
-"""Checkpoint commit manifest.
-
-Layout inside a storage backend::
-
-    ckpt/v{version}/rank{r}/{section}     checkpoint payload sections
-    ckpt/v{version}/rank{r}/COMMIT        per-rank commit marker
+"""The checkpoint commit manifest: its digest and its one codec.
 
 A recovery line is usable only if **every** rank committed it.  Each rank
 can answer "what is the last version I committed?" locally; the global
 answer is the minimum over ranks, computed during recovery with an
 all-reduce — exactly the "global reduction to find last checkpoint
 committed on all nodes" step of ``chkpt_RestoreCheckpoint`` (Figure 5).
-This module provides the local queries plus a harness-side global check.
+Those queries live on :class:`~repro.storage.store.CheckpointStore`;
+this module owns what every store engine writes into a commit record.
 
 Crash consistency
 -----------------
-A COMMIT marker is no longer a bare token: it carries a *section
-manifest* — the name, size, and content digest of every section of the
-line — and is written only after every section is durable (in the
-overlapped write-back pipeline, only once the virtual-time drain of the
-staged bytes has completed).  :func:`validate_line` rejects *torn* lines:
-a marker whose manifest names a missing section, a section whose stored
-size disagrees with the manifest, or (with ``deep=True``) a payload whose
-digest no longer matches.  Recovery queries skip torn lines and fall back
-to the previous committed line.
+A commit record is not a bare token: it carries a *section manifest* —
+the name, size, and content digest of every section of the line — and
+is written only after every section is durable (in the overlapped
+write-back pipeline, only once the virtual-time drain of the staged
+bytes has completed).  :meth:`CheckpointStore.validate_line
+<repro.storage.store.CheckpointStore.validate_line>` checks a line
+against its manifest and rejects *torn* lines; recovery queries skip
+them and fall back to the previous committed line.
 
-Legacy markers (the bare ``b"ok"`` of earlier versions) are still
-accepted and validate vacuously, so old stores remain restorable.
+Legacy records (the bare ``b"ok"`` of earlier versions) decode to "no
+manifest" and validate vacuously, so old stores remain restorable.
 """
 
 from __future__ import annotations
 
 import hashlib
-import re
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from .stable import StorageBackend, StorageError
-
-_VERSION_RE = re.compile(r"^ckpt/v(\d+)/rank(\d+)/COMMIT$")
-_LINE_RE = re.compile(r"^ckpt/v(\d+)/rank(\d+)/")
+from .stable import StorageError
 
 #: legacy commit marker payload (no manifest)
 LEGACY_MARKER = b"ok"
 
-
-def section_path(version: int, rank: int, section: str) -> str:
-    return f"ckpt/v{version}/rank{rank}/{section}"
-
-
-def line_prefix(version: int, rank: int) -> str:
-    return f"ckpt/v{version}/rank{rank}/"
-
-
-def commit_path(version: int, rank: int) -> str:
-    return f"ckpt/v{version}/rank{rank}/COMMIT"
+#: section name -> (payload bytes, content digest), as handed to commit
+Sections = Dict[str, Tuple[int, str]]
 
 
 def section_digest(payload: bytes) -> str:
@@ -60,19 +42,16 @@ def section_digest(payload: bytes) -> str:
     return hashlib.blake2b(payload, digest_size=16).hexdigest()
 
 
-def record_commit(storage: StorageBackend, version: int, rank: int,
-                  sections: Optional[Dict[str, Tuple[int, str]]] = None,
-                  ) -> None:
-    """Atomically mark ``version`` committed by ``rank``.
+def encode_commit(version: int, rank: int, sections: Optional[Sections],
+                  ) -> Tuple[Optional[dict], bytes]:
+    """The commit record of one line: ``(manifest, payload bytes)``.
 
-    ``sections`` maps each section name to its ``(nbytes, digest)`` pair;
-    when given, the marker carries the manifest that
-    :func:`validate_line` checks at restore.  ``None`` writes the legacy
-    bare marker (kept for the baselines and old stores).
+    ``sections`` maps each section name to its ``(nbytes, digest)``
+    pair.  ``None`` yields the legacy bare marker and no manifest (kept
+    for the baselines and old stores).
     """
     if sections is None:
-        storage.write(commit_path(version, rank), LEGACY_MARKER)
-        return
+        return None, LEGACY_MARKER
     from ..statesave import serializer
     record = {
         "version": version,
@@ -80,13 +59,13 @@ def record_commit(storage: StorageBackend, version: int, rank: int,
         "sections": {name: [int(nbytes), str(digest)]
                      for name, (nbytes, digest) in sections.items()},
     }
-    storage.write(commit_path(version, rank), serializer.dumps(record))
+    return record, serializer.dumps(record)
 
 
-def parse_commit_record(data: bytes) -> Optional[dict]:
-    """The manifest carried by a COMMIT marker, or None for legacy markers.
+def decode_commit(data: bytes) -> Optional[dict]:
+    """The manifest a commit record carries, or None for legacy markers.
 
-    A marker that is neither the legacy token nor a well-formed manifest
+    A record that is neither the legacy token nor a well-formed manifest
     — a torn write or bit-rot caught mid-marker — raises
     :class:`StorageError`: the *line* is bad, not the program.  (Found
     by the fault fuzzer: a torn COMMIT marker used to escape as a raw
@@ -103,175 +82,3 @@ def parse_commit_record(data: bytes) -> Optional[dict]:
     if not isinstance(record, dict) or "sections" not in record:
         raise StorageError("corrupt COMMIT marker: not a manifest")
     return record
-
-
-def line_manifest(storage: StorageBackend, version: int, rank: int,
-                  ) -> Optional[dict]:
-    """Read and parse one line's COMMIT manifest (None if legacy/absent).
-
-    A corrupt marker also reads as None: callers of this accessor want
-    "the manifest, if one is usable" — rejecting the line outright is
-    :func:`validate_line`'s job, and the restore path deep-validates
-    before it ever builds a reader on the line.
-    """
-    try:
-        data = storage.read(commit_path(version, rank))
-        return parse_commit_record(data)
-    except StorageError:
-        return None
-
-
-def validate_line(storage: StorageBackend, version: int, rank: int,
-                  deep: bool = False) -> bool:
-    """Is ``(version, rank)`` a committed, un-torn recovery line?
-
-    Shallow validation (the default) checks that the COMMIT marker
-    exists and that every manifest section is present with the recorded
-    size — an ``os.stat`` per section on :class:`DiskStorage`, no
-    payload reads.  ``deep=True`` additionally re-digests every payload,
-    which is what the restore path uses on its candidate line.
-    Legacy (manifest-less) markers validate vacuously.
-    """
-    from .. import coverage
-    try:
-        marker = storage.read(commit_path(version, rank))
-        record = parse_commit_record(marker)
-    except StorageError:
-        return False
-    if record is None:
-        return True
-    if record.get("version") != version or record.get("rank") != rank:
-        return False
-    for name, (nbytes, digest) in record["sections"].items():
-        path = section_path(version, rank, name)
-        try:
-            if storage.size(path) != nbytes:
-                return False
-            if deep and section_digest(storage.read(path)) != digest:
-                coverage.hit("path:digest_rejected")
-                return False
-        except StorageError:
-            return False
-    return True
-
-
-def committed_map(storage: StorageBackend) -> Dict[int, List[int]]:
-    """rank -> ascending committed versions, from ONE listing pass.
-
-    The building block of every global query: a single
-    ``storage.list("ckpt/")`` walk instead of one full namespace scan per
-    rank (the old behavior was O(nprocs x objects) at restore).
-    """
-    out: Dict[int, List[int]] = {}
-    for path in storage.list("ckpt/"):
-        m = _VERSION_RE.match(path)
-        if m:
-            out.setdefault(int(m.group(2)), []).append(int(m.group(1)))
-    for versions in out.values():
-        versions.sort()
-    return out
-
-
-def committed_versions(storage: StorageBackend, rank: int) -> List[int]:
-    """All versions this rank has committed, ascending."""
-    return committed_map(storage).get(rank, [])
-
-
-def lines_on_storage(storage: StorageBackend) -> Dict[int, List[int]]:
-    """rank -> ascending versions with ANY object on storage, one pass.
-
-    Unlike :func:`committed_map` this also sees *torn* lines (sections
-    without a COMMIT marker) — the view garbage collectors and retention
-    audits need.
-    """
-    out: Dict[int, set] = {}
-    for path in storage.list("ckpt/"):
-        m = _LINE_RE.match(path)
-        if m:
-            out.setdefault(int(m.group(2)), set()).add(int(m.group(1)))
-    return {rank: sorted(versions) for rank, versions in out.items()}
-
-
-def last_committed_local(storage: StorageBackend, rank: int,
-                         validate: bool = False,
-                         deep: bool = False) -> Optional[int]:
-    """The last (optionally validated) version this rank committed.
-
-    With ``validate=True`` torn lines are skipped: the scan walks the
-    rank's committed versions newest-first and returns the first one
-    whose manifest checks out (``deep`` re-digests payloads).
-    """
-    versions = committed_versions(storage, rank)
-    if not validate:
-        return versions[-1] if versions else None
-    for v in reversed(versions):
-        if validate_line(storage, v, rank, deep=deep):
-            return v
-    return None
-
-
-def last_committed_global(storage: StorageBackend, nprocs: int,
-                          validate: bool = False) -> Optional[int]:
-    """Last version committed by *all* ranks (harness-side check).
-
-    One listing pass builds the whole rank->versions map; the candidate
-    is the min of per-rank maxima, verified against every rank's set.
-    ``validate=True`` additionally shallow-validates each rank's
-    candidate lines, skipping torn ones.
-    """
-    cmap = committed_map(storage)
-    candidate: Optional[int] = None
-    for rank in range(nprocs):
-        versions = cmap.get(rank)
-        if not versions:
-            return None
-        local: Optional[int] = None
-        if validate:
-            for v in reversed(versions):
-                if validate_line(storage, v, rank):
-                    local = v
-                    break
-        else:
-            local = versions[-1]
-        if local is None:
-            return None
-        candidate = local if candidate is None else min(candidate, local)
-    # The minimum of per-rank maxima is committed everywhere because each rank
-    # commits versions in order; verify defensively anyway.
-    for rank in range(nprocs):
-        if candidate not in cmap.get(rank, []):
-            return None
-        if validate and not validate_line(storage, candidate, rank):
-            return None
-    return candidate
-
-
-def checkpoint_bytes(storage: StorageBackend, version: int, rank: int) -> int:
-    """Total payload bytes of one rank's checkpoint (excluding the marker).
-
-    Prefers the COMMIT manifest (no storage metadata walk at all, and
-    stale sections left by a pre-crash attempt at the same version are
-    not counted); otherwise sums :meth:`StorageBackend.size` over the
-    line's sections — never reads payloads.
-    """
-    record = line_manifest(storage, version, rank)
-    if record is not None:
-        return sum(int(nbytes) for nbytes, _ in record["sections"].values())
-    total = 0
-    for path in storage.list(line_prefix(version, rank)):
-        if not path.endswith("/COMMIT"):
-            total += storage.size(path)
-    return total
-
-
-def delete_line(storage: StorageBackend, version: int, rank: int) -> None:
-    """Remove every object of one rank's line (sections + marker).
-
-    Used by recovery-line garbage collection; missing objects are
-    ignored so concurrent deletion attempts are harmless.
-    """
-    for path in storage.list(line_prefix(version, rank)):
-        try:
-            storage.delete(path)
-        except StorageError:
-            pass

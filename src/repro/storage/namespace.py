@@ -15,8 +15,9 @@ The wrapper keeps its own traffic counters (``write_count``,
 storage accounting falls out for free, while the inner backend keeps
 counting the aggregate.  Everything the recovery stack needs passes
 through — the atomic object API, the WAL's append/sync/read_range
-stream API, and ``shared_across_fork`` (delegated: a namespace over
-real files is still fork-visible).
+stream API; ``shared_across_fork`` and the job-end boundary answer for
+the inner medium by the :class:`~repro.storage.stable.StorageBackend`
+proxy rule (a namespace over real files is still fork-visible).
 """
 
 from __future__ import annotations
@@ -42,10 +43,6 @@ class PrefixBackend(StorageBackend):
         self.written_bytes = 0
         self.fsync_count = 0
         self.read_count = 0
-
-    @property
-    def shared_across_fork(self) -> bool:  # type: ignore[override]
-        return self.inner.shared_across_fork
 
     def _map(self, path: str) -> str:
         # normalize first: a path whose ".." segments would escape is

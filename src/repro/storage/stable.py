@@ -39,7 +39,7 @@ import itertools
 import os
 import posixpath
 import threading
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 
 class StorageError(Exception):
@@ -62,13 +62,28 @@ def normalize_path(path: str) -> str:
 
 
 class StorageBackend:
-    """Abstract byte store keyed by slash-separated paths."""
+    """Abstract byte store keyed by slash-separated paths.
 
-    #: True when writes made in a forked child are visible to the parent
-    #: process (real files).  The sharded engine uses this to decide
-    #: between replaying a shard's recorded store operations (private
-    #: memory) and reloading indexes from the medium (shared bytes).
-    shared_across_fork = False
+    A proxy (tenant namespace, fault injector) sets :attr:`inner`; the
+    medium-level answers below then come from the medium it wraps.
+    """
+
+    #: the backend a proxy forwards to (None: this is the medium)
+    inner: Optional["StorageBackend"] = None
+
+    @property
+    def shared_across_fork(self) -> bool:
+        """True when writes made in a forked child are visible to the
+        parent process (real files): forking engines then reload store
+        indexes from the medium instead of replaying shard op logs."""
+        return self.inner is not None and self.inner.shared_across_fork
+
+    def on_job_end(self, crashed: bool) -> None:
+        """Job-lifetime boundary, before the store's own crash model: a
+        crash loses what was acknowledged but never made durable.  Real
+        media lose nothing; only fault injectors act here."""
+        if self.inner is not None:
+            self.inner.on_job_end(crashed)
 
     def write(self, path: str, data: bytes) -> None:
         raise NotImplementedError

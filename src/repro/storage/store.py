@@ -1,21 +1,18 @@
 """The checkpoint-store layer: line/section/commit semantics over bytes.
 
-Historically the runtime spoke *path conventions* directly to a
-:class:`~repro.storage.stable.StorageBackend` — ``ckpt/v{n}/rank{r}/…``
-helpers in :mod:`repro.storage.manifest` scattered every section into its
-own object with one durability point each.  That convention is now one
-implementation of an explicit interface:
-
-* :class:`CheckpointStore` — owns the semantics every storage consumer
-  needs: stage a section, commit a line with its manifest, read/validate
-  sections, answer the global queries (``committed_map``,
-  ``last_committed_global``), and delete superseded lines.
+* :class:`CheckpointStore` — the one statement of the contract every
+  storage consumer needs: stage a section, commit a line with its
+  manifest, validate lines over a few per-engine primitives, answer the
+  global queries (``committed_map``, ``last_committed_global``), delete
+  superseded lines, and sequence a crash.
 * :class:`ScatterStore` — the original per-file layout, kept for old
   stores, the baselines, and as the differential oracle for the WAL.
 * :class:`~repro.storage.wal.WalStore` — the production engine: one
   append-only log per simulated node, group commit with a single batched
   fsync, recovery by replay, segment-based GC
   (DESIGN.md §8).
+
+Both engines encode commit records with :mod:`repro.storage.manifest`.
 
 :func:`as_store` is the seam every layer normalizes through: protocol,
 checkpoint files, drain daemon, restart harness, and campaign all accept
@@ -29,9 +26,11 @@ it.
 
 from __future__ import annotations
 
+import re
 from typing import Dict, List, Optional, Tuple
 
-from . import manifest as _manifest
+from .. import coverage
+from .manifest import Sections, decode_commit, encode_commit, section_digest
 from .stable import StorageBackend, StorageError
 
 #: backend namespace prefix of the WAL engine's segments (used by layout
@@ -47,7 +46,10 @@ class CheckpointStore:
     size and content digest).  A line is restart-eligible only once its
     commit record is **durable**; implementations decide what durability
     costs (one fsync per object for the scatter layout, one batched
-    fsync per node group for the WAL).
+    fsync per node group for the WAL).  An engine supplies the
+    mutators, the section reads, the two global listings and three
+    primitives (:meth:`_commit_record`, :meth:`_section_len`,
+    :meth:`_section_sizes`); everything else is derived here.
     """
 
     #: the byte store underneath (shared across ranks of a job)
@@ -68,8 +70,7 @@ class CheckpointStore:
         raise NotImplementedError
 
     def commit_line(self, version: int, rank: int,
-                    sections: Optional[Dict[str, Tuple[int, str]]] = None,
-                    ) -> None:
+                    sections: Optional[Sections] = None) -> None:
         """Record the commit of one line (``sections`` is its manifest)."""
         raise NotImplementedError
 
@@ -89,31 +90,99 @@ class CheckpointStore:
         """Job-lifetime boundary, called once per engine run.
 
         ``failed_rank`` is the fail-stop victim (None for a clean end).
-        A clean end flushes; a crash must apply the implementation's
-        loss semantics to the victim's node (the WAL discards/tears the
-        unsynced tail).  The scatter layout has no unsynced state.
+        The medium goes first (a crash loses a stalled sync's bytes),
+        then the store's own crash model runs on what is left: the order
+        a real crash imposes.
         """
+        self.backend.on_job_end(crashed=failed_rank is not None)
+        self._job_end(failed_rank)
+
+    def _job_end(self, failed_rank: Optional[int]) -> None:
+        """A clean end flushes; a crash applies the engine's loss model
+        (the WAL tears the victim node's unsynced tail)."""
         if failed_rank is None:
             self.flush()
 
-    # -- read path ---------------------------------------------------------
+    # -- per-engine read primitives ----------------------------------------
     def read_section(self, version: int, rank: int, section: str) -> bytes:
         raise NotImplementedError
 
     def has_section(self, version: int, rank: int, section: str) -> bool:
         raise NotImplementedError
 
-    def section_size(self, version: int, rank: int, section: str) -> int:
+    def _commit_record(self, version: int, rank: int) -> Optional[dict]:
+        """The decoded manifest of a committed line (None: legacy
+        marker); StorageError if there is no durable record or it is
+        corrupt."""
         raise NotImplementedError
 
-    def line_manifest(self, version: int, rank: int) -> Optional[dict]:
-        """The committed line's manifest record (None if absent/legacy)."""
+    def _section_len(self, version: int, rank: int, section: str) -> int:
+        """Stored payload length of one section (StorageError if
+        absent), without reading the payload."""
         raise NotImplementedError
+
+    def _section_sizes(self, version: int, rank: int) -> Dict[str, int]:
+        """Every stored section of one line -> its payload length."""
+        raise NotImplementedError
+
+    # -- line queries --------------------------------------------------------
+    def line_manifest(self, version: int, rank: int) -> Optional[dict]:
+        """The committed line's manifest record (None if absent/legacy).
+
+        A corrupt record also reads as None: callers of this accessor
+        want "the manifest, if one is usable" — rejecting the line
+        outright is :meth:`validate_line`'s job, and the restore path
+        deep-validates before it ever builds a reader on the line.
+        """
+        try:
+            return self._commit_record(version, rank)
+        except StorageError:
+            return None
 
     def validate_line(self, version: int, rank: int,
                       deep: bool = False) -> bool:
-        """Is ``(version, rank)`` a committed, un-torn recovery line?"""
-        raise NotImplementedError
+        """Is ``(version, rank)`` a committed, un-torn recovery line?
+
+        Shallow validation (the default) checks that the commit record
+        exists and that every manifest section is present with the
+        recorded size — an ``os.stat`` per section on a scatter
+        :class:`~repro.storage.stable.DiskStorage`, an index lookup in
+        the WAL, no payload reads.  ``deep=True`` additionally
+        re-digests every payload, which is what the restore path uses on
+        its candidate line.  Legacy (manifest-less) commits validate
+        vacuously.
+        """
+        try:
+            record = self._commit_record(version, rank)
+        except StorageError:
+            return False
+        if record is None:
+            return True
+        if record.get("version") != version or record.get("rank") != rank:
+            return False
+        for name, (nbytes, digest) in record["sections"].items():
+            try:
+                if self._section_len(version, rank, name) != int(nbytes):
+                    return False
+                if deep and section_digest(
+                        self.read_section(version, rank, name)) != digest:
+                    coverage.hit("path:digest_rejected")
+                    return False
+            except StorageError:
+                return False
+        return True
+
+    def checkpoint_bytes(self, version: int, rank: int) -> int:
+        """Total payload bytes of one line (excluding the commit record).
+
+        Prefers the manifest (stale sections left by a pre-crash attempt
+        at the same version are not counted); otherwise sums the stored
+        section sizes — never reads payloads.
+        """
+        record = self.line_manifest(version, rank)
+        if record is not None:
+            return sum(int(nbytes) for nbytes, _ in record["sections"].values())
+        return sum(self._section_sizes(version, rank).values())
 
     # -- global queries ----------------------------------------------------
     def committed_map(self) -> Dict[int, List[int]]:
@@ -130,7 +199,12 @@ class CheckpointStore:
 
     def last_committed_local(self, rank: int, validate: bool = False,
                              deep: bool = False) -> Optional[int]:
-        """The last (optionally validated) version ``rank`` committed."""
+        """The last (optionally validated) version ``rank`` committed.
+
+        With ``validate=True`` torn lines are skipped: the scan walks the
+        rank's committed versions newest-first and returns the first one
+        whose manifest checks out (``deep`` re-digests payloads).
+        """
         versions = self.committed_versions(rank)
         if not validate:
             return versions[-1] if versions else None
@@ -141,7 +215,14 @@ class CheckpointStore:
 
     def last_committed_global(self, nprocs: int,
                               validate: bool = False) -> Optional[int]:
-        """Last version committed by *all* ranks (harness-side check)."""
+        """Last version committed by *all* ranks (harness-side check).
+
+        One :meth:`committed_map` pass builds the whole rank->versions
+        map; the candidate is the min of per-rank maxima, verified
+        against every rank's set.  ``validate=True`` additionally
+        shallow-validates each rank's candidate lines, skipping torn
+        ones.
+        """
         cmap = self.committed_map()
         candidate: Optional[int] = None
         for rank in range(nprocs):
@@ -159,17 +240,14 @@ class CheckpointStore:
             if local is None:
                 return None
             candidate = local if candidate is None else min(candidate, local)
+        # The minimum of per-rank maxima is committed everywhere because
+        # each rank commits versions in order; verify defensively anyway.
         for rank in range(nprocs):
             if candidate not in cmap.get(rank, []):
                 return None
             if validate and not self.validate_line(candidate, rank):
                 return None
         return candidate
-
-    def checkpoint_bytes(self, version: int, rank: int) -> int:
-        """Total payload bytes of one line (manifest-first, no payload
-        reads)."""
-        raise NotImplementedError
 
     # -- accounting --------------------------------------------------------
     def storage_bytes(self) -> int:
@@ -190,58 +268,77 @@ class CheckpointStore:
         """
 
 
-class ScatterStore(CheckpointStore):
-    """The per-file layout: every section its own backend object.
+_COMMIT_RE = re.compile(r"^ckpt/v(\d+)/rank(\d+)/COMMIT$")
+_LINE_RE = re.compile(r"^ckpt/v(\d+)/rank(\d+)/")
 
-    A thin stateful veneer over the :mod:`repro.storage.manifest` path
-    helpers — each section ``write`` is an atomic durable object (one
-    fsync each on disk), the COMMIT marker is one more, and GC deletes
-    the line's objects one by one.  Simple, legible on a filesystem, and
-    the baseline the WAL's group commit is measured against.
+
+class ScatterStore(CheckpointStore):
+    """The per-file layout: every section its own backend object::
+
+        ckpt/v{version}/rank{r}/{section}     checkpoint payload sections
+        ckpt/v{version}/rank{r}/COMMIT        per-rank commit marker
+
+    Each section ``write`` is an atomic durable object (one fsync each
+    on disk), the COMMIT marker is one more, and GC deletes the line's
+    objects one by one.  Simple, legible on a filesystem, and the
+    baseline the WAL's group commit is measured against.  Every global
+    query is ONE ``list("ckpt/")`` pass, never one namespace scan per
+    rank.
     """
 
     def __init__(self, backend: StorageBackend):
         self.backend = backend
 
+    @staticmethod
+    def _prefix(version: int, rank: int) -> str:
+        return f"ckpt/v{version}/rank{rank}/"
+
     def put_section(self, version, rank, section, payload):
-        self.backend.write(_manifest.section_path(version, rank, section),
-                           payload)
+        self.backend.write(self._prefix(version, rank) + section, payload)
 
     def commit_line(self, version, rank, sections=None):
-        _manifest.record_commit(self.backend, version, rank,
-                                sections=sections)
+        _, payload = encode_commit(version, rank, sections)
+        self.backend.write(self._prefix(version, rank) + "COMMIT", payload)
 
     def delete_line(self, version, rank):
-        for path in self.backend.list(_manifest.line_prefix(version, rank)):
+        for path in self.backend.list(self._prefix(version, rank)):
             try:
                 self.backend.delete(path)
             except StorageError:
-                pass
+                pass  # concurrent deletion attempts are harmless
 
     def read_section(self, version, rank, section):
-        return self.backend.read(_manifest.section_path(version, rank, section))
+        return self.backend.read(self._prefix(version, rank) + section)
 
     def has_section(self, version, rank, section):
-        return self.backend.exists(
-            _manifest.section_path(version, rank, section))
+        return self.backend.exists(self._prefix(version, rank) + section)
 
-    def section_size(self, version, rank, section):
-        return self.backend.size(_manifest.section_path(version, rank, section))
+    def _commit_record(self, version, rank):
+        return decode_commit(
+            self.backend.read(self._prefix(version, rank) + "COMMIT"))
 
-    def line_manifest(self, version, rank):
-        return _manifest.line_manifest(self.backend, version, rank)
+    def _section_len(self, version, rank, section):
+        return self.backend.size(self._prefix(version, rank) + section)
 
-    def validate_line(self, version, rank, deep=False):
-        return _manifest.validate_line(self.backend, version, rank, deep=deep)
+    def _section_sizes(self, version, rank):
+        prefix = self._prefix(version, rank)
+        return {path[len(prefix):]: self.backend.size(path)
+                for path in self.backend.list(prefix)
+                if not path.endswith("/COMMIT")}
+
+    def _scan(self, pattern: "re.Pattern[str]") -> Dict[int, List[int]]:
+        out: Dict[int, set] = {}
+        for path in self.backend.list("ckpt/"):
+            m = pattern.match(path)
+            if m:
+                out.setdefault(int(m.group(2)), set()).add(int(m.group(1)))
+        return {rank: sorted(versions) for rank, versions in out.items()}
 
     def committed_map(self):
-        return _manifest.committed_map(self.backend)
+        return self._scan(_COMMIT_RE)
 
     def lines_on_storage(self):
-        return _manifest.lines_on_storage(self.backend)
-
-    def checkpoint_bytes(self, version, rank):
-        return _manifest.checkpoint_bytes(self.backend, version, rank)
+        return self._scan(_LINE_RE)
 
 
 class RecordingStore(CheckpointStore):
@@ -253,10 +350,11 @@ class RecordingStore(CheckpointStore):
 
     * **operation log** — every mutator is recorded (with whether it
       completed), so the parent can replay the shard's writes into the
-      real store after the run.  Per-node keyspaces are shard-disjoint,
-      which makes shard-order replay exact.  Stores over a
-      ``shared_across_fork`` backend (real disk) skip recording: their
-      bytes already landed on the medium and the parent reloads instead;
+      real store after the run (:func:`merge_shards`).  Per-node
+      keyspaces are shard-disjoint, which makes shard-order replay
+      exact.  A store over a ``shared_across_fork`` backend (real disk)
+      keeps no log (``ops`` is None): its bytes already landed on the
+      medium and the parent reloads instead;
     * **commit notices** — :meth:`take_notices` diffs the inner store's
       ``committed_map`` against what was already reported, yielding the
       ``(version, rank)`` lines that became *durable* since the last
@@ -271,8 +369,8 @@ class RecordingStore(CheckpointStore):
       the per-rank stats) see exactly the cross-rank commit visibility
       a single-process run has at the same quiescence points.
 
-    Everything else — reads, validation, ``commit_hooks``, counters —
-    delegates to the wrapped store via explicit methods plus
+    Reads forward only the engine primitives; anything else
+    (``commit_hooks``, counters) reaches the wrapped store through
     ``__getattr__``.
     """
 
@@ -282,10 +380,10 @@ class RecordingStore(CheckpointStore):
         #: replay log: (method name, args tuple, completed) — a mutator
         #: that raised (the at_group_commit fault hook killing its rank
         #: mid-commit) is recorded with completed=False so replay can
-        #: reproduce the exact abort point
-        self.ops: List[Tuple[str, tuple, bool]] = []
-        self._record = not getattr(inner.backend, "shared_across_fork",
-                                   False)
+        #: reproduce the exact abort point; None when the medium is
+        #: shared across fork and the parent reloads instead
+        self.ops: Optional[List[Tuple[str, tuple, bool]]] = (
+            None if inner.backend.shared_across_fork else [])
         #: rank -> versions already reported through take_notices
         self._noticed: Dict[int, set] = {}
         #: rank -> versions committed by other shards (overlay)
@@ -293,7 +391,7 @@ class RecordingStore(CheckpointStore):
 
     # -- mutators (recorded) -----------------------------------------------
     def _logged(self, method: str, *args):
-        if not self._record:
+        if self.ops is None:
             return getattr(self.inner, method)(*args)
         try:
             result = getattr(self.inner, method)(*args)
@@ -343,21 +441,21 @@ class RecordingStore(CheckpointStore):
         for version, rank in notices:
             self._remote.setdefault(rank, set()).add(version)
 
-    # -- reads / global queries ----------------------------------------------
+    # -- primitives (forwarded) ----------------------------------------------
     def read_section(self, version, rank, section):
         return self.inner.read_section(version, rank, section)
 
     def has_section(self, version, rank, section):
         return self.inner.has_section(version, rank, section)
 
-    def section_size(self, version, rank, section):
-        return self.inner.section_size(version, rank, section)
+    def _commit_record(self, version, rank):
+        return self.inner._commit_record(version, rank)
 
-    def line_manifest(self, version, rank):
-        return self.inner.line_manifest(version, rank)
+    def _section_len(self, version, rank, section):
+        return self.inner._section_len(version, rank, section)
 
-    def validate_line(self, version, rank, deep=False):
-        return self.inner.validate_line(version, rank, deep=deep)
+    def _section_sizes(self, version, rank):
+        return self.inner._section_sizes(version, rank)
 
     def committed_map(self):
         cmap = self.inner.committed_map()
@@ -370,15 +468,6 @@ class RecordingStore(CheckpointStore):
     def lines_on_storage(self):
         return self.inner.lines_on_storage()
 
-    def checkpoint_bytes(self, version, rank):
-        return self.inner.checkpoint_bytes(version, rank)
-
-    def storage_bytes(self):
-        return self.inner.storage_bytes()
-
-    def reload(self):
-        self.inner.reload()
-
     def __getattr__(self, name):
         if name == "inner":  # guard recursion before __init__ ran
             raise AttributeError(name)
@@ -390,39 +479,47 @@ class _ReplayAbort(Exception):
     ``commit_line`` at the same point the shard's fault did."""
 
 
-def replay_ops(store: CheckpointStore,
-               ops: List[Tuple[str, tuple, bool]]) -> None:
-    """Re-apply a shard's recorded mutations to the real store.
+def merge_shards(store: CheckpointStore,
+                 shard_ops: List[Optional[List[Tuple[str, tuple, bool]]]],
+                 ) -> None:
+    """Bring the parent's real store up to date after a sharded run.
 
-    Completed calls replay verbatim.  A ``commit_line`` that did *not*
-    complete was cut by its rank's ``at_group_commit`` fault hook after
-    the COMMIT record was staged but before the group-flush decision;
-    replay reproduces that exact state by installing a hook that raises
-    at the same point.  Other incomplete mutators left no durable state
-    and are skipped.
+    ``shard_ops`` holds each shard's :attr:`RecordingStore.ops`, in
+    shard order.  Shards that kept no log wrote through to a shared
+    medium, so the store reloads its indexes from the bytes; otherwise
+    each log replays in turn.  Completed calls replay verbatim.  A
+    ``commit_line`` that did *not* complete was cut by its rank's
+    ``at_group_commit`` fault hook after the COMMIT record was staged
+    but before the group-flush decision; replay reproduces that exact
+    state by installing a hook that raises at the same point.  Other
+    incomplete mutators left no durable state and are skipped.
     """
+    if any(ops is None for ops in shard_ops):
+        store.reload()
+        return
     hooks = getattr(store, "commit_hooks", None)
-    for method, args, completed in ops:
-        if completed:
-            getattr(store, method)(*args)
-            continue
-        if method == "commit_line" and hooks is not None:
-            rank = args[1]
-            prev = hooks.get(rank)
+    for ops in shard_ops:
+        for method, args, completed in ops:
+            if completed:
+                getattr(store, method)(*args)
+                continue
+            if method == "commit_line" and hooks is not None:
+                rank = args[1]
+                prev = hooks.get(rank)
 
-            def _abort(_version):
-                raise _ReplayAbort()
+                def _abort(_version):
+                    raise _ReplayAbort()
 
-            hooks[rank] = _abort
-            try:
-                store.commit_line(*args)
-            except _ReplayAbort:
-                pass
-            finally:
-                if prev is None:
-                    hooks.pop(rank, None)
-                else:
-                    hooks[rank] = prev
+                hooks[rank] = _abort
+                try:
+                    store.commit_line(*args)
+                except _ReplayAbort:
+                    pass
+                finally:
+                    if prev is None:
+                        hooks.pop(rank, None)
+                    else:
+                        hooks[rank] = prev
 
 
 def as_store(storage, procs_per_node: Optional[int] = None,

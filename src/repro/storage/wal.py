@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from .. import coverage
-from .manifest import LEGACY_MARKER, section_digest
+from .manifest import Sections, decode_commit, encode_commit
 from .stable import StorageBackend, StorageError
 from .store import CheckpointStore, WAL_PREFIX
 
@@ -283,19 +283,8 @@ class WalStore(CheckpointStore):
             self._register_section((version, rank), section, rec, ns.seg)
 
     def commit_line(self, version: int, rank: int,
-                    sections: Optional[Dict[str, Tuple[int, str]]] = None,
-                    ) -> None:
-        if sections is None:
-            payload, manifest = LEGACY_MARKER, None
-        else:
-            from ..statesave import serializer
-            manifest = {
-                "version": version,
-                "rank": rank,
-                "sections": {name: [int(nbytes), str(digest)]
-                             for name, (nbytes, digest) in sections.items()},
-            }
-            payload = serializer.dumps(manifest)
+                    sections: Optional[Sections] = None) -> None:
+        manifest, payload = encode_commit(version, rank, sections)
         node = self.node_of(rank)
         with self._lock:
             ns = self._node(node)
@@ -488,7 +477,7 @@ class WalStore(CheckpointStore):
         self._compacted_pending.setdefault(ns.index, set()).add(segname)
 
     # -- job lifetime / crash semantics ----------------------------------------
-    def on_job_end(self, failed_rank: Optional[int] = None) -> None:
+    def _job_end(self, failed_rank: Optional[int]) -> None:
         with self._lock:
             if failed_rank is None:
                 try:
@@ -613,14 +602,12 @@ class WalStore(CheckpointStore):
                 self._register_section(key, name, rec, path)
             elif rtype == COMMIT:
                 self._segments[path] = seg
-                manifest: Optional[dict] = None
-                if payload != LEGACY_MARKER:
-                    try:
-                        from ..statesave import serializer
-                        manifest = serializer.loads(payload)
-                    except Exception:
-                        manifest = None
-                self._register_commit(key, path, rec, manifest, durable=True)
+                try:
+                    manifest, durable = decode_commit(payload), True
+                except StorageError:
+                    # CRC-valid yet undecodable: no line to restore from
+                    manifest, durable = None, False
+                self._register_commit(key, path, rec, manifest, durable)
             else:
                 self._segments[path] = seg
                 self._apply_delete(key, path, rec)
@@ -648,40 +635,21 @@ class WalStore(CheckpointStore):
         with self._lock:
             return section in self._sections.get((version, rank), {})
 
-    def section_size(self, version: int, rank: int, section: str) -> int:
-        with self._lock:
-            _, rec = self._section_entry(version, rank, section)
-            return rec.payload_len
-
-    def line_manifest(self, version: int, rank: int) -> Optional[dict]:
+    def _commit_record(self, version: int, rank: int) -> Optional[dict]:
         with self._lock:
             commit = self._commits.get((version, rank))
-            if commit is None or not commit.durable:
-                return None
-            return commit.manifest
+        if commit is None or not commit.durable:
+            raise StorageError(f"line v{version}/rank{rank} is not committed")
+        return commit.manifest
 
-    def validate_line(self, version: int, rank: int,
-                      deep: bool = False) -> bool:
+    def _section_len(self, version: int, rank: int, section: str) -> int:
         with self._lock:
-            commit = self._commits.get((version, rank))
-            if commit is None or not commit.durable:
-                return False
-            manifest = commit.manifest
-            if manifest is None:
-                return True  # legacy commit: validates vacuously
-            if (manifest.get("version") != version
-                    or manifest.get("rank") != rank):
-                return False
-            secs = self._sections.get((version, rank), {})
-            for name, (nbytes, digest) in manifest["sections"].items():
-                entry = secs.get(name)
-                if entry is None or entry[1].payload_len != int(nbytes):
-                    return False
-                if deep and section_digest(
-                        self._read_rec(*entry)) != str(digest):
-                    coverage.hit("path:digest_rejected")
-                    return False
-            return True
+            return self._section_entry(version, rank, section)[1].payload_len
+
+    def _section_sizes(self, version: int, rank: int) -> Dict[str, int]:
+        with self._lock:
+            return {name: rec.payload_len for name, (_, rec)
+                    in self._sections.get((version, rank), {}).items()}
 
     # -- global queries ----------------------------------------------------------
     def committed_map(self) -> Dict[int, List[int]]:
@@ -701,16 +669,6 @@ class WalStore(CheckpointStore):
             for version, rank in keys:
                 out.setdefault(rank, set()).add(version)
             return {rank: sorted(vs) for rank, vs in out.items()}
-
-    def checkpoint_bytes(self, version: int, rank: int) -> int:
-        with self._lock:
-            commit = self._commits.get((version, rank))
-            if commit is not None and commit.durable \
-                    and commit.manifest is not None:
-                return sum(int(nbytes) for nbytes, _ in
-                           commit.manifest["sections"].values())
-            return sum(rec.payload_len for _, rec in
-                       self._sections.get((version, rank), {}).values())
 
     # -- introspection -----------------------------------------------------------
     def segment_names(self) -> List[str]:

@@ -6,7 +6,7 @@ import pytest
 from repro.apps.ring import ring
 from repro.baselines.blocking import run_blocking
 from repro.core import run_original
-from repro.storage import InMemoryStorage, last_committed_global
+from repro.storage import InMemoryStorage, as_store
 
 
 def test_blocking_run_matches_original():
@@ -25,7 +25,7 @@ def test_blocking_commits_checkpoints():
     result.raise_errors()
     n = stats[0].checkpoints
     assert n >= 1
-    assert last_committed_global(storage, 4) == n
+    assert as_store(storage).last_committed_global(4) == n
 
 
 def test_blocking_costs_barrier_stall():

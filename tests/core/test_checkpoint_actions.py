@@ -5,10 +5,7 @@ import pytest
 
 from repro.core import C3Config, run_c3, run_fault_tolerant
 from repro.mpi import FaultPlan, FaultSpec
-from repro.storage import (
-    InMemoryStorage, checkpoint_bytes, committed_versions,
-    last_committed_global, last_committed_local,
-)
+from repro.storage import InMemoryStorage, as_store
 
 
 def looping_app(ctx, niter=12, work=1e-4):
@@ -38,8 +35,9 @@ def test_versions_advance_and_commit(storage):
     n = stats[0].checkpoints_committed
     assert n >= 2
     for rank in range(3):
-        assert committed_versions(storage, rank) == list(range(1, n + 1))
-    assert last_committed_global(storage, 3) == n
+        assert (as_store(storage).committed_versions(rank)
+                == list(range(1, n + 1)))
+    assert as_store(storage).last_committed_global(3) == n
 
 
 def test_checkpoint_sections_present(storage):
@@ -79,8 +77,8 @@ def test_restore_uses_global_minimum(storage):
     # simulate a rank whose later commits were lost with the node
     for v in range(2, committed + 1):
         storage.delete(f"ckpt/v{v}/rank1/COMMIT")
-    assert last_committed_local(storage, 0) == committed
-    assert last_committed_global(storage, 2) == 1
+    assert as_store(storage).last_committed_local(0) == committed
+    assert as_store(storage).last_committed_global(2) == 1
 
     restarted, rstats = run_c3(looping_app, 2, storage=storage,
                                config=config, restoring=True)
@@ -105,7 +103,8 @@ def test_checkpoint_bytes_accounting(storage):
     result, stats = run_c3(looping_app, 2, storage=storage,
                            config=C3Config(checkpoint_interval=4e-4))
     result.raise_errors()
-    measured = checkpoint_bytes(storage, stats[0].checkpoints_committed, 0)
+    measured = as_store(storage).checkpoint_bytes(
+        stats[0].checkpoints_committed, 0)
     assert measured > 0
     # stats track the app+handles part and the commit-time log part
     assert measured <= (stats[0].last_checkpoint_bytes

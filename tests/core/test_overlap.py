@@ -8,10 +8,7 @@ from repro.core import C3Config, run_c3, run_fault_tolerant
 from repro.core.ccc import resume_from_manifest, run_original
 from repro.mpi import FaultPlan, FaultSpec
 from repro.mpi.timemodel import MACHINES, TESTING
-from repro.storage import (
-    DiskStorage, InMemoryStorage, committed_map, last_committed_global,
-    section_path, validate_line,
-)
+from repro.storage import DiskStorage, InMemoryStorage, as_store
 
 
 def looping_app(ctx, niter=12, work=1e-4):
@@ -41,9 +38,9 @@ def test_overlapped_run_commits_all_lines(storage):
     n = stats[0].checkpoints_committed
     assert n >= 2
     assert stats[0].overlapped_commits == n
-    assert last_committed_global(storage, 3, validate=True) == n
+    assert as_store(storage).last_committed_global(3, validate=True) == n
     for rank in range(3):
-        assert validate_line(storage, n, rank, deep=True)
+        assert as_store(storage).validate_line(n, rank, deep=True)
 
 
 def test_overlap_cheaper_than_inline_write():
@@ -80,7 +77,7 @@ def test_commit_marker_deferred_to_drain_completion():
     assert st.checkpoints_committed == 1
     # durability includes the (queued) drain of app state + log sections
     assert st.last_commit_time >= 1e-3
-    assert last_committed_global(storage, 2) == 1
+    assert as_store(storage).last_committed_global(2) == 1
 
 
 def test_overlap_recovers_bitwise_after_kill(storage):
@@ -132,10 +129,10 @@ def test_restore_rejects_truncated_section_and_falls_back(tmp_path):
     n = stats[0].checkpoints_committed
     assert n >= 2
     # tear the newest line under rank 1: marker present, section truncated
-    path = section_path(n, 1, "app")
+    path = f"ckpt/v{n}/rank1/app"  # the scatter layout's section object
     storage.write(path, storage.read(path)[:-3])
-    assert not validate_line(storage, n, 1)
-    assert last_committed_global(storage, 2, validate=True) == n - 1
+    assert not as_store(storage).validate_line(n, 1)
+    assert as_store(storage).last_committed_global(2, validate=True) == n - 1
 
     restarted, rstats = resume_from_manifest(
         looping_app, 2, storage, config=C3Config(checkpoint_interval=3e-4,
@@ -155,13 +152,13 @@ def test_gc_retains_at_most_two_lines(storage):
     result.raise_errors()
     n = stats[0].checkpoints_committed
     assert n >= 3
-    cmap = committed_map(storage)
+    cmap = as_store(storage).committed_map()
     for rank in range(3):
         assert len(cmap[rank]) <= 2
         assert cmap[rank][-1] == n
     assert sum(s.gc_deleted_lines for s in stats if s) > 0
     # the newest line is still fully restorable
-    assert last_committed_global(storage, 3, validate=True) == n
+    assert as_store(storage).last_committed_global(3, validate=True) == n
 
 
 def test_gc_ablation_switch_retains_history(storage):
@@ -170,7 +167,7 @@ def test_gc_ablation_switch_retains_history(storage):
                                            gc_lines=False))
     result.raise_errors()
     n = stats[0].checkpoints_committed
-    cmap = committed_map(storage)
+    cmap = as_store(storage).committed_map()
     for rank in range(3):
         assert cmap[rank] == list(range(1, n + 1))
     assert all(s.gc_deleted_lines == 0 for s in stats if s)
@@ -189,7 +186,7 @@ def test_gc_never_deletes_restore_target(storage):
     assert res.restarts == 2
     assert res.returns == ref.returns
     # steady state after the final execution
-    cmap = committed_map(storage)
+    cmap = as_store(storage).committed_map()
     assert all(len(v) <= 2 for v in cmap.values())
 
 
@@ -229,5 +226,5 @@ def test_gc_respects_incremental_chain(storage):
     # GC ran, but every line of the live chain survived (the restore
     # above would have failed otherwise); retention is bounded by the
     # full-save interval, not unbounded history
-    cmap = committed_map(storage)
+    cmap = as_store(storage).committed_map()
     assert all(len(v) <= 4 for v in cmap.values())

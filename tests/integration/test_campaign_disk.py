@@ -12,7 +12,7 @@ import pytest
 from repro.harness.campaign import (
     Scenario, _measure_scenario, build_matrix, run_campaign,
 )
-from repro.storage import DiskStorage, committed_map, last_committed_global
+from repro.storage import DiskStorage, as_store
 from repro.harness.runner import measure_recovery
 from repro.mpi.timemodel import MACHINES
 
@@ -55,8 +55,9 @@ def test_disk_recovery_gc_leaves_only_live_lines(tmp_path):
     assert record["lines_retained"] <= 2
     # the faulty-run store is the second one the factory produced
     store = DiskStorage(str(tmp_path / "store1"))
-    cmap = committed_map(store)
-    last = last_committed_global(store, 4, validate=True)
+    ckpt = as_store(store)
+    cmap = ckpt.committed_map()
+    last = ckpt.last_committed_global(4, validate=True)
     assert last == record["checkpoints_committed"]
     for rank in range(4):
         assert len(cmap[rank]) <= 2

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import C3Config, run_c3, run_fault_tolerant, run_original
 from repro.mpi import FaultPlan, FaultSpec
-from repro.storage import InMemoryStorage, checkpoint_bytes
+from repro.storage import InMemoryStorage, as_store
 
 
 def sparse_writer_app(ctx):
@@ -47,8 +47,8 @@ def test_incremental_checkpoints_are_smaller():
     committed = stats[0].checkpoints_committed
     assert committed >= 2
     # the first checkpoint is full; later ones carry only dirty pages
-    first = checkpoint_bytes(full_store, 2, 0)
-    later = checkpoint_bytes(incr_store, 2, 0)
+    first = as_store(full_store).checkpoint_bytes(2, 0)
+    later = as_store(incr_store).checkpoint_bytes(2, 0)
     assert later < first / 4
 
 

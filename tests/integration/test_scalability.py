@@ -37,8 +37,8 @@ def test_checkpoint_commits_at_16_ranks():
     result.raise_errors()
     assert min(s.checkpoints_committed for s in stats if s) >= 1
     # all 16 ranks committed the same set of lines
-    from repro.storage import last_committed_global
-    assert last_committed_global(storage, 16) >= 1
+    from repro.storage import as_store
+    assert as_store(storage).last_committed_global(16) >= 1
 
 
 def test_ring_exchange_smoke_64_ranks():

@@ -81,24 +81,20 @@ class TestRegistry:
 
 
 class TestCapabilityFlags:
-    def test_oracle_is_deterministic_and_simulated(self):
+    def test_oracle_is_simulated(self):
         coop = BACKENDS["cooperative"]
-        assert coop.deterministic
         assert not coop.supports_real_kill
-        assert not coop.supports_shards
+        assert not coop.takes_count
 
     def test_sharded_flags(self):
         sharded = BACKENDS["sharded"]
-        assert sharded.supports_shards
         assert sharded.takes_count
         assert not sharded.supports_real_kill
 
     def test_processes_flags(self):
         procs = BACKENDS["processes"]
         assert procs.supports_real_kill
-        assert procs.supports_shards
         assert procs.takes_count
-        assert procs.deterministic
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from repro.statesave.checkpointfile import (
     CheckpointError, CheckpointReader, CheckpointWriter,
 )
-from repro.storage import InMemoryStorage, last_committed_local
+from repro.storage import InMemoryStorage, as_store
 
 
 @pytest.fixture
@@ -27,9 +27,9 @@ def test_save_load_roundtrip(store):
 def test_commit_marker(store):
     w = CheckpointWriter(store, version=2, rank=1)
     w.save("app", 1)
-    assert last_committed_local(store, 1) is None
+    assert as_store(store).last_committed_local(1) is None
     w.commit()
-    assert last_committed_local(store, 1) == 2
+    assert as_store(store).last_committed_local(1) == 2
 
 
 def test_duplicate_section_rejected(store):
@@ -55,7 +55,7 @@ def test_dry_run_counts_but_does_not_store(store):
     assert w.bytes_written == n
     w.commit()
     assert store.list() == []
-    assert last_committed_local(store, 0) is None
+    assert as_store(store).last_committed_local(0) is None
 
 
 def test_missing_section(store):

@@ -3,9 +3,10 @@
 Each fault class of :class:`FaultyStorage` must be observable through
 the PR 6 backend accounting counters (``write_count``, ``written_bytes``,
 ``fsync_count``, ``read_count``) and the wrapper's own ``injected`` map;
-a zero-fault wrapper must be bitwise-transparent.  The WAL-facing
-regression class at the bottom pins the ENOSPC-during-group-commit-flush
-bug the fuzzer found.
+a zero-fault wrapper must be bitwise-transparent.  The WAL-facing tests
+at the bottom pin crash sequencing at the store/backend seam (the
+medium's loss before the WAL's replay) and the
+ENOSPC-during-group-commit-flush bug the fuzzer found.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ import pytest
 
 from repro import coverage
 from repro.storage.faulty import (STORAGE_FAULT_KINDS, FaultyStorage,
-                                  FaultyStore, StorageFault)
-from repro.storage.stable import InMemoryStorage, StorageError
+                                  StorageFault)
+from repro.storage.namespace import PrefixBackend
+from repro.storage.stable import DiskStorage, InMemoryStorage, StorageError
 from repro.storage.wal import WalStore
 
 
@@ -116,7 +118,7 @@ def test_stalled_sync_loses_the_tail_only_on_crash():
     assert s.injected["stall_sync"] == 1
     assert s.inner.fsync_count == 1    # the lie never reached the disk
     assert s.read("log") == b"AAAABBBB"
-    s.apply_crash()
+    s.on_job_end(crashed=True)
     assert s.read("log") == b"AAAA"    # the unsynced tail is gone
 
 
@@ -124,8 +126,8 @@ def test_stalled_sync_is_harmless_on_clean_shutdown():
     s = _faulty(dict(kind="stall_sync", after_ops=1))
     s.append("log", b"AAAA")
     s.sync("log")                      # swallowed
-    s.settle()                         # clean job end: the cache drains
-    s.apply_crash()
+    s.on_job_end(crashed=False)        # clean job end: the cache drains
+    s.on_job_end(crashed=True)
     assert s.read("log") == b"AAAA"
 
 
@@ -133,7 +135,7 @@ def test_stalled_sync_with_no_durable_point_deletes_the_object():
     s = _faulty(dict(kind="stall_sync", after_ops=1))
     s.append("log", b"AAAA")
     s.sync("log")                      # swallowed; nothing ever durable
-    s.apply_crash()
+    s.on_job_end(crashed=True)
     assert not s.exists("log")
 
 
@@ -175,14 +177,26 @@ def test_injections_report_to_the_coverage_map():
 
 
 # ---------------------------------------------------------------------------
-# FaultyStore crash sequencing + the ENOSPC group-commit regression
+# Proxy rule: a fault injector answers for its medium
 # ---------------------------------------------------------------------------
 
-def test_faulty_store_applies_storage_loss_before_wal_replay():
+def test_shared_across_fork_answers_for_the_medium(tmp_path):
+    disk = DiskStorage(str(tmp_path / "medium"))
+    assert FaultyStorage(disk).shared_across_fork
+    assert PrefixBackend(FaultyStorage(disk), "t").shared_across_fork
+    assert not FaultyStorage(InMemoryStorage()).shared_across_fork
+
+
+# ---------------------------------------------------------------------------
+# Crash sequencing at the store/backend seam + the ENOSPC group-commit
+# regression
+# ---------------------------------------------------------------------------
+
+def test_store_applies_storage_loss_before_wal_replay():
     backend = FaultyStorage(InMemoryStorage(),
                             [StorageFault(kind="stall_sync", after_ops=2,
                                           count=9)])
-    store = FaultyStore(WalStore(backend), backend)
+    store = WalStore(backend)
     store.configure(nprocs=1, procs_per_node=1)
     store.put_section(1, 0, "app", b"v1" * 8)
     store.commit_line(1, 0, sections={"app": (16, "x" * 32)})
@@ -195,6 +209,17 @@ def test_faulty_store_applies_storage_loss_before_wal_replay():
     assert store.read_section(1, 0, "app") == b"v1" * 8
     with pytest.raises(StorageError):
         store.read_section(2, 0, "app")
+
+
+def test_clean_end_settles_stalled_syncs():
+    backend = FaultyStorage(InMemoryStorage(),
+                            [StorageFault(kind="stall_sync", after_ops=1)])
+    store = WalStore(backend)
+    store.put_section(1, 0, "app", b"v1")
+    store.commit_line(1, 0, sections={"app": (2, "x" * 32)})  # sync stalls
+    store.on_job_end()                 # clean end: nothing is lost
+    backend.on_job_end(crashed=True)   # a later crash has nothing to lose
+    assert WalStore(backend.inner).committed_map() == {0: [1]}
 
 
 def test_wal_group_commit_flush_survives_enospc():
@@ -225,16 +250,3 @@ def test_wal_group_commit_flush_survives_enospc():
     # a crash + replay agrees with the in-memory view
     store.on_job_end(failed_rank=0)
     assert store.committed_map().get(0) == [1, 3]
-
-
-def test_commit_hooks_pass_through_faulty_store():
-    backend = FaultyStorage(InMemoryStorage())
-    wal = WalStore(backend)
-    store = FaultyStore(wal, backend)
-    assert store.commit_hooks is wal.commit_hooks
-    seen = []
-    store.commit_hooks[0] = seen.append
-    store.configure(nprocs=1, procs_per_node=1)
-    store.put_section(1, 0, "app", b"x")
-    store.commit_line(1, 0, sections={"app": (1, "d" * 32)})
-    assert seen == [1]

@@ -1,77 +1,107 @@
-"""Commit manifest and global last-committed-version logic."""
+"""The checkpoint-store contract: the commit-record codec, line
+validation and the global last-committed queries.
+
+Validation and the line queries are written once, in
+:class:`~repro.storage.store.CheckpointStore`; every contract test runs
+over both engines (the scatter layout and the WAL).  Torn lines are
+modelled engine-neutrally: a commit whose manifest claims other
+sections, sizes or digests than the store holds.
+"""
 
 import pytest
 
 from repro.storage import (
-    InMemoryStorage, StorageError, checkpoint_bytes, commit_path,
-    committed_map, committed_versions, delete_line, last_committed_global,
-    last_committed_local, line_manifest, record_commit, section_digest,
-    section_path, validate_line,
+    InMemoryStorage, ScatterStore, StorageError, WalStore, section_digest,
 )
-from repro.storage.manifest import parse_commit_record
+from repro.storage.manifest import LEGACY_MARKER, decode_commit, encode_commit
 
 
 @pytest.fixture
-def store():
+def backend():
     return InMemoryStorage()
 
 
-def write_line(store, version, rank, sections):
-    """A committed line with a digest-carrying manifest marker."""
-    manifest = {}
+@pytest.fixture(params=["scatter", "wal"])
+def store(request, backend):
+    return ScatterStore(backend) if request.param == "scatter" \
+        else WalStore(backend)
+
+
+@pytest.fixture
+def scatter(backend):
+    return ScatterStore(backend)
+
+
+def manifest_of(sections):
+    return {name: (len(p), section_digest(p)) for name, p in sections.items()}
+
+
+def write_line(store, version, rank, sections, claimed=None):
+    """A committed line whose manifest describes ``claimed`` (default:
+    exactly the stored ``sections`` — an intact line)."""
     for name, payload in sections.items():
-        store.write(section_path(version, rank, name), payload)
-        manifest[name] = (len(payload), section_digest(payload))
-    record_commit(store, version, rank, sections=manifest)
+        store.put_section(version, rank, name, payload)
+    store.commit_line(version, rank,
+                      sections=manifest_of(claimed or sections))
 
 
-def test_paths():
-    assert section_path(3, 1, "app") == "ckpt/v3/rank1/app"
-    assert commit_path(3, 1) == "ckpt/v3/rank1/COMMIT"
+def test_paths(scatter, backend):
+    scatter.put_section(3, 1, "app", b"abc")
+    scatter.commit_line(3, 1)
+    assert backend.list() == ["ckpt/v3/rank1/COMMIT", "ckpt/v3/rank1/app"]
+    assert backend.read("ckpt/v3/rank1/COMMIT") == LEGACY_MARKER
 
 
 def test_commit_and_query(store):
-    record_commit(store, 1, 0)
-    record_commit(store, 2, 0)
-    assert committed_versions(store, 0) == [1, 2]
-    assert last_committed_local(store, 0) == 2
-    assert last_committed_local(store, 1) is None
+    store.commit_line(1, 0)
+    store.commit_line(2, 0)
+    assert store.committed_versions(0) == [1, 2]
+    assert store.last_committed_local(0) == 2
+    assert store.last_committed_local(1) is None
 
 
 def test_global_requires_all_ranks(store):
-    record_commit(store, 1, 0)
-    assert last_committed_global(store, 2) is None
-    record_commit(store, 1, 1)
-    assert last_committed_global(store, 2) == 1
+    store.commit_line(1, 0)
+    assert store.last_committed_global(2) is None
+    store.commit_line(1, 1)
+    assert store.last_committed_global(2) == 1
 
 
 def test_global_is_min_of_maxima(store):
     for v in (1, 2, 3):
-        record_commit(store, v, 0)
+        store.commit_line(v, 0)
     for v in (1, 2):
-        record_commit(store, v, 1)
-    assert last_committed_global(store, 2) == 2
+        store.commit_line(v, 1)
+    assert store.last_committed_global(2) == 2
 
 
 def test_global_with_gap_at_min(store):
     # rank 0 committed only v2 (v1 lost), rank 1 only v1: no common version
-    record_commit(store, 2, 0)
-    record_commit(store, 1, 1)
-    assert last_committed_global(store, 2) is None
+    store.commit_line(2, 0)
+    store.commit_line(1, 1)
+    assert store.last_committed_global(2) is None
 
 
 def test_checkpoint_bytes_excludes_marker(store):
-    store.write(section_path(1, 0, "app"), b"12345")
-    store.write(section_path(1, 0, "late_registry"), b"678")
-    record_commit(store, 1, 0)
-    assert checkpoint_bytes(store, 1, 0) == 8
+    store.put_section(1, 0, "app", b"12345")
+    store.put_section(1, 0, "late_registry", b"678")
+    store.commit_line(1, 0)
+    assert store.checkpoint_bytes(1, 0) == 8
 
 
 def test_checkpoint_bytes_prefers_manifest(store):
     write_line(store, 1, 0, {"app": b"12345", "late_registry": b"678"})
     # a stale section from a pre-crash attempt must not be counted
-    store.write(section_path(1, 0, "stale_leftover"), b"x" * 100)
-    assert checkpoint_bytes(store, 1, 0) == 8
+    store.put_section(1, 0, "stale_leftover", b"x" * 100)
+    assert store.checkpoint_bytes(1, 0) == 8
+
+
+def test_commit_codec_roundtrip():
+    manifest, payload = encode_commit(3, 1, manifest_of({"app": b"abc"}))
+    assert decode_commit(payload) == manifest
+    assert manifest["sections"]["app"] == [3, section_digest(b"abc")]
+    assert encode_commit(3, 1, None) == (None, LEGACY_MARKER)
+    assert decode_commit(LEGACY_MARKER) is None
 
 
 # ---------------------------------------------------------------------------
@@ -81,90 +111,94 @@ def test_checkpoint_bytes_prefers_manifest(store):
 class TestManifestValidation:
     def test_manifest_roundtrip(self, store):
         write_line(store, 3, 1, {"app": b"abc", "counters": b"defg"})
-        record = line_manifest(store, 3, 1)
+        record = store.line_manifest(3, 1)
         assert record["version"] == 3 and record["rank"] == 1
         assert set(record["sections"]) == {"app", "counters"}
         assert record["sections"]["app"][0] == 3
 
     def test_legacy_marker_validates_vacuously(self, store):
-        store.write(section_path(1, 0, "app"), b"abc")
-        record_commit(store, 1, 0)  # bare b"ok"
-        assert line_manifest(store, 1, 0) is None
-        assert validate_line(store, 1, 0, deep=True)
+        store.put_section(1, 0, "app", b"abc")
+        store.commit_line(1, 0)  # bare b"ok"
+        assert store.line_manifest(1, 0) is None
+        assert store.validate_line(1, 0, deep=True)
 
     def test_valid_line_passes_deep_validation(self, store):
         write_line(store, 1, 0, {"app": b"abc", "counters": b"defg"})
-        assert validate_line(store, 1, 0)
-        assert validate_line(store, 1, 0, deep=True)
+        assert store.validate_line(1, 0)
+        assert store.validate_line(1, 0, deep=True)
 
     def test_missing_section_is_torn(self, store):
-        write_line(store, 1, 0, {"app": b"abc", "counters": b"defg"})
-        store.delete(section_path(1, 0, "counters"))
-        assert not validate_line(store, 1, 0)
+        write_line(store, 1, 0, {"app": b"abc"},
+                   claimed={"app": b"abc", "counters": b"defg"})
+        assert not store.validate_line(1, 0)
 
     def test_truncated_section_is_torn(self, store):
-        write_line(store, 1, 0, {"app": b"abcdef"})
-        store.write(section_path(1, 0, "app"), b"abc")  # torn write
-        assert not validate_line(store, 1, 0)
+        write_line(store, 1, 0, {"app": b"abc"}, claimed={"app": b"abcdef"})
+        assert not store.validate_line(1, 0)
 
     def test_size_preserving_corruption_needs_deep(self, store):
-        write_line(store, 1, 0, {"app": b"abcdef"})
-        store.write(section_path(1, 0, "app"), b"abcdeX")
-        assert validate_line(store, 1, 0)            # shallow: size ok
-        assert not validate_line(store, 1, 0, deep=True)
+        write_line(store, 1, 0, {"app": b"abcdeX"},
+                   claimed={"app": b"abcdef"})
+        assert store.validate_line(1, 0)            # shallow: size ok
+        assert not store.validate_line(1, 0, deep=True)
 
     def test_missing_marker_is_not_committed(self, store):
-        store.write(section_path(1, 0, "app"), b"abc")
-        assert not validate_line(store, 1, 0)
+        store.put_section(1, 0, "app", b"abc")
+        assert not store.validate_line(1, 0)
+        assert store.committed_map() == {}
+        assert store.lines_on_storage() == {0: [1]}
+
+    def test_absent_line_is_not_committed(self, store):
+        write_line(store, 1, 0, {"app": b"abc"})
+        assert not store.validate_line(2, 0)
+        assert not store.validate_line(1, 1, deep=True)
+        assert store.line_manifest(2, 0) is None
+        assert store.checkpoint_bytes(2, 0) == 0
 
     def test_validated_local_falls_back_past_torn_line(self, store):
         write_line(store, 1, 0, {"app": b"v1"})
-        write_line(store, 2, 0, {"app": b"v2"})
-        store.delete(section_path(2, 0, "app"))      # tear the newest
-        assert last_committed_local(store, 0) == 2   # raw scan still sees it
-        assert last_committed_local(store, 0, validate=True, deep=True) == 1
+        write_line(store, 2, 0, {}, claimed={"app": b"v2"})  # torn newest
+        assert store.last_committed_local(0) == 2   # raw scan still sees it
+        assert store.last_committed_local(0, validate=True, deep=True) == 1
 
     def test_validated_global_skips_torn_lines(self, store):
         for rank in (0, 1):
             write_line(store, 1, rank, {"app": b"v1"})
-            write_line(store, 2, rank, {"app": b"v2"})
-        store.write(section_path(2, 1, "app"), b"v")  # truncated: torn
-        assert last_committed_global(store, 2) == 2
-        assert last_committed_global(store, 2, validate=True) == 1
+        write_line(store, 2, 0, {"app": b"v2"})
+        write_line(store, 2, 1, {"app": b"v"}, claimed={"app": b"v2"})
+        assert store.last_committed_global(2) == 2
+        assert store.last_committed_global(2, validate=True) == 1
 
     def test_torn_commit_marker_is_a_storage_error(self):
         # Regression (found by the fault fuzzer): a COMMIT marker torn
         # mid-write is neither the legacy token nor a parsable manifest;
         # the deserializer's IndexError used to escape raw and crash
         # every recovery query that touched the line.
-        store = InMemoryStorage()
-        write_line(store, 1, 0, {"app": b"abcdef"})
-        whole = store.read(commit_path(1, 0))
+        _, whole = encode_commit(1, 0, manifest_of({"app": b"abcdef"}))
         for cut in (1, len(whole) // 2, len(whole) - 1):
-            store.write(commit_path(1, 0), whole[:cut])
             with pytest.raises(StorageError, match="corrupt COMMIT"):
-                parse_commit_record(store.read(commit_path(1, 0)))
+                decode_commit(whole[:cut])
 
-    def test_torn_commit_marker_fails_validation_not_the_program(self):
-        store = InMemoryStorage()
-        write_line(store, 1, 0, {"app": b"v1"})
-        write_line(store, 2, 0, {"app": b"v2"})
-        torn = store.read(commit_path(2, 0))[:5]
-        store.write(commit_path(2, 0), torn)
-        assert not validate_line(store, 2, 0)
-        assert line_manifest(store, 2, 0) is None
+    def test_torn_commit_marker_fails_validation_not_the_program(
+            self, scatter, backend):
+        write_line(scatter, 1, 0, {"app": b"v1"})
+        write_line(scatter, 2, 0, {"app": b"v2"})
+        marker = "ckpt/v2/rank0/COMMIT"
+        backend.write(marker, backend.read(marker)[:5])
+        assert not scatter.validate_line(2, 0)
+        assert scatter.line_manifest(2, 0) is None
         # recovery queries fall back past the torn line instead of dying
-        assert last_committed_local(store, 0, validate=True) == 1
-        assert last_committed_global(store, 1, validate=True) == 1
+        assert scatter.last_committed_local(0, validate=True) == 1
+        assert scatter.last_committed_global(1, validate=True) == 1
 
 
 def test_delete_line_removes_sections_and_marker(store):
     write_line(store, 1, 0, {"app": b"abc", "counters": b"d"})
     write_line(store, 2, 0, {"app": b"abc2"})
-    delete_line(store, 1, 0)
-    assert store.list("ckpt/v1/") == []
-    assert committed_versions(store, 0) == [2]
-    delete_line(store, 1, 0)  # idempotent
+    store.delete_line(1, 0)
+    assert store.lines_on_storage() == {0: [2]}
+    assert store.committed_versions(0) == [2]
+    store.delete_line(1, 0)  # idempotent
 
 
 # ---------------------------------------------------------------------------
@@ -184,13 +218,14 @@ class CountingStorage(InMemoryStorage):
 
 
 def test_committed_map_single_listing_pass():
-    store = CountingStorage()
+    backend = CountingStorage()
+    store = ScatterStore(backend)
     for rank in range(4):
         for v in (1, 2, 3):
-            record_commit(store, v, rank)
-    store.list_calls = 0
-    cmap = committed_map(store)
-    assert store.list_calls == 1
+            store.commit_line(v, rank)
+    backend.list_calls = 0
+    cmap = store.committed_map()
+    assert backend.list_calls == 1
     assert cmap == {r: [1, 2, 3] for r in range(4)}
 
 
@@ -200,15 +235,16 @@ def test_last_committed_global_256_ranks_one_pass():
     the old implementation re-listed and regex-scanned the whole
     namespace once per rank (512+ passes here)."""
     nprocs = 256
-    store = CountingStorage()
+    backend = CountingStorage()
+    store = ScatterStore(backend)
     for rank in range(nprocs):
         for v in (1, 2, 3):
-            store.write(section_path(v, rank, "app"), b"x" * 8)
-            record_commit(store, v, rank)
-    store.list_calls = 0
-    assert last_committed_global(store, nprocs) == 3
-    assert store.list_calls == 1
+            store.put_section(v, rank, "app", b"x" * 8)
+            store.commit_line(v, rank)
+    backend.list_calls = 0
+    assert store.last_committed_global(nprocs) == 3
+    assert backend.list_calls == 1
     # the validated flavour adds per-line stat checks, not extra listings
-    store.list_calls = 0
-    assert last_committed_global(store, nprocs, validate=True) == 3
-    assert store.list_calls == 1
+    backend.list_calls = 0
+    assert store.last_committed_global(nprocs, validate=True) == 3
+    assert backend.list_calls == 1

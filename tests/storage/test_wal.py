@@ -192,7 +192,6 @@ class TestReadPath:
         write_line(store, 1, 0, payloads)
         for name, p in payloads.items():
             assert store.read_section(1, 0, name) == p
-            assert store.section_size(1, 0, name) == len(p)
             assert store.has_section(1, 0, name)
         assert not store.has_section(1, 0, "absent")
         with pytest.raises(StorageError):
