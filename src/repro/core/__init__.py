@@ -7,7 +7,8 @@ from .ccc import (
 from .comms import C3CartComm, C3Comm
 from .counters import CounterSet
 from .epoch import (
-    CODECS, EARLY, FullCodec, INTRA, LATE, Piggyback, ThreeBitCodec, classify,
+    CODECS, EARLY, FullCodec, INTRA, LATE, ThreeBitCodec, classify,
+    receive_table,
 )
 from .modes import Mode, ModeTracker, ProtocolError
 from .protocol import C3Config, C3Protocol, C3Stats, COLL_TAG
@@ -25,7 +26,7 @@ __all__ = [
     "run_c3", "run_fault_tolerant", "run_original", "C3RunResult",
     "cached_comm", "resume_from_manifest",
     "Mode", "ModeTracker", "ProtocolError",
-    "classify", "LATE", "INTRA", "EARLY", "Piggyback", "ThreeBitCodec",
+    "classify", "receive_table", "LATE", "INTRA", "EARLY", "ThreeBitCodec",
     "FullCodec", "CODECS",
     "LateMessageRegistry", "EarlyMessageRegistry", "WasEarlyRegistry",
     "EventLog", "LateEntry", "DATA", "WILDCARD",

@@ -1,23 +1,25 @@
 """Collective communication under the C3 protocol (Section 4.3).
 
 The protocol is applied to the start and end points of each individual
-communication *stream* inside a collective (Figure 7): the sender side
-runs the send protocol (counter updates, suppression during recovery),
-the receiver side classifies each incoming stream as late / intra-epoch /
-early and updates the registries, exactly as for point-to-point messages.
-Streams use the reserved ``COLL_TAG`` on the application context id, so
-per-signature FIFO keeps successive collectives between the same pair of
-ranks ordered.
+communication *stream* inside a collective (Figure 7), with the very
+rules point-to-point messages run — there is one copy of each: the send
+rule (counter updates, suppression during recovery:
+``C3Protocol._send``), the receive rule (classify the stream's piggyback
+word as late / intra-epoch / early, update counters and registries:
+``C3Protocol._on_receive``) and recovery's log replay
+(``C3Protocol._replay``).  Streams use the reserved ``COLL_TAG`` on the
+application context id, so per-signature FIFO keeps successive
+collectives between the same pair of ranks ordered.
 
 Two transports:
 
 * **native** (normal execution) — the data, with each stream's piggyback
-  embedded as an 8-byte header, travels through the runtime's optimized
-  collective algorithms (in a closed-form job, one rendezvous per call:
-  DESIGN.md §2.5); the protocol only touches the call sites.  Its
-  accounting is arithmetic over the whole call: the send side counts
-  every stream in one pass, and when every incoming stream decodes as
-  intra-epoch in RUN mode — the failure-free steady state — the headers
+  word embedded as an 8-byte header, travels through the runtime's
+  optimized collective algorithms (in a closed-form job, one rendezvous
+  per call: DESIGN.md §2.5); the protocol only touches the call sites.
+  Its accounting is arithmetic over the whole call: the send side counts
+  every stream in one pass, and when every incoming stream carries an
+  intra-epoch word in RUN mode — the failure-free steady state — the headers
   are checked through one array view, the per-peer receive counters move
   in one pass and the payloads land with one slice assignment.  Late and
   early streams, and every other mode, take the per-stream path;
@@ -49,16 +51,15 @@ exercised by the ablation bench.
 from __future__ import annotations
 
 import struct
-from typing import TYPE_CHECKING, Iterable, Optional, Tuple
+from typing import TYPE_CHECKING, Iterable, Optional
 
 import numpy as np
 
 from ..mpi.datatypes import reshape_in_place
 from ..mpi.errors import InvalidDatatypeError
 from ..mpi.ops import Op
-from .epoch import INTRA, LATE, classify
 from .modes import Mode, ProtocolError
-from .registries import DATA, EventLog
+from .registries import EventLog
 
 if TYPE_CHECKING:  # pragma: no cover
     from .commtable import CommEntry
@@ -111,24 +112,16 @@ def _assign(payload: bytes, buf: np.ndarray) -> None:
 
 def _stream_send(p: "C3Protocol", centry: "CommEntry", dest: int,
                  payload: bytes) -> None:
-    """Send protocol + transmission for one emulated stream."""
-    raw = centry.raw
-    dest_world = raw.group.translate(dest)
-    if p.modes.mode is Mode.RESTORE:
-        if p.was_early.match_and_remove(dest_world, COLL_TAG, raw.context_id):
-            p.counters.on_send(dest_world)
-            p.stats.suppressed_sends += 1
-            p._maybe_finish_restore()
-            return
-    raw.send_packed(payload, dest, COLL_TAG, count=len(payload),
-                    type_name="MPI_BYTE", piggyback=p._piggyback())
-    p.counters.on_send(dest_world)
+    """One emulated stream: the protocol's send rule on the reserved tag."""
+    p._send(centry.raw, payload, dest, COLL_TAG, len(payload), "MPI_BYTE")
 
 
 def _account_sends(p: "C3Protocol", centry: "CommEntry",
                    dests: Iterable[int]) -> None:
     """Send-protocol bookkeeping for the native streams to ``dests``.
 
+    Native collectives never run in Restore mode (a recovering job
+    emulates them), so the send rule reduces to counting each stream.
     The C3 layer piggybacks on every communication stream it originates,
     including the per-stream headers inside native collectives, so the
     platform's per-message piggyback cost applies to each stream (this is
@@ -146,61 +139,22 @@ def _account_sends(p: "C3Protocol", centry: "CommEntry",
 
 def _stream_recv(p: "C3Protocol", centry: "CommEntry", source: int,
                  nbytes: int) -> bytes:
-    """Restore-aware receive of one emulated stream; returns the payload."""
+    """One emulated stream: replayed from the log during recovery,
+    otherwise received under the protocol's receive rule; returns the
+    payload."""
     raw = centry.raw
-    if p.modes.mode is Mode.RESTORE:
-        m = p.late_reg.match(source, COLL_TAG, raw.context_id)
-        if m is not None and m.kind == DATA:
-            p.late_reg.pop(m)
-            p.stats.replayed_from_log += 1
-            p._maybe_finish_restore()
-            return m.payload
-    buf = np.empty(nbytes, dtype=np.uint8)
-    req = raw.Irecv(buf, source=source, tag=COLL_TAG)
-    req.wait()
-    env = req.envelope
-    assert env is not None
-    pb = p.codec.decode(env.piggyback.value, p.epoch)
-    _stream_account(p, centry, env.source, pb.sender_epoch,
-                    pb.stopped_logging, env.payload)
-    return env.payload
-
-
-def _stream_account(p: "C3Protocol", centry: "CommEntry", source: int,
-                    sender_epoch: int, stopped_logging: bool,
-                    payload: bytes) -> None:
-    """Receive-protocol bookkeeping for one incoming stream."""
-    raw = centry.raw
-    kind = classify(sender_epoch, p.epoch)
-    source_world = raw.group.translate(source)
-    if kind == LATE:
-        p.counters.on_late_received(source_world)
-        if p.modes.is_logging_late:
-            p.late_reg.record_late(source, COLL_TAG, raw.context_id, payload)
-            p.stats.late_logged += 1
-            p.stats.late_logged_bytes += len(payload)
-        elif p.modes.mode is not Mode.RESTORE:
-            raise ProtocolError(
-                f"rank {p.rank} received a late collective stream in mode "
-                f"{p.modes.mode}"
-            )
-        p._maybe_commit()
-    elif kind == INTRA:
-        p.counters.on_intra_received(source_world)
-        if p.modes.mode is Mode.NONDET_LOG and stopped_logging:
-            p._stop_nondet_logging()
-    else:  # EARLY
-        p.counters.on_early_received(source_world)
-        p.early_reg.record(source_world, COLL_TAG, raw.context_id)
-        p.stats.early_recorded += 1
-        if p.modes.mode is Mode.NONDET_LOG:
-            p._stop_nondet_logging()
+    logged = p._replay(None, raw, source, COLL_TAG)
+    if logged is not None:
+        return logged.payload
+    req = raw.Irecv(np.empty(nbytes, dtype=np.uint8), source=source,
+                    tag=COLL_TAG)
+    return p._deliver(raw, req)[1].payload
 
 
 def _wire(p: "C3Protocol", payload: bytes) -> np.ndarray:
-    """One native stream: the 8-byte piggyback header, then the payload."""
-    return np.frombuffer(_HDR.pack(p._piggyback().value) + payload,
-                         dtype=np.uint8)
+    """One native stream: the piggyback word as an 8-byte header, then
+    the payload."""
+    return np.frombuffer(_HDR.pack(p._word()) + payload, dtype=np.uint8)
 
 
 def _wire_rows(p: "C3Protocol", rows: np.ndarray) -> np.ndarray:
@@ -209,29 +163,27 @@ def _wire_rows(p: "C3Protocol", rows: np.ndarray) -> np.ndarray:
     payload = np.ascontiguousarray(rows).reshape(len(rows), -1)
     wire = np.empty((len(rows), _HDR.size + payload.nbytes // len(rows)),
                     dtype=np.uint8)
-    wire[:, :_HDR.size] = np.frombuffer(_HDR.pack(p._piggyback().value),
-                                        dtype=np.uint8)
+    wire[:, :_HDR.size] = np.frombuffer(_HDR.pack(p._word()), dtype=np.uint8)
     wire[:, _HDR.size:] = payload.view(np.uint8)
     return wire
 
 
-def _parse_header(p: "C3Protocol", raw_bytes: bytes):
-    (word,) = _HDR.unpack_from(raw_bytes)
-    pb = p.codec.decode(word, p.epoch)
-    return pb.sender_epoch, pb.stopped_logging, raw_bytes[_HDR.size:]
+def _receive_native(p: "C3Protocol", raw, source: int, stream: bytes) -> bytes:
+    """The receive rule on one native stream (header word, then
+    payload); returns the payload."""
+    (word,) = _HDR.unpack_from(stream)
+    payload = stream[_HDR.size:]
+    p._on_receive(raw, source, COLL_TAG, word, payload)
+    return payload
 
 
 def _arithmetic(p: "C3Protocol", buf: np.ndarray, nbytes: int) -> bool:
     """The arithmetic path's preconditions besides the headers: RUN mode,
-    and ``buf`` a C-contiguous target of exactly ``nbytes`` payload bytes."""
+    and ``buf`` a C-contiguous target of exactly ``nbytes`` payload bytes.
+    (In RUN mode the receive rule reduces to counting an intra-epoch
+    stream, whatever its logging bit.)"""
     return (p.modes.mode is Mode.RUN and buf.flags.c_contiguous
             and buf.nbytes == nbytes)
-
-
-def _intra_words(p: "C3Protocol") -> Tuple[int, int]:
-    """The header words an intra-epoch stream carries (the logging bit
-    is irrelevant in RUN mode)."""
-    return p.codec.encode(p.epoch, False), p.codec.encode(p.epoch, True)
 
 
 def _deliver_rows(p: "C3Protocol", centry: "CommEntry", wire: np.ndarray,
@@ -246,9 +198,9 @@ def _deliver_rows(p: "C3Protocol", centry: "CommEntry", wire: np.ndarray,
     """
     size = len(wire)
     words = np.ascontiguousarray(wire[:, :_HDR.size]).view("<i8")
-    intra = _intra_words(p)
+    intra, intra_stopped = p._intra_words
     if (_arithmetic(p, recvbuf, wire.size - _HDR.size * size)
-            and ((words == intra[0]) | (words == intra[1])).all()):
+            and ((words == intra) | (words == intra_stopped)).all()):
         received = p.counters.received_count
         world = centry.raw.group.world_ranks
         for src in range(size):
@@ -261,9 +213,8 @@ def _deliver_rows(p: "C3Protocol", centry: "CommEntry", wire: np.ndarray,
         if src == mine:
             _assign(wire[src, _HDR.size:].tobytes(), out[src])
             continue
-        sender_epoch, stopped, payload = _parse_header(p, wire[src].tobytes())
-        _stream_account(p, centry, src, sender_epoch, stopped, payload)
-        receive(payload, out[src])
+        receive(_receive_native(p, centry.raw, src, wire[src].tobytes()),
+                out[src])
 
 
 # ---------------------------------------------------------------------------
@@ -298,13 +249,11 @@ def bcast(p: "C3Protocol", centry: "CommEntry", buf: np.ndarray,
     wire = np.empty(_HDR.size + buf.nbytes, dtype=np.uint8)
     raw.Bcast(wire, root=root)
     (word,) = _HDR.unpack_from(wire)
-    if _arithmetic(p, buf, buf.nbytes) and word in _intra_words(p):
+    if _arithmetic(p, buf, buf.nbytes) and word in p._intra_words:
         p.counters.received_count[raw.group.world_ranks[root]] += 1
         buf.reshape(-1).view(np.uint8)[:] = wire[_HDR.size:]
         return
-    sender_epoch, stopped, payload = _parse_header(p, wire.tobytes())
-    _stream_account(p, centry, root, sender_epoch, stopped, payload)
-    _unpack_into(payload, buf)
+    _unpack_into(_receive_native(p, raw, root, wire.tobytes()), buf)
 
 
 def gather(p: "C3Protocol", centry: "CommEntry", sendbuf: np.ndarray,
@@ -376,9 +325,7 @@ def scatter(p: "C3Protocol", centry: "CommEntry", sendbuf: Optional[np.ndarray],
     else:
         wire_recv = np.empty(_HDR.size + recvbuf.nbytes, dtype=np.uint8)
         raw.Scatter(None, wire_recv, root=root)
-        sender_epoch, stopped, payload = _parse_header(p, wire_recv.tobytes())
-        _stream_account(p, centry, root, sender_epoch, stopped, payload)
-        _assign(payload, recvbuf)
+        _assign(_receive_native(p, raw, root, wire_recv.tobytes()), recvbuf)
 
 
 def allgather(p: "C3Protocol", centry: "CommEntry", sendbuf: np.ndarray,

@@ -1,9 +1,11 @@
-"""Epochs, message classification, and piggyback codecs.
+"""Epochs, the piggyback word, and message classification.
 
 Execution is divided into *epochs* separated by recovery lines; taking
-checkpoint *k* moves a process from epoch *k-1* to epoch *k*.  Comparing
-the sender's epoch (piggybacked on every message) with the receiver's
-classifies a message (Definition 1):
+checkpoint *k* moves a process from epoch *k-1* to epoch *k*.  Every
+message — application message or collective stream — carries one
+piggyback *word* naming the sender's epoch and whether the sender has
+stopped logging non-deterministic events.  Comparing the sender's epoch
+with the receiver's classifies the message (Definition 1):
 
 * **late** — sender epoch < receiver epoch,
 * **intra-epoch** — equal,
@@ -15,13 +17,21 @@ its value mod 3 — a 2-bit "color" — plus one bit for "the sender has
 stopped logging non-deterministic events": 3 piggybacked bits total
 (Section 3.2).  The codec is deliberately separated from the protocol
 (Section 4.5, last bullet) so the wire encoding can be swapped; the
-``FULL`` codec piggybacks the whole epoch and is used by the piggyback
+``full`` codec piggybacks the whole epoch and is used by the piggyback
 ablation bench.
+
+Classification is one lookup.  A receiver in epoch *e* can only be sent
+the words its peers in epochs *e-1*, *e* and *e+1* encode, so
+:func:`receive_table` lists those words with their class once per epoch
+and :func:`classify` indexes it.  A word missing from the table — an
+invalid color, a sender in epoch -1, a message that crossed two recovery
+lines, no piggyback at all — is a protocol violation.  Bit 0 of every
+codec's word is the stopped-logging bit (:data:`STOPPED`).
 
 Paper mapping
 -------------
 * Definition 1 (Section 3.1) — :func:`classify` and the
-  ``LATE``/``INTRA``/``EARLY`` constants;
+  ``LATE``/``INTRA``/``EARLY`` classes;
 * Section 3.2 — :class:`ThreeBitCodec` (the 2-bit epoch color + 1
   stopped-logging bit piggybacked on every message);
 * Section 4.5 — :class:`FullCodec`, the swappable-wire-encoding ablation.
@@ -29,64 +39,28 @@ Paper mapping
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+from typing import Dict
 
 from .modes import ProtocolError
 
-LATE = "late"
-INTRA = "intra"
-EARLY = "early"
+#: message classes: the sender's epoch minus the receiver's
+LATE, INTRA, EARLY = -1, 0, 1
 
-
-def classify(sender_epoch: int, receiver_epoch: int) -> str:
-    """Definition 1, given both true epoch numbers."""
-    if abs(sender_epoch - receiver_epoch) > 1:
-        raise ProtocolError(
-            f"message crosses more than one recovery line: sender epoch "
-            f"{sender_epoch}, receiver epoch {receiver_epoch}"
-        )
-    if sender_epoch < receiver_epoch:
-        return LATE
-    if sender_epoch > receiver_epoch:
-        return EARLY
-    return INTRA
-
-
-@dataclass(frozen=True)
-class Piggyback:
-    """Decoded piggyback contents."""
-
-    sender_epoch: int
-    stopped_logging: bool
+#: the stopped-logging bit of every codec's word
+STOPPED = 1
 
 
 class ThreeBitCodec:
-    """The paper's 3-bit encoding: 2-bit epoch color + 1 logging bit.
+    """The paper's 3-bit word: 2-bit epoch color + 1 logging bit.
 
     On the (byte-oriented) wire this occupies 1 byte.
     """
 
     nbytes = 1
 
-    def encode(self, epoch: int, stopped_logging: bool) -> int:
-        return ((epoch % 3) << 1) | (1 if stopped_logging else 0)
-
-    def decode(self, value: int, receiver_epoch: int) -> Piggyback:
-        color = (value >> 1) & 0b11
-        if color > 2:
-            raise ProtocolError(f"invalid epoch color {color}")
-        stopped = bool(value & 1)
-        # The sender's epoch is the unique member of
-        # {receiver-1, receiver, receiver+1} with the observed color.
-        for delta in (-1, 0, 1):
-            epoch = receiver_epoch + delta
-            if epoch >= 0 and epoch % 3 == color:
-                return Piggyback(sender_epoch=epoch, stopped_logging=stopped)
-        raise ProtocolError(
-            f"no epoch within one recovery line of {receiver_epoch} has "
-            f"color {color}"
-        )
+    @staticmethod
+    def encode(epoch: int, stopped_logging: bool) -> int:
+        return ((epoch % 3) << 1) | stopped_logging
 
 
 class FullCodec:
@@ -94,25 +68,30 @@ class FullCodec:
 
     nbytes = 9
 
-    def encode(self, epoch: int, stopped_logging: bool) -> int:
-        return (epoch << 1) | (1 if stopped_logging else 0)
-
-    def decode(self, value: int, receiver_epoch: int) -> Piggyback:
-        epoch = value >> 1
-        if abs(epoch - receiver_epoch) > 1:
-            raise ProtocolError(
-                f"message crosses more than one recovery line: sender epoch "
-                f"{epoch}, receiver epoch {receiver_epoch}"
-            )
-        return Piggyback(sender_epoch=epoch, stopped_logging=bool(value & 1))
+    @staticmethod
+    def encode(epoch: int, stopped_logging: bool) -> int:
+        return (epoch << 1) | stopped_logging
 
 
 CODECS = {"3bit": ThreeBitCodec(), "full": FullCodec()}
 
 
-@dataclass(frozen=True)
-class WirePiggyback:
-    """What actually rides on an envelope: encoded value + wire size."""
+def receive_table(codec, epoch: int) -> Dict[int, int]:
+    """Every word a sender within one recovery line of a receiver in
+    ``epoch`` can put on the wire, mapped to the message's class."""
+    return {codec.encode(epoch + kind, stopped): kind
+            for kind in (LATE, INTRA, EARLY) if epoch + kind >= 0
+            for stopped in (False, True)}
 
-    value: int
-    nbytes: int
+
+def classify(table: Dict[int, int], word) -> int:
+    """Definition 1: the class of a message carrying ``word``, for the
+    receiver whose :func:`receive_table` is ``table``."""
+    kind = table.get(word)
+    if kind is None:
+        raise ProtocolError(
+            f"piggyback word {word!r} names no epoch within one recovery "
+            "line of the receiver's: the message crossed more than one "
+            "recovery line, or carried no piggyback"
+        )
+    return kind

@@ -37,11 +37,15 @@ Paper mapping
 -------------
 * Section 3.1 / Figure 2 — epochs and recovery lines (`self.epoch`,
   advanced by :func:`repro.core.checkpoint.start_checkpoint`);
-* Section 3.2 — the 3 piggybacked bits every send carries
-  (:meth:`C3Protocol._piggyback`, codecs in :mod:`repro.core.epoch`);
+* Section 3.2 — the 3 piggybacked bits every send carries, as one word
+  (:meth:`C3Protocol._word`, codecs in :mod:`repro.core.epoch`);
 * Section 3.3 / Figure 4 — the send/receive wrappers (:meth:`C3Protocol.send`,
-  :meth:`C3Protocol.recv`, their non-blocking forms) and the
-  late/intra/early handling on delivery (``_on_app_delivery``);
+  :meth:`C3Protocol.recv`, their non-blocking forms).  Figure 4's rules
+  are written once and shared by application messages and collective
+  streams: the send rule (``_send``), the receive rule that classifies
+  late/intra/early on delivery (``_on_receive``), and the recovery-time
+  log replay (``_replay``); ``_complete`` is the one completion of a
+  request under Wait/Test/Waitany/Waitsome;
 * Section 4.1 — request indirection (:mod:`repro.core.reqtable`);
 * Section 4.2 — datatype table (:mod:`repro.core.datatable`);
 * Section 4.3 — collectives as per-stream protocols
@@ -55,8 +59,8 @@ Paper mapping
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -72,10 +76,10 @@ from .commtable import CommEntry, CommTable
 from .control import ControlPlane
 from .counters import CounterSet
 from .datatable import DatatypeTable
-from .epoch import CODECS, EARLY, INTRA, LATE, WirePiggyback, classify
+from .epoch import CODECS, INTRA, LATE, STOPPED, classify, receive_table
 from .modes import Mode, ModeTracker, ProtocolError
 from .registries import (
-    DATA, WILDCARD, EarlyMessageRegistry, EventLog, LateMessageRegistry,
+    DATA, EarlyMessageRegistry, EventLog, LateEntry, LateMessageRegistry,
     WasEarlyRegistry,
 )
 from .reqtable import C3Request, RequestEntry, RequestTable
@@ -202,9 +206,6 @@ class C3Protocol:
 
         self.modes = ModeTracker(Mode.RUN)
         self.epoch = 0
-        #: (epoch, stopped-logging) -> WirePiggyback; the encoded value
-        #: only changes at mode/epoch transitions, not per send
-        self._pb_cache: Optional[Tuple[int, bool, WirePiggyback]] = None
         self.counters = CounterSet(self.nprocs, self.rank)
         #: control plane on a dedicated duplicate of COMM_WORLD
         self.control = ControlPlane(mpi.COMM_WORLD.Dup("c3.control"),
@@ -360,17 +361,26 @@ class C3Protocol:
             self.stats.gc_deleted_lines += 1
             coverage.hit("path:gc")
 
-    # ------------------------------------------------------- piggyback encoding
-    def _piggyback(self) -> WirePiggyback:
-        stopped = self.modes.mode is not Mode.NONDET_LOG
-        cached = self._pb_cache
-        if (cached is not None and cached[0] == self.epoch
-                and cached[1] == stopped):
-            return cached[2]
-        wp = WirePiggyback(self.codec.encode(self.epoch, stopped),
-                           self.codec.nbytes)
-        self._pb_cache = (self.epoch, stopped, wp)
-        return wp
+    # --------------------------------------------------------- piggyback word
+    @property
+    def epoch(self) -> int:
+        return self._epoch
+
+    @epoch.setter
+    def epoch(self, epoch: int) -> None:
+        # The receive table only changes when the epoch does.
+        self._epoch = epoch
+        self._kinds = receive_table(self.codec, epoch)
+        #: the words an intra-epoch message carries (the native
+        #: collectives' arithmetic path checks whole header arrays for them)
+        self._intra_words = tuple(word for word, kind in self._kinds.items()
+                                  if kind == INTRA)
+
+    def _word(self) -> int:
+        """The piggyback word every message and collective stream carries
+        (Section 3.2): my epoch, and whether I stopped logging."""
+        return self.codec.encode(self._epoch,
+                                 self.modes.mode is not Mode.NONDET_LOG)
 
     # ------------------------------------------------------------ control plane
     def _poll_control(self) -> None:
@@ -426,56 +436,61 @@ class C3Protocol:
 
     # =================================================================== SEND
     def send(self, centry: CommEntry, buf, dest: int, tag: int = 0,
-             datatype=None, count: Optional[int] = None,
-             _internal_tag: bool = False) -> None:
-        """``chkpt_MPI_Send`` (Figure 4)."""
+             datatype=None, count: Optional[int] = None) -> int:
+        """``chkpt_MPI_Send`` (Figure 4); returns the element count sent."""
         self._charge()
         self._poll_control()
-        if tag == COLL_TAG and not _internal_tag:
+        if tag == COLL_TAG:
             raise ProtocolError(f"tag {COLL_TAG} is reserved for the C3 layer")
-        raw = centry.raw
         dtype = self._resolve_dtype(buf, datatype)
         n = count if count is not None else (buf.size if isinstance(buf, np.ndarray) else 1)
-        payload = dtype.pack(buf, n)
-        self._send_payload(centry, payload, dest, tag, n, dtype.name)
+        if self._send(centry.raw, dtype.pack(buf, n), dest, tag, n, dtype.name):
+            self.stats.app_sends += 1
+        return n
 
-    def _send_payload(self, centry: CommEntry, payload: bytes, dest: int,
-                      tag: int, count: int, type_name: str) -> None:
-        raw = centry.raw
+    def _send(self, raw, payload: bytes, dest: int, tag: int, count: int,
+              type_name: str) -> bool:
+        """Figure 4's send rule, for an application message and an
+        emulated collective stream alike; returns whether the message
+        went on the wire.
+
+        In Restore mode a send the Was-Early-Registry names is
+        suppressed: the receiver's checkpoint already contains it.  It is
+        counted anyway — the receiver's restored counters include it
+        (DESIGN.md §1.1).  Every other send carries the piggyback word.
+        """
         dest_world = raw.group.translate(dest)
-        if self.modes.mode is Mode.RESTORE:
-            if self.was_early.match_and_remove(dest_world, tag, raw.context_id):
-                # Suppressed: the receiver's checkpoint already contains this
-                # message.  Count it anyway — the receiver's restored
-                # counters include it (see module docstring).
-                self.counters.on_send(dest_world)
-                self.stats.suppressed_sends += 1
-                coverage.hit("path:suppressed_send")
-                self._maybe_finish_restore()
-                return
+        if (self.modes.mode is Mode.RESTORE
+                and self.was_early.match_and_remove(dest_world, tag,
+                                                    raw.context_id)):
+            self.counters.on_send(dest_world)
+            self.stats.suppressed_sends += 1
+            coverage.hit("path:suppressed_send")
+            self._maybe_finish_restore()
+            return False
         raw.send_packed(payload, dest, tag, count=count, type_name=type_name,
-                        piggyback=self._piggyback())
+                        piggyback=self._word(),
+                        piggyback_bytes=self.codec.nbytes)
         self.counters.on_send(dest_world)
-        self.stats.app_sends += 1
+        return True
 
     def isend(self, centry: CommEntry, buf, dest: int, tag: int = 0,
               datatype=None, count: Optional[int] = None) -> C3Request:
         """Non-blocking send: the send protocol runs at the call site
         (Section 4.1 — the send interval starts when the application hands
         the buffer to MPI)."""
-        self.send(centry, buf, dest, tag, datatype=datatype, count=count)
-        entry = self.reqtable.alloc("send", centry.key, dest, tag,
-                                    count or 0, "", self.epoch)
+        n = self.send(centry, buf, dest, tag, datatype=datatype, count=count)
+        entry = self.reqtable.alloc("send", centry.key, dest, tag, n, "",
+                                    self.epoch)
         return C3Request(entry.rid)
 
     # =================================================================== RECV
     def irecv(self, centry: CommEntry, buf, source: int = ANY_SOURCE,
-              tag: int = ANY_TAG, datatype=None,
-              _internal_tag: bool = False) -> C3Request:
+              tag: int = ANY_TAG, datatype=None) -> C3Request:
         """Post a receive; the receive protocol itself runs at Wait/Test."""
         self._charge()
         self._poll_control()
-        if tag == COLL_TAG and not _internal_tag:
+        if tag == COLL_TAG:
             raise ProtocolError(f"tag {COLL_TAG} is reserved for the C3 layer")
         dtype = self._resolve_dtype(buf, datatype)
         entry = self.reqtable.alloc(
@@ -492,55 +507,58 @@ class C3Protocol:
         or post a real receive."""
         raw = centry.raw
         source, tag = entry.source, entry.tag
-        if self.modes.mode is Mode.RESTORE:
-            m = self._match_log(entry, raw.context_id)
-            if m is not None and m.kind == DATA:
-                self.late_reg.pop(m)
+        m = self._replay(entry.rid, raw, source, tag)
+        if m is not None:
+            source, tag = m.source, m.tag
+            if m.kind == DATA:
                 entry.from_log = True
                 entry.log_payload = m.payload
-                entry.source, entry.tag = m.source, m.tag
-                self.stats.replayed_from_log += 1
-                coverage.hit("path:log_replay")
-                self._maybe_finish_restore()
+                entry.source, entry.tag = source, tag
                 return
-            if m is not None and m.kind == WILDCARD:
-                # Fill in the wild-cards to force the message order of the
-                # original run.
-                self.late_reg.pop(m)
-                source, tag = m.source, m.tag
-                self._maybe_finish_restore()
+            # A wildcard record: fill in the wild-cards to force the
+            # message order of the original run.
         entry.mpi_request = raw.Irecv(entry.buffer, source=source, tag=tag,
                                       datatype=dtype)
 
-    def _match_log(self, entry: RequestEntry, context_id: int):
-        """Find the late-registry entry this receive should replay.
+    def _replay(self, rid: Optional[int], raw, source: int,
+                tag: int) -> Optional[LateEntry]:
+        """Recovery's half of the receive rule, for an application receive
+        (``rid`` is its request id) and an emulated collective stream
+        (``rid`` None) alike: in Restore mode, take the late-registry
+        entry the receive re-executes — a logged message it replays, or
+        the wildcard order it must follow — off the registry.
 
         Exact matching is by consuming request id (reproduced
         deterministically); the signature fallback serves orphaned entries
         after the re-execution has legitimately diverged.
         """
-        m = self.late_reg.match_rid(entry.rid)
-        if m is not None:
-            sig_ok = (m.context_id == context_id
-                      and (entry.source == ANY_SOURCE or entry.source == m.source)
-                      and (entry.tag == ANY_TAG or entry.tag == m.tag))
-            if sig_ok:
-                return m
-        m = self.late_reg.match(entry.source, entry.tag, context_id)
-        if m is not None and m.kind == DATA:
-            return m
-        if (m is not None and m.kind == WILDCARD
-                and (entry.source == ANY_SOURCE or entry.tag == ANY_TAG)):
-            return m
-        return None
+        if self.modes.mode is not Mode.RESTORE:
+            return None
+        context_id = raw.context_id
+        m = self.late_reg.match_rid(rid) if rid is not None else None
+        if m is None or not (m.context_id == context_id
+                             and source in (ANY_SOURCE, m.source)
+                             and tag in (ANY_TAG, m.tag)):
+            m = self.late_reg.match(source, tag, context_id)
+            # a wildcard record only binds a receive that has a wildcard
+            if m is not None and not (m.kind == DATA or source == ANY_SOURCE
+                                      or tag == ANY_TAG):
+                m = None
+        if m is None:
+            return None
+        self.late_reg.pop(m)
+        if m.kind == DATA:
+            self.stats.replayed_from_log += 1
+            coverage.hit("path:log_replay")
+        self._maybe_finish_restore()
+        return m
 
     def recv(self, centry: CommEntry, buf, source: int = ANY_SOURCE,
              tag: int = ANY_TAG, datatype=None,
-             status: Optional[Status] = None,
-             _internal_tag: bool = False) -> Status:
+             status: Optional[Status] = None) -> Status:
         """``chkpt_MPI_Recv``: post + complete."""
         req = self.irecv(centry, buf, source=source, tag=tag,
-                         datatype=datatype, _internal_tag=_internal_tag)
+                         datatype=datatype)
         st = self.wait(req)
         if status is not None:
             status.__dict__.update(st.__dict__)
@@ -562,12 +580,20 @@ class C3Protocol:
         req = entry.mpi_request
         if req is None:
             raise ProtocolError(f"request {entry.rid} has no pending operation")
-        st = req.wait()
-        env = req.envelope
-        if env is not None and env.source >= 0:
-            self._on_app_delivery(centry, entry, env)
+        st, _env = self._deliver(centry.raw, req, entry)
         self.stats.app_recvs += 1
         return st
+
+    def _deliver(self, raw, req, entry: Optional[RequestEntry] = None):
+        """Complete a posted receive — an application request's or an
+        emulated collective stream's — and run the receive rule on what
+        arrived; returns the Status and the envelope."""
+        st = req.wait()
+        env = req.envelope
+        if env.source >= 0:  # a PROC_NULL receive carries no message
+            self._on_receive(raw, env.source, env.tag, env.piggyback,
+                             env.payload, entry)
+        return st, env
 
     def _named_handle(self, name: str):
         from ..mpi import datatypes as dt
@@ -575,26 +601,23 @@ class C3Protocol:
             return dt.NAMED_TYPES[name]
         raise ProtocolError(f"cannot resolve datatype {name!r} for replay")
 
-    def _on_app_delivery(self, centry: CommEntry, entry: Optional[RequestEntry],
-                         env) -> None:
-        """Classify a delivered message and update counters/registries."""
-        raw = centry.raw
-        if env.piggyback is None:
-            raise ProtocolError(
-                f"application message without piggyback from rank {env.source}"
-            )
-        pb = self.codec.decode(env.piggyback.value, self.epoch)
-        kind = classify(pb.sender_epoch, self.epoch)
-        source_world = raw.group.translate(env.source)
+    def _on_receive(self, raw, source: int, tag: int, word, payload: bytes,
+                    entry: Optional[RequestEntry] = None) -> None:
+        """Figure 4's receive rule, for an application message (``entry``
+        is its request) and a collective stream alike: classify the
+        message by its piggyback word, then update counters and
+        registries."""
+        kind = classify(self._kinds, word)
+        source_world = raw.group.translate(source)
         if kind == LATE:
             self.counters.on_late_received(source_world)
             coverage.hit("msg:late")
             if self.modes.is_logging_late:
                 self.late_reg.record_late(
-                    env.source, env.tag, env.context_id, env.payload,
+                    source, tag, raw.context_id, payload,
                     rid=entry.rid if entry else None)
                 self.stats.late_logged += 1
-                self.stats.late_logged_bytes += env.nbytes
+                self.stats.late_logged_bytes += len(payload)
             elif self.modes.mode is not Mode.RESTORE:
                 raise ProtocolError(
                     f"rank {self.rank} received a late message in mode "
@@ -605,21 +628,20 @@ class C3Protocol:
             self.counters.on_intra_received(source_world)
             coverage.hit("msg:intra")
             if self.modes.mode is Mode.NONDET_LOG:
-                if pb.stopped_logging:
+                if word & STOPPED:
                     # Causality: the sender stopped logging, so events after
                     # this message must not enter the log.
                     self._stop_nondet_logging()
                 elif entry is not None and (entry.source == ANY_SOURCE
                                             or entry.tag == ANY_TAG):
                     self.late_reg.record_wildcard(
-                        env.source, env.tag, env.context_id,
-                        rid=entry.rid if entry else None)
+                        source, tag, raw.context_id, rid=entry.rid)
                     self.stats.wildcard_logged += 1
                     coverage.hit("msg:wildcard")
         else:  # EARLY
             self.counters.on_early_received(source_world)
             coverage.hit("msg:early")
-            self.early_reg.record(source_world, env.tag, env.context_id)
+            self.early_reg.record(source_world, tag, raw.context_id)
             self.stats.early_recorded += 1
             if self.modes.mode is Mode.NONDET_LOG:
                 # A sender one epoch ahead has necessarily stopped logging
@@ -627,11 +649,10 @@ class C3Protocol:
                 self._stop_nondet_logging()
 
     # ============================================================ WAIT / TEST
-    def wait(self, c3req: C3Request) -> Status:
-        """``MPI_Wait`` through the indirection table."""
-        self._charge()
-        self._poll_control()
-        entry = self.reqtable.get(c3req.rid)
+    def _complete(self, entry: RequestEntry) -> Status:
+        """Complete and release one request — the one completion rule of
+        Wait, Test, Waitany and Waitsome.  A send already ran its protocol
+        at the call site (Section 4.1); a receive runs the receive rule."""
         if entry.kind == "send":
             st = Status(source=self.rank, tag=entry.tag, count=entry.count)
         else:
@@ -639,39 +660,35 @@ class C3Protocol:
         self.reqtable.release(entry)
         return st
 
+    def wait(self, c3req: C3Request) -> Status:
+        """``MPI_Wait`` through the indirection table."""
+        self._charge()
+        self._poll_control()
+        return self._complete(self.reqtable.get(c3req.rid))
+
     def test(self, c3req: C3Request) -> Tuple[bool, Optional[Status]]:
         """``MPI_Test`` with unsuccessful-poll counting and replay."""
         self._charge()
         self._poll_control()
         entry = self.reqtable.get(c3req.rid)
-        if entry.kind == "send":
-            st = Status(source=self.rank, tag=entry.tag, count=entry.count)
-            self.reqtable.release(entry)
-            return True, st
-        # Recovery replay: fail the same number of times as the original
-        # run, then substitute a Wait (which cannot deadlock — the original
-        # Test succeeded, so the message is logged or will be resent).
-        if (self.modes.mode is Mode.RESTORE
-                and entry.rid in self.reqtable.replay_test_counters):
-            remaining = self.reqtable.replay_test_counters[entry.rid]
-            if remaining > 0:
-                self.reqtable.replay_test_counters[entry.rid] = remaining - 1
-                return False, None
-            st = self._complete_recv(entry)
-            self.reqtable.release(entry)
-            return True, st
-        if entry.from_log:
-            st = self._complete_recv(entry)
-            self.reqtable.release(entry)
-            return True, st
-        req = entry.mpi_request
-        if req is None or not req.is_complete():
-            if self.reqtable.defer_dealloc:
-                entry.test_counter += 1
-            return False, None
-        st = self._complete_recv(entry)
-        self.reqtable.release(entry)
-        return True, st
+        if entry.kind == "recv":
+            if (self.modes.mode is Mode.RESTORE
+                    and entry.rid in self.reqtable.replay_test_counters):
+                # Recovery replay: fail the same number of times as the
+                # original run, then substitute a Wait (which cannot
+                # deadlock — the original Test succeeded, so the message
+                # is logged or will be resent).
+                remaining = self.reqtable.replay_test_counters[entry.rid]
+                if remaining > 0:
+                    self.reqtable.replay_test_counters[entry.rid] = remaining - 1
+                    return False, None
+            elif not entry.from_log:
+                req = entry.mpi_request
+                if req is None or not req.is_complete():
+                    if self.reqtable.defer_dealloc:
+                        entry.test_counter += 1
+                    return False, None
+        return True, self._complete(entry)
 
     def waitall(self, c3reqs: List[C3Request]) -> List[Status]:
         """``MPI_Waitall``: completion order is fixed, no logging needed."""
@@ -685,11 +702,7 @@ class C3Protocol:
             rid = self.event_log.replay(EventLog.WAITANY)
             for i, r in enumerate(c3reqs):
                 if r.rid == rid:
-                    entry = self.reqtable.get(rid)
-                    st = self._complete_recv(entry) if entry.kind == "recv" \
-                        else Status(source=self.rank, tag=entry.tag)
-                    self.reqtable.release(entry)
-                    return i, st
+                    return i, self._complete(self.reqtable.get(rid))
             raise ProtocolError(
                 f"waitany replay: logged request {rid} not in the array"
             )
@@ -706,10 +719,7 @@ class C3Protocol:
         # Sends and log-served receives complete immediately.
         for i, e in enumerate(entries):
             if e.kind == "send" or e.from_log:
-                st = self._complete_recv(e) if e.kind == "recv" else \
-                    Status(source=self.rank, tag=e.tag, count=e.count)
-                self.reqtable.release(e)
-                return i, st
+                return i, self._complete(e)
         mpi_reqs = [e.mpi_request for e in entries]
         if any(r is None for r in mpi_reqs):
             raise ProtocolError("waitany on request without pending operation")
@@ -718,9 +728,7 @@ class C3Protocol:
                              poll=ctx.poll_hook)
         for i, e in enumerate(entries):
             if e.mpi_request.is_complete():
-                st = self._complete_recv(e)
-                self.reqtable.release(e)
-                return i, st
+                return i, self._complete(e)
         raise AssertionError("waitany woke without a completed request")
 
     def waitsome(self, c3reqs: List[C3Request]) -> Tuple[List[int], List[Status]]:
@@ -735,12 +743,8 @@ class C3Protocol:
                 if rid not in by_rid:
                     raise ProtocolError(
                         f"waitsome replay: logged request {rid} not in array")
-                entry = self.reqtable.get(rid)
-                st = self._complete_recv(entry) if entry.kind == "recv" \
-                    else Status(source=self.rank, tag=entry.tag)
-                self.reqtable.release(entry)
+                statuses.append(self._complete(self.reqtable.get(rid)))
                 indices.append(by_rid[rid])
-                statuses.append(st)
             return indices, statuses
         idx, st = self._waitany_live(c3reqs)
         indices, statuses = [idx], [st]
@@ -752,11 +756,8 @@ class C3Protocol:
             if entry.kind == "send" or entry.from_log or (
                     entry.mpi_request is not None
                     and entry.mpi_request.is_complete()):
-                st2 = self._complete_recv(entry) if entry.kind == "recv" \
-                    else Status(source=self.rank, tag=entry.tag)
-                self.reqtable.release(entry)
+                statuses.append(self._complete(entry))
                 indices.append(i)
-                statuses.append(st2)
         if self.reqtable.defer_dealloc:
             self.event_log.record(EventLog.WAITSOME,
                                   [c3reqs[i].rid for i in indices])

@@ -127,7 +127,7 @@ class Communicator:
 
     # --------------------------------------------------------------- sending
     def Send(self, buf, dest: int, tag: int = 0, datatype: Optional[Datatype] = None,
-             count: Optional[int] = None, piggyback=None) -> None:
+             count: Optional[int] = None) -> None:
         """Blocking standard-mode send (buffered by the simulator)."""
         self._check()
         if dest == PROC_NULL:
@@ -135,19 +135,20 @@ class Communicator:
         self._check_tag(tag)
         dt = self._resolve_type(buf, datatype)
         n = count if count is not None else (buf.size if isinstance(buf, np.ndarray) else 1)
-        self.send_packed(dt.pack(buf, n), dest, tag, count=n,
-                         type_name=dt.name, piggyback=piggyback)
+        self.send_packed(dt.pack(buf, n), dest, tag, count=n, type_name=dt.name)
 
     def send_packed(self, payload: bytes, dest: int, tag: int, count: int = 0,
-                    type_name: str = "MPI_BYTE", piggyback=None,
+                    type_name: str = "MPI_BYTE",
+                    piggyback: Optional[int] = None, piggyback_bytes: int = 0,
                     context_id: Optional[int] = None) -> None:
         """Send pre-packed bytes: charge the call, timestamp the envelope
-        and deliver it (also the C3 layer's replay/forwarding path).
+        and deliver it (also the C3 layer's send path).
 
-        The envelope becomes available at the receiver one transfer time
-        (plus the piggyback's wire cost, if any) after the sender's
-        clock; the destination mailbox matches it against a posted
-        receive in the same call.
+        ``piggyback`` is the C3 layer's word, ``piggyback_bytes`` its size
+        on the wire.  The envelope becomes available at the receiver one
+        transfer time (plus the piggyback's wire cost, if any) after the
+        sender's clock; the destination mailbox matches it against a
+        posted receive in the same call.
         """
         self._check()
         if dest == PROC_NULL:
@@ -159,8 +160,8 @@ class Communicator:
         nbytes = len(payload)
         avail = ctx.clock.now + machine.transfer_time(nbytes)
         if piggyback is not None:
-            avail += (getattr(piggyback, "nbytes", machine.piggyback_bytes)
-                      / machine.bandwidth + machine.piggyback_overhead)
+            avail += (piggyback_bytes / machine.bandwidth
+                      + machine.piggyback_overhead)
         ctx.sent_count += 1
         ctx.sent_bytes += nbytes
         ctx.engine.mailboxes[world].deliver(Envelope(
@@ -168,9 +169,9 @@ class Communicator:
             payload, count, type_name, world, avail, piggyback))
 
     def Isend(self, buf, dest: int, tag: int = 0, datatype: Optional[Datatype] = None,
-              count: Optional[int] = None, piggyback=None) -> Request:
+              count: Optional[int] = None) -> Request:
         """Non-blocking send; complete immediately (eager buffering)."""
-        self.Send(buf, dest, tag, datatype=datatype, count=count, piggyback=piggyback)
+        self.Send(buf, dest, tag, datatype=datatype, count=count)
         n = count if count is not None else (buf.size if isinstance(buf, np.ndarray) else 1)
         return Request(Request.SEND, self._ctx, buffer=buf, count=n)
 

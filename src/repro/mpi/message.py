@@ -4,15 +4,15 @@ A :class:`MessageSignature` is the triple the paper uses to identify
 messages in its registries: ``<sending node number, tag, communicator>``.
 An :class:`Envelope` is a message in flight: the signature fields, payload
 bytes, element count/type info, the virtual time at which it becomes
-available at the receiver, and a small *piggyback* area used by the C3
+available at the receiver, and the *piggyback* word of the C3
 coordination layer (the paper piggybacks 3 bits: a 2-bit epoch color and
-1 logging bit).
+1 logging bit), or None on a plain message.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Tuple
+from typing import Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,7 @@ class Envelope:
 
     def __init__(self, source: int, tag: int, context_id: int, payload: bytes,
                  count: int, type_name: str, dest: int,
-                 avail_time: float = 0.0, piggyback: Any = None):
+                 avail_time: float = 0.0, piggyback: Optional[int] = None):
         self.source = source
         self.tag = tag
         self.context_id = context_id

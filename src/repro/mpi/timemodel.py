@@ -38,8 +38,6 @@ class MachineModel:
     call_overhead: float
     #: extra software overhead per *intercepted* call in the C3 layer
     c3_call_overhead: float
-    #: bytes piggybacked per application message by the C3 layer
-    piggyback_bytes: int = 3
     #: extra fixed cost to piggyback on this platform (the paper observed a
     #: platform-specific penalty on Velocity 2's interconnect stack)
     piggyback_overhead: float = 0.0

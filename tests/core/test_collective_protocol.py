@@ -69,6 +69,27 @@ def test_collectives_recover(frac):
     assert sum(s.collectives_emulated for s in res.stats if s) > 0
 
 
+def test_collective_streams_report_their_message_class():
+    """Collective streams run the receive rule application messages run,
+    so the fuzzer's coverage map sees the classes of a collective-only
+    code — native streams in the logging phases, emulated ones always."""
+    from repro import coverage
+
+    def points(config):
+        cmap = coverage.CoverageMap()
+        previous = coverage.install(cmap)
+        try:
+            result, _ = run_c3(collective_mix_app, 4,
+                               storage=InMemoryStorage(), config=config)
+        finally:
+            coverage.install(previous)
+        result.raise_errors()
+        return cmap.points()
+
+    assert "msg:intra" in points(C3Config(checkpoint_interval=8e-4))
+    assert "msg:intra" in points(C3Config(emulate_collectives=True))
+
+
 def test_emulation_matches_native_semantics():
     """Forced emulation (the ablation flag) must give identical results."""
     ref = run_original(collective_mix_app, 4)

@@ -134,6 +134,42 @@ def test_waitany_logged_and_replayed():
     assert res.returns[0] is not None
 
 
+def test_send_completion_status_matches_original():
+    """A completed send reports the same source and element count under
+    C3 as without it, whichever call completes it: Wait, Test, Waitany
+    and Waitsome complete a request by one rule."""
+    def app(ctx):
+        comm = ctx.comm
+        r, s = ctx.rank, ctx.size
+        seen = []
+        for call in ("wait", "test", "waitany", "waitsome"):
+            inbox = np.zeros(2 * 3)
+            rreq = comm.Irecv(inbox, source=(r - 1) % s, tag=5)
+            sends = [comm.Isend(np.arange(3.0), dest=(r + 1) % s, tag=5),
+                     comm.Isend(np.arange(3.0), dest=(r + 1) % s, tag=5,
+                                count=2)]
+            if call == "wait":
+                statuses = [comm.Wait(q) for q in sends]
+            elif call == "test":
+                statuses = [comm.Test(q)[1] for q in sends]
+            elif call == "waitany":
+                statuses = [comm.Waitany(sends[:1])[1],
+                            comm.Waitany(sends[1:])[1]]
+            else:
+                statuses = comm.Waitsome(sends)[1]
+            seen += [(call, st.source, st.count) for st in statuses]
+            comm.Wait(rreq)
+            comm.Recv(inbox, source=(r - 1) % s, tag=5)
+        return seen
+
+    ref = run_original(app, 3)
+    ref.raise_errors()
+    result, _ = run_c3(app, 3, storage=InMemoryStorage(), config=C3Config())
+    result.raise_errors()
+    assert result.returns == ref.returns
+    assert ref.returns[1][:2] == [("wait", 1, 3), ("wait", 1, 2)]
+
+
 def test_open_request_buffer_must_live_in_state():
     """An Irecv buffer that crosses a recovery line must be a ctx.state
     array, or the protocol refuses to checkpoint it (it could not re-post

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core.epoch import WirePiggyback
 from repro.mpi import TESTING, run_job
 
 
@@ -18,8 +17,8 @@ def test_piggyback_bytes_charged_on_wire():
         comm = mpi.COMM_WORLD
         if comm.rank == 0:
             comm.send_packed(b"x", 1, 0, count=1, type_name="MPI_BYTE",
-                             piggyback=WirePiggyback(0, nbytes) if nbytes
-                             else None)
+                             piggyback=0 if nbytes else None,
+                             piggyback_bytes=nbytes)
             return 0.0
         buf = np.zeros(1, dtype=np.uint8)
         req = comm.Irecv(buf, source=0, tag=0)
@@ -43,7 +42,7 @@ def test_piggyback_platform_overhead_charged():
         comm = mpi.COMM_WORLD
         if comm.rank == 0:
             comm.send_packed(b"x", 1, 0, count=1, type_name="MPI_BYTE",
-                             piggyback=WirePiggyback(0, 1))
+                             piggyback=0, piggyback_bytes=1)
             return 0.0
         buf = np.zeros(1, dtype=np.uint8)
         comm.Irecv(buf, source=0, tag=0).wait()
