@@ -28,10 +28,13 @@ def _compare_incremental():
     out = {}
     for name, incr in (("full", False), ("incremental", True)):
         storage = InMemoryStorage()
+        # gc_lines=False: every committed line is measured after the
+        # run, so recovery-line GC must not have deleted it
         result, stats = run_c3(
             _sparse_app, 4, storage=storage,
             config=C3Config(checkpoint_interval=3e-4, incremental=incr,
-                            incremental_full_interval=100))
+                            incremental_full_interval=100,
+                            gc_lines=False))
         result.raise_errors()
         committed = min(s.checkpoints_committed for s in stats if s)
         sizes = [as_store(storage).checkpoint_bytes(v, 0)

@@ -44,14 +44,17 @@ Paper mapping
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Dict, NamedTuple, Optional
 
 import numpy as np
 
 from ..mpi.matching import ANY_SOURCE, ANY_TAG
 from ..mpi.ops import MIN
 from .. import coverage
-from ..statesave.checkpointfile import CheckpointReader, CheckpointWriter
+from ..statesave.checkpointfile import (
+    CheckpointError, CheckpointReader, CheckpointWriter,
+)
+from ..statesave.incremental import IncrementalTracker
 from .modes import Mode, ProtocolError
 from .registries import EarlyMessageRegistry, EventLog, LateMessageRegistry
 
@@ -197,44 +200,51 @@ def commit_checkpoint(p: "C3Protocol") -> None:
     p._durable_commit(writer, p.mpi.Wtime())
 
 
-def _line_usable(p: "C3Protocol", version: int) -> bool:
-    """Can this rank actually restore from line ``version``?
+class _Line(NamedTuple):
+    """One rank's copy of a recovery line, read and verified."""
 
-    Deep-validates the line itself (manifest sizes + payload digests)
-    and, under incremental checkpointing, walks the record chain to the
-    last full save deep-validating every ancestor line on the way — an
-    ancestor is a separate line with its own marker that the candidate's
-    manifest does not cover, so bit-rot or GC damage there must reject
-    the candidate *before* restore starts mutating protocol state.
+    version: int
+    #: the line's other sections, verified and not yet decoded
+    reader: CheckpointReader
+    #: the decoded application state, an incremental chain's arrays
+    #: rebuilt into it
+    app: Dict[str, Any]
+    #: the incremental chain's full save (None: not incremental)
+    anchor: Optional[int]
+
+
+def _read_line(p: "C3Protocol", version: int) -> Optional[_Line]:
+    """This rank's copy of line ``version``, ready to restore, or None.
+
+    The one read of a restore candidate and its incremental ancestry:
+    each line is read whole once through
+    :meth:`~repro.storage.store.CheckpointStore.read_line` (every
+    section's size and digest checked against its manifest), and its
+    ``app`` record is decoded.  Under incremental checkpointing the
+    record chain is walked back to the last full save; an ancestor is a
+    separate line with its own marker that the candidate's manifest does
+    not cover, so the whole ancestor line must verify too.  A torn or
+    missing piece rejects the candidate *before* restore starts mutating
+    protocol state.
     """
-    if not p.store.validate_line(version, p.rank, deep=True):
-        return False
-    v = version
-    while True:
-        try:
-            snap = CheckpointReader(p.store, v, p.rank).load("app")
-        except Exception:   # torn, missing, or undeserializable section
-            return False
-        rec = snap.get("incremental") if isinstance(snap, dict) else None
-        if rec is None or rec.get("full"):
-            return True
-        v -= 1
-        if v < 1:
-            return False   # chain has no full save on stable storage
-        if not p.store.validate_line(v, p.rank, deep=True):
-            return False
-
-
-def _best_usable_line(p: "C3Protocol", ceiling: int):
-    """This rank's newest committed line ``<= ceiling`` that
-    :func:`_line_usable` accepts, or None."""
-    versions = p.store.committed_map().get(p.rank, [])
-    for v in reversed(versions):
-        if v > ceiling:
-            continue
-        if _line_usable(p, v):
-            return v
-    return None
+    try:
+        reader = CheckpointReader(p.store, version, p.rank)
+        app = reader.load("app")
+        if "incremental" not in app:
+            return _Line(version, reader, app, None)
+        records = [app.pop("incremental")]
+        anchor = version
+        while not records[0]["full"]:
+            anchor -= 1
+            if anchor < 1:
+                return None   # the chain has no full save on storage
+            prev = CheckpointReader(p.store, anchor, p.rank).load("app")
+            records.insert(0, prev["incremental"])
+    except CheckpointError:   # torn, missing or uncommitted line
+        return None
+    arrays = IncrementalTracker.decode_chain(records)
+    return _Line(version, reader,
+                 {**app, "state": {**app["state"], **arrays}}, anchor)
 
 
 def restore_checkpoint(p: "C3Protocol") -> bool:
@@ -248,46 +258,54 @@ def restore_checkpoint(p: "C3Protocol") -> bool:
     p.recovering = True
     t_restore_start = p.mpi.Wtime()
     # Query the last local checkpoint committed to disk, then a global
-    # reduction for the last line committed on all nodes.  ``validate``
-    # skips *torn* lines — a COMMIT manifest naming a missing, truncated,
-    # or digest-mismatched section (a crash mid-drain or mid-commit) —
-    # falling back to the previous committed line instead of restoring
-    # garbage.
+    # reduction for the last line committed on all nodes.  Reading a
+    # line verifies it: a *torn* line — a COMMIT manifest naming a
+    # missing, truncated, or digest-mismatched section (a crash
+    # mid-drain or mid-commit) — is skipped, falling back to the
+    # previous committed line instead of restoring garbage.
     newest = p.store.last_committed_local(p.rank)
-    # Version agreement with per-rank re-validation.  A rank deep-proves
-    # only its own candidate; the agreed minimum may be an *older* line
-    # this rank never checked (a peer fell back further), and bit-rot in
-    # that line — or in an unvalidated ancestor of its incremental chain
-    # — must reject the line collectively, not crash the restore.  Every
-    # iteration lowers the ceiling, so the loop terminates at cold
-    # restart in the worst case.  (Found by the fault fuzzer: bit-rot in
-    # a fallen-back-to line used to escape as a raw CheckpointError.)
+    # Version agreement with per-rank vetting.  A rank reads only its own
+    # candidate; the agreed minimum may be an *older* line this rank
+    # never read (a peer fell back further), and bit-rot in that line —
+    # or in an ancestor of its incremental chain — must reject the line
+    # collectively, not crash the restore.  Every iteration lowers the
+    # ceiling, so the loop terminates at cold restart in the worst case.
+    # (Found by the fault fuzzer: bit-rot in a fallen-back-to line used
+    # to escape as a raw CheckpointError.)
     ceiling: int = 1 << 62
     mine = np.empty(1, dtype=np.int64)
     everyone = np.empty(1, dtype=np.int64)
     while True:
-        local = _best_usable_line(p, ceiling)
-        if newest is not None and newest != local:
-            # the newest marker-bearing line failed deep validation —
+        local: Optional[_Line] = None
+        for v in reversed(p.store.committed_versions(p.rank)):
+            if v <= ceiling:
+                local = _read_line(p, v)
+                if local is not None:
+                    break
+        proposed = None if local is None else local.version
+        if newest is not None and newest != proposed:
+            # the newest marker-bearing line failed to read back —
             # torn sections or bit-rot — and recovery fell back past it
             p.stats.restore_fallbacks += 1
             coverage.hit("path:restore_fallback")
-            newest = local  # count each fallback once
-        mine[0] = local if local is not None else -1
+            newest = proposed  # count each fallback once
+        mine[0] = -1 if proposed is None else proposed
         p.control.comm.Allreduce(mine, everyone, MIN)
         version = int(everyone[0])
         if version <= 0:
             coverage.hit("path:cold_restart")
             return False
-        # every rank vets the *agreed* line (its own copy of it)
-        mine[0] = 1 if (version == local
-                        or _line_usable(p, version)) else 0
+        # every rank vets the *agreed* line (its own copy of it): the
+        # candidate it proposed is already read, an older one is vetted
+        # by reading it
+        line = local if proposed == version else _read_line(p, version)
+        mine[0] = 0 if line is None else 1
         p.control.comm.Allreduce(mine, everyone, MIN)
         if int(everyone[0]):
             break
         ceiling = version - 1
     coverage.hit("path:restore")
-    reader = CheckpointReader(p.store, version, p.rank)
+    reader = line.reader
     # Restore basic MPI state and sanity-check the world geometry.
     mpi_state = reader.load("mpi_state")
     if mpi_state["nprocs"] != p.nprocs or mpi_state["rank"] != p.rank:
@@ -308,28 +326,13 @@ def restore_checkpoint(p: "C3Protocol") -> bool:
     p.late_reg = LateMessageRegistry.from_wire(reader.load("late_registry"))
     p.event_log = EventLog.from_wire(reader.load("event_log"))
     early = EarlyMessageRegistry.from_wire(reader.load("early_registry"))
-    # Restore the application state (in place where possible).  Under
-    # incremental checkpointing, rebuild the arrays by walking the record
-    # chain back to the last full save.
-    app_snap = reader.load("app")
-    if "incremental" in app_snap:
-        from ..statesave.incremental import IncrementalTracker
-        records = [app_snap["incremental"]]
-        v = version
-        while not records[0]["full"]:
-            v -= 1
-            if v < 1:
-                raise ProtocolError(
-                    "incremental chain has no full save on stable storage")
-            prev = CheckpointReader(p.store, v, p.rank).load("app")
-            records.insert(0, prev["incremental"])
-        # lines back to the chain's full save stay pinned against GC
-        p._full_saves = [v]
-        arrays = IncrementalTracker.decode_chain(records)
-        app_snap = {**app_snap,
-                    "state": {**app_snap["state"], **arrays}}
-        app_snap.pop("incremental")
-    p.ctx.restore_state(app_snap)
+    # Restore the application state (in place where possible); an
+    # incremental line's arrays were rebuilt from its chain when it was
+    # read, and the lines back to the chain's full save stay pinned
+    # against GC.
+    if line.anchor is not None:
+        p._full_saves = [line.anchor]
+    p.ctx.restore_state(line.app)
     # Mode := Restore.
     from .modes import ModeTracker
     p.modes = ModeTracker(Mode.RESTORE)

@@ -15,7 +15,7 @@ a checkpoint without actually saving anything to disk").
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from ..storage.manifest import section_digest
 from ..storage.stable import StorageError
@@ -112,56 +112,38 @@ class CheckpointWriter:
 
 
 class CheckpointReader:
-    """Reads sections of one (version, rank) checkpoint.
+    """Decodes the sections of one verified (version, rank) checkpoint.
 
-    When the line's COMMIT marker carries a manifest, every ``load``
-    verifies the payload's size and digest against it, so a torn or
-    corrupted section surfaces as :class:`CheckpointError` instead of a
-    garbage restore.
+    The line is read once, whole, by
+    :meth:`~repro.storage.store.CheckpointStore.read_line`, which checks
+    every section's size and digest against the COMMIT manifest: a torn,
+    corrupted or uncommitted line raises :class:`CheckpointError` here,
+    before anything is decoded.  :meth:`load` only deserializes, and
+    drops a section's raw bytes once it has, so each section loads once.
     """
 
     def __init__(self, storage, version: int, rank: int):
-        self.storage = storage
-        self.store = as_store(storage)
         self.version = version
         self.rank = rank
+        try:
+            self._payloads = as_store(storage).read_line(version, rank)
+        except StorageError as exc:
+            raise CheckpointError(
+                f"rank {rank} checkpoint v{version} is not restorable: "
+                f"{exc}") from None
+        self._nbytes = sum(len(p) for p in self._payloads.values())
         self._serializer = Serializer()
-        self._manifest: Optional[dict] = self.store.line_manifest(version, rank)
 
     def load(self, section: str) -> Any:
-        """Read, verify, and deserialize one section (raises if missing)."""
-        try:
-            payload = self.store.read_section(self.version, self.rank, section)
-        except StorageError:
+        """Deserialize one section (raises if absent or already loaded)."""
+        payload = self._payloads.pop(section, None)
+        if payload is None:
             raise CheckpointError(
-                f"rank {self.rank} checkpoint v{self.version} has no section "
-                f"{section!r}"
-            ) from None
-        if self._manifest is not None:
-            entry = self._manifest["sections"].get(section)
-            if entry is None:
-                raise CheckpointError(
-                    f"rank {self.rank} checkpoint v{self.version} manifest "
-                    f"does not list section {section!r}")
-            nbytes, digest = entry
-            if len(payload) != nbytes or section_digest(payload) != digest:
-                raise CheckpointError(
-                    f"rank {self.rank} checkpoint v{self.version} section "
-                    f"{section!r} is torn (size/digest mismatch)")
+                f"rank {self.rank} checkpoint v{self.version} has no "
+                f"section {section!r} left to load")
         return self._serializer.loads(payload)
 
-    def has(self, section: str) -> bool:
-        """Does this checkpoint contain ``section``?"""
-        return self.store.has_section(self.version, self.rank, section)
-
     def total_bytes(self) -> int:
-        """Payload bytes of every stored section (excluding the marker).
-
-        Manifest-first, like :meth:`CheckpointStore.checkpoint_bytes`:
-        sizes come from the commit record or stored object metadata —
-        payloads are never read just to be measured.
-        """
-        if self._manifest is not None:
-            return sum(int(nbytes)
-                       for nbytes, _ in self._manifest["sections"].values())
-        return self.store.checkpoint_bytes(self.version, self.rank)
+        """Payload bytes of the line as read: its manifest's count,
+        excluding the commit record."""
+        return self._nbytes

@@ -14,24 +14,23 @@ A commit record is not a bare token: it carries a *section manifest* —
 the name, size, and content digest of every section of the line — and
 is written only after every section is durable (in the overlapped
 write-back pipeline, only once the virtual-time drain of the staged
-bytes has completed).  :meth:`CheckpointStore.validate_line
-<repro.storage.store.CheckpointStore.validate_line>` checks a line
-against its manifest and rejects *torn* lines; recovery queries skip
-them and fall back to the previous committed line.
+bytes has completed).  :meth:`CheckpointStore.read_line
+<repro.storage.store.CheckpointStore.read_line>` reads a line back
+whole and checks every section against its manifest — the one place a
+payload is verified — so torn lines are rejected and recovery falls
+back to the previous committed line.
 
-Legacy records (the bare ``b"ok"`` of earlier versions) decode to "no
-manifest" and validate vacuously, so old stores remain restorable.
+Every commit carries a manifest.  A record that does not decode to one
+— a torn or rotted marker, or the bare ``b"ok"`` token commits carried
+before manifests existed — is corrupt, and its line is invalid.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from .stable import StorageError
-
-#: legacy commit marker payload (no manifest)
-LEGACY_MARKER = b"ok"
 
 #: section name -> (payload bytes, content digest), as handed to commit
 Sections = Dict[str, Tuple[int, str]]
@@ -42,16 +41,13 @@ def section_digest(payload: bytes) -> str:
     return hashlib.blake2b(payload, digest_size=16).hexdigest()
 
 
-def encode_commit(version: int, rank: int, sections: Optional[Sections],
-                  ) -> Tuple[Optional[dict], bytes]:
+def encode_commit(version: int, rank: int, sections: Sections,
+                  ) -> Tuple[dict, bytes]:
     """The commit record of one line: ``(manifest, payload bytes)``.
 
     ``sections`` maps each section name to its ``(nbytes, digest)``
-    pair.  ``None`` yields the legacy bare marker and no manifest (kept
-    for the baselines and old stores).
+    pair.
     """
-    if sections is None:
-        return None, LEGACY_MARKER
     from ..statesave import serializer
     record = {
         "version": version,
@@ -62,18 +58,16 @@ def encode_commit(version: int, rank: int, sections: Optional[Sections],
     return record, serializer.dumps(record)
 
 
-def decode_commit(data: bytes) -> Optional[dict]:
-    """The manifest a commit record carries, or None for legacy markers.
+def decode_commit(data: bytes) -> dict:
+    """The manifest a commit record carries.
 
-    A record that is neither the legacy token nor a well-formed manifest
-    — a torn write or bit-rot caught mid-marker — raises
+    A record that is not a well-formed manifest — a torn write or
+    bit-rot caught mid-marker, or a bare token — raises
     :class:`StorageError`: the *line* is bad, not the program.  (Found
     by the fault fuzzer: a torn COMMIT marker used to escape as a raw
     ``IndexError``/``ValueError`` from the deserializer, crashing every
     recovery query instead of failing validation.)
     """
-    if data == LEGACY_MARKER:
-        return None
     from ..statesave import serializer
     try:
         record = serializer.loads(data)

@@ -2,9 +2,10 @@
 
 * :class:`CheckpointStore` — the one statement of the contract every
   storage consumer needs: stage a section, commit a line with its
-  manifest, validate lines over a few per-engine primitives, answer the
-  global queries (``committed_map``, ``last_committed_global``), delete
-  superseded lines, and sequence a crash.
+  manifest, read a line back verified, validate lines over a few
+  per-engine primitives, answer the global queries (``committed_map``,
+  ``last_committed_global``), delete superseded lines, and sequence a
+  crash.
 * :class:`ScatterStore` — the original per-file layout, kept for old
   stores, the baselines, and as the differential oracle for the WAL.
 * :class:`~repro.storage.wal.WalStore` — the production engine: one
@@ -27,7 +28,7 @@ it.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .. import coverage
 from .manifest import Sections, decode_commit, encode_commit, section_digest
@@ -47,9 +48,9 @@ class CheckpointStore:
     commit record is **durable**; implementations decide what durability
     costs (one fsync per object for the scatter layout, one batched
     fsync per node group for the WAL).  An engine supplies the
-    mutators, the section reads, the two global listings and three
-    primitives (:meth:`_commit_record`, :meth:`_section_len`,
-    :meth:`_section_sizes`); everything else is derived here.
+    mutators, the section reads, the two global listings and two
+    primitives (:meth:`_commit_record`, :meth:`_section_len`);
+    everything else is derived here.
     """
 
     #: the byte store underneath (shared across ranks of a job)
@@ -70,7 +71,7 @@ class CheckpointStore:
         raise NotImplementedError
 
     def commit_line(self, version: int, rank: int,
-                    sections: Optional[Sections] = None) -> None:
+                    sections: Sections) -> None:
         """Record the commit of one line (``sections`` is its manifest)."""
         raise NotImplementedError
 
@@ -107,13 +108,9 @@ class CheckpointStore:
     def read_section(self, version: int, rank: int, section: str) -> bytes:
         raise NotImplementedError
 
-    def has_section(self, version: int, rank: int, section: str) -> bool:
-        raise NotImplementedError
-
-    def _commit_record(self, version: int, rank: int) -> Optional[dict]:
-        """The decoded manifest of a committed line (None: legacy
-        marker); StorageError if there is no durable record or it is
-        corrupt."""
+    def _commit_record(self, version: int, rank: int) -> dict:
+        """The decoded manifest of a committed line; StorageError if
+        there is no durable record or it is corrupt."""
         raise NotImplementedError
 
     def _section_len(self, version: int, rank: int, section: str) -> int:
@@ -121,23 +118,53 @@ class CheckpointStore:
         absent), without reading the payload."""
         raise NotImplementedError
 
-    def _section_sizes(self, version: int, rank: int) -> Dict[str, int]:
-        """Every stored section of one line -> its payload length."""
-        raise NotImplementedError
-
     # -- line queries --------------------------------------------------------
     def line_manifest(self, version: int, rank: int) -> Optional[dict]:
-        """The committed line's manifest record (None if absent/legacy).
+        """The committed line's manifest record (None if absent or
+        corrupt).
 
-        A corrupt record also reads as None: callers of this accessor
-        want "the manifest, if one is usable" — rejecting the line
-        outright is :meth:`validate_line`'s job, and the restore path
-        deep-validates before it ever builds a reader on the line.
+        Callers of this accessor want "the manifest, if one is usable";
+        rejecting the line outright is :meth:`read_line`'s job.
         """
         try:
             return self._commit_record(version, rank)
         except StorageError:
             return None
+
+    def _sized_sections(self, version: int, rank: int,
+                        ) -> Iterator[Tuple[str, str]]:
+        """``(section, digest)`` of each manifest entry, once the commit
+        record names this line and the section is stored with its
+        recorded size; StorageError at the first defect."""
+        record = self._commit_record(version, rank)
+        if record.get("version") != version or record.get("rank") != rank:
+            raise StorageError(
+                f"COMMIT of v{version}/rank{rank} names another line")
+        for name, (nbytes, digest) in record["sections"].items():
+            if self._section_len(version, rank, name) != int(nbytes):
+                raise StorageError(
+                    f"v{version}/rank{rank} section {name!r} is torn")
+            yield name, digest
+
+    def read_line(self, version: int, rank: int) -> Dict[str, bytes]:
+        """Every section of one committed line, verified:
+        ``{section: payload}``.
+
+        The one place a payload is checked against its manifest: each
+        manifest section must be stored with its recorded size, is read
+        once, and must match its recorded digest.  A torn, truncated or
+        rotted line raises :class:`StorageError`.
+        """
+        payloads: Dict[str, bytes] = {}
+        for name, digest in self._sized_sections(version, rank):
+            payload = self.read_section(version, rank, name)
+            if section_digest(payload) != digest:
+                coverage.hit("path:digest_rejected")
+                raise StorageError(
+                    f"v{version}/rank{rank} section {name!r} fails its "
+                    "digest")
+            payloads[name] = payload
+        return payloads
 
     def validate_line(self, version: int, rank: int,
                       deep: bool = False) -> bool:
@@ -147,42 +174,26 @@ class CheckpointStore:
         exists and that every manifest section is present with the
         recorded size — an ``os.stat`` per section on a scatter
         :class:`~repro.storage.stable.DiskStorage`, an index lookup in
-        the WAL, no payload reads.  ``deep=True`` additionally
-        re-digests every payload, which is what the restore path uses on
-        its candidate line.  Legacy (manifest-less) commits validate
-        vacuously.
+        the WAL, no payload reads.  ``deep=True`` means ":meth:`read_line`
+        succeeds".
         """
         try:
-            record = self._commit_record(version, rank)
+            if deep:
+                self.read_line(version, rank)
+            else:
+                list(self._sized_sections(version, rank))
         except StorageError:
             return False
-        if record is None:
-            return True
-        if record.get("version") != version or record.get("rank") != rank:
-            return False
-        for name, (nbytes, digest) in record["sections"].items():
-            try:
-                if self._section_len(version, rank, name) != int(nbytes):
-                    return False
-                if deep and section_digest(
-                        self.read_section(version, rank, name)) != digest:
-                    coverage.hit("path:digest_rejected")
-                    return False
-            except StorageError:
-                return False
         return True
 
     def checkpoint_bytes(self, version: int, rank: int) -> int:
-        """Total payload bytes of one line (excluding the commit record).
-
-        Prefers the manifest (stale sections left by a pre-crash attempt
-        at the same version are not counted); otherwise sums the stored
-        section sizes — never reads payloads.
-        """
+        """Total payload bytes of one committed line, from its manifest
+        (stale sections a pre-crash attempt left at the same version are
+        not counted; a line without a usable commit record counts 0)."""
         record = self.line_manifest(version, rank)
-        if record is not None:
-            return sum(int(nbytes) for nbytes, _ in record["sections"].values())
-        return sum(self._section_sizes(version, rank).values())
+        if record is None:
+            return 0
+        return sum(int(nbytes) for nbytes, _ in record["sections"].values())
 
     # -- global queries ----------------------------------------------------
     def committed_map(self) -> Dict[int, List[int]]:
@@ -197,21 +208,11 @@ class CheckpointStore:
     def committed_versions(self, rank: int) -> List[int]:
         return self.committed_map().get(rank, [])
 
-    def last_committed_local(self, rank: int, validate: bool = False,
-                             deep: bool = False) -> Optional[int]:
-        """The last (optionally validated) version ``rank`` committed.
-
-        With ``validate=True`` torn lines are skipped: the scan walks the
-        rank's committed versions newest-first and returns the first one
-        whose manifest checks out (``deep`` re-digests payloads).
-        """
+    def last_committed_local(self, rank: int) -> Optional[int]:
+        """The last version ``rank`` committed (torn or not: whether it
+        reads back is :meth:`read_line`'s question)."""
         versions = self.committed_versions(rank)
-        if not validate:
-            return versions[-1] if versions else None
-        for v in reversed(versions):
-            if self.validate_line(v, rank, deep=deep):
-                return v
-        return None
+        return versions[-1] if versions else None
 
     def last_committed_global(self, nprocs: int,
                               validate: bool = False) -> Optional[int]:
@@ -296,7 +297,7 @@ class ScatterStore(CheckpointStore):
     def put_section(self, version, rank, section, payload):
         self.backend.write(self._prefix(version, rank) + section, payload)
 
-    def commit_line(self, version, rank, sections=None):
+    def commit_line(self, version, rank, sections):
         _, payload = encode_commit(version, rank, sections)
         self.backend.write(self._prefix(version, rank) + "COMMIT", payload)
 
@@ -310,21 +311,12 @@ class ScatterStore(CheckpointStore):
     def read_section(self, version, rank, section):
         return self.backend.read(self._prefix(version, rank) + section)
 
-    def has_section(self, version, rank, section):
-        return self.backend.exists(self._prefix(version, rank) + section)
-
     def _commit_record(self, version, rank):
         return decode_commit(
             self.backend.read(self._prefix(version, rank) + "COMMIT"))
 
     def _section_len(self, version, rank, section):
         return self.backend.size(self._prefix(version, rank) + section)
-
-    def _section_sizes(self, version, rank):
-        prefix = self._prefix(version, rank)
-        return {path[len(prefix):]: self.backend.size(path)
-                for path in self.backend.list(prefix)
-                if not path.endswith("/COMMIT")}
 
     def _scan(self, pattern: "re.Pattern[str]") -> Dict[int, List[int]]:
         out: Dict[int, set] = {}
@@ -407,7 +399,7 @@ class RecordingStore(CheckpointStore):
     def put_section(self, version, rank, section, payload):
         self._logged("put_section", version, rank, section, payload)
 
-    def commit_line(self, version, rank, sections=None):
+    def commit_line(self, version, rank, sections):
         self._logged("commit_line", version, rank, sections)
 
     def delete_line(self, version, rank):
@@ -445,17 +437,11 @@ class RecordingStore(CheckpointStore):
     def read_section(self, version, rank, section):
         return self.inner.read_section(version, rank, section)
 
-    def has_section(self, version, rank, section):
-        return self.inner.has_section(version, rank, section)
-
     def _commit_record(self, version, rank):
         return self.inner._commit_record(version, rank)
 
     def _section_len(self, version, rank, section):
         return self.inner._section_len(version, rank, section)
-
-    def _section_sizes(self, version, rank):
-        return self.inner._section_sizes(version, rank)
 
     def committed_map(self):
         cmap = self.inner.committed_map()

@@ -127,7 +127,7 @@ class _Seg:
 class _Commit:
     seg: str
     rec: _Rec
-    manifest: Optional[dict]  # None for legacy (manifest-less) commits
+    manifest: Optional[dict]  # None: undecodable, so never durable
     durable: bool
 
 
@@ -283,7 +283,7 @@ class WalStore(CheckpointStore):
             self._register_section((version, rank), section, rec, ns.seg)
 
     def commit_line(self, version: int, rank: int,
-                    sections: Optional[Sections] = None) -> None:
+                    sections: Sections) -> None:
         manifest, payload = encode_commit(version, rank, sections)
         node = self.node_of(rank)
         with self._lock:
@@ -631,11 +631,7 @@ class WalStore(CheckpointStore):
             segname, rec = self._section_entry(version, rank, section)
             return self._read_rec(segname, rec)
 
-    def has_section(self, version: int, rank: int, section: str) -> bool:
-        with self._lock:
-            return section in self._sections.get((version, rank), {})
-
-    def _commit_record(self, version: int, rank: int) -> Optional[dict]:
+    def _commit_record(self, version: int, rank: int) -> dict:
         with self._lock:
             commit = self._commits.get((version, rank))
         if commit is None or not commit.durable:
@@ -645,11 +641,6 @@ class WalStore(CheckpointStore):
     def _section_len(self, version: int, rank: int, section: str) -> int:
         with self._lock:
             return self._section_entry(version, rank, section)[1].payload_len
-
-    def _section_sizes(self, version: int, rank: int) -> Dict[str, int]:
-        with self._lock:
-            return {name: rec.payload_len for name, (_, rec)
-                    in self._sections.get((version, rank), {}).items()}
 
     # -- global queries ----------------------------------------------------------
     def committed_map(self) -> Dict[int, List[int]]:

@@ -1,7 +1,7 @@
-"""The checkpoint-store contract: the commit-record codec, line
-validation and the global last-committed queries.
+"""The checkpoint-store contract: the commit-record codec, the verified
+line read, line validation and the global last-committed queries.
 
-Validation and the line queries are written once, in
+The line read, validation and the line queries are written once, in
 :class:`~repro.storage.store.CheckpointStore`; every contract test runs
 over both engines (the scatter layout and the WAL).  Torn lines are
 modelled engine-neutrally: a commit whose manifest claims other
@@ -13,7 +13,8 @@ import pytest
 from repro.storage import (
     InMemoryStorage, ScatterStore, StorageError, WalStore, section_digest,
 )
-from repro.storage.manifest import LEGACY_MARKER, decode_commit, encode_commit
+from repro.storage.manifest import decode_commit, encode_commit
+from repro.storage.wal import COMMIT, encode_record, segment_path
 
 
 @pytest.fixture
@@ -45,47 +46,50 @@ def write_line(store, version, rank, sections, claimed=None):
                       sections=manifest_of(claimed or sections))
 
 
+def commit(store, version, rank):
+    """An intact one-section line."""
+    write_line(store, version, rank, {"app": b"v%d" % version})
+
+
 def test_paths(scatter, backend):
-    scatter.put_section(3, 1, "app", b"abc")
-    scatter.commit_line(3, 1)
+    write_line(scatter, 3, 1, {"app": b"abc"})
     assert backend.list() == ["ckpt/v3/rank1/COMMIT", "ckpt/v3/rank1/app"]
-    assert backend.read("ckpt/v3/rank1/COMMIT") == LEGACY_MARKER
+    _, record = encode_commit(3, 1, manifest_of({"app": b"abc"}))
+    assert backend.read("ckpt/v3/rank1/COMMIT") == record
 
 
 def test_commit_and_query(store):
-    store.commit_line(1, 0)
-    store.commit_line(2, 0)
+    commit(store, 1, 0)
+    commit(store, 2, 0)
     assert store.committed_versions(0) == [1, 2]
     assert store.last_committed_local(0) == 2
     assert store.last_committed_local(1) is None
 
 
 def test_global_requires_all_ranks(store):
-    store.commit_line(1, 0)
+    commit(store, 1, 0)
     assert store.last_committed_global(2) is None
-    store.commit_line(1, 1)
+    commit(store, 1, 1)
     assert store.last_committed_global(2) == 1
 
 
 def test_global_is_min_of_maxima(store):
     for v in (1, 2, 3):
-        store.commit_line(v, 0)
+        commit(store, v, 0)
     for v in (1, 2):
-        store.commit_line(v, 1)
+        commit(store, v, 1)
     assert store.last_committed_global(2) == 2
 
 
 def test_global_with_gap_at_min(store):
     # rank 0 committed only v2 (v1 lost), rank 1 only v1: no common version
-    store.commit_line(2, 0)
-    store.commit_line(1, 1)
+    commit(store, 2, 0)
+    commit(store, 1, 1)
     assert store.last_committed_global(2) is None
 
 
 def test_checkpoint_bytes_excludes_marker(store):
-    store.put_section(1, 0, "app", b"12345")
-    store.put_section(1, 0, "late_registry", b"678")
-    store.commit_line(1, 0)
+    write_line(store, 1, 0, {"app": b"12345", "late_registry": b"678"})
     assert store.checkpoint_bytes(1, 0) == 8
 
 
@@ -100,12 +104,10 @@ def test_commit_codec_roundtrip():
     manifest, payload = encode_commit(3, 1, manifest_of({"app": b"abc"}))
     assert decode_commit(payload) == manifest
     assert manifest["sections"]["app"] == [3, section_digest(b"abc")]
-    assert encode_commit(3, 1, None) == (None, LEGACY_MARKER)
-    assert decode_commit(LEGACY_MARKER) is None
 
 
 # ---------------------------------------------------------------------------
-# Crash-consistent manifests and torn-line validation
+# Crash-consistent manifests, the verified read and torn-line validation
 # ---------------------------------------------------------------------------
 
 class TestManifestValidation:
@@ -116,16 +118,32 @@ class TestManifestValidation:
         assert set(record["sections"]) == {"app", "counters"}
         assert record["sections"]["app"][0] == 3
 
-    def test_legacy_marker_validates_vacuously(self, store):
+    def test_bare_ok_marker_is_not_a_commit(self, store, backend):
+        # Commits before manifests were a bare b"ok" token.  Nothing
+        # outside tests ever wrote one, so no reader is kept: the token
+        # is a corrupt record and its line is invalid.
+        with pytest.raises(StorageError, match="corrupt COMMIT"):
+            decode_commit(b"ok")
         store.put_section(1, 0, "app", b"abc")
-        store.commit_line(1, 0)  # bare b"ok"
+        if isinstance(store, WalStore):
+            store.flush()
+            backend.append(segment_path(0, 0),
+                           encode_record(COMMIT, 1, 0, "", b"ok"))
+            store = WalStore(backend)
+        else:
+            backend.write("ckpt/v1/rank0/COMMIT", b"ok")
         assert store.line_manifest(1, 0) is None
-        assert store.validate_line(1, 0, deep=True)
+        assert not store.validate_line(1, 0)
+        with pytest.raises(StorageError):
+            store.read_line(1, 0)
+        assert store.last_committed_global(1, validate=True) is None
 
     def test_valid_line_passes_deep_validation(self, store):
-        write_line(store, 1, 0, {"app": b"abc", "counters": b"defg"})
+        sections = {"app": b"abc", "counters": b"defg"}
+        write_line(store, 1, 0, sections)
         assert store.validate_line(1, 0)
         assert store.validate_line(1, 0, deep=True)
+        assert store.read_line(1, 0) == sections
 
     def test_missing_section_is_torn(self, store):
         write_line(store, 1, 0, {"app": b"abc"},
@@ -141,6 +159,8 @@ class TestManifestValidation:
                    claimed={"app": b"abcdef"})
         assert store.validate_line(1, 0)            # shallow: size ok
         assert not store.validate_line(1, 0, deep=True)
+        with pytest.raises(StorageError, match="digest"):
+            store.read_line(1, 0)
 
     def test_missing_marker_is_not_committed(self, store):
         store.put_section(1, 0, "app", b"abc")
@@ -159,7 +179,9 @@ class TestManifestValidation:
         write_line(store, 1, 0, {"app": b"v1"})
         write_line(store, 2, 0, {}, claimed={"app": b"v2"})  # torn newest
         assert store.last_committed_local(0) == 2   # raw scan still sees it
-        assert store.last_committed_local(0, validate=True, deep=True) == 1
+        with pytest.raises(StorageError):
+            store.read_line(2, 0)
+        assert store.read_line(1, 0) == {"app": b"v1"}
 
     def test_validated_global_skips_torn_lines(self, store):
         for rank in (0, 1):
@@ -171,9 +193,9 @@ class TestManifestValidation:
 
     def test_torn_commit_marker_is_a_storage_error(self):
         # Regression (found by the fault fuzzer): a COMMIT marker torn
-        # mid-write is neither the legacy token nor a parsable manifest;
-        # the deserializer's IndexError used to escape raw and crash
-        # every recovery query that touched the line.
+        # mid-write is not a parsable manifest; the deserializer's
+        # IndexError used to escape raw and crash every recovery query
+        # that touched the line.
         _, whole = encode_commit(1, 0, manifest_of({"app": b"abcdef"}))
         for cut in (1, len(whole) // 2, len(whole) - 1):
             with pytest.raises(StorageError, match="corrupt COMMIT"):
@@ -188,7 +210,9 @@ class TestManifestValidation:
         assert not scatter.validate_line(2, 0)
         assert scatter.line_manifest(2, 0) is None
         # recovery queries fall back past the torn line instead of dying
-        assert scatter.last_committed_local(0, validate=True) == 1
+        with pytest.raises(StorageError, match="corrupt COMMIT"):
+            scatter.read_line(2, 0)
+        assert scatter.read_line(1, 0) == {"app": b"v1"}
         assert scatter.last_committed_global(1, validate=True) == 1
 
 
@@ -222,7 +246,7 @@ def test_committed_map_single_listing_pass():
     store = ScatterStore(backend)
     for rank in range(4):
         for v in (1, 2, 3):
-            store.commit_line(v, rank)
+            commit(store, v, rank)
     backend.list_calls = 0
     cmap = store.committed_map()
     assert backend.list_calls == 1
@@ -239,8 +263,7 @@ def test_last_committed_global_256_ranks_one_pass():
     store = ScatterStore(backend)
     for rank in range(nprocs):
         for v in (1, 2, 3):
-            store.put_section(v, rank, "app", b"x" * 8)
-            store.commit_line(v, rank)
+            write_line(store, v, rank, {"app": b"x" * 8})
     backend.list_calls = 0
     assert store.last_committed_global(nprocs) == 3
     assert backend.list_calls == 1

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.storage import InMemoryStorage, StorageError, WalStore
+from repro.storage import (
+    InMemoryStorage, StorageError, WalStore, section_digest,
+)
 from repro.storage.namespace import PrefixBackend, tenant_backend
 
 
@@ -104,7 +106,8 @@ class TestAccountingAndLayering:
         wal = WalStore(ns)
         wal.configure(nprocs=1)
         wal.put_section(1, 0, "state", b"state-bytes")
-        wal.commit_line(1, 0)
+        wal.commit_line(1, 0, sections={
+            "state": (11, section_digest(b"state-bytes"))})
         wal.flush()
         assert wal.last_committed_global(1) == 1
         # every byte the WAL wrote is confined to the namespace

@@ -9,6 +9,7 @@ oracle.
 """
 
 import random
+import zlib
 
 import pytest
 
@@ -42,6 +43,15 @@ def write_line(store, version, rank, payloads):
 
 def payload_of(version, rank, n=96):
     return bytes(((version * 37 + rank * 11 + i) % 256) for i in range(n))
+
+
+def record_starts(data, off):
+    """Offsets of the intact records from ``off`` to the end of ``data``."""
+    starts = set()
+    while off < len(data):
+        starts.add(off)
+        off += decode_record(data, off)[5]
+    return starts
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +202,9 @@ class TestReadPath:
         write_line(store, 1, 0, payloads)
         for name, p in payloads.items():
             assert store.read_section(1, 0, name) == p
-            assert store.has_section(1, 0, name)
-        assert not store.has_section(1, 0, "absent")
         with pytest.raises(StorageError):
             store.read_section(1, 0, "absent")
+        assert store.read_line(1, 0) == payloads
         assert store.validate_line(1, 0, deep=True)
         assert not store.validate_line(2, 0)
         m = store.line_manifest(1, 0)
@@ -229,7 +238,8 @@ class TestSegmentGC:
             store.delete_line(1, r)
         assert store.committed_map() == {0: [2], 1: [2]}
         assert store.lines_on_storage() == {0: [2], 1: [2]}
-        assert not store.has_section(1, 0, "state")
+        with pytest.raises(StorageError):
+            store.read_section(1, 0, "state")
 
     def test_delete_missing_line_is_noop(self, backend):
         store = WalStore(backend)
@@ -362,7 +372,7 @@ class TestCrashReplay:
         must truncate cleanly at the damage, drop line 4, and serve
         lines 1-3 bitwise.
         """
-        rng = random.Random(seed * 1009 + hash(mode) % 1000)
+        rng = random.Random(seed * 1009 + zlib.crc32(mode.encode()) % 1000)
         backend = DiskStorage(str(tmp_path / "wal"))
         store = WalStore(backend)
         nprocs = 2
@@ -396,7 +406,13 @@ class TestCrashReplay:
             for r in range(nprocs):
                 assert recovered.read_section(v, r, "state") == \
                     payload_of(v, r), f"line {v} rank {r} not bitwise"
-        assert recovered.replay_truncated_bytes > 0
+        if mode == "torn" and pos in record_starts(data, safe_len):
+            # cut exactly between two records: nothing is torn, the
+            # log just ends early, before line 4's last commit
+            assert recovered.replay_truncated_bytes == 0
+            assert 4 not in recovered.committed_map().get(nprocs - 1, [])
+        else:
+            assert recovered.replay_truncated_bytes > 0
         # the damage was physically truncated: the segment ends at a
         # record boundary within the valid prefix, so a further reopen
         # replays to the same index with nothing left to truncate
