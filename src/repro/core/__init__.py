@@ -1,8 +1,8 @@
 """The C3 coordination layer — the paper's primary contribution."""
 
 from .ccc import (
-    C3RunResult, cached_comm, resume_from_manifest, run_c3,
-    run_fault_tolerant, run_original,
+    C3RunResult, RestartsExhausted, cached_comm, resume_from_manifest,
+    run_c3, run_fault_tolerant, run_original,
 )
 from .comms import C3CartComm, C3Comm
 from .counters import CounterSet
@@ -24,7 +24,7 @@ __all__ = [
     "C3Protocol", "C3Config", "C3Stats", "COLL_TAG",
     "C3Comm", "C3CartComm", "C3Request",
     "run_c3", "run_fault_tolerant", "run_original", "C3RunResult",
-    "cached_comm", "resume_from_manifest",
+    "RestartsExhausted", "cached_comm", "resume_from_manifest",
     "Mode", "ModeTracker", "ProtocolError",
     "classify", "receive_table", "LATE", "INTRA", "EARLY", "ThreeBitCodec",
     "FullCodec", "CODECS",

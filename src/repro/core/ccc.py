@@ -18,7 +18,7 @@ Three entry points:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Tuple
 
 from ..mpi.api import MPI
@@ -39,10 +39,26 @@ from .protocol import C3Config, C3Protocol, C3Stats
 class C3RunResult:
     """Outcome of a complete fault-tolerant execution."""
 
-    job: JobResult
-    stats: List[Optional[C3Stats]]
-    restarts: int = 0
-    history: List[JobResult] = field(default_factory=list)
+    #: every execution in order, as ``(job, per-rank stats)``; all but
+    #: the last failed
+    runs: List[Tuple[JobResult, List[Optional[C3Stats]]]]
+
+    @property
+    def job(self) -> JobResult:
+        return self.runs[-1][0]
+
+    @property
+    def stats(self) -> List[Optional[C3Stats]]:
+        return self.runs[-1][1]
+
+    @property
+    def restarts(self) -> int:
+        return len(self.runs) - 1
+
+    @property
+    def history(self) -> List[JobResult]:
+        """The failed executions' results."""
+        return [job for job, _stats in self.runs[:-1]]
 
     @property
     def virtual_time(self) -> float:
@@ -51,6 +67,17 @@ class C3RunResult:
     @property
     def returns(self) -> List[Any]:
         return self.job.returns
+
+
+class RestartsExhausted(ProtocolError):
+    """The job was still failing when the restart budget ran out."""
+
+    def __init__(self, restarts: int, failure) -> None:
+        super().__init__(f"job failed {restarts} times; giving up "
+                         f"(last failure: {failure})")
+        self.restarts = restarts
+        #: the last execution's :class:`~repro.mpi.errors.ProcessFailure`
+        self.failure = failure
 
 
 def _c3_main(mpi: MPI, app: Callable, config: C3Config,
@@ -141,36 +168,34 @@ def run_fault_tolerant(app: Callable, nprocs: int,
                        engine: Optional[str] = None) -> C3RunResult:
     """Run to completion, restarting from the last recovery line on failure.
 
-    The fault plan applies only to the first execution (the paper's model:
-    one failure, then recovery); pass a plan with multiple specs to test
-    repeated failures — specs that already fired do not fire again.
+    The one restart loop: each restart goes through
+    :func:`resume_from_manifest` over the same store, so a restart after
+    a failure that left no committed line is a fresh run.  Specs of the
+    fault plan that already fired do not fire again, so a plan with
+    several specs kills once per execution until its triggers run out.
+    More than ``max_restarts`` failures raise :class:`RestartsExhausted`.
     """
     # One store for the whole restart loop: the failed run's survivors and
     # the restarted run must see the same durable state.
     storage = as_store(storage) if storage is not None \
         else WalStore(InMemoryStorage())
     config = config or C3Config()
-    history: List[JobResult] = []
     plan = fault_plan or FaultPlan.none()
-    restoring = False
+    common = dict(machine=machine, config=config, fault_plan=plan,
+                  app_args=app_args, wall_timeout=wall_timeout,
+                  engine=engine)
+    runs = [run_c3(app, nprocs, storage=storage, **common)]
     restarts = 0
     while True:
-        result, stats = run_c3(app, nprocs, machine=machine, storage=storage,
-                               config=config, fault_plan=plan,
-                               restoring=restoring, app_args=app_args,
-                               wall_timeout=wall_timeout, engine=engine)
+        result = runs[-1][0]
         result.raise_errors()
         if result.failure is None:
-            return C3RunResult(job=result, stats=stats, restarts=restarts,
-                               history=history)
-        history.append(result)
+            return C3RunResult(runs)
         restarts += 1
         if restarts > max_restarts:
-            raise ProtocolError(
-                f"job failed {restarts} times; giving up "
-                f"(last failure: {result.failure})"
-            )
-        restoring = True
+            raise RestartsExhausted(restarts, result.failure)
+        runs.append(resume_from_manifest(app, nprocs, storage,
+                                         require_line=False, **common))
 
 
 def resume_from_manifest(app: Callable, nprocs: int,

@@ -74,7 +74,7 @@ def start_checkpoint(p: "C3Protocol") -> None:
     # the new line exists yet, so recovery must come from the previous one.
     line = p.epoch + 1
     p.epoch = line
-    p.mpi._ctx.note_epoch(line)
+    p.mpi._ctx.fault_point("at_epoch", line)
     writer = CheckpointWriter(p.store, version=line, rank=p.rank,
                               portable=p.config.portable,
                               dry_run=not p.config.save_to_disk)
@@ -193,7 +193,7 @@ def commit_checkpoint(p: "C3Protocol") -> None:
         # The staging instant is itself a mid-drain fault point: every
         # section is on storage, the COMMIT marker is not — a kill here
         # (``in_drain`` specs) must leave a line restore rejects.
-        p.mpi._ctx.drain_fault_point(writer.version)
+        p.mpi._ctx.fault_point("in_drain", writer.version)
         return
     if p.config.save_to_disk:
         p.mpi.compute(p.machine.disk_write_time(log_bytes))

@@ -60,6 +60,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -235,7 +236,7 @@ class C3Protocol:
         if hooks is not None:
             # The WAL invokes this right after staging my COMMIT record and
             # before the group-flush decision — the at_group_commit window.
-            hooks[self.rank] = mpi._ctx.group_commit_fault_point
+            hooks[self.rank] = partial(mpi._ctx.fault_point, "at_group_commit")
         #: protocol-committed lines whose drain has not finished yet:
         #: (version, writer, durable_at) in version order
         self._pending: deque = deque()
@@ -293,10 +294,10 @@ class C3Protocol:
         while self._pending:
             version, writer, durable_at = self._pending[0]
             if ctx.clock.now < durable_at:
-                ctx.drain_fault_point(version)
+                ctx.fault_point("in_drain", version)
                 if not flush:
                     return
-            ctx.commit_fault_point(version)
+            ctx.fault_point("at_commit", version)
             self._pending.popleft()
             self.stats.overlapped_commits += 1
             self._durable_commit(writer, durable_at)

@@ -47,7 +47,8 @@ The two WAL-only timings require ``--storage wal`` or ``--storage
 wal-disk`` (scatter stores have no group-commit window; the matrix
 builder skips them elsewhere).
 
-Restarts go through :func:`repro.core.ccc.resume_from_manifest` — the
+Restarts go through :func:`repro.core.ccc.run_fault_tolerant`, whose
+every restart is :func:`repro.core.ccc.resume_from_manifest` — the
 storage-manifest entry point an operator would use — so the campaign
 drives exactly the restart path the paper's Section 4 describes, not a
 test-only shortcut.  Per scenario the report records the verification
@@ -95,7 +96,7 @@ from .jobs import (
     study_main, verdict,
 )
 from .parallel import Cell, CellError
-from .runner import measure_recovery
+from .runner import VACUOUS_KILL, Kills, measure_recovery, resolve_kills
 
 __all__ = [
     "APP_KERNELS", "CAMPAIGN_PARAMS", "COLLECTIVE_APPS",
@@ -150,24 +151,28 @@ COLLECTIVE_APPS = frozenset(APP_KERNELS) - {"LU", "LU+ccc"}
 FULL_PLATFORMS: Tuple[str, ...] = ("lemieux", "velocity2", "cmi")
 
 
-def _kill_early(nprocs: int) -> List[dict]:
-    return [{"rank": nprocs - 1, "frac": 0.15}]
-
-
-def _kill_mid_run(nprocs: int) -> List[dict]:
-    return [{"rank": 1 % nprocs, "frac": 0.55}]
-
-
-def _kill_late(nprocs: int) -> List[dict]:
-    return [{"rank": 0, "frac": 0.85}]
-
-
-def _kill_double(nprocs: int) -> List[dict]:
-    return [{"rank": 1 % nprocs, "frac": 0.35},
-            {"rank": (nprocs - 1), "frac": 0.70}]
-
-
-def _kill_epoch_boundary(nprocs: int) -> List[dict]:
+#: Named kill timings: name -> (builder, interval_frac), where
+#: ``builder(nprocs)`` returns the timing's kill dicts.  What a timing
+#: needs is derived from its kills (:func:`~repro.harness.runner.
+#: resolve_kills`): a kill list without ``probability`` is deterministic
+#: and must fire, or the scenario fails — a matrix whose kills silently
+#: miss is not a recovery test; ``in_collective`` kills apply only to
+#: apps with collectives, ``at_group_commit`` kills only to WAL storage.
+#: ``interval_frac`` (when not None) overrides the scenario's checkpoint
+#: cadence: ``epoch_boundary`` checkpoints densely so every kernel
+#: reaches its first epoch boundary at all on every platform (EP's
+#: pragmas all sit in the first fraction of the run on high-latency
+#: machines; at the default cadence the timer never trips there).  For
+#: multi-kill lists like ``double``, later kills are best-effort:
+#: restarted runs reset virtual clocks, and cheap log-replay
+#: re-execution can finish before a late trigger is reached again.
+KILL_TIMINGS: Dict[str, Tuple[Callable[[int], List[dict]],
+                              Optional[float]]] = {
+    "early": (lambda n: [{"rank": n - 1, "frac": 0.15}], None),
+    "mid_run": (lambda n: [{"rank": 1 % n, "frac": 0.55}], None),
+    "late": (lambda n: [{"rank": 0, "frac": 0.85}], None),
+    "double": (lambda n: [{"rank": 1 % n, "frac": 0.35},
+                          {"rank": n - 1, "frac": 0.70}], None),
     # Epoch 1 is the one boundary every kernel reaches on every platform
     # (EP's pragmas all sit early in the run, so rank 1 never advances to
     # epoch 2 on the high-latency machines).  The boundary semantics are
@@ -175,74 +180,31 @@ def _kill_epoch_boundary(nprocs: int) -> List[dict]:
     # line is committed, and recovery must come from the previous one —
     # here, from the beginning.  Deeper boundaries are pinned by
     # tests/integration/test_campaign.py on the testing platform.
-    return [{"rank": 1 % nprocs, "at_epoch": 1}]
-
-
-def _kill_mid_collective(nprocs: int) -> List[dict]:
-    return [{"rank": nprocs - 1, "in_collective": 4}]
-
-
-def _kill_mid_drain(nprocs: int) -> List[dict]:
+    "epoch_boundary": (lambda n: [{"rank": 1 % n, "at_epoch": 1}], 0.05),
+    "mid_collective": (lambda n: [{"rank": n - 1, "in_collective": 4}],
+                       None),
     # Line 1 is the first line every checkpointing kernel stages on every
-    # platform (the dense epoch_boundary cadence applies, see
-    # KILL_TIMINGS); the victim dies with the line's sections staged but
-    # its COMMIT unwritten — recovery must reject the torn line.
-    return [{"rank": 1 % nprocs, "in_drain": 1}]
-
-
-def _kill_mid_commit(nprocs: int) -> List[dict]:
-    return [{"rank": 0, "at_commit": 1}]
-
-
-def _kill_mid_group_commit(nprocs: int) -> List[dict]:
+    # platform (the dense epoch_boundary cadence applies); the victim dies
+    # with the line's sections staged but its COMMIT unwritten — recovery
+    # must reject the torn line.
+    "mid_drain": (lambda n: [{"rank": 1 % n, "in_drain": 1}], 0.05),
+    "mid_commit": (lambda n: [{"rank": 0, "at_commit": 1}], 0.05),
     # The victim dies with its COMMIT record for line 1 staged in the
     # node's WAL buffer but the batched fsync not yet issued; the whole
     # staged group is lost, replay finds no durable COMMIT for the line,
     # and recovery falls back.  Line 1 for the same reason as mid_drain:
     # it is the one line every kernel stages on every platform.
-    return [{"rank": 1 % nprocs, "at_group_commit": 1}]
-
-
-def _kill_torn_record(nprocs: int) -> List[dict]:
+    "mid_group_commit": (lambda n: [{"rank": 1 % n, "at_group_commit": 1}],
+                         0.05),
     # Same window, but the *last* rank — typically the final committer of
     # its node's group, so the buffered tail it tears is the fullest one.
     # The crash model cuts the tail mid-record, forcing replay to detect
     # the torn record (bad length/CRC) and physically truncate at the
     # tear before recovery proceeds from the prior committed line.
-    return [{"rank": nprocs - 1, "at_group_commit": 1}]
-
-
-def _kill_storm(nprocs: int) -> List[dict]:
-    return [{"rank": r, "probability": 0.002} for r in range(nprocs)]
-
-
-#: Named kill timings: name -> (builder, deterministic,
-#: needs_collectives, interval_frac, needs_wal).
-#: ``deterministic`` timings must inject at least one failure, or the
-#: scenario fails — a matrix whose kills silently miss is not a recovery
-#: test.  (For multi-kill schedules like ``double``, later kills are
-#: best-effort: restarted runs reset virtual clocks, and cheap log-replay
-#: re-execution can finish before a late trigger is reached again.)
-#: ``interval_frac`` (when not None) overrides the scenario's checkpoint
-#: cadence: ``epoch_boundary`` checkpoints densely so every kernel
-#: reaches its first epoch boundary at all on every platform (EP's
-#: pragmas all sit in the first fraction of the run on high-latency
-#: machines; at the default cadence the timer never trips there).
-#: ``needs_wal`` timings fire from the WAL store's group-commit hook and
-#: are skipped for scatter storage, which has no such window.
-KILL_TIMINGS: Dict[str, Tuple[Callable[[int], List[dict]], bool, bool,
-                              Optional[float], bool]] = {
-    "early": (_kill_early, True, False, None, False),
-    "mid_run": (_kill_mid_run, True, False, None, False),
-    "late": (_kill_late, True, False, None, False),
-    "double": (_kill_double, True, False, None, False),
-    "epoch_boundary": (_kill_epoch_boundary, True, False, 0.05, False),
-    "mid_collective": (_kill_mid_collective, True, True, None, False),
-    "mid_drain": (_kill_mid_drain, True, False, 0.05, False),
-    "mid_commit": (_kill_mid_commit, True, False, 0.05, False),
-    "mid_group_commit": (_kill_mid_group_commit, True, False, 0.05, True),
-    "torn_record": (_kill_torn_record, True, False, 0.05, True),
-    "storm": (_kill_storm, False, False, None, False),
+    "torn_record": (lambda n: [{"rank": n - 1, "at_group_commit": 1}],
+                    0.05),
+    "storm": (lambda n: [{"rank": r, "probability": 0.002}
+                         for r in range(n)], None),
 }
 
 #: Storage choices whose scenarios run against the WAL engine.
@@ -251,6 +213,17 @@ WAL_STORAGES = frozenset({"wal", "wal-disk"})
 #: Storage choices whose medium survives a killed OS process — what a
 #: ``supports_real_kill`` backend needs for fault-injected scenarios.
 DISK_STORAGES = frozenset({"disk", "wal-disk"})
+
+
+def inapplicable(kills: Kills, app: str, storage: str) -> Optional[str]:
+    """Why ``kills`` can never fire on ``app`` over ``storage``, or None."""
+    if kills.needs_collectives and app not in COLLECTIVE_APPS:
+        return (f"in_collective kills need an app with collectives; "
+                f"{app} is point-to-point only")
+    if kills.needs_wal and storage not in WAL_STORAGES:
+        return (f"at_group_commit kills need WAL storage "
+                f"({', '.join(sorted(WAL_STORAGES))}), not {storage!r}")
+    return None
 
 
 @dataclass(frozen=True)
@@ -306,16 +279,15 @@ def build_matrix(apps: Sequence[str], platforms: Sequence[str],
     for app in apps:
         for platform in platforms:
             for kill in kills:
-                (builder, _det, needs_coll, frac_override,
-                 needs_wal) = KILL_TIMINGS[kill]
-                if needs_coll and app not in COLLECTIVE_APPS:
-                    continue
-                if needs_wal and storage not in WAL_STORAGES:
+                builder, frac_override = KILL_TIMINGS[kill]
+                victims = builder(nprocs)
+                if inapplicable(resolve_kills(victims, nprocs), app,
+                                storage):
                     continue
                 scenarios.append(Scenario(
                     app=app, platform=platform, kill=kill, nprocs=nprocs,
                     params=CAMPAIGN_PARAMS.get(app, {}),
-                    kills=tuple(builder(nprocs)),
+                    kills=tuple(victims),
                     interval_frac=(frac_override if frac_override is not None
                                    else interval_frac),
                     seed=seed, wall_timeout=wall_timeout, engine=engine,
@@ -336,10 +308,8 @@ def smoke_matrix(nprocs: int = 4, interval_frac: float = 0.2,
         rotation += ("mid_group_commit", "torn_record")
     scenarios = []
     for i, app in enumerate(APP_KERNELS):
-        kill = rotation[i % len(rotation)]
-        if kill == "mid_collective" and app not in COLLECTIVE_APPS:
-            kill = "mid_run"
-        scenarios.extend(build_matrix([app], ["testing"], [kill],
+        scenarios.extend(build_matrix([app], ["testing"],
+                                      [rotation[i % len(rotation)]],
                                       nprocs=nprocs,
                                       interval_frac=interval_frac,
                                       seed=seed, engine=engine,
@@ -384,10 +354,6 @@ def _judge(scenario: Scenario, record: Dict) -> Dict:
         # passes in the summary, never a silent hole in the matrix
         return {"scenario": scenario.label, "kill_timing": scenario.kill,
                 "passed": True, "failure": None, **record}
-    deterministic = KILL_TIMINGS[scenario.kill][1]
-    # At least one kill must have fired (see KILL_TIMINGS: later kills of
-    # a multi-fault schedule are best-effort after clocks reset).
-    fired = bool(record.get("fired"))
     failure = None
     if record.get("error"):
         failure = record["error"]
@@ -395,8 +361,9 @@ def _judge(scenario: Scenario, record: Dict) -> Dict:
         failure = "clean C3 run diverged from the golden results"
     elif not record["verified_recovery"]:
         failure = "recovered results are not bitwise-equal to golden"
-    elif deterministic and not fired:
-        failure = "deterministic kill never fired (scenario vacuous)"
+    elif resolve_kills(scenario.kills, scenario.nprocs).vacuous(
+            record.get("fired")):
+        failure = VACUOUS_KILL
     return {
         "scenario": scenario.label,
         "kill_timing": scenario.kill,

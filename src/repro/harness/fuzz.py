@@ -10,8 +10,9 @@ faults (:class:`~repro.storage.faulty.StorageFault`) injected behind the
 storage seam — torn writes, short appends, bit-rot, ENOSPC, stalled
 syncs.  Every schedule is plain JSON, replays deterministically, and is
 judged by the campaign's own criterion: the job must recover through
-:func:`~repro.core.ccc.resume_from_manifest` and finish bitwise-equal to
-the golden run.
+:func:`~repro.core.ccc.run_fault_tolerant` (each restart a
+:func:`~repro.core.ccc.resume_from_manifest`) and finish bitwise-equal
+to the golden run.
 
 Generation is steered AFL-style by *protocol-state coverage*
 (:mod:`repro.coverage`): fault windows actually hit, message classes
@@ -56,9 +57,9 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .. import coverage
-from ..core.ccc import resume_from_manifest, run_c3, run_original
+from ..core.ccc import RestartsExhausted, run_fault_tolerant, run_original
 from ..core.protocol import C3Config
-from ..mpi.faults import TRIGGER_FIELDS, FaultPlan, FaultSpec
+from ..mpi.faults import TRIGGER_FIELDS, FaultPlan
 from ..mpi.timemodel import MACHINES, TESTING
 from ..storage.faulty import STORAGE_FAULT_KINDS, FaultyStorage, StorageFault
 from ..storage.stable import DiskStorage, InMemoryStorage
@@ -67,7 +68,7 @@ from ..storage.wal import WalStore
 from .campaign import CAMPAIGN_PARAMS, COLLECTIVE_APPS
 from .jobs import STORAGE_CHOICES, Study, Table, study_main
 from .parallel import Cell, CellError, run_cells
-from .runner import _resolve_kill, _returns_equal
+from .runner import _returns_equal, resolve_kills
 
 #: JSON schedule format version (bump on incompatible change)
 FORMAT = 1
@@ -110,7 +111,7 @@ class FuzzSchedule:
     interval_frac: float = 0.2
     seed: int = 0
     #: fail-stop kills: FaultSpec dicts; ``frac`` resolves against the
-    #: golden runtime into ``at_time`` (see runner._resolve_kill)
+    #: golden runtime into ``at_time`` (see runner.resolve_kills)
     kills: List[dict] = field(default_factory=list)
     #: StorageFault dicts (see repro.storage.faulty)
     storage_faults: List[dict] = field(default_factory=list)
@@ -132,22 +133,15 @@ class FuzzSchedule:
             raise ValueError("interval_frac must be in (0, 1]")
         if self.params is None:
             self.params = dict(CAMPAIGN_PARAMS[self.app])
-        for kill in self.kills:
-            _validate_kill(kill, self.nprocs)
+        resolve_kills(self.kills, self.nprocs)   # raises on junk
         for sf in self.storage_faults:
             StorageFault.from_dict(sf)   # raises on junk
 
     def fault_count(self) -> int:
         return len(self.kills) + len(self.storage_faults)
 
-    def deterministic(self) -> bool:
-        """Probabilistic kills make the outcome seed-dependent only; the
-        *verdict* of a completed run is still deterministic, but a
-        livelock (restart budget exhausted) is inconclusive for these."""
-        return not any(k.get("probability", 0) > 0 for k in self.kills)
-
     def needs_wal(self) -> bool:
-        return (any(k.get("at_group_commit") is not None for k in self.kills)
+        return (resolve_kills(self.kills, self.nprocs).needs_wal
                 or any(sf["kind"] in _WAL_ONLY_KINDS
                        for sf in self.storage_faults))
 
@@ -185,21 +179,6 @@ class FuzzSchedule:
         return hashlib.blake2b(blob, digest_size=6).hexdigest()
 
 
-def _validate_kill(kill: dict, nprocs: int) -> None:
-    """A kill dict must be a FaultSpec dict, plus the ``frac`` sugar."""
-    probe = dict(kill)
-    frac = probe.pop("frac", None)
-    if frac is not None:
-        if not (0.0 < frac <= 1.0):
-            raise ValueError(f"frac must be in (0, 1], not {frac!r}")
-        if probe.get("at_time") is None:
-            probe["at_time"] = 1.0   # placeholder; resolved per run
-    spec = FaultSpec.from_dict(probe)
-    if not (0 <= spec.rank < nprocs):
-        raise ValueError(f"kill rank {spec.rank} out of range for "
-                         f"nprocs={nprocs}")
-
-
 # ---------------------------------------------------------------------------
 # Runner
 # ---------------------------------------------------------------------------
@@ -225,10 +204,6 @@ def _golden(sched: FuzzSchedule, cache: Optional[GoldenCache],
     if cache is not None:
         cache[key] = value
     return value
-
-
-class _Livelock(Exception):
-    """Restart budget exhausted (the job keeps dying)."""
 
 
 def run_schedule(sched: FuzzSchedule, cache: Optional[GoldenCache] = None,
@@ -257,8 +232,8 @@ def run_schedule(sched: FuzzSchedule, cache: Optional[GoldenCache] = None,
     golden_returns, golden_s = _golden(sched, cache, wall_timeout,
                                        engine=engine)
     config = C3Config(checkpoint_interval=golden_s * sched.interval_frac)
-    plan = FaultPlan([_resolve_kill(k, golden_s) for k in sched.kills],
-                     seed=sched.seed)
+    kills = resolve_kills(sched.kills, sched.nprocs, golden_s)
+    plan = FaultPlan(kills.specs, seed=sched.seed)
     tmp_root: Optional[str] = None
     if sched.storage in ("disk", "wal-disk"):
         tmp_root = tempfile.mkdtemp(prefix="repro-fuzz-")
@@ -282,23 +257,14 @@ def run_schedule(sched: FuzzSchedule, cache: Optional[GoldenCache] = None,
     stats: list = []
     try:
         try:
-            result, stats = run_c3(app, sched.nprocs, machine=machine,
-                                   storage=storage, config=config,
-                                   fault_plan=plan,
-                                   wall_timeout=wall_timeout,
-                                   engine=engine)
-            result.raise_errors()
-            while result.failure is not None:
-                restarts += 1
-                if restarts > max_restarts:
-                    raise _Livelock(result.failure)
-                result, stats = resume_from_manifest(
-                    app, sched.nprocs, storage, machine=machine,
-                    config=config, fault_plan=plan,
-                    wall_timeout=wall_timeout, require_line=False,
-                    engine=engine)
-                result.raise_errors()
-            verified = _returns_equal(result.returns, golden_returns)
+            run = run_fault_tolerant(app, sched.nprocs, machine=machine,
+                                     storage=storage, config=config,
+                                     fault_plan=plan,
+                                     max_restarts=max_restarts,
+                                     wall_timeout=wall_timeout,
+                                     engine=engine)
+            restarts, stats = run.restarts, run.stats
+            verified = _returns_equal(run.returns, golden_returns)
             if not verified:
                 failure = "recovered result differs from golden run"
                 failure_class = "mismatch"
@@ -309,10 +275,12 @@ def run_schedule(sched: FuzzSchedule, cache: Optional[GoldenCache] = None,
             lines_retained = max(
                 (len(v) for v in storage.lines_on_storage().values()),
                 default=0)
-        except _Livelock as exc:
+        except RestartsExhausted as exc:
+            restarts = exc.restarts
             failure = (f"still failing after {max_restarts} restarts "
-                       f"(last: {exc})")
-            failure_class = ("livelock" if sched.deterministic()
+                       f"(last: {exc.failure})")
+            # a probabilistic storm may simply keep killing: not a bug
+            failure_class = ("livelock" if kills.deterministic
                              else "inconclusive")
         except Exception as exc:   # noqa: BLE001 - the fuzzer's whole job
             failure = f"{type(exc).__name__}: {exc}"

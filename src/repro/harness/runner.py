@@ -14,13 +14,12 @@ process-pool harness that sweeps whole tables concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from ..apps import APPS
-from ..core.ccc import resume_from_manifest, run_c3, run_original
-from ..core.modes import ProtocolError
+from ..core.ccc import run_c3, run_fault_tolerant, run_original
 from ..core.protocol import C3Config
 from ..mpi.engine import resolve_backend
 from ..mpi.faults import FaultPlan, FaultSpec
@@ -159,18 +158,57 @@ def _returns_equal(measured, golden) -> bool:
     return True
 
 
-def _resolve_kill(kill: dict, golden_seconds: float) -> FaultSpec:
-    """A campaign kill dict becomes a concrete :class:`FaultSpec`.
+#: the failure of a recovery row whose deterministic kills never fired
+VACUOUS_KILL = "deterministic kill never fired (scenario vacuous)"
 
-    Kills are plain data so scenarios stay picklable and JSON-able.  The
-    ``frac`` key is resolved against the golden runtime into ``at_time``;
-    every other key maps 1:1 onto the spec field of the same name.
+
+class Kills(NamedTuple):
+    """A checked kill list: its fault specs and what they need to fire."""
+
+    specs: List[FaultSpec]
+    #: no probabilistic kill: at least one must fire, or the run is no
+    #: recovery test
+    deterministic: bool
+    #: an ``in_collective`` kill, which fires only in apps with collectives
+    needs_collectives: bool
+    #: an ``at_group_commit`` kill, which fires only over WAL storage
+    needs_wal: bool
+
+    def vacuous(self, fired: Sequence) -> bool:
+        """The one vacuous-kill verdict: deterministic kills, none fired."""
+        return bool(self.specs) and self.deterministic and not fired
+
+
+def resolve_kills(kills: Sequence[dict], nprocs: int,
+                  golden_seconds: float = 1.0) -> Kills:
+    """Check a list of kill dicts and resolve it into fault specs.
+
+    Kills are plain data so scenarios, fuzz schedules and service jobs
+    stay picklable and JSON-able: :class:`FaultSpec` fields only, plus a
+    ``frac`` key, a fraction in (0, 1] of the golden runtime that
+    resolves into ``at_time`` (``golden_seconds`` defaults to a
+    placeholder for callers that only check).  Raises ``ValueError`` on
+    an unknown field, a rank outside ``range(nprocs)`` or a ``frac``
+    outside (0, 1].
     """
-    kill = dict(kill)
-    frac = kill.pop("frac", None)
-    if frac is not None:
-        kill["at_time"] = frac * golden_seconds
-    return FaultSpec(**kill)
+    specs = []
+    for kill in kills:
+        kill = dict(kill)
+        frac = kill.pop("frac", None)
+        if frac is not None:
+            if not (0.0 < frac <= 1.0):
+                raise ValueError(f"frac must be in (0, 1], not {frac!r}")
+            kill["at_time"] = frac * golden_seconds
+        spec = FaultSpec.from_dict(kill)
+        if not (0 <= spec.rank < nprocs):
+            raise ValueError(f"kill rank {spec.rank} out of range for "
+                             f"nprocs={nprocs}")
+        specs.append(spec)
+    return Kills(
+        specs,
+        deterministic=not any(s.probability > 0 for s in specs),
+        needs_collectives=any(s.in_collective is not None for s in specs),
+        needs_wal=any(s.at_group_commit is not None for s in specs))
 
 
 def measure_recovery(app_name: str, nprocs: int, machine: MachineModel,
@@ -191,8 +229,9 @@ def measure_recovery(app_name: str, nprocs: int, machine: MachineModel,
        timer-initiated checkpoints, no faults.  Verifies instrumentation
        alone does not perturb results and provides the restart-cost
        baseline.
-    3. **Faulty** — re-run with the scenario's fail-stop kills injected;
-       on each failure, restart through
+    3. **Faulty** — re-run with the scenario's fail-stop kills injected,
+       through :func:`~repro.core.ccc.run_fault_tolerant`: on each
+       failure it restarts through
        :func:`~repro.core.ccc.resume_from_manifest` — the same entry
        point an out-of-process operator would use — until the job
        completes (late-message replay, early-send suppression, and
@@ -226,35 +265,22 @@ def measure_recovery(app_name: str, nprocs: int, machine: MachineModel,
     clean.raise_errors()
     verified_clean = _returns_equal(clean.returns, golden.returns)
 
-    plan = FaultPlan([_resolve_kill(k, golden_s) for k in kills], seed=seed)
+    plan = FaultPlan(resolve_kills(kills, nprocs, golden_s).specs, seed=seed)
     storage = make_storage()
-    run_times: List[float] = []
+    run = run_fault_tolerant(app, nprocs, machine=machine, storage=storage,
+                             config=config, fault_plan=plan,
+                             max_restarts=max_restarts,
+                             wall_timeout=wall_timeout, engine=engine)
+    run_times = [job.virtual_time for job, _stats in run.runs]
+    real_kills = sum(1 for job, _stats in run.runs
+                     for k in job.real_kills if k.get("sigkill"))
     restore_s = 0.0
-    real_kills = 0
-    result, stats = run_c3(app, nprocs, machine=machine, storage=storage,
-                           config=config, fault_plan=plan,
-                           wall_timeout=wall_timeout, engine=engine)
-    result.raise_errors()
-    run_times.append(result.virtual_time)
-    real_kills += sum(1 for k in result.real_kills if k.get("sigkill"))
-    restarts = 0
-    while result.failure is not None:
-        restarts += 1
-        if restarts > max_restarts:
-            raise ProtocolError(
-                f"{app_name}: failed {restarts} times; giving up "
-                f"(last failure: {result.failure})")
-        result, stats = resume_from_manifest(
-            app, nprocs, storage, machine=machine, config=config,
-            fault_plan=plan, wall_timeout=wall_timeout, require_line=False,
-            engine=engine)
-        result.raise_errors()
-        run_times.append(result.virtual_time)
-        real_kills += sum(1 for k in result.real_kills if k.get("sigkill"))
-        restore_s += max((s.restore_seconds for s in stats if s), default=0.0)
-    verified_recovery = _returns_equal(result.returns, golden.returns)
+    for _job, restarted in run.runs[1:]:
+        restore_s += max((s.restore_seconds for s in restarted if s),
+                         default=0.0)
+    verified_recovery = _returns_equal(run.returns, golden.returns)
 
-    st = [s for s in stats if s is not None]
+    st = [s for s in run.stats if s is not None]
     # Committed-line count from the storage engine, not from protocol
     # stats: failed executions return no stats, and the final (restarted)
     # execution's counters start at zero, so the store's index is the only
@@ -280,7 +306,7 @@ def measure_recovery(app_name: str, nprocs: int, machine: MachineModel,
         "verified": verified_clean and verified_recovery,
         "verified_clean": verified_clean,
         "verified_recovery": verified_recovery,
-        "restarts": restarts,
+        "restarts": run.restarts,
         #: waitpid-confirmed SIGKILL deliveries across the faulty run
         #: and every restart — 0 for simulated-fault engines, and for a
         #: real-kill engine the count of faults that physically took an

@@ -89,7 +89,8 @@ def _drive(comm, ops) -> None:
 # The p2p driver: every op is a real message on the shadow context
 # --------------------------------------------------------------------------
 def _send(comm, buf: np.ndarray, dest: int, tag: int) -> None:
-    comm._ctx.collective_fault_point()
+    ctx = comm._ctx
+    ctx.fault_point("in_collective", ctx.collective_count)
     dt = from_numpy_dtype(buf.dtype)
     comm.send_packed(dt.pack(buf, buf.size), dest, tag, count=buf.size,
                      type_name=dt.name, context_id=comm.shadow_id)
@@ -110,7 +111,8 @@ def _complete(comm, posted, buf: np.ndarray) -> None:
 
 
 def _recv(comm, buf: np.ndarray, source: int, tag: int) -> None:
-    comm._ctx.collective_fault_point()
+    ctx = comm._ctx
+    ctx.fault_point("in_collective", ctx.collective_count)
     _complete(comm, _irecv(comm, buf, source, tag), buf)
 
 
@@ -123,7 +125,7 @@ def _recv_all(comm, bufs_by_source, tag: int) -> None:
     sleep/wake cycles into one.
     """
     ctx = comm._ctx
-    ctx.collective_fault_point()
+    ctx.fault_point("in_collective", ctx.collective_count)
     posted = [_irecv(comm, buf, source, tag) for source, buf in bufs_by_source]
     if not all(pr.matched for pr, _dt in posted):
         ctx.mailbox.wait_for(lambda: all(pr.matched for pr, _dt in posted),

@@ -85,14 +85,13 @@ from .timemodel import MachineModel, RankClock, TESTING
 class VirtualTimeFaultScheduler:
     """Engine-level scheduler for virtual-time (``at_time``) fault specs.
 
-    The old engine discovered due ``at_time`` faults by re-running
-    ``fault_plan.check`` on every 50 ms timeout wakeup of a blocking wait.
-    This scheduler makes them event-driven: every rank clock watches the
+    The one delivery path of ``at_time`` (the per-operation
+    :meth:`FaultPlan.check` ignores it): every rank clock watches the
     earliest scheduled fault time, and when *any* rank's clock crosses it,
     the due spec is marked on its victim rank and the victim's mailbox is
-    notified — so a blocked victim unwinds promptly instead of the fault
-    being discovered by timeout.  ``next_time`` is what the clock-advance
-    hot path compares against.
+    notified — so a blocked victim unwinds promptly, at its next check
+    point.  ``next_time`` is what the clock-advance hot path compares
+    against.
     """
 
     def __init__(self, engine: "Engine", specs: List[FaultSpec]):
@@ -198,54 +197,21 @@ class RankContext:
         """Count one collective operation started by this rank."""
         self.collective_count += 1
 
-    def collective_fault_point(self) -> None:
-        """Mid-collective check point (internal traffic of a collective).
+    def fault_point(self, window: str, n: int) -> None:
+        """Structural fault check point: this rank has reached ``window``
+        number ``n`` (one of :data:`~repro.mpi.faults.WINDOW_FIELDS`).
 
-        Called by the collective algorithms for each internal message, so
-        an ``in_collective`` fault spec kills its victim after the
-        collective has started — with peers already committed to the
-        exchange — rather than at a clean operation boundary.
+        The layer owning each window reports it on this rank's own
+        thread: the C3 layer right after ``chkpt_StartCheckpoint``
+        advances the epoch (``at_epoch``), while a line is still draining
+        (``in_drain``) and right before its COMMIT marker is written
+        (``at_commit``); the WAL store right after staging the rank's
+        COMMIT record (``at_group_commit``); and the collective
+        algorithms at each internal message (``in_collective``, with
+        ``n`` the rank's collective count), so the victim dies with its
+        peers already committed to the exchange.
         """
-        self.engine.fault_plan.note_collective_op(
-            self.rank, self.collective_count, self.clock.now)
-
-    def note_epoch(self, epoch: int) -> None:
-        """Epoch-boundary check point (``at_epoch`` fault specs).
-
-        Called by the C3 layer on this rank's own thread immediately after
-        ``chkpt_StartCheckpoint`` advances the epoch.
-        """
-        self.engine.fault_plan.note_epoch(self.rank, epoch, self.clock.now)
-
-    def drain_fault_point(self, version: int) -> None:
-        """Mid-drain check point (``in_drain`` fault specs).
-
-        Called by the C3 layer whenever this rank observes that recovery
-        line ``version`` is still draining to the node disk — sections
-        staged, COMMIT marker not yet written.  A kill here leaves a torn
-        line that restore must reject.
-        """
-        self.engine.fault_plan.note_drain(self.rank, version, self.clock.now)
-
-    def commit_fault_point(self, version: int) -> None:
-        """Commit-instant check point (``at_commit`` fault specs).
-
-        Called by the C3 layer the moment line ``version``'s staged bytes
-        are durable, immediately *before* the COMMIT marker is written —
-        the narrowest tear window of the pipeline.
-        """
-        self.engine.fault_plan.note_commit(self.rank, version, self.clock.now)
-
-    def group_commit_fault_point(self, version: int) -> None:
-        """Group-commit check point (``at_group_commit`` fault specs).
-
-        Called by the WAL checkpoint store right after this rank's COMMIT
-        record for line ``version`` is staged in the node's log buffer,
-        before the batched-fsync decision — a kill here tears the record
-        out of the log tail, the window WAL replay must truncate.
-        """
-        self.engine.fault_plan.note_group_commit(self.rank, version,
-                                                 self.clock.now)
+        self.engine.fault_plan.reached(self.rank, window, n, self.clock.now)
 
     # -- virtual-time fault delivery -----------------------------------------
     @property

@@ -2,30 +2,38 @@
 
 The paper's fault model (footnote 1) is fail-stop: a failing processor
 simply stops; it never sends erroneous messages.  A :class:`FaultPlan`
-schedules fail-stop faults on chosen ranks.  Five trigger kinds cover the
-scenario space of the recovery campaign (``repro.harness.campaign``):
+schedules fail-stop faults on chosen ranks.  Eight trigger kinds
+(:data:`TRIGGER_FIELDS`) cover the scenario space of the recovery
+campaign (``repro.harness.campaign``), delivered three ways:
 
-* ``after_ops`` — after the rank's N-th MPI operation;
-* ``at_time`` — once the rank's virtual clock passes a time (delivered
-  event-driven by the engine's :class:`VirtualTimeFaultScheduler`);
-* ``probability`` — independently at each operation, with a seeded RNG so
-  runs are repeatable;
-* ``at_epoch`` — the instant the rank advances to checkpoint epoch N
-  (``chkpt_StartCheckpoint`` has moved the epoch but nothing of the new
-  line is committed yet): the kill-at-epoch-boundary scenario;
-* ``in_collective`` — at the first internal message of the rank's N-th
-  collective operation, after the collective has started and typically
-  mid-exchange, so the surviving peers are left blocked inside the
-  collective: the kill-mid-collective scenario.
+* per operation, by :meth:`FaultPlan.check` on entry to every MPI call:
+  ``after_ops`` (the rank's N-th MPI operation) and ``probability``
+  (independently at each operation, with a seeded RNG so runs are
+  repeatable);
+* by virtual time: ``at_time`` fires once any rank's virtual clock
+  passes the time, delivered event-driven by the engine's
+  :class:`~repro.mpi.engine.VirtualTimeFaultScheduler`;
+* at a structural window (:data:`WINDOW_FIELDS`), by
+  :meth:`FaultPlan.reached`, which the layer owning the window calls
+  through ``RankContext.fault_point(window, n)``:
 
-The engine checks the plan on entry to every MPI operation and from the
-poll hook of blocking waits; the protocol layer reports epoch advances and
-the collective algorithms report their internal traffic.  A triggered
-fault raises :class:`~repro.mpi.errors.ProcessFailure` inside the rank's
-thread, the engine marks the job failed, and all surviving ranks unwind
-with :class:`~repro.mpi.errors.JobAborted` — which is how the peers
-"detect" the failure.  The restart harness then relaunches the job from
-the last committed recovery line.
+  - ``at_epoch`` — the instant the rank advances to checkpoint epoch N
+    (``chkpt_StartCheckpoint`` has moved the epoch but nothing of the
+    new line is committed yet): the kill-at-epoch-boundary scenario;
+  - ``in_collective`` — at the first internal message of the rank's
+    N-th collective operation, mid-exchange, so the surviving peers are
+    left blocked inside the collective;
+  - ``in_drain`` / ``at_commit`` — while line N is still draining to
+    the node disk, or the instant it is durable and before its COMMIT
+    marker is written;
+  - ``at_group_commit`` — right after the rank's COMMIT record for line
+    N is staged in its node's WAL buffer (WAL stores only).
+
+A triggered fault raises :class:`~repro.mpi.errors.ProcessFailure`
+inside the rank's thread, the engine marks the job failed, and all
+surviving ranks unwind with :class:`~repro.mpi.errors.JobAborted` —
+which is how the peers "detect" the failure.  The restart harness then
+relaunches the job from the last committed recovery line.
 
 A plan may hold many specs (across ranks and kinds); specs that already
 fired never fire again, so a restart loop over a multi-fault schedule
@@ -46,6 +54,20 @@ TRIGGER_FIELDS = ("after_ops", "at_time", "probability", "at_epoch",
                   "in_collective", "in_drain", "at_commit",
                   "at_group_commit")
 
+#: the structural windows: a spec fires when its rank reaches window N
+#: (an epoch, a collective, a recovery-line version), reported through
+#: :meth:`FaultPlan.reached`
+WINDOW_FIELDS = TRIGGER_FIELDS[3:]
+
+#: :meth:`FaultSpec.describe` wording per trigger
+_DESCRIBE = {
+    "after_ops": "after {} ops", "at_time": "at t={:.6g}s",
+    "probability": "p={:g}/op", "at_epoch": "at epoch {}",
+    "in_collective": "in collective #{}", "in_drain": "in drain of line {}",
+    "at_commit": "at commit of line {}",
+    "at_group_commit": "at group commit of line {}",
+}
+
 
 @dataclass
 class FaultSpec:
@@ -54,7 +76,7 @@ class FaultSpec:
     rank: int
     #: fire when the rank has performed this many MPI operations
     after_ops: Optional[int] = None
-    #: fire once the rank's virtual clock passes this time (seconds)
+    #: fire once any rank's virtual clock passes this time (seconds)
     at_time: Optional[float] = None
     #: fire independently at each operation with this probability
     probability: float = 0.0
@@ -84,54 +106,30 @@ class FaultSpec:
     _fired = False
 
     def __post_init__(self) -> None:
-        if (self.after_ops is None and self.at_time is None
-                and self.probability <= 0 and self.at_epoch is None
-                and self.in_collective is None and self.in_drain is None
-                and self.at_commit is None and self.at_group_commit is None):
-            raise ValueError("FaultSpec needs after_ops, at_time, "
-                             "probability, at_epoch, in_collective, "
-                             "in_drain, at_commit, or at_group_commit")
-        if self.in_collective is not None and self.in_collective < 1:
-            raise ValueError("in_collective is a 1-based collective index")
-        if self.in_drain is not None and self.in_drain < 1:
-            raise ValueError("in_drain is a 1-based recovery-line version")
-        if self.at_commit is not None and self.at_commit < 1:
-            raise ValueError("at_commit is a 1-based recovery-line version")
-        if self.at_group_commit is not None and self.at_group_commit < 1:
-            raise ValueError(
-                "at_group_commit is a 1-based recovery-line version")
+        if not self.triggers():
+            raise ValueError("FaultSpec needs a trigger, one of "
+                             + ", ".join(TRIGGER_FIELDS))
+        # line versions and collective indices count from 1
+        for name in WINDOW_FIELDS[1:]:
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} is 1-based, not {value!r}")
+
+    def triggers(self) -> List[str]:
+        """The set trigger fields, in :data:`TRIGGER_FIELDS` order."""
+        return [name for name in TRIGGER_FIELDS
+                if (self.probability > 0 if name == "probability"
+                    else getattr(self, name) is not None)]
 
     def describe(self) -> str:
         """Human-readable trigger summary for campaign reports."""
-        parts = []
-        if self.after_ops is not None:
-            parts.append(f"after {self.after_ops} ops")
-        if self.at_time is not None:
-            parts.append(f"at t={self.at_time:.6g}s")
-        if self.probability > 0:
-            parts.append(f"p={self.probability:g}/op")
-        if self.at_epoch is not None:
-            parts.append(f"at epoch {self.at_epoch}")
-        if self.in_collective is not None:
-            parts.append(f"in collective #{self.in_collective}")
-        if self.in_drain is not None:
-            parts.append(f"in drain of line {self.in_drain}")
-        if self.at_commit is not None:
-            parts.append(f"at commit of line {self.at_commit}")
-        if self.at_group_commit is not None:
-            parts.append(f"at group commit of line {self.at_group_commit}")
-        return f"rank {self.rank}: " + ", ".join(parts)
+        return f"rank {self.rank}: " + ", ".join(
+            _DESCRIBE[name].format(getattr(self, name))
+            for name in self.triggers())
 
     def kind(self) -> str:
         """Name of the spec's primary trigger (its fault-window class)."""
-        for name in TRIGGER_FIELDS:
-            value = getattr(self, name)
-            if name == "probability":
-                if value > 0:
-                    return name
-            elif value is not None:
-                return name
-        raise ValueError("FaultSpec has no trigger")  # unreachable
+        return self.triggers()[0]
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-serializable form: only the rank and the set triggers.
@@ -141,13 +139,8 @@ class FaultSpec:
         plain JSON objects.
         """
         out: Dict[str, Any] = {"rank": self.rank}
-        for name in TRIGGER_FIELDS:
-            value = getattr(self, name)
-            if name == "probability":
-                if value > 0:
-                    out[name] = value
-            elif value is not None:
-                out[name] = value
+        for name in self.triggers():
+            out[name] = getattr(self, name)
         if self.reason != "injected fail-stop fault":
             out["reason"] = self.reason
         return out
@@ -241,66 +234,29 @@ class FaultPlan:
         raise ProcessFailure(rank, now, spec.reason)
 
     def check(self, rank: int, op_count: int, now: float) -> None:
-        """Raise :class:`ProcessFailure` if a per-operation spec fires."""
+        """Per-operation check point: ``after_ops`` and ``probability``."""
         for spec in self.specs.get(rank, ()):
             if spec._fired:
                 continue
             hit = False
             if spec.after_ops is not None and op_count >= spec.after_ops:
                 hit = True
-            if spec.at_time is not None and now >= spec.at_time:
-                hit = True
             if spec.probability > 0 and self._rng.random() < spec.probability:
                 hit = True
             if hit:
                 self._fire(spec, rank, now)
 
-    def note_epoch(self, rank: int, epoch: int, now: float) -> None:
-        """Epoch-boundary check point, called by ``chkpt_StartCheckpoint``
-        (on the advancing rank's own thread) right after the epoch moves."""
-        for spec in self.specs.get(rank, ()):
-            if spec._fired or spec.at_epoch is None:
-                continue
-            if epoch >= spec.at_epoch:
-                self._fire(spec, rank, now)
+    def reached(self, rank: int, window: str, n: int, now: float) -> None:
+        """Window check point: ``rank`` has reached ``window`` number ``n``.
 
-    def note_collective_op(self, rank: int, collective_index: int,
-                           now: float) -> None:
-        """Mid-collective check point, called by the collective algorithms
-        at each internal message of the rank's ``collective_index``-th
-        collective (1-based)."""
+        ``window`` is one of :data:`WINDOW_FIELDS`; every unfired spec of
+        the rank whose trigger on that window is at most ``n`` fires.
+        """
         for spec in self.specs.get(rank, ()):
-            if spec._fired or spec.in_collective is None:
+            if spec._fired:
                 continue
-            if collective_index >= spec.in_collective:
-                self._fire(spec, rank, now)
-
-    def note_drain(self, rank: int, version: int, now: float) -> None:
-        """Mid-drain check point, called by the C3 layer while recovery
-        line ``version`` is staged but not yet durable on the node disk."""
-        for spec in self.specs.get(rank, ()):
-            if spec._fired or spec.in_drain is None:
-                continue
-            if version >= spec.in_drain:
-                self._fire(spec, rank, now)
-
-    def note_commit(self, rank: int, version: int, now: float) -> None:
-        """Commit-instant check point, called by the C3 layer right before
-        line ``version``'s COMMIT marker is written."""
-        for spec in self.specs.get(rank, ()):
-            if spec._fired or spec.at_commit is None:
-                continue
-            if version >= spec.at_commit:
-                self._fire(spec, rank, now)
-
-    def note_group_commit(self, rank: int, version: int, now: float) -> None:
-        """Group-commit check point, called by the WAL store right after
-        the rank's COMMIT record for line ``version`` is staged in the
-        node's log buffer and before the batched-fsync decision."""
-        for spec in self.specs.get(rank, ()):
-            if spec._fired or spec.at_group_commit is None:
-                continue
-            if version >= spec.at_group_commit:
+            at = getattr(spec, window)
+            if at is not None and n >= at:
                 self._fire(spec, rank, now)
 
     def __bool__(self) -> bool:

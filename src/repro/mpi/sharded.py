@@ -385,7 +385,7 @@ class _ShardWorker:
         if self.real_kill:
             # Post-fork, child-only: the parent's plan keeps simulated
             # delivery, this copy SIGKILLs at every fire site (check(),
-            # note_*(), and the scheduled-fault delivery path alike).
+            # reached(), and the scheduled-fault delivery path alike).
             engine.fault_plan._kill_hook = self._real_die
         for r in range(engine.nprocs):
             if r in self.local:

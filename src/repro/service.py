@@ -47,9 +47,12 @@ from typing import (
 )
 
 from .apps import APPS
+from .harness.campaign import CAMPAIGN_PARAMS, inapplicable
 from .harness.jobs import STORAGE_CHOICES
 from .harness.parallel import Cell, run_cells
-from .harness.runner import measure_c3, measure_original, measure_recovery
+from .harness.runner import (
+    measure_c3, measure_original, measure_recovery, resolve_kills,
+)
 from .mpi.engine import resolve_backend
 from .mpi.timemodel import MACHINES
 from .storage.namespace import PrefixBackend, tenant_backend
@@ -133,6 +136,12 @@ class JobSpec:
             bad = sorted(set(c) - allowed)
             if bad:
                 raise ValueError(f"unknown cell override fields: {bad}")
+        # the campaign's and the fuzzer's kill rules (a cell's overrides
+        # are checked when its spec is built, at execution)
+        reason = inapplicable(resolve_kills(self.kills, self.nprocs),
+                              self.app, self.storage)
+        if reason is not None:
+            raise ValueError(reason)
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -193,8 +202,6 @@ def _execute_cell(spec: JobSpec,
     field — which is what makes cached results bitwise-identical to
     fresh executions.
     """
-    from .harness.campaign import CAMPAIGN_PARAMS
-
     machine = MACHINES[spec.platform]
     params = (dict(spec.params) if spec.params is not None
               else dict(CAMPAIGN_PARAMS.get(spec.app, {})))
@@ -204,7 +211,8 @@ def _execute_cell(spec: JobSpec,
             [dict(k) for k in spec.kills],
             interval_frac=spec.interval_frac, seed=spec.seed,
             engine=spec.engine, storage_factory=store_factory))
-        row["passed"] = row["verified"]
+        row["passed"] = row["verified"] and not resolve_kills(
+            spec.kills, spec.nprocs).vacuous(row["fired"])
         return row
     orig = measure_original(spec.app, spec.nprocs, machine, params,
                             engine=spec.engine)

@@ -18,6 +18,7 @@ from repro.harness.campaign import (
     CAMPAIGN_PARAMS, COLLECTIVE_APPS, INSTRUMENTED_KERNELS, KILL_TIMINGS,
     build_matrix, run_campaign,
 )
+from repro.harness.runner import resolve_kills
 
 
 def _with_params(app, params):
@@ -67,14 +68,14 @@ class TestCampaignRecovery:
         the (cycle, lv_down) position stack and verify bitwise.  The
         group-commit tear windows only exist on the WAL engine, so those
         cells run there."""
-        storage = "wal" if KILL_TIMINGS[kill][4] else "memory"
+        kills = resolve_kills(KILL_TIMINGS[kill][0](4), 4)
+        storage = "wal" if kills.needs_wal else "memory"
         (scenario,) = build_matrix(["MG+ccc"], ["testing"], [kill],
                                    storage=storage)
         report = run_campaign([scenario], parallel=False)
         row = report.rows[0]
         assert row["passed"], row["failure"]
-        deterministic = KILL_TIMINGS[kill][1]
-        if deterministic:
+        if kills.deterministic:
             assert row["restarts"] >= 1
             assert row["verified_recovery"] and row["verified_clean"]
 

@@ -5,8 +5,8 @@ import pytest
 
 from repro.apps.ring import ring
 from repro.core import (
-    C3Config, C3RunResult, ProtocolError, cached_comm, run_c3,
-    run_fault_tolerant, run_original,
+    C3Config, C3RunResult, ProtocolError, RestartsExhausted, cached_comm,
+    run_c3, run_fault_tolerant, run_original,
 )
 from repro.mpi import FaultPlan, FaultSpec
 from repro.storage import InMemoryStorage
@@ -36,10 +36,37 @@ def test_max_restarts_exceeded():
                       FaultSpec(rank=0, after_ops=3),
                       FaultSpec(rank=0, after_ops=4),
                       FaultSpec(rank=0, after_ops=5)])
-    with pytest.raises(ProtocolError, match="giving up"):
+    with pytest.raises(ProtocolError, match="giving up") as exc:
         run_fault_tolerant(ring, 2, storage=InMemoryStorage(),
                            config=C3Config(), fault_plan=plan,
                            max_restarts=2)
+    assert isinstance(exc.value, RestartsExhausted)
+    assert exc.value.restarts == 3 and exc.value.failure.rank == 0
+
+
+def test_every_execution_is_kept():
+    plan = FaultPlan.staggered([(1, 2e-5), (0, 4e-5)])
+    res = run_fault_tolerant(ring, 2, storage=InMemoryStorage(),
+                             config=C3Config(checkpoint_interval=1e-5),
+                             fault_plan=plan)
+    assert res.restarts == 2 and len(res.runs) == 3
+    assert sorted(job.failure.rank for job in res.history) == [0, 1]
+    assert (res.job, res.stats) == res.runs[-1]
+    assert all(stats == [None, None] for _job, stats in res.runs[:-1])
+
+
+def test_restart_without_a_committed_line_is_a_fresh_run():
+    """A kill before the first line commits leaves nothing to restore:
+    the restart runs the job from the start, exactly as a fresh run."""
+    config = C3Config(checkpoint_interval=1.0)   # no line in this job
+    fresh, _ = run_c3(ring, 2, storage=InMemoryStorage(), config=config)
+    res = run_fault_tolerant(ring, 2, storage=InMemoryStorage(),
+                             config=config, fault_plan=FaultPlan(
+                                 [FaultSpec(rank=1, after_ops=5)]))
+    assert res.restarts == 1
+    assert all(s.restored_version is None for s in res.stats)
+    assert res.returns == fresh.returns
+    assert res.job.clocks == fresh.clocks
 
 
 def test_app_args_forwarded():

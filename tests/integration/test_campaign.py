@@ -15,9 +15,10 @@ from repro.core import (
     C3Config, ProtocolError, resume_from_manifest, run_c3, run_original,
 )
 from repro.harness.campaign import (
-    APP_KERNELS, CAMPAIGN_PARAMS, Scenario, build_matrix, render_campaign,
-    run_campaign, smoke_matrix,
+    APP_KERNELS, CAMPAIGN_PARAMS, KILL_TIMINGS, Scenario, build_matrix,
+    render_campaign, run_campaign, smoke_matrix,
 )
+from repro.harness.runner import resolve_kills
 from repro.mpi import FaultPlan, FaultSpec
 from repro.storage import InMemoryStorage
 
@@ -84,6 +85,23 @@ def test_vacuous_deterministic_kill_fails_the_scenario():
     assert not row["passed"]
     assert "never fired" in row["failure"]
     assert row["verified_recovery"]  # the run itself completed fine
+
+
+def test_kill_timing_needs_derive_from_their_kills():
+    """What a timing needs is read off its kills, not kept by hand: only
+    the storm is probabilistic, only mid_collective needs collectives,
+    and only the group-commit tears need WAL storage."""
+    kills = {name: resolve_kills(builder(4), 4)
+             for name, (builder, _frac) in KILL_TIMINGS.items()}
+    assert {n for n, k in kills.items() if not k.deterministic} == {"storm"}
+    assert {n for n, k in kills.items() if k.needs_collectives} == \
+        {"mid_collective"}
+    assert {n for n, k in kills.items() if k.needs_wal} == \
+        {"mid_group_commit", "torn_record"}
+    assert build_matrix(["LU"], ["testing"], ["mid_collective"]) == []
+    assert build_matrix(["ring"], ["testing"], ["torn_record"]) == []
+    assert len(build_matrix(["ring"], ["testing"], ["torn_record"],
+                            storage="wal")) == 1
 
 
 def test_render_campaign_mentions_verdicts():
