@@ -33,21 +33,30 @@ def sparse_rows(name: str, rank: int, local_n: int, global_n: int,
     dominant, so CG on the symmetric part converges.
     """
     rng = seeded_rng(name, rank)
-    row_start = rank * local_n
-    indptr = np.zeros(local_n + 1, dtype=np.int64)
-    indices = []
-    values = []
+    k = min(nnz_per_row - 1, global_n - 1)
+    diag = rank * local_n + np.arange(local_n, dtype=np.int64)
+    # Row by row only what consumes the generator, in its order: each
+    # row's off-diagonal picks, then one normal per stored entry (k + 1,
+    # or k when the picks already hold the diagonal).
+    cols = np.empty((local_n, k + 1), dtype=np.int64)
+    draws = []
     for i in range(local_n):
-        cols = rng.choice(global_n, size=min(nnz_per_row - 1, global_n - 1),
-                          replace=False)
-        cols = cols[cols != row_start + i]
-        cols = np.sort(np.concatenate([cols, [row_start + i]]))
-        vals = rng.standard_normal(len(cols)) * 0.1
-        vals[cols == row_start + i] = nnz_per_row + 1.0  # diagonal dominance
-        indices.append(cols)
-        values.append(vals)
-        indptr[i + 1] = indptr[i] + len(cols)
-    return indptr, np.concatenate(indices), np.concatenate(values)
+        picks = rng.choice(global_n, size=k, replace=False)
+        cols[i, :k] = picks
+        draws.append(rng.standard_normal(k + 1 - int(diag[i] in picks)))
+    # Each row's entries: its picks plus the diagonal, sorted, with the
+    # diagonal kept once.
+    cols[:, k] = diag
+    cols.sort(axis=1)
+    keep = np.ones(cols.shape, dtype=bool)
+    keep[:, 1:] = cols[:, 1:] != cols[:, :-1]
+    counts = keep.sum(axis=1)
+    indptr = np.zeros(local_n + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    indices = cols[keep]
+    values = np.concatenate(draws) * 0.1
+    values[indices == np.repeat(diag, counts)] = nnz_per_row + 1.0  # dominance
+    return indptr, indices, values
 
 
 def csr_matvec(indptr: np.ndarray, indices: np.ndarray, values: np.ndarray,

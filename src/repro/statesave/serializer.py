@@ -19,7 +19,7 @@ counters, and handle tables.
 from __future__ import annotations
 
 import struct
-from typing import Any, Dict, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -65,6 +65,15 @@ def _pack_varint(n: int) -> bytes:
     return bytes(out)
 
 
+def _put_varint(out: bytearray, n: int) -> None:
+    """Append ``_pack_varint(n)``; a value that fits one byte is written
+    inline."""
+    if -64 <= n < 64:
+        out.append(2 * n if n >= 0 else -2 * n - 1)
+    else:
+        out += _pack_varint(n)
+
+
 def _unpack_varint(buf: bytes, pos: int) -> Tuple[int, int]:
     shift = 0
     z = 0
@@ -78,6 +87,187 @@ def _unpack_varint(buf: bytes, pos: int) -> Tuple[int, int]:
     return (z >> 1) if z % 2 == 0 else -((z + 1) >> 1), pos
 
 
+#: raw buffers at least this long are joined from where they lie (the live
+#: array, the caller's bytes) instead of being staged in the buffer first
+_BLOB_MIN = 4096
+
+_VERSION = struct.pack("<H", FORMAT_VERSION)
+_D = struct.Struct("<d")
+_DD = struct.Struct("<dd")
+
+
+class _Encoder:
+    """The output of one ``dumps`` call, built with one copy per byte.
+
+    Tags, varints and small values go into the staging buffer ``out``.
+    A big raw buffer is not copied there: the buffer filled so far and
+    the raw one are set aside in ``parts``, and ``result`` joins them
+    into the payload, which copies each byte once.
+    """
+
+    __slots__ = ("out", "parts", "portable")
+
+    def __init__(self, portable: bool):
+        self.out = bytearray(MAGIC_PORTABLE if portable else MAGIC_BINARY)
+        self.out += _VERSION
+        self.parts: List[Any] = []
+        self.portable = portable
+
+    def blob(self, raw) -> None:
+        """Append a flat byte buffer (its length is already written)."""
+        if len(raw) < _BLOB_MIN:
+            self.out += raw
+        else:
+            self.parts.append(self.out)
+            self.parts.append(raw)
+            self.out = bytearray()
+
+    def result(self) -> bytes:
+        if not self.parts:
+            return bytes(self.out)
+        self.parts.append(self.out)
+        return b"".join(self.parts)
+
+
+# -- one encoder per value kind; ``out`` is re-read after any recursion,
+# -- because a nested blob may replace it
+def _enc_none(e: _Encoder, v: Any) -> None:
+    e.out.append(_T_NONE)
+
+
+_TRUE = bytes((_T_BOOL, 1))
+_FALSE = bytes((_T_BOOL, 0))
+
+
+def _enc_bool(e: _Encoder, v: Any) -> None:
+    e.out += _TRUE if v else _FALSE
+
+
+def _enc_int(e: _Encoder, v: Any) -> None:
+    out = e.out
+    out.append(_T_INT)
+    _put_varint(out, int(v))
+
+
+def _enc_float(e: _Encoder, v: Any) -> None:
+    out = e.out
+    out.append(_T_FLOAT)
+    out += _D.pack(float(v))
+
+
+def _enc_complex(e: _Encoder, v: Any) -> None:
+    out = e.out
+    out.append(_T_COMPLEX)
+    out += _DD.pack(v.real, v.imag)
+
+
+def _enc_str(e: _Encoder, v: Any) -> None:
+    raw = v.encode("utf-8")
+    out = e.out
+    out.append(_T_STR)
+    _put_varint(out, len(raw))
+    out += raw
+
+
+def _enc_bytes(e: _Encoder, v: Any) -> None:
+    """``bytes`` and ``bytearray``: flat, and ``len`` counts bytes."""
+    out = e.out
+    out.append(_T_BYTES)
+    _put_varint(out, len(v))
+    e.blob(v)
+
+
+def _enc_bytes_like(e: _Encoder, v: Any) -> None:
+    """Subclasses and memoryviews: whatever ``bytes(v)`` says they hold."""
+    _enc_bytes(e, bytes(v))
+
+
+def _enc_items(e: _Encoder, tag: int, v: Any) -> None:
+    out = e.out
+    out.append(tag)
+    _put_varint(out, len(v))
+    for item in v:
+        _encode(e, item)
+
+
+def _enc_list(e: _Encoder, v: Any) -> None:
+    _enc_items(e, _T_LIST, v)
+
+
+def _enc_tuple(e: _Encoder, v: Any) -> None:
+    _enc_items(e, _T_TUPLE, v)
+
+
+def _enc_dict(e: _Encoder, v: Any) -> None:
+    out = e.out
+    out.append(_T_DICT)
+    _put_varint(out, len(v))
+    for k, item in v.items():
+        _encode(e, k)
+        _encode(e, item)
+
+
+def _enc_ndarray(e: _Encoder, a: np.ndarray) -> None:
+    if a.dtype.hasobject:
+        raise SerializationError("object-dtype arrays cannot be checkpointed")
+    arr = np.ascontiguousarray(a)
+    if e.portable and arr.dtype.byteorder == ">":
+        arr = arr.astype(arr.dtype.newbyteorder("<"))
+    e.out.append(_T_NDARRAY)
+    _enc_str(e, arr.dtype.str)  # includes byte order: portable restore works
+    out = e.out
+    _put_varint(out, arr.ndim)
+    for s in arr.shape:
+        _put_varint(out, s)
+    _put_varint(out, arr.nbytes)
+    # The data as a flat byte view of the (contiguous) array: no copy.
+    # ``memoryview(arr).cast("B")`` would refuse datetime dtypes.
+    e.blob(memoryview(arr.reshape(-1).view(np.uint8)))
+
+
+def _enc_unsupported(e: _Encoder, v: Any) -> None:
+    raise SerializationError(
+        f"cannot checkpoint value of type {type(v).__name__}")
+
+
+#: exact type -> encoder; other types are added by :func:`_resolve`
+_ENCODERS: Dict[type, Callable[[_Encoder, Any], None]] = {
+    type(None): _enc_none, bool: _enc_bool, int: _enc_int,
+    float: _enc_float, complex: _enc_complex, str: _enc_str,
+    bytes: _enc_bytes, bytearray: _enc_bytes, list: _enc_list,
+    tuple: _enc_tuple, dict: _enc_dict, np.ndarray: _enc_ndarray,
+}
+
+#: how a type outside the table is classified: the first entry it is a
+#: subclass of wins (bools before ints, NumPy scalars beside Python's)
+_SUBCLASS_ORDER = (
+    ((bool, np.bool_), _enc_bool),
+    ((int, np.integer), _enc_int),
+    ((float, np.floating), _enc_float),
+    ((complex, np.complexfloating), _enc_complex),
+    (str, _enc_str),
+    ((bytes, bytearray, memoryview), _enc_bytes_like),
+    (list, _enc_list),
+    (tuple, _enc_tuple),
+    (dict, _enc_dict),
+    (np.ndarray, _enc_ndarray),
+)
+
+
+def _encode(e: _Encoder, v: Any) -> None:
+    """Append one value through its type's encoder."""
+    (_ENCODERS.get(type(v)) or _resolve(type(v)))(e, v)
+
+
+def _resolve(tp: type) -> Callable[[_Encoder, Any], None]:
+    """The encoder of a type first seen now, cached for the next value."""
+    for bases, encoder in _SUBCLASS_ORDER:
+        if issubclass(tp, bases):
+            _ENCODERS[tp] = encoder
+            return encoder
+    return _enc_unsupported
+
+
 class Serializer:
     """Encode/decode checkpoint values in one of the two formats."""
 
@@ -86,11 +276,9 @@ class Serializer:
 
     # -- public API ----------------------------------------------------------
     def dumps(self, value: Any) -> bytes:
-        out = bytearray()
-        out += MAGIC_PORTABLE if self.portable else MAGIC_BINARY
-        out += struct.pack("<H", FORMAT_VERSION)
-        self._encode(value, out)
-        return bytes(out)
+        e = _Encoder(self.portable)
+        _encode(e, value)
+        return e.result()
 
     def loads(self, payload: bytes) -> Any:
         if len(payload) < 6:
@@ -106,71 +294,6 @@ class Serializer:
         if pos != len(payload):
             raise SerializationError(f"{len(payload) - pos} trailing bytes")
         return value
-
-    # -- encoding --------------------------------------------------------------
-    def _encode(self, v: Any, out: bytearray) -> None:
-        if v is None:
-            out.append(_T_NONE)
-        elif isinstance(v, (bool, np.bool_)):
-            out.append(_T_BOOL)
-            out.append(1 if v else 0)
-        elif isinstance(v, (int, np.integer)):
-            out.append(_T_INT)
-            out += _pack_varint(int(v))
-        elif isinstance(v, (float, np.floating)):
-            out.append(_T_FLOAT)
-            out += struct.pack("<d", float(v))
-        elif isinstance(v, (complex, np.complexfloating)):
-            out.append(_T_COMPLEX)
-            out += struct.pack("<dd", v.real, v.imag)
-        elif isinstance(v, str):
-            raw = v.encode("utf-8")
-            out.append(_T_STR)
-            out += _pack_varint(len(raw))
-            out += raw
-        elif isinstance(v, (bytes, bytearray, memoryview)):
-            raw = bytes(v)
-            out.append(_T_BYTES)
-            out += _pack_varint(len(raw))
-            out += raw
-        elif isinstance(v, list):
-            out.append(_T_LIST)
-            out += _pack_varint(len(v))
-            for item in v:
-                self._encode(item, out)
-        elif isinstance(v, tuple):
-            out.append(_T_TUPLE)
-            out += _pack_varint(len(v))
-            for item in v:
-                self._encode(item, out)
-        elif isinstance(v, dict):
-            out.append(_T_DICT)
-            out += _pack_varint(len(v))
-            for k, item in v.items():
-                self._encode(k, out)
-                self._encode(item, out)
-        elif isinstance(v, np.ndarray):
-            self._encode_ndarray(v, out)
-        else:
-            raise SerializationError(
-                f"cannot checkpoint value of type {type(v).__name__}"
-            )
-
-    def _encode_ndarray(self, a: np.ndarray, out: bytearray) -> None:
-        if a.dtype.hasobject:
-            raise SerializationError("object-dtype arrays cannot be checkpointed")
-        arr = np.ascontiguousarray(a)
-        if self.portable and arr.dtype.byteorder == ">":
-            arr = arr.astype(arr.dtype.newbyteorder("<"))
-        out.append(_T_NDARRAY)
-        dtype_str = arr.dtype.str  # includes byte order: portable restore works
-        self._encode(dtype_str, out)
-        out += _pack_varint(arr.ndim)
-        for s in arr.shape:
-            out += _pack_varint(s)
-        raw = arr.tobytes()
-        out += _pack_varint(len(raw))
-        out += raw
 
     # -- decoding -----------------------------------------------------------------
     def _decode(self, buf: bytes, pos: int, portable: bool) -> Tuple[Any, int]:
@@ -217,7 +340,8 @@ class Serializer:
                 s, pos = _unpack_varint(buf, pos)
                 shape.append(s)
             nbytes, pos = _unpack_varint(buf, pos)
-            arr = np.frombuffer(buf[pos:pos + nbytes], dtype=np.dtype(dtype_str))
+            arr = np.frombuffer(memoryview(buf)[pos:pos + nbytes],
+                                dtype=np.dtype(dtype_str))
             return arr.reshape(shape).copy(), pos + nbytes
         raise SerializationError(f"unknown type tag {tag} at offset {pos - 1}")
 

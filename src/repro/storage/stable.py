@@ -115,6 +115,9 @@ class StorageBackend:
         Returns the offset the appended bytes start at.  Appends carry no
         durability: a crash before the next :meth:`sync` may lose or tear
         the appended tail — exactly the window the WAL replay truncates.
+        ``data`` may be a ``bytearray`` the caller clears and refills
+        once this returns (the WAL's staging buffer), so a backend copies
+        whatever it keeps.
         """
         raise NotImplementedError
 
@@ -189,7 +192,7 @@ class InMemoryStorage(StorageBackend):
         path = normalize_path(path)
         with self._lock:
             old = self._data.get(path, b"")
-            self._data[path] = old + bytes(data)
+            self._data[path] = old + data  # bytes: one copy of ``data``
             self.write_count += 1
             self.written_bytes += len(data)
             return len(old)

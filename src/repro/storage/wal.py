@@ -64,13 +64,53 @@ def segment_path(node: int, seq: int) -> str:
     return f"wal/node{node:04d}/seg{seq:08d}"
 
 
+def _record_head(rtype: int, version: int, rank: int, nb: bytes,
+                 payload) -> bytes:
+    """Header + crc32 of the record whose name and payload follow.
+
+    The CRC runs over header, name and payload in place (chained
+    ``crc32`` calls equal one over their concatenation), so the payload
+    is neither copied nor concatenated to be checksummed.
+    """
+    hdr = _HDR.pack(_MAGIC, rtype, len(nb), rank, version, len(payload))
+    return hdr + _CRC.pack(zlib.crc32(payload,
+                                      zlib.crc32(nb, zlib.crc32(hdr))))
+
+
 def encode_record(rtype: int, version: int, rank: int, name: str,
                   payload: bytes) -> bytes:
     """One WAL record: header + crc32 + name + payload."""
     nb = name.encode("utf-8")
-    hdr = _HDR.pack(_MAGIC, rtype, len(nb), rank, version, len(payload))
-    crc = zlib.crc32(hdr + nb + payload) & 0xFFFFFFFF
-    return hdr + _CRC.pack(crc) + nb + payload
+    return b"".join((_record_head(rtype, version, rank, nb, payload), nb,
+                     payload))
+
+
+def _parse_record(mv: memoryview, off: int,
+                  ) -> Optional[Tuple[int, int, int, int, int, int]]:
+    """``(rtype, version, rank, name_len, payload_len, total_length)`` of
+    the CRC-valid record at ``off``, or None (see :func:`decode_record`).
+
+    Checks the CRC over slices of ``mv``: nothing is copied.
+    """
+    if off + HEADER_LEN > len(mv):
+        return None
+    magic, rtype, name_len, rank, version, payload_len = _HDR.unpack_from(
+        mv, off)
+    if magic != _MAGIC or rtype not in (SECTION, COMMIT, DELETE):
+        return None
+    (crc,) = _CRC.unpack_from(mv, off + _HDR.size)
+    total = HEADER_LEN + name_len + payload_len
+    if off + total > len(mv):
+        return None
+    if zlib.crc32(mv[off + HEADER_LEN:off + total],
+                  zlib.crc32(mv[off:off + _HDR.size])) != crc:
+        return None
+    return rtype, version, rank, name_len, payload_len, total
+
+
+def _record_name(mv: memoryview, off: int, name_len: int) -> str:
+    body = off + HEADER_LEN
+    return bytes(mv[body:body + name_len]).decode("utf-8", "replace")
 
 
 def decode_record(buf: bytes, off: int,
@@ -82,23 +122,14 @@ def decode_record(buf: bytes, off: int,
     past the buffer, CRC mismatch — yields None, which replay treats as
     the end of the valid log.
     """
-    if off + HEADER_LEN > len(buf):
+    mv = memoryview(buf)
+    parsed = _parse_record(mv, off)
+    if parsed is None:
         return None
-    magic, rtype, name_len, rank, version, payload_len = _HDR.unpack_from(
-        buf, off)
-    if magic != _MAGIC or rtype not in (SECTION, COMMIT, DELETE):
-        return None
-    (crc,) = _CRC.unpack_from(buf, off + _HDR.size)
-    total = HEADER_LEN + name_len + payload_len
-    if off + total > len(buf):
-        return None
-    body = off + HEADER_LEN
-    if zlib.crc32(bytes(buf[off:off + _HDR.size]) +
-                  bytes(buf[body:off + total])) & 0xFFFFFFFF != crc:
-        return None
-    name = bytes(buf[body:body + name_len]).decode("utf-8", "replace")
-    payload = bytes(buf[body + name_len:off + total])
-    return rtype, version, rank, name, payload, total
+    rtype, version, rank, name_len, payload_len, total = parsed
+    start = off + HEADER_LEN + name_len
+    return (rtype, version, rank, _record_name(mv, off, name_len),
+            bytes(mv[start:start + payload_len]), total)
 
 
 @dataclass
@@ -218,12 +249,18 @@ class WalStore(CheckpointStore):
     # -- low-level append / index maintenance --------------------------------
     def _append_record(self, ns: _Node, rtype: int, version: int, rank: int,
                        name: str, payload: bytes) -> _Rec:
-        data = encode_record(rtype, version, rank, name, payload)
+        """Stage one record: the payload is copied once, into the buffer."""
+        nb = name.encode("utf-8")
+        head = _record_head(rtype, version, rank, nb, payload)
         seg = self._seg_for(ns)
         off = ns.base + len(ns.buf)
-        rec = _Rec(rtype, version, rank, name, off, len(data),
-                   off + HEADER_LEN + len(name.encode("utf-8")), len(payload))
-        ns.buf += data
+        rec = _Rec(rtype, version, rank, name, off,
+                   len(head) + len(nb) + len(payload),
+                   off + HEADER_LEN + len(nb), len(payload))
+        buf = ns.buf
+        buf += head
+        buf += nb
+        buf += payload
         seg.records.append(rec)
         seg.total += rec.length
         seg.live += rec.length
@@ -269,7 +306,7 @@ class WalStore(CheckpointStore):
             ns = self._nodes.get(seg.node)
             if ns is not None and segname == ns.seg and rec.off >= ns.base:
                 start = rec.payload_off - ns.base
-                return bytes(ns.buf[start:start + rec.payload_len])
+                return bytes(memoryview(ns.buf)[start:start + rec.payload_len])
         return self.backend.read_range(segname, rec.payload_off,
                                        rec.payload_len)
 
@@ -279,7 +316,7 @@ class WalStore(CheckpointStore):
         with self._lock:
             ns = self._node(self.node_of(rank))
             rec = self._append_record(ns, SECTION, version, rank, section,
-                                      bytes(payload))
+                                      payload)
             self._register_section((version, rank), section, rec, ns.seg)
 
     def commit_line(self, version: int, rank: int,
@@ -320,7 +357,8 @@ class WalStore(CheckpointStore):
             return
         if ns.buf:
             try:
-                self.backend.append(ns.seg, bytes(ns.buf))
+                # the backend copies what it keeps: the buffer is reused
+                self.backend.append(ns.seg, ns.buf)
             except StorageError:
                 # The staged tail never reached the medium (disk full,
                 # ...) and retrying would re-append a batch whose commit
@@ -521,7 +559,7 @@ class WalStore(CheckpointStore):
             return b""
         last = staged[-1]
         cut = (last.off - ns.base) + max(1, last.length // 2)
-        return bytes(ns.buf[:cut])
+        return bytes(memoryview(ns.buf)[:cut])
 
     def reload(self) -> None:
         """Rebuild indexes from the medium (sharded runs over real disk).
@@ -569,10 +607,11 @@ class WalStore(CheckpointStore):
         except StorageError:
             return
         seg = _Seg(node)
+        mv = memoryview(data)
         off = 0
         while off < len(data):
-            decoded = decode_record(data, off)
-            if decoded is None:
+            parsed = _parse_record(mv, off)
+            if parsed is None:
                 # Torn/corrupt tail: physically truncate to the valid
                 # prefix so later appends never land after garbage.
                 self.replay_truncated_bytes += len(data) - off
@@ -589,19 +628,20 @@ class WalStore(CheckpointStore):
                     except StorageError:
                         pass
                 break
-            rtype, version, rank, name, payload, total = decoded
-            rec = _Rec(rtype, version, rank, name, off, total,
-                       off + HEADER_LEN + len(name.encode("utf-8")),
-                       len(payload))
+            rtype, version, rank, name_len, payload_len, total = parsed
+            payload_off = off + HEADER_LEN + name_len
+            rec = _Rec(rtype, version, rank, _record_name(mv, off, name_len),
+                       off, total, payload_off, payload_len)
             seg.records.append(rec)
             seg.total += total
             seg.live += total
             key = (version, rank)
+            self._segments[path] = seg  # the registrations mark dead here
             if rtype == SECTION:
-                self._segments[path] = seg  # _register_section marks dead
-                self._register_section(key, name, rec, path)
+                self._register_section(key, rec.name, rec, path)
             elif rtype == COMMIT:
-                self._segments[path] = seg
+                # the only payload replay reads: the manifest
+                payload = bytes(mv[payload_off:payload_off + payload_len])
                 try:
                     manifest, durable = decode_commit(payload), True
                 except StorageError:
@@ -609,7 +649,6 @@ class WalStore(CheckpointStore):
                     manifest, durable = None, False
                 self._register_commit(key, path, rec, manifest, durable)
             else:
-                self._segments[path] = seg
                 self._apply_delete(key, path, rec)
             off += total
         if seg.records:

@@ -49,6 +49,41 @@ class TestSparse:
         assert np.allclose(csr_matvec(indptr, indices, values, x), dense @ x)
 
 
+def reference_sparse_rows(name, rank, local_n, global_n, nnz_per_row):
+    """The row-by-row construction ``sparse_rows`` vectorises: the spec."""
+    rng = seeded_rng(name, rank)
+    row_start = rank * local_n
+    indptr = np.zeros(local_n + 1, dtype=np.int64)
+    indices = []
+    values = []
+    for i in range(local_n):
+        cols = rng.choice(global_n, size=min(nnz_per_row - 1, global_n - 1),
+                          replace=False)
+        cols = cols[cols != row_start + i]
+        cols = np.sort(np.concatenate([cols, [row_start + i]]))
+        vals = rng.standard_normal(len(cols)) * 0.1
+        vals[cols == row_start + i] = nnz_per_row + 1.0
+        indices.append(cols)
+        values.append(vals)
+        indptr[i + 1] = indptr[i] + len(cols)
+    return indptr, np.concatenate(indices), np.concatenate(values)
+
+
+@pytest.mark.parametrize("rank,local_n,global_n,nnz", [
+    (0, 8192, 32768, 8), (3, 8192, 32768, 8),     # the perf ckpt-stream CG
+    (0, 8, 512, 4), (63, 8, 512, 4),              # the scaling study's CG
+    (5, 32, 512, 4),                              # a campaign cell's CG
+    (0, 1, 1, 8), (0, 3, 3, 8), (2, 5, 15, 1), (1, 8, 32, 5),  # tiny
+])
+def test_sparse_rows_is_bitwise_the_row_by_row_reference(rank, local_n,
+                                                          global_n, nnz):
+    got = sparse_rows("cg", rank, local_n, global_n, nnz)
+    want = reference_sparse_rows("cg", rank, local_n, global_n, nnz)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
 class TestPartition:
     @given(n=st.integers(1, 100), p=st.integers(1, 16))
     @settings(max_examples=50, deadline=None)
