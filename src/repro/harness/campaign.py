@@ -72,11 +72,10 @@ uploads it and fails on a non-zero exit.  The CLI is :data:`STUDY`, run
 by :func:`repro.harness.jobs.study_main`; :data:`CAMPAIGN_TABLE` lays
 the rows out for the terminal and EXPERIMENTS.md.
 
-The module also holds the engine-differential kernel the sharded and
-processes studies share: :func:`diff_campaigns` runs one scenario list
-on the cooperative oracle and then on another engine, and
-:func:`diff_rows` grades each row pair under the contract of DESIGN.md
-§10.4 (or §12.3's real-kill grade).
+The module also holds the engine-differential kernel of the processes
+study: :func:`diff_campaigns` runs one scenario list on the cooperative
+oracle and then on another engine, and :func:`diff_rows` grades each
+row pair under the real-kill contract of DESIGN.md §12.3.
 """
 
 from __future__ import annotations
@@ -328,23 +327,36 @@ def full_matrix(nprocs: int = 4) -> List[Scenario]:
 # Execution and reporting
 # ---------------------------------------------------------------------------
 
-def skip_reason(scenario: Scenario) -> Optional[str]:
-    """Why this backend cannot run the scenario honestly, or ``None``.
+def real_kill_refusal(engine: Optional[str],
+                      storage: Optional[str]) -> Optional[str]:
+    """Why faults on ``engine`` over ``storage`` cannot run, or ``None``.
 
     Decided from the backend's capability flags (one source of truth in
     :mod:`repro.mpi.backends`), not from engine-name string checks: a
     ``supports_real_kill`` backend physically destroys the victim OS
-    process, so a fault-injected scenario over a storage flavor whose
-    medium dies with the process has nothing stable to recover from and
-    is recorded as skipped-with-reason rather than run dishonestly.
+    process, so injected faults need a storage flavor whose medium
+    survives it.  The campaign skips such a scenario with this reason;
+    the fuzz CLI refuses the flags with it.
     """
-    impl = backend_for(scenario.engine)
-    if (impl.supports_real_kill and scenario.kills
-            and scenario.storage not in DISK_STORAGES):
-        return (f"engine {impl.name!r} delivers faults as real SIGKILLs; "
-                f"storage {scenario.storage!r} dies with the killed "
-                f"process (needs one of {sorted(DISK_STORAGES)})")
+    impl = backend_for(engine)
+    if impl.supports_real_kill and storage not in DISK_STORAGES:
+        return (f"engine {impl.name!r} delivers faults as real SIGKILLs, "
+                f"so they need a disk-backed store that survives the "
+                f"killed process: add --storage "
+                f"{' or '.join(sorted(DISK_STORAGES))}")
     return None
+
+
+def skip_reason(scenario: Scenario) -> Optional[str]:
+    """Why this backend cannot run the scenario honestly, or ``None``.
+
+    A fault-injected scenario the backend cannot recover honestly
+    (:func:`real_kill_refusal`) is recorded as skipped-with-reason
+    rather than run dishonestly.
+    """
+    if not scenario.kills:
+        return None
+    return real_kill_refusal(scenario.engine, scenario.storage)
 
 
 def _judge(scenario: Scenario, record: Dict) -> Dict:
@@ -491,14 +503,19 @@ def _close(a, b, rtol: float, atol: float = 0.0) -> bool:
 
 
 def diff_rows(label: str, rc: Dict, rs: Dict,
-              rtol: float = 2e-2, real_kill: bool = False) -> List[str]:
-    """Mismatches between a cooperative and a sharded campaign row.
+              rtol: float = 2e-2) -> List[str]:
+    """Mismatches between a cooperative and a processes campaign row.
 
     Empty list = the cell is equivalent under the engine-differential
-    contract.  ``engine`` naturally differs and is skipped.  Two
-    schedule-coupled regimes get structural instead of numeric
-    comparison (both verify bitwise; the *path* to the verified state
-    is what differs):
+    contract (DESIGN.md §12.3).  ``engine`` and ``real_kills`` naturally
+    differ (the latter is the point) and are skipped.  A real SIGKILL
+    destroys the victim node's *whole* staged WAL tail where the
+    cooperative engine models a torn tail, so every field coupled to
+    what the crash left durable — the commit count, the recovered
+    run's makespan, and the replay / suppression evidence of the
+    recovering execution — is compared structurally.  So are two
+    schedule-coupled regimes (both verify bitwise; the *path* to the
+    verified state is what differs):
 
     * ``storm`` cells inject kills probabilistically per executed op,
       and how many ops a survivor executes before observing an abort
@@ -506,27 +523,16 @@ def diff_rows(label: str, rc: Dict, rs: Dict,
     * a kill whose instant races a drain-triggered commit on a
       collective-heavy app lands on opposite sides of the commit per
       engine, flipping the recovery path between restore-from-line and
-      pure log replay (and shifting every makespan downstream of it).
+      pure log replay.
 
-    ``real_kill=True`` is the relaxed grade for diffing a simulated
-    engine against a ``supports_real_kill`` one (DESIGN.md §12): a real
-    SIGKILL destroys the victim node's *whole* staged WAL tail where
-    the simulated engines model a torn tail, so every field coupled to
-    what the crash left durable — the commit count, and the replay /
-    suppression evidence of the recovering execution — is compared
-    structurally.  The verification verdicts (``verified*``), the
-    restart count, and the fired-kill evidence stay exact: recovery
-    must still reach bitwise-identical results, however it got there.
-    ``real_kills`` itself naturally differs (that is the point) and is
-    skipped like ``engine``.
+    The verification verdicts (``verified*``), the restart count, and
+    the fired-kill evidence stay exact: recovery must still reach
+    bitwise-identical results, however it got there.
     """
     storm = rc.get("kill_timing") == "storm"
-    # did both engines take the same recovery path?  if not, makespans
-    # downstream of the recovery are not numerically comparable
-    same_path = rc.get("restored_version") == rs.get("restored_version")
     bad: List[str] = []
     for k in sorted(set(rc) | set(rs)):
-        if k == "engine" or (real_kill and k == "real_kills"):
+        if k in ("engine", "real_kills"):
             continue
         v, w = rc.get(k), rs.get(k)
         if k in _TOLERANT_FIELDS:
@@ -545,12 +551,9 @@ def diff_rows(label: str, rc: Dict, rs: Dict,
             ok = (isinstance(v, int) and isinstance(w, int)
                   and (v == w or (v >= 1 and w >= 1)))
         elif k == "checkpoints_committed":
-            # a commit racing the kill instant lands before it on one
-            # engine and after it on the other; under a storm the
-            # restart counts themselves differ, and each extra restart
-            # replays its own commit schedule
-            ok = (isinstance(v, int) and isinstance(w, int)
-                  and (abs(v - w) <= 1 or storm or real_kill))
+            # what a crash leaves durable, and a commit racing the kill
+            # instant, both move the commit count
+            ok = isinstance(v, int) and isinstance(w, int)
         elif k == "restored_version":
             # restore-from-line vs. log-replay is commit-race-coupled;
             # require each engine's own restore evidence to be
@@ -564,24 +567,22 @@ def diff_rows(label: str, rc: Dict, rs: Dict,
             ok = v == w or (storm and isinstance(v, int)
                             and isinstance(w, int) and v >= 1 and w >= 1)
         elif k == "run_seconds":
-            # failed-run makespans are abort-observation times; the
-            # recovered (final) run agrees tightly only when both
-            # engines recovered the same way
+            # failed-run makespans are abort-observation times, and the
+            # recovered (final) run's depends on what the crash left
+            # durable: one entry per execution, each positive at the end
             ok = (isinstance(v, list) and isinstance(w, list)
                   and bool(v) and bool(w)
                   and float(v[-1]) > 0 and float(w[-1]) > 0)
             if ok and not storm:
-                ok = len(v) == len(w) and (
-                    not same_path or real_kill
-                    or _close(float(v[-1]), float(w[-1]), rtol))
+                ok = len(v) == len(w)
         elif k in _ABORT_FIELDS:
             ok = (v is None) == (w is None) and (
                 v is None or (v > 0) == (w > 0))
-        elif real_kill and k in ("replayed_from_log", "suppressed_sends"):
+        elif k in ("replayed_from_log", "suppressed_sends"):
             # what a crash leaves in the durable log differs between a
             # lost-whole staged tail (real SIGKILL) and a torn tail
-            # (simulated), so the recovering execution's replay and
-            # suppression counts carry no cross-grade meaning
+            # (cooperative), so the recovering execution's replay and
+            # suppression counts carry no cross-engine meaning
             ok = (isinstance(v, int) and isinstance(w, int)
                   and v >= 0 and w >= 0)
         elif k == "fired":
@@ -599,7 +600,7 @@ def diff_rows(label: str, rc: Dict, rs: Dict,
 
 
 def diff_campaigns(scenarios: Sequence[Scenario], engine: str,
-                   real_kill: bool = False, rtol: float = 2e-2,
+                   rtol: float = 2e-2,
                    parallel: Optional[bool] = False,
                    max_workers: Optional[int] = None,
                    progress: Optional[Callable[[Dict], None]] = None,
@@ -616,8 +617,7 @@ def diff_campaigns(scenarios: Sequence[Scenario], engine: str,
                      progress=progress)
         for e in (None, engine)]
     mismatches = [m for rc, ro in zip(coop.rows, other.rows)
-                  for m in diff_rows(rc["scenario"], rc, ro, rtol=rtol,
-                                     real_kill=real_kill)]
+                  for m in diff_rows(rc["scenario"], rc, ro, rtol=rtol)]
     return coop, other, mismatches
 
 

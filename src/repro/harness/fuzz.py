@@ -65,7 +65,7 @@ from ..storage.faulty import STORAGE_FAULT_KINDS, FaultyStorage, StorageFault
 from ..storage.stable import DiskStorage, InMemoryStorage
 from ..storage.store import ScatterStore
 from ..storage.wal import WalStore
-from .campaign import CAMPAIGN_PARAMS, COLLECTIVE_APPS
+from .campaign import CAMPAIGN_PARAMS, COLLECTIVE_APPS, real_kill_refusal
 from .jobs import STORAGE_CHOICES, Study, Table, study_main
 from .parallel import Cell, CellError, run_cells
 from .runner import _returns_equal, resolve_kills
@@ -781,6 +781,11 @@ def _add_args(ap: argparse.ArgumentParser) -> None:
                     help="write minimized failing schedules here")
 
 
+def _refuse(args: argparse.Namespace) -> Optional[str]:
+    return None if args.replay else real_kill_refusal(args.engine,
+                                                      args.storage)
+
+
 def _run(args: argparse.Namespace, progress):
     if args.replay:
         record = run_schedule(load_schedule(args.replay), engine=args.engine)
@@ -823,7 +828,8 @@ STUDY = Study(
     description="Coverage-guided fault fuzzer: search kill x storage-fault "
                 "schedules for recovery bugs; minimize and pin failures as "
                 "regression corpus JSON.",
-    run=_run, add_args=_add_args, shared=("storage", "seed", "quiet"),
+    run=_run, add_args=_add_args, refuse=_refuse,
+    shared=("storage", "seed", "quiet"),
     help={"storage": "force every schedule's stable-storage flavor "
                      "(default: each schedule's own choice; WAL-only fault "
                      "features promote memory->wal and disk->wal-disk)",

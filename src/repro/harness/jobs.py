@@ -1,8 +1,8 @@
 """The study skeleton: one record, one driver, one table spec.
 
 Every study CLI in this package — the recovery campaign, the scaling
-sweep, the sizes/overlap/WAL studies, the two engine differentials, the
-fault fuzzer and the service load generator — is a :class:`Study`
+sweep, the sizes/overlap/WAL studies, the processes-engine differential,
+the fault fuzzer and the service load generator — is a :class:`Study`
 record: a name, a description, its own extra flags, and a ``run``
 function returning ``(payload, [(Table, rows)], failure labels)``.
 Everything else is :func:`study_main`'s job:
@@ -64,7 +64,7 @@ STORAGE_CHOICES = ("memory", "disk", "wal", "wal-disk")
 #: every ``python -m repro.harness.<name>`` study, each module exposing
 #: its record as ``STUDY`` (and ``main = study_main(STUDY, argv)``)
 STUDIES = ("campaign", "scaling", "sizes", "overlap", "walstudy",
-           "shardstudy", "procstudy", "fuzz", "loadgen")
+           "procstudy", "fuzz", "loadgen")
 
 
 # ---------------------------------------------------------------------------

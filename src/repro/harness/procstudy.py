@@ -9,8 +9,7 @@ This study is its acceptance harness:
 1. **Campaign slice** — the seeded campaign smoke matrix (every app
    kernel, rotated kill timings) is run twice over ``wal-disk``
    storage: once on the cooperative oracle, once on ``processes[:N]``
-   (:func:`repro.harness.campaign.diff_campaigns`, the kernel the
-   sharded study shares).
+   (:func:`repro.harness.campaign.diff_campaigns`).
 2. **Real-kill gate** — every fault-injected processes cell must
    report at least one *waitpid-confirmed* SIGKILL delivery
    (``real_kills >= 1``, counted by :func:`repro.harness.runner.
@@ -19,12 +18,12 @@ This study is its acceptance harness:
    from the on-disk WAL — a slice whose kills didn't physically take a
    process is vacuous and fails.
 3. **Cross-engine diff** — row pairs are compared under the
-   engine-differential contract at its *real-kill grade*
-   (:func:`repro.harness.campaign.diff_rows` with ``real_kill=True``):
+   real-kill engine-differential contract
+   (:func:`repro.harness.campaign.diff_rows`):
    verification verdicts, restart counts, and fired-kill evidence
    exactly; everything coupled to what the crash physically left
    durable (a real kill loses the victim's staged WAL tail whole, the
-   simulated engines model a torn tail) structurally.
+   cooperative engine models a torn tail) structurally.
 
 Usage::
 
@@ -110,7 +109,7 @@ def _run(args: argparse.Namespace, progress):
     if args.apps is not None:
         scenarios = [s for s in scenarios if s.app in args.apps]
     coop, proc, mismatches = diff_campaigns(
-        scenarios, engine, real_kill=True, rtol=args.rtol,
+        scenarios, engine, rtol=args.rtol,
         parallel=args.workers is not None and not args.inline,
         max_workers=args.workers, progress=partial(progress, CAMPAIGN_TABLE))
     kill_gate = gate_real_kills(proc.rows)

@@ -15,18 +15,18 @@ beyond a tolerance.
 Feasible because the engine's default backend is the cooperative rank
 scheduler (:mod:`repro.mpi.scheduler`): a 256-rank job costs 256 parked
 carrier fibers handing off to one another, not 256 free-running 1 MiB
-threads.  The sweep also accepts ``engine="sharded[:N]"`` to split the
-simulated nodes across N forked worker processes
-(:mod:`repro.mpi.sharded`), which is what pushes the sweep past 4096
-ranks (see :mod:`repro.harness.shardstudy`) and doubles as a
-differential run against the cooperative engine.
+threads.  The sweep also accepts ``engine="processes[:N]"`` to split
+the simulated nodes across N forked worker processes
+(:mod:`repro.mpi.processes`).  Those jobs run every collective on the
+point-to-point driver while the cooperative sweep evaluates them in
+closed form (DESIGN.md §2.5), so the two sweeps, minus wall clock and
+engine name, are a bitwise differential of the two drivers.
 
 Command line::
 
     python -m repro.harness.scaling --json BENCH_scaling.json
     python -m repro.harness.scaling --ranks 16,64,256 --apps ring,heat
-    python -m repro.harness.scaling --platforms lemieux --engine sharded:2
-    python -m repro.harness.scaling --ranks 1024,4096 --engine sharded:8
+    python -m repro.harness.scaling --platforms lemieux --engine processes:2
 
 Exit status 0 iff every (platform, app) series satisfies the flatness
 criterion (the violations are the failure roster); a malformed
@@ -106,7 +106,10 @@ def measure_scaling_point(app_name: str, nprocs: int, platform: str,
         "app": app_name,
         "platform": platform,
         "nprocs": nprocs,
-        "engine": resolve_backend(engine),
+        # the engine as the caller spelled it: the perf benchmark's
+        # shard-256 rows are pinned with "sharded:4", a spelling of
+        # "processes:4"
+        "engine": resolve_backend(None) if engine is None else engine,
         "original_seconds": orig.virtual_seconds,
         "c3_seconds": c3.virtual_seconds,
         "overhead_pct": overhead,

@@ -6,8 +6,8 @@ Public surface:
   run as fibers under the deterministic cooperative scheduler (one rank
   at a time; scales to the paper's 256+ process counts); ``engine=``
   picks how many processes carry those loops — one (``cooperative``,
-  the default), forked node-shards (``sharded[:N]``), or one real OS
-  process per node with real SIGKILL faults (``processes[:N]``).
+  the default) or one real OS process per node with real SIGKILL
+  faults (``processes[:N]``).
 * :class:`MPI` — the per-rank facade handed to application ``main(mpi)``.
 * :mod:`~repro.mpi.timemodel` — virtual-time machine models (Lemieux,
   Velocity 2, CMI, the Table-1 uniprocessors, and a testing model).

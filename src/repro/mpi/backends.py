@@ -17,15 +17,14 @@ backend vocabulary.  This module is the single source of truth instead:
 * :func:`resolve_backend` — spelling -> canonical spec (previously in
   :mod:`repro.mpi.engine`; re-exported there for compatibility).
   Backends with ``takes_count`` accept a ``":N"`` suffix
-  (``"sharded:8"``, ``"processes:2"``).
+  (``"processes:2"``).
 
-The three registered backends are ``cooperative`` (deterministic fiber
-scheduler, the oracle), ``sharded[:N]`` (forked node-shards under an
-LBTS window, DESIGN.md §10), and ``processes[:N]`` (real OS processes
-with real SIGKILL fault delivery and recovery from shared stable
-storage, DESIGN.md §12 — defined in :mod:`repro.mpi.processes`).  All
-three run ranks on the cooperative scheduler; the latter two run one
-scheduler loop per forked worker.
+The two registered backends are ``cooperative`` (deterministic fiber
+scheduler, the oracle) and ``processes[:N]`` (real OS processes with
+real SIGKILL fault delivery and recovery from shared stable storage,
+DESIGN.md §12 — defined in :mod:`repro.mpi.processes`; ``sharded[:N]``
+is one of its spellings).  Both run ranks on the cooperative
+scheduler; ``processes`` runs one scheduler loop per forked worker.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ class ExecutionBackend:
     name: str = ""
     #: accepted ``engine=`` spellings besides the canonical name
     aliases: Tuple[str, ...] = ()
-    #: accepts a ``":N"`` worker-count suffix (``"sharded:8"``)
+    #: accepts a ``":N"`` worker-count suffix (``"processes:8"``)
     takes_count: bool = False
     #: one-line summary, folded into the shared ``--engine`` help text
     summary: str = ""
@@ -75,17 +74,6 @@ class ExecutionBackend:
                errors: List[Tuple[int, str]], returns: List[Any]) -> None:
         """Run ``body(rank)`` for every rank, mutating state in place."""
         raise NotImplementedError
-
-    def worker_count(self, engine) -> int:
-        """Requested worker-process count from a ``name:N`` spec.
-
-        Bare specs default to the CPU count; the shard planner clamps
-        to the simulated node count either way.
-        """
-        _base, _sep, count = engine.backend.partition(":")
-        if count:
-            return int(count)
-        return os.cpu_count() or 1
 
 
 #: canonical name -> backend singleton, in registration order
@@ -109,10 +97,9 @@ def register(backend: ExecutionBackend) -> ExecutionBackend:
 def resolve_backend(name: Optional[str]) -> str:
     """Canonical backend spec: explicit arg > ``REPRO_ENGINE`` > default.
 
-    Count-taking backends accept a worker-count suffix — ``"sharded:8"``
-    runs (up to) 8 worker processes, ``"processes:2"`` packs the
-    simulated nodes into 2 OS processes; bare spellings default to the
-    machine's CPU count (always clamped to the simulated node count).
+    Count-taking backends accept a worker-count suffix —
+    ``"processes:2"`` packs the simulated nodes into 2 OS processes
+    (always clamped to the simulated node count).
     """
     if name is None:
         name = os.environ.get("REPRO_ENGINE") or "cooperative"
@@ -188,27 +175,7 @@ class CooperativeBackend(ExecutionBackend):
         engine._run_cooperative(body, errors)
 
 
-class ShardedBackend(ExecutionBackend):
-    """Forked node-shards under a conservative LBTS window (§10)."""
-
-    name = "sharded"
-    aliases = ("shard", "shards")
-    summary = "N forked node-shards, LBTS-synchronized"
-    takes_count = True
-
-    def available(self) -> Optional[str]:
-        if not hasattr(os, "fork"):  # pragma: no cover - non-POSIX
-            return "os.fork is not available on this platform"
-        return None
-
-    def launch(self, engine, body, timeout, errors, returns) -> None:
-        from .sharded import run_sharded  # local import, no cycle
-        run_sharded(engine, body, timeout, errors, returns,
-                    n_shards=self.worker_count(engine))
-
-
 register(CooperativeBackend())
-register(ShardedBackend())
 
 # The processes backend lives in its own module (it is a subsystem, not
 # a dispatch arm); importing it registers it.  Import last so it can

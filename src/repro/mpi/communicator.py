@@ -254,7 +254,8 @@ class Communicator:
         daemon happens to drain a control message leaves no trace on the
         application's virtual clock.  That is what keeps clock traces
         identical across execution backends whose physical delivery
-        points differ (one fiber schedule vs. sharded epoch releases) —
+        points differ (one fiber schedule vs. cross-process epoch
+        releases) —
         the send side still pays its full per-message cost.  Returns
         ``None`` when nothing matching is pending (after yielding the
         scheduler a turn, like a failed probe).

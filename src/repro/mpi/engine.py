@@ -26,25 +26,22 @@ owns its own:
   a single run loop, wakeups are exact, deadlock is detected the moment
   every live rank blocks, and runs are bit-reproducible.  This backend
   scales to the paper's process counts (256+ ranks).
-* ``"sharded"`` / ``"sharded:N"`` — the simulated nodes are partitioned
-  across N forked worker processes, each running a cooperative
+* ``"processes"`` / ``"processes:N"`` — the simulated nodes are
+  partitioned across N forked OS processes, each running a cooperative
   scheduler over its own ranks; virtual time is synchronized with a
   conservative lookahead window over the machine's link latencies
-  (:mod:`repro.mpi.sharded`, DESIGN.md §10).  Scales past 4096 ranks
-  and parallelizes across cores while reproducing the cooperative
-  backend's :class:`JobResult` bitwise on point-to-point kernels (the
-  differential battery in ``tests/mpi/test_sharded.py`` pins the exact
-  cross-engine contract).
-* ``"processes"`` / ``"processes:N"`` — each simulated node is a real
-  forked OS process and fault specs are delivered as actual SIGKILLs
-  to the victim's node process; recovery restarts from shared stable
-  storage that survived the crash (:mod:`repro.mpi.processes`,
-  DESIGN.md §12).  The coordinator reuses the sharded framed-message
-  protocol; kill evidence (waitpid-confirmed termination signals)
-  lands in :attr:`JobResult.real_kills`.
+  (:mod:`repro.mpi.sharded`, DESIGN.md §12).  Fault specs are delivered
+  as actual SIGKILLs to the victim's node process, and recovery
+  restarts from shared stable storage that survived the crash
+  (:mod:`repro.mpi.processes`); kill evidence (waitpid-confirmed
+  termination signals) lands in :attr:`JobResult.real_kills`.  Clean
+  runs reproduce the cooperative backend's :class:`JobResult` bitwise
+  on schedule-independent kernels (the differential battery in
+  ``tests/mpi/test_sharded.py`` pins the exact cross-engine contract).
+  ``"sharded[:N]"`` is an accepted spelling of it.
 
-Every backend runs its ranks on the cooperative scheduler; the other two
-differ only in how many processes carry those loops.
+Both backends run ranks on the cooperative scheduler; they differ only
+in how many processes carry those loops.
 
 Failure semantics: a triggered :class:`ProcessFailure` kills its rank,
 sets the job-wide abort flag, and every other rank unwinds with
@@ -477,9 +474,9 @@ def run_job(nprocs: int, main: Callable, args: Tuple = (),
 
     ``engine`` selects the execution backend by registry name
     (:mod:`repro.mpi.backends`): ``"cooperative"`` (the default —
-    deterministic rank fibers, scales to paper process counts),
-    ``"sharded[:N]"`` or ``"processes[:N]"``.  ``None`` defers to the ``REPRO_ENGINE`` environment variable, then the
-    default.
+    deterministic rank fibers, scales to paper process counts) or
+    ``"processes[:N]"``.  ``None`` defers to the ``REPRO_ENGINE``
+    environment variable, then the default.
     """
     eng = Engine(nprocs, machine=machine, fault_plan=fault_plan, seed=seed,
                  wall_timeout=wall_timeout, engine=engine)

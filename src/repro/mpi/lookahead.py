@@ -1,7 +1,7 @@
-"""Conservative virtual-time lookahead window for sharded execution.
+"""Conservative virtual-time lookahead window for multi-process execution.
 
-The sharded backend (:mod:`repro.mpi.sharded`) partitions ranks by
-simulated node across worker processes.  Shards advance virtual time
+The processes backend's transport (:mod:`repro.mpi.sharded`) partitions
+ranks by simulated node across worker processes ("shards").  Shards advance virtual time
 independently, so a cross-shard envelope must not be released to its
 destination "too early": conservative parallel discrete-event simulation
 requires that once a shard has been granted a *safe time* S, no envelope
@@ -50,7 +50,7 @@ The grant is the promise.
 
 Invariants (the Hypothesis suite in ``tests/mpi/test_lookahead.py``
 checks them over random latency tables and event schedules).  They hold
-under the two preconditions the sharded engine supplies — (P1) a shard
+under the two preconditions the transport supplies — (P1) a shard
 only emits with ``avail_time >= its effective floor + lookahead`` (the
 avail is a monotone send clock plus at least the pair's minimum
 latency), and (P2) per ``(src_rank, dest_rank)`` stream, avail times
@@ -72,10 +72,10 @@ are nondecreasing:
    enqueue order.
 
 The window is deliberately ignorant of processes, pipes and pickling;
-the sharded runtime feeds it shard reports at quiescence barriers and
+the transport feeds it shard reports at quiescence barriers and
 routes whatever it releases.  With one shard there is no cross-shard
-traffic and the window degenerates to "nothing is ever queued", which
-is what makes ``shards=1`` reduce exactly to the cooperative schedule.
+traffic and the window degenerates to "nothing is ever queued", so a
+one-process run follows exactly the cooperative schedule.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Deterministic cooperative rank scheduler.
 
 The execution model of the :class:`~repro.mpi.engine.Engine` — the one
-in-process path every backend runs ranks on (the sharded and processes
-backends run one of these loops per worker).  Each rank's ``main`` runs
+in-process path every backend runs ranks on (the processes backend
+runs one of these loops per worker).  Each rank's ``main`` runs
 as a *fiber*: a task that executes until it reaches a blocking point — a
 mailbox wait (``Recv``/``Wait``/``Probe``, collective internals, the C3
 checkpoint coordination paths) or a failed non-blocking completion check
@@ -43,7 +43,7 @@ baton back only when the step cannot name a successor, and keeps every
 job the parking task cannot do:
 
 * quiescence and deadlock — no task runnable, ask :meth:`_on_quiescent`
-  (the sharded worker's master link), else declare deadlock;
+  (a forked worker's master link), else declare deadlock;
 * the :meth:`_on_idle_spin` hook after a run of no-progress switches;
 * the ``HANDOFF_GRACE`` watchdog: it waits for the baton at most until
   the job's wall deadline plus the grace, then abandons the task that
@@ -122,14 +122,14 @@ class CooperativeScheduler:
 
     #: consecutive no-progress switches (yield/block with no mailbox
     #: activity) before :meth:`_on_idle_spin` fires; a no-op hook here,
-    #: overridden by the sharded worker loop to poll its master pipe so
+    #: overridden by the forked worker loop to poll its master pipe so
     #: Test/Iprobe spinners waiting on cross-shard traffic make progress
     SPIN_HOOK_EVERY = 64
 
     def __init__(self, engine, ranks=None):
         self.engine = engine
         #: the subset of ranks this loop runs (None = all engine ranks);
-        #: the sharded backend runs one loop per simulated-node group
+        #: the processes backend runs one loop per simulated-node group
         self.ranks = None if ranks is None else [int(r) for r in ranks]
         #: the run loop parks here while the baton is with the tasks
         self._main = _held_lock()
@@ -268,7 +268,7 @@ class CooperativeScheduler:
                     runnable.append(task)
         return runnable.popleft() if runnable else None
 
-    # -- extension hooks (overridden by the sharded worker loop) -----------
+    # -- extension hooks (overridden by the forked worker loop) ------------
     def _on_quiescent(self) -> bool:
         """All live ranks are blocked and no wait predicate holds.
 
@@ -341,13 +341,14 @@ class CooperativeScheduler:
                 if not self._blocked:  # pragma: no cover - defensive
                     break
                 # Every live rank is blocked and no predicate holds.  In
-                # a sharded run another shard (or an in-transit envelope)
+                # a multi-process run another shard (or an in-transit
+                # envelope)
                 # may still wake us: ask the hook before giving up.
                 if self._on_quiescent():
                     continue
                 # No rank can ever deliver again — instant deadlock.
                 # Wake them so each unwinds with DeadlockError/JobAborted.
-                # A hook that already learned the global picture (sharded
+                # A hook that already learned the global picture (the
                 # master naming blocked ranks on every shard) has set
                 # _deadlock_ranks itself; keep its list in that case.
                 self.deadlocked = True

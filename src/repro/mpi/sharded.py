@@ -1,13 +1,12 @@
-"""Sharded execution backend: rank fibers partitioned across processes.
+"""The multi-process transport behind ``engine="processes"``.
 
-``engine="sharded"`` partitions a job's ranks **by simulated node**
-(the per-node boundary PRs 5-6 established with ``procs_per_node`` and
-the per-node :class:`~repro.storage.drain.DrainDevice`) across forked
-worker processes.  Each shard runs its nodes' ranks under the existing
-deterministic cooperative loop (:mod:`repro.mpi.scheduler`); only
-cross-shard sends leave the process, as pickled envelopes over pipes to
-a master that routes them under the conservative LBTS window of
-:mod:`repro.mpi.lookahead`.
+:mod:`repro.mpi.processes` partitions a job's ranks **by simulated
+node** across forked worker processes ("shards").  Each shard runs its
+nodes' ranks under the deterministic cooperative loop
+(:mod:`repro.mpi.scheduler`); only cross-shard sends leave the process,
+as pickled envelopes over pipes to a master that routes them under the
+conservative LBTS window of :mod:`repro.mpi.lookahead`.  A fault is a
+real ``SIGKILL`` of the victim's node process.
 
 Why this shape:
 
@@ -20,60 +19,48 @@ Why this shape:
   envelopes only when *no* shard is running (every shard is blocked at
   a barrier, soft-spinning, or done).  Each shard's input batches are
   then a pure function of the prior epochs, never of wall-clock races,
-  which is what makes a sharded run reproducible against itself.
-  Every waking message carries a per-shard epoch stamp that the worker
-  echoes in its statuses, so a status written before a wake — but read
-  after it — can never regress the master's view of a running shard;
-* **bitwise against the cooperative oracle** — for the
-  schedule-independent kernels PR 3's differential battery established
-  (wildcard matching pinned per source, senders serialized by
+  which is what makes a run reproducible against itself.  Every waking
+  message carries a per-shard epoch stamp that the worker echoes in its
+  statuses, so a status written before a wake — but read after it —
+  can never regress the master's view of a running shard;
+* **bitwise against the cooperative oracle** — for schedule-independent
+  kernels (wildcard matching pinned per source, senders serialized by
   barriers), per-stream FIFO release preserves exactly the arrival
-  orders matching depends on, so a completed run's
+  orders matching depends on, so a clean run's
   :class:`~repro.mpi.engine.JobResult` (returns, clocks, sent counts)
-  is bit-identical to the cooperative engine's.  Killed runs guarantee
-  the victim's failure record; surviving peers' unwind clocks are not
-  compared (they depend on when each shard observes the abort), and
-  kill+restart is pinned end-to-end on the recovered result instead;
-* **shards=1 degenerates exactly** — one shard means no fork and no
-  window: the run *is* the cooperative run, same scheduler, same
-  switch count.
+  is bit-identical to the cooperative engine's;
+* **always a fork** — even a one-node job runs in a child: a fault
+  could never really kill the caller.
 
 Cross-shard semantics beyond messages:
 
 * **abort** is a byte in anonymous shared memory (:class:`SharedFlag`),
-  so a fail-stop fault in one shard is observed by every rank's next
-  MPI call in every shard without a round-trip;
+  so a death in one shard is observed by every rank's next MPI call in
+  every shard without a round-trip;
 * **deadlock** is global: when every shard reports quiescence and no
   envelope is in transit, the master names the union of blocked ranks
   and every rank unwinds with the same
   :class:`~repro.mpi.errors.DeadlockError` message the cooperative
   engine would have produced;
-* **virtual-time faults**: the master tracks the global clock
-  high-water from shard statuses and notifies the victim's shard when
-  an ``at_time`` spec comes due, mirroring the cooperative engine's
-  rule that a fault fires when *any* rank's clock crosses it.  The
-  victim's failure record ``(rank, clock, reason)`` is deterministic
-  because a blocked victim's clock does not advance while it waits;
+* **faults**: a structural fault fires inside the victim process at its
+  deterministic fire site, where the :class:`~repro.mpi.faults.
+  FaultPlan` kill hook sends one dying-breath ``"dy"`` frame (injection
+  bookkeeping only) and SIGKILLs the process.  An ``at_time`` fault
+  comes due when *any* rank's clock crosses it — the master tracks the
+  global clock high-water from shard statuses and SIGKILLs the victim's
+  node process itself.  Every death is waitpid-confirmed before its
+  evidence lands in ``engine.real_kills``;
 * **storage**: checkpoint stores found in the job args are wrapped
   per-shard in a :class:`~repro.storage.store.RecordingStore`; commit
   notices travel through the master at epoch boundaries (so GC floors
-  converge), and the parent replays each shard's operation log into
-  the real store after the run — per-node WAL/scatter keyspaces are
-  shard-disjoint, so replay in shard order reconstructs the exact
-  store state.  Backends marked ``shared_across_fork`` (real disk) are
-  instead reloaded from their own bytes.
+  converge).  A store on a ``shared_across_fork`` medium (real disk)
+  is reloaded from its own bytes after the run; a fault-free run over
+  private memory replays each shard's operation log into the parent's
+  store instead (per-node keyspaces are shard-disjoint, so shard-order
+  replay is exact).  :func:`repro.mpi.processes.require_shared_store`
+  refuses every other combination before the fork.
 
-See DESIGN.md section 10 for the full protocol and determinism
-argument.
-
-The processes backend (:mod:`repro.mpi.processes`) reuses this whole
-machinery in *real-kill* mode — ``run_sharded(..., real_kill=True)``:
-fault delivery becomes an actual SIGKILL of the victim's node process
-(a structural fault self-delivers at its fire site with a dying-breath
-``"dy"`` frame; a blocked ``at_time`` victim is killed by the master
-directly), every death is waitpid-confirmed, and a one-node job still
-forks instead of degenerating to the cooperative loop.  DESIGN.md §12
-documents the deltas.
+See DESIGN.md section 12 for the protocol and determinism argument.
 """
 
 from __future__ import annotations
@@ -235,8 +222,7 @@ class _ShardWorker:
     """Everything one forked shard process does."""
 
     def __init__(self, engine, shard: int, ranks: List[int],
-                 rfd: int, wfd: int, time_specs: List, deadline: float,
-                 real_kill: bool = False):
+                 rfd: int, wfd: int, deadline: float):
         self.engine = engine
         self.shard = shard
         self.ranks = ranks
@@ -244,11 +230,7 @@ class _ShardWorker:
         self.rfd = rfd
         self.wfd = wfd
         self.reader = os.fdopen(rfd, "rb", buffering=0)
-        self.time_specs = time_specs
         self.deadline = deadline
-        #: faults SIGKILL this process instead of unwinding (processes
-        #: backend); see :meth:`_real_die`
-        self.real_kill = real_kill
         #: epoch of the last master message processed, echoed in every
         #: status so the master can spot statuses written before a grant
         self.epoch = 0
@@ -289,10 +271,6 @@ class _ShardWorker:
             for _src, env in items:
                 self.engine.mailboxes[env.dest].deliver(env)
             return True
-        if tag == "fd":
-            spec = self.time_specs[msg[1]]
-            self.engine.rank_contexts[spec.rank].set_due_fault(spec)
-            return True
         if tag == "dl":
             sched._deadlock_ranks = list(msg[1])
             return False
@@ -302,7 +280,7 @@ class _ShardWorker:
     # -- scheduler hooks ----------------------------------------------------
     def on_quiescent(self, sched: _ShardScheduler) -> bool:
         # Drain anything the master sent while we were running, so a
-        # spontaneous message (fault notice, wake) is never mistaken
+        # spontaneous message (a wake) is never mistaken
         # for the reply to the status we are about to send.
         drained = False
         while _wait_readable(self.rfd, 0.0):
@@ -352,7 +330,7 @@ class _ShardWorker:
                 self.engine.abort(None)
                 return
 
-    # -- real-kill fault delivery -------------------------------------------
+    # -- fault delivery ------------------------------------------------------
     def _real_die(self, spec, rank: int, now: float) -> None:
         """Fault-plan kill hook: SIGKILL this node process at the fire
         site.
@@ -382,11 +360,10 @@ class _ShardWorker:
         engine = self.engine
         self.sched = _ShardScheduler(engine, self.ranks, self)
         engine.scheduler = self.sched
-        if self.real_kill:
-            # Post-fork, child-only: the parent's plan keeps simulated
-            # delivery, this copy SIGKILLs at every fire site (check(),
-            # reached(), and the scheduled-fault delivery path alike).
-            engine.fault_plan._kill_hook = self._real_die
+        # Post-fork, child-only: the parent's plan keeps simulated
+        # delivery, this copy SIGKILLs at every fire site (check(),
+        # reached(), and the scheduled-fault delivery path alike).
+        engine.fault_plan._kill_hook = self._real_die
         for r in range(engine.nprocs):
             if r in self.local:
                 engine.mailboxes[r].bind_scheduler(self.sched)
@@ -394,7 +371,8 @@ class _ShardWorker:
                 engine.mailboxes[r] = _RemoteMailbox(r, self)
         # Substitute recording wrappers for every checkpoint store in
         # the job args: local mutations are logged for the parent's
-        # replay, remote commit notices overlay the fork-private view.
+        # replay (private memory only), remote commit notices overlay
+        # the fork-private view.
         from ..storage.store import CheckpointStore, RecordingStore
         args = list(engine._job_args)
         seen: Dict[int, Any] = {}
@@ -412,12 +390,13 @@ class _ShardWorker:
             returns: List[Any], errors: List) -> None:
         self.sched.run(body, deadline=self.deadline, errors=errors)
         engine = self.engine
-        if self.real_kill and engine.abort_event.is_set():
+        if engine.abort_event.is_set():
             # Surviving nodes of a real kill drain their staged tails
             # before exiting — the same survivors-flush semantics the
-            # simulated engines apply in store.on_job_end (which cannot
-            # reach state staged inside this process).  The *killed*
-            # node never gets here: its staged tail is lost whole.
+            # cooperative engine applies in store.on_job_end (which
+            # cannot reach state staged inside this process).  The
+            # *killed* node never gets here: its staged tail is lost
+            # whole.
             for _pos, store in self.stores:
                 try:
                     store.flush()
@@ -434,9 +413,11 @@ class _ShardWorker:
             "sent_bytes": {r: engine.rank_contexts[r].sent_bytes
                            for r in self.ranks},
             "errors": list(errors),
-            # ProcessFailure does not pickle round-trip (its args hold
-            # the formatted message, not the constructor arguments), so
-            # ship the fields and rebuild on the parent side.
+            # A fault never reaches here (its kill hook SIGKILLs the
+            # process); this is an MPI_Abort.  ProcessFailure does not
+            # pickle round-trip (its args hold the formatted message,
+            # not the constructor arguments), so ship the fields and
+            # rebuild on the parent side.
             "failure": None if engine.failure is None else
                        (engine.failure.rank, engine.failure.time,
                         engine.failure.reason),
@@ -453,21 +434,19 @@ class _ShardWorker:
             report["returns"] = {r: None for r in self.ranks}
             report["store_ops"] = []
             report["errors"] = list(errors) + [
-                (self.ranks[0], "sharded engine: shard report was not "
-                                "picklable (unpicklable return value?)")]
+                (self.ranks[0], "processes engine: shard report was "
+                                "not picklable (unpicklable return "
+                                "value?)")]
             _write_msg(self.wfd, ("ex", self.shard, report))
 
 
 def _worker_main(engine, shard: int, ranks: List[int], rfd: int, wfd: int,
-                 time_specs: List, deadline: float,
-                 body: Callable[[int], None],
-                 returns: List[Any], errors: List,
-                 real_kill: bool = False) -> None:
+                 deadline: float, body: Callable[[int], None],
+                 returns: List[Any], errors: List) -> None:
     """Child-process entry; never returns (``os._exit``)."""
     status = 0
     try:
-        worker = _ShardWorker(engine, shard, ranks, rfd, wfd,
-                              time_specs, deadline, real_kill=real_kill)
+        worker = _ShardWorker(engine, shard, ranks, rfd, wfd, deadline)
         worker.install()
         worker.run(body, returns, errors)
     except BaseException:
@@ -486,7 +465,7 @@ def _worker_main(engine, shard: int, ranks: List[int], rfd: int, wfd: int,
 
 class _ShardHandle:
     __slots__ = ("shard", "ranks", "pid", "rfd", "wfd", "reader", "state",
-                 "blocked", "report", "notices_sent", "epoch", "killed")
+                 "blocked", "report", "notices_sent", "epoch")
 
     def __init__(self, shard: int, ranks: List[int]):
         self.shard = shard
@@ -504,46 +483,32 @@ class _ShardHandle:
         #: echoing an older epoch was written before the wake and must
         #: not regress the shard's state (see absorb())
         self.epoch = 0
-        #: this shard's process died (or was killed) by a real SIGKILL
-        #: fault delivery; already reaped, never an error at EOF
-        self.killed = False
 
 
 def run_sharded(engine, body: Callable[[int], None], timeout: float,
-                errors: List, returns: List[Any], *,
-                n_shards: int, real_kill: bool = False) -> None:
+                errors: List, returns: List[Any], *, n_shards: int) -> None:
     """Fork one worker per shard and route cross-shard traffic.
 
     Mutates ``errors``/``returns`` and the engine's rank contexts in
-    place, exactly like the other backends, so ``Engine.run`` assembles
-    the :class:`JobResult` without knowing the backend.
+    place, exactly like the cooperative backend, so ``Engine.run``
+    assembles the :class:`JobResult` without knowing the backend.
 
-    ``real_kill=True`` is the processes backend (:mod:`repro.mpi.
-    processes`): fault specs are delivered as actual SIGKILLs to the
-    victim's node process — structural faults self-deliver at the fire
-    site inside the child (one dying-breath ``"dy"`` frame, then
-    SIGKILL), blocked ``at_time`` victims are killed by this
-    coordinator directly — and every death is confirmed by waitpid
-    status before its evidence lands in ``engine.real_kills``.
+    Fault specs are delivered as actual SIGKILLs to the victim's node
+    process — structural faults self-deliver at the fire site inside
+    the child (one dying-breath ``"dy"`` frame, then SIGKILL), ``at_time``
+    victims are killed by this coordinator directly — and every death
+    is confirmed by waitpid status before its evidence lands in
+    ``engine.real_kills``.
     """
     shards = plan_shards(engine.nprocs, engine.machine.procs_per_node,
                          n_shards)
-    if len(shards) == 1 and not real_kill:
-        # Exact reduction: one shard IS the cooperative engine — same
-        # scheduler, same schedule, same switch count, no fork.  A
-        # real-kill run must still fork: SIGKILLing the caller is not
-        # an option.
-        engine._run_cooperative(body, errors)
-        return
-
     flag = SharedFlag()
     if engine.abort_event.is_set():  # pragma: no cover - defensive
         flag.set()
     engine.abort_event = flag
 
-    # Deterministic enumeration of unfired at_time specs, shared with
-    # every child through fork: the master refers to specs by index.
-    time_specs = sorted(
+    # Unfired at_time specs in firing order; the master delivers them.
+    pending_specs = sorted(
         (s for s in engine.fault_plan.unfired() if s.at_time is not None),
         key=lambda s: (s.at_time, s.rank))
     spec_list = list(engine.fault_plan.all_specs())
@@ -570,8 +535,7 @@ def run_sharded(engine, body: Callable[[int], None], timeout: float,
                     os.close(other.wfd)
                     os.close(other.rfd)
             _worker_main(engine, h.shard, h.ranks, p2c_r, c2p_w,
-                         time_specs, deadline, body, returns, errors,
-                         real_kill=real_kill)
+                         deadline, body, returns, errors)
             raise SystemExit(1)  # pragma: no cover - unreachable
         os.close(p2c_r)
         os.close(c2p_w)
@@ -581,7 +545,6 @@ def run_sharded(engine, body: Callable[[int], None], timeout: float,
         h.reader = os.fdopen(c2p_r, "rb", buffering=0)
 
     notices_log: List[Tuple[int, int]] = []
-    notified_specs = [False] * len(time_specs)
     clock_high = 0.0
     #: fail-stop records from real kills (child self-kills reported by
     #: "dy" frames, plus coordinator-delivered at_time kills); folded
@@ -602,7 +565,6 @@ def run_sharded(engine, body: Callable[[int], None], timeout: float,
     def record_kill(h: _ShardHandle, rank: int, now: float, reason: str,
                     pid: int, termsig: Optional[int]) -> None:
         """Fold one confirmed real kill into the master-side run state."""
-        h.killed = True
         h.state = _EXITED
         real_failures.append(ProcessFailure(rank, now, reason))
         engine.real_kills.append({
@@ -629,7 +591,7 @@ def run_sharded(engine, body: Callable[[int], None], timeout: float,
         quiescence barrier cannot self-deliver, so the coordinator
         kills its process directly.  The failure record uses the spec's
         own time — deterministic, like the blocked victim's frozen
-        clock under the simulated engines.
+        clock under the cooperative engine.
         """
         pid = h.pid
         try:
@@ -669,26 +631,19 @@ def run_sharded(engine, body: Callable[[int], None], timeout: float,
                     post(h, "wk")
                     h.state = _BUSY
             return
-        # Virtual-time fault notices: a fault comes due when ANY rank's
-        # clock crosses it (the cooperative engine's rule).  Simulated
-        # delivery posts a notice for the victim rank to raise; a real-
-        # kill run SIGKILLs the victim's node process from here instead
-        # (the victim may be blocked at the barrier, unable to self-
-        # deliver; a *running* victim usually beats us to it via its own
-        # fault check, which also counts as a real kill — see "dy").
-        for i, spec in enumerate(time_specs):
-            if notified_specs[i] or spec.at_time > clock_high:
-                continue
-            notified_specs[i] = True
+        # Virtual-time faults: a fault comes due when ANY rank's clock
+        # crosses it (the cooperative engine's rule), so SIGKILL the
+        # victim's node process from here (the victim may be blocked at
+        # the barrier, unable to self-deliver; a *running* victim
+        # usually beats us to it via its own fault check, which also
+        # counts as a real kill — see "dy").
+        while pending_specs and pending_specs[0].at_time <= clock_high:
+            spec = pending_specs.pop(0)
             victim = handles[shard_of_rank[spec.rank]]
             if victim.state == _EXITED:
                 continue
-            if real_kill:
-                strike(victim, spec)
-                return  # the flag is set; next pass wakes the others
-            post(victim, "fd", i)
-            if victim.state == _WAIT:
-                victim.state = _BUSY
+            strike(victim, spec)
+            return  # the flag is set; next pass wakes the others
         if any(h.state == _BUSY for h in handles):
             return  # strict epochs: release only at full quiescence
         if not live:
@@ -734,7 +689,7 @@ def run_sharded(engine, body: Callable[[int], None], timeout: float,
                 window.send(src, env.dest, env.avail_time, (src, env))
             notices_log.extend(notices)
             if epoch != h.epoch:
-                # Written before a wake we already sent (grant/fault/
+                # Written before a wake we already sent (grant/wake/
                 # deadlock): the worker is running that wake right now,
                 # so taking this state would regress a _BUSY shard to
                 # _WAIT/_SOFT with a stale blocked list — the raw
@@ -759,7 +714,7 @@ def run_sharded(engine, body: Callable[[int], None], timeout: float,
             notices_log.extend(report["notices"])
             window.drop_dest(h.shard)
         elif tag == "dy":
-            # Dying breath of a real-kill child: it fired a fault spec
+            # Dying breath of a killed child: it fired a fault spec
             # at its deterministic fire site, reported the injection
             # bookkeeping, and SIGKILLed itself — confirm the death by
             # waitpid before trusting the frame.
@@ -772,7 +727,7 @@ def run_sharded(engine, body: Callable[[int], None], timeout: float,
         else:  # "cr" — the shard process itself crashed
             _t, _shard, tb = msg
             h.state = _EXITED
-            errors.append((-1, f"sharded engine: shard {h.shard} "
+            errors.append((-1, f"processes engine: shard {h.shard} "
                                f"(ranks {h.ranks[0]}-{h.ranks[-1]}) "
                                f"crashed:\n{tb}"))
             window.drop_dest(h.shard)
@@ -797,7 +752,7 @@ def run_sharded(engine, body: Callable[[int], None], timeout: float,
                         if h.state != _EXITED:
                             h.state = _EXITED
                             errors.append(
-                                (-1, f"sharded engine: shard {h.shard} "
+                                (-1, f"processes engine: shard {h.shard} "
                                      f"exited without a report"))
                             window.drop_dest(h.shard)
                             flag.set()
@@ -807,8 +762,7 @@ def run_sharded(engine, body: Callable[[int], None], timeout: float,
     finally:
         _reap(handles, errors)
 
-    _merge(engine, handles, spec_list, errors, returns,
-           extra_failures=real_failures)
+    _merge(engine, handles, spec_list, errors, returns, real_failures)
 
 
 def _wait_readable_any(fds: List[int], timeout: float) -> bool:
@@ -857,7 +811,7 @@ def _reap(handles: List[_ShardHandle], errors: List) -> None:
                     os.waitpid(h.pid, 0)
                 except ChildProcessError:
                     pass
-                errors.append((-1, f"sharded engine: shard {h.shard} "
+                errors.append((-1, f"processes engine: shard {h.shard} "
                                    f"killed after timeout"))
                 break
             _time.sleep(0.01)
@@ -869,13 +823,13 @@ def _reap(handles: List[_ShardHandle], errors: List) -> None:
 
 def _merge(engine, handles: List[_ShardHandle], spec_list: List,
            errors: List, returns: List[Any],
-           extra_failures: Optional[List[ProcessFailure]] = None) -> None:
+           failures: List[ProcessFailure]) -> None:
     """Fold shard reports back into the parent engine's run state.
 
-    ``extra_failures`` carries real-kill fail-stop records: a SIGKILLed
-    shard sends no exit report, so its failure arrives out of band.
+    ``failures`` starts with the real-kill fail-stop records: a
+    SIGKILLed shard sends no exit report, so its failure arrives out of
+    band.
     """
-    failures: List[ProcessFailure] = list(extra_failures or ())
     store_ops: Dict[int, List[Tuple[int, List]]] = {}
     for h in handles:
         report = h.report

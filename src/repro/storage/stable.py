@@ -74,8 +74,9 @@ class StorageBackend:
     @property
     def shared_across_fork(self) -> bool:
         """True when writes made in a forked child are visible to the
-        parent process (real files): forking engines then reload store
-        indexes from the medium instead of replaying shard op logs."""
+        parent process (real files): the processes engine then reloads
+        store indexes from the medium instead of replaying shard op
+        logs."""
         return self.inner is not None and self.inner.shared_across_fork
 
     def on_job_end(self, crashed: bool) -> None:
@@ -217,7 +218,8 @@ class DiskStorage(StorageBackend):
     """File-backed store with atomic writes.
 
     ``shared_across_fork``: the files are visible to every process, so
-    sharded workers write through and the parent reloads (no op replay).
+    forked node processes write through and the parent reloads (no op
+    replay).
 
     Writes are lock-free: each goes to a uniquely named temp file
     (pid + thread id + per-instance counter) that is fsynced and then

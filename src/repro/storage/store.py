@@ -260,7 +260,7 @@ class CheckpointStore:
     def reload(self) -> None:
         """Rebuild in-memory indexes from the backend's bytes.
 
-        The sharded engine calls this on a store whose backend is
+        The processes engine calls this on a store whose backend is
         ``shared_across_fork`` (real disk): worker processes wrote
         through their forked store copies directly to the medium, so
         the parent's indexes are stale while the bytes are current.
@@ -334,25 +334,27 @@ class ScatterStore(CheckpointStore):
 
 
 class RecordingStore(CheckpointStore):
-    """Per-shard checkpoint-store veneer for the sharded engine.
+    """Per-shard checkpoint-store veneer for the processes engine.
 
     Each forked shard wraps the job's store in one of these.  Three
-    concerns, all in service of keeping a sharded run bit-identical to
-    the cooperative engine (see DESIGN.md §10):
+    concerns, all in service of keeping a multi-process run
+    bit-identical to the cooperative engine (see DESIGN.md §12):
 
-    * **operation log** — every mutator is recorded (with whether it
-      completed), so the parent can replay the shard's writes into the
-      real store after the run (:func:`merge_shards`).  Per-node
-      keyspaces are shard-disjoint, which makes shard-order replay
-      exact.  A store over a ``shared_across_fork`` backend (real disk)
-      keeps no log (``ops`` is None): its bytes already landed on the
-      medium and the parent reloads instead;
+    * **operation log** — every completed mutator is recorded, so the
+      parent can replay the shard's writes into the real store after
+      the run (:func:`merge_shards`).  Only fault-free runs keep private
+      in-memory stores (the engine refuses the rest up front), so every
+      call completes.  Per-node keyspaces are shard-disjoint, which
+      makes shard-order replay exact.  A store over a
+      ``shared_across_fork`` backend (real disk) keeps no log (``ops``
+      is None): its bytes already landed on the medium and the parent
+      reloads instead;
     * **commit notices** — :meth:`take_notices` diffs the inner store's
       ``committed_map`` against what was already reported, yielding the
       ``(version, rank)`` lines that became *durable* since the last
       call (under the WAL a ``commit_line`` is not durable until its
       node's group flush, so notifying on the call itself would leak
-      commits other ranks cannot see yet).  The sharded master collects
+      commits other ranks cannot see yet).  The master collects
       these in shard status messages and rebroadcasts them at
       quiescence epochs;
     * **remote-commit overlay** — notices from other shards merge into
@@ -369,12 +371,10 @@ class RecordingStore(CheckpointStore):
     def __init__(self, inner: CheckpointStore):
         self.inner = inner
         self.backend = inner.backend
-        #: replay log: (method name, args tuple, completed) — a mutator
-        #: that raised (the at_group_commit fault hook killing its rank
-        #: mid-commit) is recorded with completed=False so replay can
-        #: reproduce the exact abort point; None when the medium is
-        #: shared across fork and the parent reloads instead
-        self.ops: Optional[List[Tuple[str, tuple, bool]]] = (
+        #: replay log of completed mutators, (method name, args tuple);
+        #: None when the medium is shared across fork and the parent
+        #: reloads instead
+        self.ops: Optional[List[Tuple[str, tuple]]] = (
             None if inner.backend.shared_across_fork else [])
         #: rank -> versions already reported through take_notices
         self._noticed: Dict[int, set] = {}
@@ -383,14 +383,9 @@ class RecordingStore(CheckpointStore):
 
     # -- mutators (recorded) -----------------------------------------------
     def _logged(self, method: str, *args):
-        if self.ops is None:
-            return getattr(self.inner, method)(*args)
-        try:
-            result = getattr(self.inner, method)(*args)
-        except BaseException:
-            self.ops.append((method, args, False))
-            raise
-        self.ops.append((method, args, True))
+        result = getattr(self.inner, method)(*args)
+        if self.ops is not None:
+            self.ops.append((method, args))
         return result
 
     def configure(self, nprocs, procs_per_node=1):
@@ -414,7 +409,7 @@ class RecordingStore(CheckpointStore):
     def on_job_end(self, failed_rank=None):
         self._logged("on_job_end", failed_rank)
 
-    # -- sharded-engine plumbing ---------------------------------------------
+    # -- cross-shard plumbing ------------------------------------------------
     def take_notices(self) -> List[Tuple[int, int]]:
         """Durable ``(version, rank)`` commits not yet reported."""
         notices: List[Tuple[int, int]] = []
@@ -460,52 +455,22 @@ class RecordingStore(CheckpointStore):
         return getattr(self.inner, name)
 
 
-class _ReplayAbort(Exception):
-    """Raised by the temporary replay commit hook to cut a replayed
-    ``commit_line`` at the same point the shard's fault did."""
-
-
 def merge_shards(store: CheckpointStore,
-                 shard_ops: List[Optional[List[Tuple[str, tuple, bool]]]],
+                 shard_ops: List[Optional[List[Tuple[str, tuple]]]],
                  ) -> None:
-    """Bring the parent's real store up to date after a sharded run.
+    """Bring the parent's real store up to date after a multi-process run.
 
     ``shard_ops`` holds each shard's :attr:`RecordingStore.ops`, in
     shard order.  Shards that kept no log wrote through to a shared
     medium, so the store reloads its indexes from the bytes; otherwise
-    each log replays in turn.  Completed calls replay verbatim.  A
-    ``commit_line`` that did *not* complete was cut by its rank's
-    ``at_group_commit`` fault hook after the COMMIT record was staged
-    but before the group-flush decision; replay reproduces that exact
-    state by installing a hook that raises at the same point.  Other
-    incomplete mutators left no durable state and are skipped.
+    each log replays in turn.
     """
     if any(ops is None for ops in shard_ops):
         store.reload()
         return
-    hooks = getattr(store, "commit_hooks", None)
     for ops in shard_ops:
-        for method, args, completed in ops:
-            if completed:
-                getattr(store, method)(*args)
-                continue
-            if method == "commit_line" and hooks is not None:
-                rank = args[1]
-                prev = hooks.get(rank)
-
-                def _abort(_version):
-                    raise _ReplayAbort()
-
-                hooks[rank] = _abort
-                try:
-                    store.commit_line(*args)
-                except _ReplayAbort:
-                    pass
-                finally:
-                    if prev is None:
-                        hooks.pop(rank, None)
-                    else:
-                        hooks[rank] = prev
+        for method, args in ops:
+            getattr(store, method)(*args)
 
 
 def as_store(storage, procs_per_node: Optional[int] = None,

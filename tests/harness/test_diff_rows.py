@@ -2,8 +2,8 @@
 
 Hand-built cooperative/other row pairs, one rule per case: which fields
 a differing pair may differ in (and how far) before the cell counts as
-diverged.  The same function grades the sharded engine (default grade)
-and the processes engine (``real_kill=True``).
+diverged: the contract the processes engine is graded by against the
+cooperative oracle.
 """
 
 from __future__ import annotations
@@ -35,16 +35,11 @@ STORM = {"kill_timing": "storm"}
 CASES = [
     ("identical", {}, {}, {}, []),
     # -- exact fields ------------------------------------------------------
-    ("engine-skipped", {}, {"engine": "sharded:2"}, {}, []),
+    ("engine-skipped", {}, {"engine": "processes:2"}, {}, []),
     ("verified-exact", {}, {"verified": False}, {}, ["verified"]),
     ("verified-recovery-exact", {}, {"verified_recovery": False}, {},
      ["verified_recovery"]),
     ("passed-exact", {}, {"passed": False}, {}, ["passed"]),
-    ("replayed-exact", {}, {"replayed_from_log": 4}, {},
-     ["replayed_from_log"]),
-    ("suppressed-exact", {}, {"suppressed_sends": 1}, {},
-     ["suppressed_sends"]),
-    ("real-kills-exact", {}, {"real_kills": 2}, {}, ["real_kills"]),
     # -- rtol fields and c3_overhead_pct's atol ----------------------------
     ("golden-within-rtol", {}, {"golden_seconds": 1.015e-3}, {}, []),
     ("golden-beyond-rtol", {}, {"golden_seconds": 1.03e-3}, {},
@@ -70,8 +65,6 @@ CASES = [
     ("retained-missing", {}, {"lines_retained": None}, {},
      ["lines_retained"]),
     ("committed-off-by-one", {}, {"checkpoints_committed": 4}, {}, []),
-    ("committed-off-by-two", {}, {"checkpoints_committed": 5}, {},
-     ["checkpoints_committed"]),
     ("restore-path-flip", {},
      {"restored_version": None, "restore_seconds": None}, {}, []),
     ("restore-inconsistent", {}, {"restored_version": None}, {},
@@ -79,8 +72,6 @@ CASES = [
     ("restore-seconds-alone", {}, {"restore_seconds": 9e-5}, {}, []),
     ("run-seconds-within-rtol", {}, {"run_seconds": [6e-4, 1.21e-3]}, {},
      []),
-    ("run-seconds-beyond-rtol", {}, {"run_seconds": [5e-4, 1.5e-3]}, {},
-     ["run_seconds"]),
     ("run-seconds-other-path", {},
      {"run_seconds": [5e-4, 1.5e-3], "restored_version": None,
       "restore_seconds": None}, {}, []),
@@ -102,24 +93,24 @@ CASES = [
     ("storm-committed", STORM, {"checkpoints_committed": 9}, {}, []),
     ("storm-run-seconds", STORM, {"run_seconds": [1e-4, 2e-4, 9e-3]}, {},
      []),
-    # -- the real-kill grade -----------------------------------------------
+    # -- what a real kill leaves durable -----------------------------------
     ("real-kill-skips-real-kills", {}, {"real_kills": 2},
-     {"real_kill": True}, []),
+     {}, []),
     ("real-kill-replay-counts", {},
      {"replayed_from_log": 4, "suppressed_sends": 2},
-     {"real_kill": True}, []),
+     {}, []),
     ("real-kill-negative-count", {}, {"replayed_from_log": -1},
-     {"real_kill": True}, ["replayed_from_log"]),
+     {}, ["replayed_from_log"]),
     ("real-kill-committed", {}, {"checkpoints_committed": 9},
-     {"real_kill": True}, []),
+     {}, []),
     ("real-kill-run-seconds", {}, {"run_seconds": [5e-4, 1.5e-3]},
-     {"real_kill": True}, []),
+     {}, []),
     ("real-kill-verified-exact", {}, {"verified_clean": False},
-     {"real_kill": True}, ["verified_clean"]),
+     {}, ["verified_clean"]),
     ("real-kill-restarts-exact", {}, {"restarts": 2},
-     {"real_kill": True}, ["restarts"]),
+     {}, ["restarts"]),
     ("real-kill-fired-exact", {}, {"fired": ["a", "b"]},
-     {"real_kill": True}, ["fired"]),
+     {}, ["fired"]),
 ]
 
 

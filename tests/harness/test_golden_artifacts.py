@@ -3,8 +3,7 @@
 Each grid study runs one tiny selection inline through its CLI entry
 point and writes its ``--json`` artifact; the artifact, with every
 wall-clock key deleted, must match the copy under ``golden/`` byte for
-byte (key order included).  ``shardstudy`` has no selection flag, so its
-engine-differential kernel is pinned on a one-scenario list instead.
+byte (key order included).
 """
 
 from __future__ import annotations
@@ -59,22 +58,9 @@ def study_artifact(module: str, tmp_path) -> str:
     return pinned_text(json.loads(out.read_text()))
 
 
-def shard_kernel_artifact() -> str:
-    from repro.harness.campaign import build_matrix, diff_campaigns
-
-    scenarios = build_matrix(["ring"], ["testing"], ["mid_run"])
-    coop, other, mismatches = diff_campaigns(scenarios, "sharded:2")
-    return pinned_text({"cooperative": coop.rows, "sharded:2": other.rows,
-                        "mismatches": mismatches})
-
-
 @pytest.mark.parametrize("module", sorted(GRIDS))
 def test_study_artifact_matches_golden(module, tmp_path, capsys):
     got = study_artifact(module, tmp_path)
     capsys.readouterr()
     assert got == (GOLDEN / f"{module}.json").read_text()
 
-
-def test_shard_kernel_matches_golden():
-    assert shard_kernel_artifact() == \
-        (GOLDEN / "shardstudy.json").read_text()

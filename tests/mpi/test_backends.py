@@ -28,8 +28,8 @@ from repro.mpi.processes import ProcessesBackend
 # ---------------------------------------------------------------------------
 
 class TestRegistry:
-    def test_three_backends_registered(self):
-        assert engine_choices() == ["cooperative", "sharded", "processes"]
+    def test_two_backends_registered(self):
+        assert engine_choices() == ["cooperative", "processes"]
 
     def test_every_backend_is_self_consistent(self):
         for name, b in BACKENDS.items():
@@ -39,7 +39,6 @@ class TestRegistry:
 
     def test_aliases_resolve_to_canonical(self):
         assert resolve_backend("coop") == "cooperative"
-        assert resolve_backend("shard") == "sharded"
         assert resolve_backend("process") == "processes"
         assert resolve_backend("procs") == "processes"
         assert resolve_backend("PROCESSES") == "processes"
@@ -69,14 +68,13 @@ class TestRegistry:
     def test_split_spec_and_backend_for(self):
         assert split_spec("processes:4") == ("processes", 4)
         assert split_spec("coop") == ("cooperative", None)
-        assert backend_for("shard:2") is BACKENDS["sharded"]
+        assert backend_for("procs:2") is BACKENDS["processes"]
         assert backend_for(None) is BACKENDS["cooperative"]
 
     def test_engine_help_derives_from_registry(self):
         text = engine_help()
         for name in engine_choices():
             assert name in text
-        assert "sharded[:N]" in text
         assert "processes[:N]" in text
 
 
@@ -87,9 +85,13 @@ class TestCapabilityFlags:
         assert not coop.takes_count
 
     def test_sharded_flags(self):
-        sharded = BACKENDS["sharded"]
+        # "sharded" is a spelling of the processes engine, not a backend
+        # of its own: it takes a count and its faults are real kills
+        assert "sharded" not in BACKENDS
+        sharded = backend_for("sharded:4")
+        assert sharded is BACKENDS["processes"]
         assert sharded.takes_count
-        assert not sharded.supports_real_kill
+        assert sharded.supports_real_kill
 
     def test_processes_flags(self):
         procs = BACKENDS["processes"]

@@ -24,8 +24,8 @@ class TestBackendSelection:
             run_job(2, lambda mpi: mpi.rank, engine="fibers")
 
     def test_env_var_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "sharded:2")
-        assert resolve_backend(None) == "sharded:2"
+        monkeypatch.setenv("REPRO_ENGINE", "processes:2")
+        assert resolve_backend(None) == "processes:2"
         # explicit argument beats the environment
         assert resolve_backend("cooperative") == "cooperative"
 
@@ -137,7 +137,7 @@ def _wildcard_kernel(mpi):
 
 
 class TestBackendEquivalence:
-    """Sharded and cooperative must agree bit-for-bit on deterministic
+    """Processes and cooperative must agree bit-for-bit on deterministic
     kernels — the scheduler is the differential-testing oracle."""
 
     @pytest.mark.parametrize("nprocs", [2, 8])
@@ -145,7 +145,7 @@ class TestBackendEquivalence:
         coop = run_job(nprocs, _wildcard_kernel, wall_timeout=60,
                        engine="cooperative")
         shard = run_job(nprocs, _wildcard_kernel, wall_timeout=60,
-                        engine="sharded:2")
+                        engine="processes:2")
         coop.raise_errors()
         shard.raise_errors()
         assert coop.returns == shard.returns

@@ -11,9 +11,10 @@ The acceptance contract (DESIGN.md §12, pinned here):
   victims);
 * the kill/restart/verify pipeline recovers from WAL stable storage on
   real disk and verifies bitwise against the golden run;
-* fault-injected jobs on storage that dies with the killed process are
-  refused up front with instructions, and the service layer rejects
-  unknown engine spellings at submission construction.
+* fault-injected jobs, and injected storage faults, on storage that
+  dies with the killed process are refused up front with instructions,
+  and the service layer rejects unknown engine spellings at submission
+  construction.
 """
 
 import os
@@ -124,6 +125,22 @@ class TestRealKills:
         assert result.failure.rank == 0
         result.raise_errors()
 
+    def test_mpi_abort_reaches_the_parent(self):
+        # MPI_Abort is not a fault spec: it unwinds inside the worker
+        # instead of SIGKILLing it, and arrives through the shard report
+        def main(mpi):
+            if mpi.rank == 3:
+                mpi.Abort(3)
+            mpi.COMM_WORLD.Barrier()
+            return mpi.rank
+
+        coop = run_job(4, main, engine="cooperative", wall_timeout=60)
+        proc = run_job(4, main, engine="processes:2", wall_timeout=60)
+        assert (proc.failure.rank, proc.failure.time, proc.failure.reason) \
+            == (coop.failure.rank, coop.failure.time, coop.failure.reason) \
+            == (3, 0.0, "MPI_Abort(3)")
+        assert proc.real_kills == [] and proc.errors == []
+
     def test_simulated_engines_report_no_real_kills(self):
         plan = FaultPlan([FaultSpec(rank=1, after_ops=8)])
         result = run_job(4, _ring_kernel, engine="cooperative",
@@ -186,6 +203,48 @@ class TestSharedStorePrecondition:
                    config=C3Config(checkpoint_interval=0.001),
                    fault_plan=plan, engine="processes", wall_timeout=60)
 
+    def test_storage_faults_on_memory_store_refused_before_fork(
+            self, monkeypatch):
+        # the sf_enospc seed schedule has no kills, only an injected
+        # ENOSPC: a replay of the workers' calls would fire it again
+        from repro.core import C3Config, run_c3
+        from repro.harness.fuzz import seed_schedules
+        from repro.harness.runner import APPS
+        from repro.storage import InMemoryStorage
+        from repro.storage.faulty import FaultyStorage, StorageFault
+        from repro.storage.store import ScatterStore
+
+        [sched] = [s for s in seed_schedules() if s.label == "sf_enospc"]
+        assert sched.storage == "memory" and not sched.kills
+        store = ScatterStore(FaultyStorage(
+            InMemoryStorage(),
+            [StorageFault.from_dict(sf) for sf in sched.storage_faults]))
+
+        def no_fork():
+            raise AssertionError("forked before the refusal")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        with pytest.raises(ValueError, match="injected kills or storage "
+                                             "faults needs a disk-backed"):
+            run_c3(APPS[sched.app], sched.nprocs, storage=store,
+                   config=C3Config(checkpoint_interval=0.001),
+                   engine="processes:2", wall_timeout=60)
+
+    def test_storage_faults_on_disk_store_allowed(self, tmp_path):
+        from repro.core import C3Config, run_c3
+        from repro.harness.runner import APPS
+        from repro.storage import DiskStorage
+        from repro.storage.faulty import FaultyStorage, StorageFault
+        from repro.storage.store import ScatterStore
+
+        backend = FaultyStorage(DiskStorage(str(tmp_path)), [StorageFault(
+            kind="bit_rot", after_ops=5, path_prefix="ckpt/", bit=123)])
+        result, _stats = run_c3(
+            APPS["ring"], 4, storage=ScatterStore(backend),
+            config=C3Config(checkpoint_interval=0.001),
+            engine="processes:2", wall_timeout=60)
+        result.raise_errors()
+
     def test_clean_job_on_memory_store_allowed(self):
         from repro.core import C3Config, run_c3
         from repro.harness.runner import APPS
@@ -231,7 +290,7 @@ class TestCampaignSkips:
     def test_simulated_engines_never_skip(self):
         from repro.harness.campaign import build_matrix, skip_reason
 
-        for engine in (None, "cooperative", "sharded:2"):
+        for engine in (None, "cooperative"):
             [s] = build_matrix(["ring"], ["testing"], ["mid_run"],
                                engine=engine, storage="memory")
             assert skip_reason(s) is None
@@ -248,7 +307,7 @@ class TestServiceValidation:
     def test_jobspec_accepts_registry_spellings(self):
         from repro.service import JobSpec
 
-        for engine in (None, "coop", "processes:2", "shard:4"):
+        for engine in (None, "coop", "processes:2", "sharded:4"):
             JobSpec(app="ring", engine=engine)
 
     def test_service_default_engine_applied_and_cached(self):
@@ -298,7 +357,6 @@ _STUDY_MAINS = [
     "repro.harness.overlap",
     "repro.harness.sizes",
     "repro.harness.walstudy",
-    "repro.harness.shardstudy",
     "repro.harness.fuzz",
     "repro.harness.loadgen",
     "repro.harness.procstudy",
@@ -370,16 +428,20 @@ class TestUniformSelectionCLI:
         assert main(argv) == 2
         assert message in capsys.readouterr().err
 
-    def test_vacuous_speedup_gate_refused_before_any_cell(self, monkeypatch,
-                                                          capsys):
-        from repro.harness import shardstudy
+    @pytest.mark.parametrize("argv", [
+        ["--engine", "processes:2"],
+        ["--engine", "sharded:2", "--storage", "wal"],
+        ["--engine", "procs", "--storage", "memory", "--smoke"],
+    ])
+    def test_fuzz_real_kill_engine_needs_disk(self, argv, monkeypatch,
+                                              capsys):
+        from repro.harness import fuzz
 
         def boom(*_a, **_kw):
-            raise AssertionError("the study ran before the refusal")
+            raise AssertionError("the fuzzer ran before the refusal")
 
-        monkeypatch.setattr(shardstudy, "diff_campaigns", boom)
-        monkeypatch.setattr(shardstudy, "measure_scaling_point", boom)
-        shards = (os.cpu_count() or 1) + 1
-        assert shardstudy.main(["--shards", str(shards),
-                                "--require-speedup", "1.0"]) == 2
-        assert "makes the gate vacuous" in capsys.readouterr().err
+        monkeypatch.setattr(fuzz, "fuzz", boom)
+        assert fuzz.main(argv) == 2
+        assert ("need a disk-backed store that survives the killed "
+                "process: add --storage disk or wal-disk"
+                ) in capsys.readouterr().err

@@ -1,22 +1,24 @@
-"""Sharded engine: differential battery against the cooperative oracle.
+"""The multi-process transport: differential battery against the oracle.
 
 Every test here runs the same seeded job under ``engine="cooperative"``
-and ``engine="sharded:N"`` and compares results.  The contract (see
-DESIGN.md §10):
+and ``engine="processes:N"`` (whose transport is
+:mod:`repro.mpi.sharded`) and compares results.  The contract (see
+DESIGN.md §12):
 
 * schedule-independent kernels — including wildcard- and
   collective-heavy ones — produce **bitwise-identical** ``JobResult``s:
   returns, per-rank virtual clocks, sent counts, sent bytes;
-* C3 kill + restart sequences produce bitwise-identical recovered
-  results, restart counts, and final protocol stats;
+* C3 kill + restart sequences over disk produce bitwise-identical
+  recovered results and restart counts;
 * fault runs pin the victim's failure record (rank and reason exactly;
-  the fail-stop *observation* clock is schedule-coupled — cooperative
-  marks a fault due the instant *any* rank's clock crosses ``at_time``,
-  and shard clocks drift within an epoch window — so it differs across
-  engines while staying deterministic within each);
+  an ``at_time`` victim is killed at the spec's own time by the
+  coordinator, or at its next check point if it crosses the time
+  itself first, so only the record's identity is compared across
+  engines);
 * cross-shard deadlocks are detected instantly and report the same
   blocked-rank set as the cooperative engine;
-* ``shards=1`` degenerates to the cooperative scheduler exactly.
+* one process (``processes:1``) still forks and still matches the
+  cooperative scheduler bitwise.
 """
 
 import numpy as np
@@ -24,11 +26,11 @@ import pytest
 
 from repro.core import C3Config, run_c3, run_original
 from repro.core.ccc import run_fault_tolerant
-from repro.mpi import FaultPlan, FaultSpec, SUM, TESTING, run_job
+from repro.mpi import FaultPlan, FaultSpec, SUM, run_job
 from repro.mpi.engine import resolve_backend
 from repro.mpi.sharded import plan_shards
 from repro.mpi.timemodel import LEMIEUX
-from repro.storage import InMemoryStorage
+from repro.storage import DiskStorage, InMemoryStorage
 
 
 def _job_equal(a, b):
@@ -42,7 +44,7 @@ def _job_equal(a, b):
 
 def _run_both(nprocs, main, shards=2, **kw):
     coop = run_job(nprocs, main, engine="cooperative", **kw)
-    shard = run_job(nprocs, main, engine=f"sharded:{shards}", **kw)
+    shard = run_job(nprocs, main, engine=f"processes:{shards}", **kw)
     return coop, shard
 
 
@@ -52,17 +54,20 @@ def _run_both(nprocs, main, shards=2, **kw):
 
 class TestBackendSelection:
     def test_aliases(self):
-        assert resolve_backend("sharded") == "sharded"
-        assert resolve_backend("shard") == "sharded"
-        assert resolve_backend("SHARDS") == "sharded"
-        assert resolve_backend("sharded:4") == "sharded:4"
-        assert resolve_backend("shard:2") == "sharded:2"
+        # "sharded" survives only as a spelling of the processes engine:
+        # the perf benchmark's shard-256 workload names engine
+        # "sharded:4", and that spelling must keep resolving
+        assert resolve_backend("sharded:4") == "processes:4"
+        assert resolve_backend("sharded") == "processes"
+        for gone in ("shard", "shards", "shard:2"):
+            with pytest.raises(ValueError, match="unknown engine backend"):
+                resolve_backend(gone)
 
     def test_bad_shard_count_rejected(self):
         with pytest.raises(ValueError):
-            resolve_backend("sharded:0")
+            resolve_backend("processes:0")
         with pytest.raises(ValueError):
-            resolve_backend("sharded:two")
+            resolve_backend("processes:two")
         with pytest.raises(ValueError):
             resolve_backend("cooperative:2")
 
@@ -154,7 +159,7 @@ class TestDifferentialBitwise:
         coop = run_job(8, _ring_kernel, machine=LEMIEUX,
                        engine="cooperative", wall_timeout=60)
         shard = run_job(8, _ring_kernel, machine=LEMIEUX,
-                        engine="sharded:2", wall_timeout=60)
+                        engine="processes:2", wall_timeout=60)
         coop.raise_errors(); shard.raise_errors()
         _job_equal(coop, shard)
 
@@ -164,13 +169,17 @@ class TestDifferentialBitwise:
         _job_equal(coop, shard)
 
     def test_sharded_self_reproducible(self):
-        a = run_job(4, _wildcard_kernel, engine="sharded:2", wall_timeout=60)
-        b = run_job(4, _wildcard_kernel, engine="sharded:2", wall_timeout=60)
+        a = run_job(4, _wildcard_kernel, engine="processes:2",
+                    wall_timeout=60)
+        b = run_job(4, _wildcard_kernel, engine="processes:2",
+                    wall_timeout=60)
         a.raise_errors(); b.raise_errors()
         _job_equal(a, b)
 
 
 class TestSingleShardReduction:
+    """One process: forked all the same, and still the oracle's result."""
+
     def test_shards_1_is_exactly_cooperative(self):
         coop, shard = _run_both(4, _ring_kernel, shards=1, wall_timeout=60)
         coop.raise_errors(); shard.raise_errors()
@@ -199,16 +208,16 @@ class TestFaultDifferential:
 
         coop = run_job(4, _ring_kernel, engine="cooperative",
                        fault_plan=plan(), wall_timeout=60)
-        shard = run_job(4, _ring_kernel, engine="sharded:2",
+        shard = run_job(4, _ring_kernel, engine="processes:2",
                         fault_plan=plan(), wall_timeout=60)
         assert coop.failure is not None and shard.failure is not None
         assert shard.failure.rank == coop.failure.rank == 2
         assert shard.failure.reason == coop.failure.reason
-        # the victim observes the fail-stop at its next check point after
-        # *any* clock crossed at_time — a schedule-coupled instant that
-        # differs across engines (shards drift within an epoch window) —
-        # but it is deterministic within an engine:
-        again = run_job(4, _ring_kernel, engine="sharded:2",
+        # the cooperative victim observes the fault at its next check
+        # point after *any* clock crossed at_time; the coordinator
+        # SIGKILLs a victim at the spec's own time — the instants differ
+        # across engines, but each is deterministic within its engine:
+        again = run_job(4, _ring_kernel, engine="processes:2",
                         fault_plan=plan(), wall_timeout=60)
         assert (again.failure.rank, again.failure.time, again.failure.reason) \
             == (shard.failure.rank, shard.failure.time, shard.failure.reason)
@@ -222,7 +231,7 @@ class TestFaultDifferential:
 
         coop = run_job(4, _ring_kernel, engine="cooperative",
                        fault_plan=plan(), wall_timeout=60)
-        shard = run_job(4, _ring_kernel, engine="sharded:2",
+        shard = run_job(4, _ring_kernel, engine="processes:2",
                         fault_plan=plan(), wall_timeout=60)
         assert coop.failure is not None and shard.failure is not None
         assert (shard.failure.rank, shard.failure.time, shard.failure.reason) \
@@ -300,16 +309,17 @@ class TestC3Differential:
             return res, stats
 
         rc, sc = run("cooperative")
-        rs, ss = run("sharded:2")
+        rs, ss = run("processes:2")
         _job_equal(rc, rs)
         assert [s.__dict__ for s in sc] == [s.__dict__ for s in ss]
 
-    def test_kill_restart_bitwise(self):
+    def test_kill_restart_bitwise(self, tmp_path):
+        # a real kill needs stable storage that outlives the process
         interval = self._interval()
 
         def run(engine):
             res = run_fault_tolerant(
-                _dense_app, 4, storage=InMemoryStorage(),
+                _dense_app, 4, storage=DiskStorage(str(tmp_path / engine)),
                 config=C3Config(checkpoint_interval=interval),
                 fault_plan=FaultPlan([FaultSpec(rank=2,
                                                 at_time=interval * 2.75)]),
@@ -318,7 +328,7 @@ class TestC3Differential:
             return res
 
         a = run("cooperative")
-        b = run("sharded:2")
+        b = run("processes:2")
         assert a.restarts == b.restarts >= 1
         _job_equal(a.job, b.job)
         assert [s.__dict__ for s in a.stats] == [s.__dict__ for s in b.stats]
@@ -330,7 +340,7 @@ class TestC3Differential:
 
 #: campaign record fields that encode drain-position-coupled virtual
 #: timings (drain-triggered commit actions land at control-drain
-#: observation points, DESIGN.md §10) — compared under a tight relative
+#: observation points, DESIGN.md §12) — compared under a tight relative
 #: tolerance instead of bitwise.
 _TIMING_FIELDS = ("clean_c3_seconds", "c3_overhead_pct")
 #: fields derived from *failed* executions' makespans: a failed run ends
@@ -347,16 +357,21 @@ class TestCampaignSlice:
 
         from repro.harness.campaign import _measure_scenario, smoke_matrix
 
-        for scenario in smoke_matrix(nprocs=4)[:2]:
+        # scatter layout on real disk: every object is durable when
+        # written, so a real kill loses nothing a simulated one keeps
+        for scenario in smoke_matrix(nprocs=4, storage="disk")[:2]:
             rc = _measure_scenario(
                 dataclasses.replace(scenario, engine="cooperative"))
             rs = _measure_scenario(
-                dataclasses.replace(scenario, engine="sharded:2"))
+                dataclasses.replace(scenario, engine="processes:2"))
             assert rc.get("error") is None and rs.get("error") is None, \
                 (rc.get("error"), rs.get("error"))
+            assert rc["real_kills"] == 0 and rs["real_kills"] >= 1
             for k, v in rc.items():
+                if k == "real_kills":
+                    continue
                 if k == "engine":
-                    assert rs[k] == "sharded:2"
+                    assert rs[k] == "processes:2"
                 elif k in _TIMING_FIELDS:
                     a, b = np.atleast_1d(v), np.atleast_1d(rs[k])
                     assert np.allclose(a, b, rtol=5e-3), (scenario.label, k, v, rs[k])

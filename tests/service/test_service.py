@@ -63,7 +63,7 @@ class TestJobSpec:
     def test_every_headline_field_changes_the_key(self):
         base = spec()
         variants = [spec(app="heat", kills=()), spec(nprocs=3),
-                    spec(seed=7), spec(engine="sharded:2"),
+                    spec(seed=7), spec(engine="processes:2"),
                     spec(storage="wal")]
         keys = {base.cache_key()} | {v.cache_key() for v in variants}
         assert len(keys) == 1 + len(variants)
@@ -111,12 +111,17 @@ class TestGoldenRunCache:
         assert canonical_result_bytes(rows) == \
             canonical_result_bytes(fresh)
 
-    def test_any_key_component_change_misses(self):
+    def test_any_key_component_change_misses(self, tmp_path):
+        from repro.storage.stable import DiskStorage
+
         variants = [spec(seed=1), spec(nprocs=3), spec(storage="wal"),
-                    spec(engine="sharded:2"), spec(interval_frac=0.4)]
+                    spec(engine="processes:2"), spec(interval_frac=0.4)]
 
         async def go():
-            async with CampaignService(workers=2) as svc:
+            # on disk: the processes variant's real kill needs stable
+            # storage that outlives the killed process
+            async with CampaignService(backend=DiskStorage(str(tmp_path)),
+                                       workers=2) as svc:
                 base = await svc.submit("alice", spec())
                 await base.result()
                 jobs = [await svc.submit("alice", v) for v in variants]

@@ -26,7 +26,6 @@ STUDY_ARGV = {
     "sizes": [],
     "overlap": [],
     "walstudy": [],
-    "shardstudy": ["--shards", "2"],
     "procstudy": [],
     "fuzz": ["--schedules", str(len(seed_schedules()))],
     "loadgen": ["--tenants", "4", "--jobs", "24", "--duplicate-frac", "0.25",
@@ -58,13 +57,6 @@ def _scaling_check(payload) -> str:
         return "**VIOLATED**: " + "; ".join(payload["violations"]) + "."
     return ("no violations; the paper's scalability claim reproduces at "
             "its original process counts.")
-
-
-def _shard_check(payload) -> str:
-    if payload["cells_match"]:
-        return ("verification verdicts exact everywhere, timings within the "
-                "drain-position tolerance classes of DESIGN.md §10.4.")
-    return "**DIVERGED**: " + "; ".join(payload["mismatches"][:5]) + "."
 
 
 def _proc_check(payload) -> str:
@@ -131,26 +123,10 @@ SECTIONS = (
                "at every rank count and the 256-rank overhead sits within "
                "the flatness tolerance of the small-rank trend — "
                + _scaling_check(p)),
-    ("shardstudy",
-     "Sharded engine — 4096 ranks and the engine-differential campaign",
-     "The sweep above tops out at 256 ranks because the cooperative "
-     "scheduler runs one fiber at a time.  The sharded backend "
-     "(`engine=\"sharded:N\"`, DESIGN.md §10) partitions the simulated "
-     "nodes across forked workers under a conservative lookahead "
-     "window; `python -m repro.harness.shardstudy` (CI job "
-     "`shard-scaling`, artifact `BENCH_shard.json`) measures one "
-     "4096-rank point and reruns the campaign matrix on both engines, "
-     "diffing every cell under the §10.4 determinism contract (the CI "
-     "job runs the full 480-cell matrix; the smoke slice is recorded "
-     "here):",
-     (),
-     lambda p: "**Shape check:** the 4096-rank overhead stays in the flat "
-               "band of the 16–256 sweep, and every campaign cell matches "
-               "the cooperative engine — " + _shard_check(p)),
     ("procstudy",
      "Processes backend — faults as real SIGKILLs, recovery from "
      "WAL-on-disk",
-     "Every engine above *simulates* fail-stop as a Python unwind.  "
+     "The cooperative engine *simulates* fail-stop as a Python unwind.  "
      "`engine=\"processes\"` (DESIGN.md §12) makes the paper's fault "
      "model literal: each simulated node is a real forked OS process "
      "and a due fault SIGKILLs it — whatever it had staged but not "
