@@ -88,7 +88,7 @@ from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..apps import APPS
-from ..mpi.backends import backend_for
+from ..mpi.engine import is_processes
 from ..mpi.timemodel import MACHINES
 from .jobs import (
     Study, StudyReport, Table, open_store, render_text, run_study,
@@ -209,8 +209,8 @@ KILL_TIMINGS: Dict[str, Tuple[Callable[[int], List[dict]],
 #: Storage choices whose scenarios run against the WAL engine.
 WAL_STORAGES = frozenset({"wal", "wal-disk"})
 
-#: Storage choices whose medium survives a killed OS process — what a
-#: ``supports_real_kill`` backend needs for fault-injected scenarios.
+#: Storage choices whose medium survives a killed OS process — what
+#: the processes engine needs for fault-injected scenarios.
 DISK_STORAGES = frozenset({"disk", "wal-disk"})
 
 
@@ -331,18 +331,16 @@ def real_kill_refusal(engine: Optional[str],
                       storage: Optional[str]) -> Optional[str]:
     """Why faults on ``engine`` over ``storage`` cannot run, or ``None``.
 
-    Decided from the backend's capability flags (one source of truth in
-    :mod:`repro.mpi.backends`), not from engine-name string checks: a
-    ``supports_real_kill`` backend physically destroys the victim OS
-    process, so injected faults need a storage flavor whose medium
-    survives it.  The campaign skips such a scenario with this reason;
-    the fuzz CLI refuses the flags with it.
+    Decided from the *resolved* engine (``None`` honours
+    ``REPRO_ENGINE``): the processes engine physically destroys the
+    victim OS process, so injected faults need a storage flavor whose
+    medium survives it.  The campaign skips such a scenario with this
+    reason; the fuzz CLI refuses the flags with it.
     """
-    impl = backend_for(engine)
-    if impl.supports_real_kill and storage not in DISK_STORAGES:
-        return (f"engine {impl.name!r} delivers faults as real SIGKILLs, "
-                f"so they need a disk-backed store that survives the "
-                f"killed process: add --storage "
+    if is_processes(engine) and storage not in DISK_STORAGES:
+        return ("engine 'processes' delivers faults as real SIGKILLs, "
+                "so they need a disk-backed store that survives the "
+                "killed process: add --storage "
                 f"{' or '.join(sorted(DISK_STORAGES))}")
     return None
 

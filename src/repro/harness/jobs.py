@@ -316,14 +316,14 @@ class Study:
 def _engine_spec(value: str) -> str:
     """argparse ``type=`` validator for ``--engine``.
 
-    Validates the spelling against the backend registry at parse time
-    (keeping the canonical registry error message), so every study CLI
+    Validates the spelling with :func:`~repro.mpi.engine.resolve_backend`
+    at parse time (keeping its error message), so every study CLI
     rejects an unknown engine the same way: usage + error on stderr,
     exit status 2.  The *original* spelling is returned — studies pass
-    it through :func:`~repro.mpi.backends.resolve_backend` themselves,
-    which also owns the ``REPRO_ENGINE`` fallback for the unset case.
+    it through ``resolve_backend`` themselves, which also owns the
+    ``REPRO_ENGINE`` fallback for the unset case.
     """
-    from ..mpi.backends import resolve_backend
+    from ..mpi.engine import resolve_backend
     try:
         resolve_backend(value)
     except ValueError as exc:
@@ -350,7 +350,7 @@ def parse_study_args(study: Study, argv: Optional[Sequence[str]] = None,
     selection or a refused flag combination; argparse itself exits 2
     on a malformed flag.
     """
-    from ..mpi.backends import engine_help
+    from ..mpi.engine import engine_help
 
     ap = argparse.ArgumentParser(prog=f"python -m repro.harness.{study.name}",
                                  description=study.description)

@@ -43,7 +43,7 @@ import tempfile
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..mpi.backends import backend_for
+from ..mpi.engine import is_processes
 from ..service import CampaignService, JobSpec, canonical_result_bytes
 from .jobs import Study, Table, study_main
 
@@ -164,14 +164,13 @@ def run_loadgen(tenants: int = 4, jobs: int = 120,
     tenant_names = [f"tenant{i:02d}" for i in range(max(1, tenants))]
     workers = workers if workers is not None else 4
 
-    # A real-kill engine physically destroys node processes, so the
+    # The processes engine physically destroys node processes, so the
     # tenants' shared medium must be real disk for fault-injected jobs
-    # to have stable bytes to recover from (capability flag, not an
-    # engine-name check); namespaces delegate shared_across_fork.
-    real_kill = (engine is not None
-                 and backend_for(engine).supports_real_kill)
-    disk_root = tempfile.mkdtemp(prefix="repro-loadgen-") if real_kill \
-        else None
+    # to have stable bytes to recover from; namespaces delegate
+    # shared_across_fork.  Decided from the resolved engine, so an
+    # unset --engine honours REPRO_ENGINE like every other layer.
+    disk_root = tempfile.mkdtemp(prefix="repro-loadgen-") \
+        if is_processes(engine) else None
 
     async def bench() -> Tuple[List[Dict], List[Dict], Dict]:
         from ..storage.stable import DiskStorage
@@ -212,7 +211,7 @@ def run_loadgen(tenants: int = 4, jobs: int = 120,
             "duplicate_frac": duplicate_frac,
             "queue_limit": queue_limit, "workers": workers,
             "seed": seed, "storage": storage, "engine": engine,
-            "service_backend": "disk" if real_kill else "memory",
+            "service_backend": "memory" if disk_root is None else "disk",
             "platform": platform, "p99_budget_s": p99_budget,
         },
         "submissions": submissions,

@@ -7,7 +7,10 @@ Public surface:
   at a time; scales to the paper's 256+ process counts); ``engine=``
   picks how many processes carry those loops — one (``cooperative``,
   the default) or one real OS process per node with real SIGKILL
-  faults (``processes[:N]``).
+  faults (``processes[:N]``, :mod:`~repro.mpi.processes`).
+* :func:`resolve_backend` — the one engine switch: accepted spellings,
+  the ``REPRO_ENGINE`` fallback, and the refusal of ``processes`` on a
+  platform without ``os.fork``.
 * :class:`MPI` — the per-rank facade handed to application ``main(mpi)``.
 * :mod:`~repro.mpi.timemodel` — virtual-time machine models (Lemieux,
   Velocity 2, CMI, the Table-1 uniprocessors, and a testing model).

@@ -11,37 +11,32 @@ the machine under test in Section 6 — it provides the fail-stop fault
 model of footnote 1 (a killed rank simply stops; peers observe the
 failure and unwind), the per-process clocks whose maximum is the
 runtimes reported in Tables 2-7, and the process counts of the
-evaluation (the cooperative backend runs the paper's true 32-1024-rank
+evaluation (the cooperative engine runs the paper's true 32-1024-rank
 configurations; see :mod:`repro.harness.platforms`).
 
-Execution backends share all of the above.  ``engine=`` selects one by
-name from the pluggable registry in :mod:`repro.mpi.backends` (the
-``REPRO_ENGINE`` environment variable overrides the default); the
-engine itself no longer knows the launch paths — each backend class
-owns its own:
+Two engines share all of the above; ``engine=`` picks one by name
+(:func:`resolve_backend`; the ``REPRO_ENGINE`` environment variable
+overrides the default) and :meth:`Engine.run` switches on it directly:
 
 * ``"cooperative"`` (default) — rank mains run as fibers under the
   deterministic cooperative scheduler (:mod:`repro.mpi.scheduler`):
   exactly one rank executes at a time, blocking MPI operations yield to
   a single run loop, wakeups are exact, deadlock is detected the moment
-  every live rank blocks, and runs are bit-reproducible.  This backend
+  every live rank blocks, and runs are bit-reproducible.  This engine
   scales to the paper's process counts (256+ ranks).
 * ``"processes"`` / ``"processes:N"`` — the simulated nodes are
   partitioned across N forked OS processes, each running a cooperative
-  scheduler over its own ranks; virtual time is synchronized with a
-  conservative lookahead window over the machine's link latencies
-  (:mod:`repro.mpi.sharded`, DESIGN.md §12).  Fault specs are delivered
-  as actual SIGKILLs to the victim's node process, and recovery
-  restarts from shared stable storage that survived the crash
-  (:mod:`repro.mpi.processes`); kill evidence (waitpid-confirmed
-  termination signals) lands in :attr:`JobResult.real_kills`.  Clean
-  runs reproduce the cooperative backend's :class:`JobResult` bitwise
-  on schedule-independent kernels (the differential battery in
+  scheduler over its own ranks, with cross-process delivery gated by a
+  conservative lookahead bound (:mod:`repro.mpi.processes`, DESIGN.md
+  §12).  Fault specs are delivered as actual SIGKILLs to the victim's
+  node process, and recovery restarts from shared stable storage that
+  survived the crash; kill evidence (waitpid-confirmed termination
+  signals) lands in :attr:`JobResult.real_kills`.  Clean runs reproduce
+  the cooperative engine's :class:`JobResult` bitwise on
+  schedule-independent kernels (the differential battery in
   ``tests/mpi/test_sharded.py`` pins the exact cross-engine contract).
-  ``"sharded[:N]"`` is an accepted spelling of it.
-
-Both backends run ranks on the cooperative scheduler; they differ only
-in how many processes carry those loops.
+  ``"sharded[:N]"`` is an accepted spelling of it.  A platform without
+  ``os.fork`` refuses it at resolution.
 
 Failure semantics: a triggered :class:`ProcessFailure` kills its rank,
 sets the job-wide abort flag, and every other rank unwinds with
@@ -64,19 +59,73 @@ from __future__ import annotations
 
 import heapq
 import math
+import os
 import threading
 import time as _time
 import traceback
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from .backends import BACKENDS, backend_for, resolve_backend, \
-    warn_unavailable  # noqa: F401  (resolve_backend re-exported here)
 from .errors import DeadlockError, JobAborted, ProcessFailure
 from .faults import FaultPlan, FaultSpec
 from .matching import Mailbox
 from .scheduler import CooperativeScheduler
 from .timemodel import MachineModel, RankClock, TESTING
+
+
+#: every accepted ``engine=`` spelling -> its engine
+_SPELLINGS: Dict[str, str] = {
+    "cooperative": "cooperative", "coop": "cooperative",
+    "processes": "processes", "process": "processes", "procs": "processes",
+    # the perf benchmark's shard-256 workload names "sharded:4"
+    "sharded": "processes",
+}
+
+
+def resolve_backend(name: Optional[str]) -> str:
+    """Canonical engine spec: explicit arg > ``REPRO_ENGINE`` > default.
+
+    ``processes`` accepts a worker-count suffix — ``"processes:2"``
+    packs the simulated nodes into 2 OS processes (always clamped to
+    the simulated node count).  It needs ``os.fork``; a platform
+    without it refuses the engine here rather than run its faults as
+    simulated unwinds.
+    """
+    if name is None:
+        name = os.environ.get("REPRO_ENGINE") or "cooperative"
+    text = str(name).lower()
+    base, sep, count = text.partition(":")
+    engine = _SPELLINGS.get(base)
+    if engine is None:
+        raise ValueError(
+            f"unknown engine backend {name!r}; "
+            f"known: {sorted(_SPELLINGS)}")
+    if engine == "processes" and not hasattr(os, "fork"):
+        raise ValueError(
+            f"engine backend {name!r} forks one OS process per node, "
+            "but os.fork is not available on this platform")
+    if sep:
+        if engine == "cooperative":
+            raise ValueError(
+                f"engine backend {base!r} takes no ':N' suffix ({name!r})")
+        if not count.isdigit() or int(count) < 1:
+            raise ValueError(f"bad worker count in engine spec {name!r}")
+        return f"{engine}:{int(count)}"
+    return engine
+
+
+def is_processes(name: Optional[str]) -> bool:
+    """Does ``name`` (``None``: ``REPRO_ENGINE`` or the default) resolve
+    to the processes engine, whose faults are real SIGKILLs?"""
+    return resolve_backend(name).partition(":")[0] == "processes"
+
+
+def engine_help(default: str = "the cooperative scheduler") -> str:
+    """The shared ``--engine`` help text of the study CLIs."""
+    return ("execution backend: cooperative (deterministic fiber "
+            "scheduler, the oracle), processes[:N] (one OS process per "
+            "node, faults delivered as real SIGKILLs) "
+            f"(default: {default}, or REPRO_ENGINE)")
 
 
 class VirtualTimeFaultScheduler:
@@ -223,8 +272,8 @@ class RankContext:
 
     def raise_due_fault(self) -> None:
         """Deliver the pending scheduled fault, if any (on this rank's
-        thread).  Delivery goes through :meth:`FaultPlan.deliver` so a
-        real-kill backend's hook can turn it into an actual SIGKILL."""
+        thread).  Delivery goes through :meth:`FaultPlan.deliver` so the
+        processes engine's kill hook can turn it into an actual SIGKILL."""
         spec = self._due_fault
         if spec is None:
             return
@@ -246,7 +295,7 @@ class JobResult:
     sent_counts: List[int] = field(default_factory=list)
     sent_bytes: List[int] = field(default_factory=list)
     wall_seconds: float = 0.0
-    #: real-kill evidence from backends with ``supports_real_kill``:
+    #: real-kill evidence from the processes engine:
     #: one record per SIGKILLed node process, with the waitpid-confirmed
     #: termination signal (``{"rank", "pid", "termsig", "sigkill", ...}``)
     real_kills: List[Dict[str, Any]] = field(default_factory=list)
@@ -300,7 +349,7 @@ class Engine:
         self.fault_scheduler: Optional[VirtualTimeFaultScheduler] = None
         #: the cooperative scheduler while a cooperative run is live
         self.scheduler: Optional[CooperativeScheduler] = None
-        #: real-kill evidence appended by real-kill backends (parent side)
+        #: real-kill evidence appended by the processes engine (parent side)
         self.real_kills: List[Dict[str, Any]] = []
         #: the current run's ``args`` tuple; shard workers substitute
         #: recording store wrappers here, so rank bodies must read the
@@ -404,20 +453,14 @@ class Engine:
                 errors.append((rank, traceback.format_exc()))
                 self.abort(None)
 
-        impl = backend_for(self.backend)
-        reason = impl.available()
-        if reason is not None:
-            # A registered-but-unavailable backend degrades to the
-            # cooperative oracle with a clear message, instead of
-            # failing the job on environment grounds.
-            warn_unavailable(impl, reason)
-            impl = BACKENDS["cooperative"]
-            self.backend = impl.name
-        self._rendezvous = {} if self._closed_form_eligible(impl, main) \
-            else None
+        self._rendezvous = {} if self._closed_form_eligible(main) else None
 
         t0 = _time.monotonic()
-        impl.launch(self, worker, timeout, errors, returns)
+        if self.backend == "cooperative":
+            self._run_cooperative(worker, errors)
+        else:
+            from .processes import run_processes  # local import, no cycle
+            run_processes(self, worker, timeout, errors, returns)
         wall = _time.monotonic() - t0
 
         return JobResult(
@@ -432,7 +475,7 @@ class Engine:
             real_kills=list(self.real_kills),
         )
 
-    def _closed_form_eligible(self, impl, main: Callable) -> bool:
+    def _closed_form_eligible(self, main: Callable) -> bool:
         """May this launch evaluate collectives in closed form?
 
         A closed-form collective reorders fibers (every rank parks once,
@@ -446,7 +489,7 @@ class Engine:
         Decided once per launch, so every rank uses the same driver
         (DESIGN.md §2.5).
         """
-        if impl.name != "cooperative" or self.fault_plan.unfired():
+        if self.backend != "cooperative" or self.fault_plan.unfired():
             return False
         declares = getattr(main, "_exchanges_control", None)
         return declares is None or not declares(*self._job_args)
@@ -472,11 +515,10 @@ def run_job(nprocs: int, main: Callable, args: Tuple = (),
             engine: Optional[str] = None) -> JobResult:
     """Convenience wrapper: build an :class:`Engine` and run one job.
 
-    ``engine`` selects the execution backend by registry name
-    (:mod:`repro.mpi.backends`): ``"cooperative"`` (the default —
-    deterministic rank fibers, scales to paper process counts) or
-    ``"processes[:N]"``.  ``None`` defers to the ``REPRO_ENGINE``
-    environment variable, then the default.
+    ``engine`` selects the engine (:func:`resolve_backend`):
+    ``"cooperative"`` (the default — deterministic rank fibers, scales
+    to paper process counts) or ``"processes[:N]"``.  ``None`` defers to
+    the ``REPRO_ENGINE`` environment variable, then the default.
     """
     eng = Engine(nprocs, machine=machine, fault_plan=fault_plan, seed=seed,
                  wall_timeout=wall_timeout, engine=engine)

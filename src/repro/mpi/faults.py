@@ -159,9 +159,9 @@ class FaultPlan:
     """A set of fault specs plus the seeded RNG for probabilistic faults."""
 
     #: real-kill delivery hook (class default None = simulated faults).
-    #: A backend with ``supports_real_kill`` sets this on its forked
-    #: child's plan copy to a ``hook(spec, rank, now)`` that SIGKILLs
-    #: the process at the fire site — no Python unwind happens at all.
+    #: The processes engine sets this on its forked child's plan copy
+    #: to a ``hook(spec, rank, now)`` that SIGKILLs the process at the
+    #: fire site — no Python unwind happens at all.
     _kill_hook = None
 
     def __init__(self, specs: Optional[List[FaultSpec]] = None, seed: int = 0):

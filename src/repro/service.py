@@ -120,9 +120,9 @@ class JobSpec:
         if self.kind not in JOB_KINDS:
             raise ValueError(f"unknown job kind {self.kind!r}")
         if self.engine is not None:
-            # the registry's canonical error, at construction time —
-            # a bad spelling never reaches the queue (same message the
-            # study CLIs print, source: repro.mpi.backends)
+            # resolve_backend's error, at construction time — a bad
+            # spelling never reaches the queue (same message the study
+            # CLIs print)
             resolve_backend(self.engine)
         if self.nprocs < 1:
             raise ValueError("nprocs must be >= 1")

@@ -1,41 +1,33 @@
-"""The execution-backend registry: one source of truth for engines.
+"""The engine switch: one spelling table, two engines.
 
-DESIGN.md §12: ``repro.mpi.backends`` owns the backend vocabulary —
-spellings, capability flags, availability probes — and every other
-layer (``Engine.run`` dispatch, the study CLIs' ``--engine``,
-``service.JobSpec`` validation) derives from it.  These tests pin the
-registry contents, the resolution semantics the old inline table
-provided (so existing spellings keep working), the capability flags the
-studies consult, that the deleted ``threads`` backend is refused with
-the registry's own message everywhere, and the degrade-with-a-reason
-path for a registered but unavailable backend.
+DESIGN.md §12.1: :func:`repro.mpi.engine.resolve_backend` owns the
+engine vocabulary, and every other layer (``Engine.run``, the study
+CLIs' ``--engine``, ``service.JobSpec`` validation, the campaign's
+real-kill refusal) asks it.  These tests pin the spellings and their
+``:N`` suffix, the error texts, the ``REPRO_ENGINE`` fallback, that the
+deleted ``threads`` engine is refused with the same message everywhere,
+and that a platform without ``os.fork`` refuses ``processes`` instead of
+silently running simulated faults.
 """
 
+import os
 import threading
 
 import pytest
 
+from repro.harness.campaign import real_kill_refusal
 from repro.mpi import run_job
-from repro.mpi.backends import (
-    BACKENDS, ExecutionBackend, backend_for, engine_choices, engine_help,
-    resolve_backend, split_spec,
-)
-from repro.mpi.processes import ProcessesBackend
+from repro.mpi.engine import _SPELLINGS, engine_help, resolve_backend
 
 
 # ---------------------------------------------------------------------------
-# Registry contents and resolution
+# Spellings and resolution
 # ---------------------------------------------------------------------------
 
 class TestRegistry:
     def test_two_backends_registered(self):
-        assert engine_choices() == ["cooperative", "processes"]
-
-    def test_every_backend_is_self_consistent(self):
-        for name, b in BACKENDS.items():
-            assert b.name == name
-            assert isinstance(b, ExecutionBackend)
-            assert b.summary  # folded into the shared --engine help
+        # every accepted spelling names one of exactly two engines
+        assert set(_SPELLINGS.values()) == {"cooperative", "processes"}
 
     def test_aliases_resolve_to_canonical(self):
         assert resolve_backend("coop") == "cooperative"
@@ -46,18 +38,22 @@ class TestRegistry:
     def test_count_suffix_only_for_count_backends(self):
         assert resolve_backend("processes:2") == "processes:2"
         assert resolve_backend("procs:8") == "processes:8"
-        with pytest.raises(ValueError, match="takes no ':N' suffix"):
+        assert resolve_backend("processes:08") == "processes:8"
+        with pytest.raises(ValueError,
+                           match=r"engine backend 'coop' takes no ':N' "
+                                 r"suffix \('coop:2'\)"):
             resolve_backend("coop:2")
-        with pytest.raises(ValueError, match="bad worker count"):
+        with pytest.raises(ValueError,
+                           match="bad worker count in engine spec "
+                                 "'processes:zero'"):
             resolve_backend("processes:zero")
 
     def test_unknown_engine_message_names_known_backends(self):
         with pytest.raises(ValueError) as ei:
             resolve_backend("mpi4py")
-        msg = str(ei.value)
-        assert "unknown engine backend 'mpi4py'" in msg
-        for name in engine_choices():
-            assert name in msg
+        assert str(ei.value) == (
+            "unknown engine backend 'mpi4py'; known: ['coop', "
+            "'cooperative', 'process', 'processes', 'procs', 'sharded']")
 
     def test_repro_engine_env_fallback(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", "procs:3")
@@ -65,44 +61,44 @@ class TestRegistry:
         monkeypatch.delenv("REPRO_ENGINE")
         assert resolve_backend(None) == "cooperative"
 
-    def test_split_spec_and_backend_for(self):
-        assert split_spec("processes:4") == ("processes", 4)
-        assert split_spec("coop") == ("cooperative", None)
-        assert backend_for("procs:2") is BACKENDS["processes"]
-        assert backend_for(None) is BACKENDS["cooperative"]
-
-    def test_engine_help_derives_from_registry(self):
+    def test_engine_help_names_both_engines(self):
         text = engine_help()
-        for name in engine_choices():
-            assert name in text
-        assert "processes[:N]" in text
+        assert "cooperative (" in text
+        assert "processes[:N] (" in text
+        assert text.endswith("(default: the cooperative scheduler, "
+                             "or REPRO_ENGINE)")
 
 
 class TestCapabilityFlags:
     def test_oracle_is_simulated(self):
-        coop = BACKENDS["cooperative"]
-        assert not coop.supports_real_kill
-        assert not coop.takes_count
+        # the oracle's faults are unwinds: any store can recover them
+        assert real_kill_refusal("cooperative", None) is None
+        assert real_kill_refusal("coop", "wal") is None
 
     def test_sharded_flags(self):
-        # "sharded" is a spelling of the processes engine, not a backend
-        # of its own: it takes a count and its faults are real kills
-        assert "sharded" not in BACKENDS
-        sharded = backend_for("sharded:4")
-        assert sharded is BACKENDS["processes"]
-        assert sharded.takes_count
-        assert sharded.supports_real_kill
+        # "sharded" is a spelling of the processes engine (the perf
+        # benchmark's shard-256 workload names "sharded:4")
+        assert resolve_backend("sharded:4") == "processes:4"
+        assert resolve_backend("sharded") == "processes"
+        assert real_kill_refusal("sharded:4", "wal") \
+            == real_kill_refusal("processes", "wal")
 
     def test_processes_flags(self):
-        procs = BACKENDS["processes"]
-        assert procs.supports_real_kill
-        assert procs.takes_count
+        refusal = real_kill_refusal("processes:2", "wal")
+        assert refusal.startswith("engine 'processes' delivers faults as "
+                                  "real SIGKILLs")
+        assert refusal.endswith("add --storage disk or wal-disk")
+        assert real_kill_refusal("processes:2", "wal-disk") is None
+
+    def test_refusal_honours_repro_engine(self, monkeypatch):
+        monkeypatch.setenv("REPRO_ENGINE", "processes")
+        assert real_kill_refusal(None, "wal") is not None
+        assert real_kill_refusal("cooperative", "wal") is None
 
 
 # ---------------------------------------------------------------------------
-# The deleted threads backend: refused with the registry's message (the
-# study CLIs' exit 2 is pinned with the other CLI checks in
-# test_processes.py)
+# The deleted threads backend: refused with the same message (the study
+# CLIs' exit 2 is pinned with the other CLI checks in test_processes.py)
 # ---------------------------------------------------------------------------
 
 _UNKNOWN_THREADS = "unknown engine backend 'threads'"
@@ -144,23 +140,22 @@ class TestWatchdogOwnership:
 
 
 # ---------------------------------------------------------------------------
-# Registered-but-unavailable: degrade with a clear reason
+# No fork: refuse processes, never degrade to simulated faults
 # ---------------------------------------------------------------------------
 
 class TestUnavailableDegrade:
-    def test_unavailable_backend_warns_and_completes(self, monkeypatch):
-        monkeypatch.setattr(
-            ProcessesBackend, "available",
-            lambda self: "no fork on this platform (test)")
-        with pytest.warns(RuntimeWarning,
-                          match="'processes' is unavailable here "
-                                r"\(no fork on this platform \(test\)\)"):
-            result = run_job(2, lambda mpi: mpi.rank, engine="processes",
-                             wall_timeout=30)
-        result.raise_errors()
-        # degraded to the oracle: correct results, no real kills
-        assert result.returns == [0, 1]
-        assert result.real_kills == []
+    @pytest.mark.parametrize("spelling", ["processes", "procs:2",
+                                          "sharded:4"])
+    def test_no_fork_refuses_processes(self, monkeypatch, spelling):
+        monkeypatch.delattr(os, "fork")
+        with pytest.raises(ValueError,
+                           match="os.fork is not available on this "
+                                 "platform"):
+            resolve_backend(spelling)
+        with pytest.raises(ValueError, match="os.fork is not available"):
+            run_job(2, lambda mpi: mpi.rank, engine=spelling)
+        # the oracle needs no fork
+        assert resolve_backend("cooperative") == "cooperative"
 
     def test_available_backend_does_not_warn(self, recwarn):
         result = run_job(2, lambda mpi: mpi.rank, engine="processes",

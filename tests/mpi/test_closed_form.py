@@ -414,7 +414,7 @@ def test_allreduce_is_one_rendezvous_with_two_tags(evaluations):
 
 
 def test_sharded_runs_the_p2p_driver(evaluations):
-    """The forked transport (``mpi/sharded.py``) runs the p2p driver."""
+    """The forked transport (``mpi/processes.py``) runs the p2p driver."""
     coop = run_job(4, _battery, machine=LEMIEUX)
     shard = run_job(4, _battery, machine=LEMIEUX, engine="processes:2")
     assert evaluations

@@ -1,9 +1,8 @@
 """The multi-process transport: differential battery against the oracle.
 
 Every test here runs the same seeded job under ``engine="cooperative"``
-and ``engine="processes:N"`` (whose transport is
-:mod:`repro.mpi.sharded`) and compares results.  The contract (see
-DESIGN.md §12):
+and ``engine="processes:N"`` (:mod:`repro.mpi.processes`) and compares
+results.  The contract (see DESIGN.md §12):
 
 * schedule-independent kernels — including wildcard- and
   collective-heavy ones — produce **bitwise-identical** ``JobResult``s:
@@ -11,10 +10,10 @@ DESIGN.md §12):
 * C3 kill + restart sequences over disk produce bitwise-identical
   recovered results and restart counts;
 * fault runs pin the victim's failure record (rank and reason exactly;
-  an ``at_time`` victim is killed at the spec's own time by the
-  coordinator, or at its next check point if it crosses the time
-  itself first, so only the record's identity is compared across
-  engines);
+  the coordinator kills an ``at_time`` victim at the spec's own time,
+  which the lookahead bound makes deterministic, while the cooperative
+  victim fires at its next check point, so only the record's identity
+  is compared across engines);
 * cross-shard deadlocks are detected instantly and report the same
   blocked-rank set as the cooperative engine;
 * one process (``processes:1``) still forks and still matches the
@@ -28,7 +27,7 @@ from repro.core import C3Config, run_c3, run_original
 from repro.core.ccc import run_fault_tolerant
 from repro.mpi import FaultPlan, FaultSpec, SUM, run_job
 from repro.mpi.engine import resolve_backend
-from repro.mpi.sharded import plan_shards
+from repro.mpi.processes import plan_shards
 from repro.mpi.timemodel import LEMIEUX
 from repro.storage import DiskStorage, InMemoryStorage
 
@@ -213,15 +212,20 @@ class TestFaultDifferential:
         assert coop.failure is not None and shard.failure is not None
         assert shard.failure.rank == coop.failure.rank == 2
         assert shard.failure.reason == coop.failure.reason
-        # the cooperative victim observes the fault at its next check
-        # point after *any* clock crossed at_time; the coordinator
-        # SIGKILLs a victim at the spec's own time — the instants differ
-        # across engines, but each is deterministic within its engine:
-        again = run_job(4, _ring_kernel, engine="processes:2",
-                        fault_plan=plan(), wall_timeout=60)
-        assert (again.failure.rank, again.failure.time, again.failure.reason) \
-            == (shard.failure.rank, shard.failure.time, shard.failure.reason)
         assert shard.returns[2] is None
+        # The cooperative victim observes the fault at its next check
+        # point after *any* clock crossed at_time; the coordinator
+        # SIGKILLs the victim at the spec's own time.  That the strike
+        # wins, every time, is what the lookahead delivery bound buys:
+        # it keeps the shards in virtual-time lockstep, so the victim's
+        # shard never runs far enough ahead to cross 5e-4 and fire the
+        # fault itself (without the bound it records ~6.01e-4 in most
+        # runs).
+        for _ in range(10):
+            again = run_job(4, _ring_kernel, engine="processes:2",
+                            fault_plan=plan(), wall_timeout=60)
+            assert (again.failure.rank, again.failure.time,
+                    again.failure.reason) == (2, 5e-4, coop.failure.reason)
 
     def test_op_count_kill_bitwise_victim(self):
         # after_ops faults fire inside the victim's own call stream: no

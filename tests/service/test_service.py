@@ -276,6 +276,18 @@ class TestLoadgen:
         assert report["cache"]["duplicate_misses"] == 0
         assert report["cache"]["duplicate_mismatches"] == 0
 
+    def test_repro_engine_processes_gets_a_disk_medium(self, monkeypatch):
+        # REPRO_ENGINE=processes with no explicit engine must pick the
+        # real-disk medium a SIGKILLed node's store survives on, exactly
+        # as engine="processes" does; an in-memory medium has every
+        # fault-injected job refused by the processes engine.
+        from repro.harness.loadgen import run_loadgen
+        monkeypatch.setenv("REPRO_ENGINE", "processes")
+        report = run_loadgen(tenants=2, jobs=6, workers=2, seed=0)
+        assert report["config"]["service_backend"] == "disk"
+        assert report["verify_failures"] == []
+        assert report["ok"], report["gates"]
+
     def test_percentile_nearest_rank(self):
         from repro.harness.loadgen import percentile
         vals = [1.0, 2.0, 3.0, 4.0]
