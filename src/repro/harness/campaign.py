@@ -88,7 +88,6 @@ from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..apps import APPS
-from ..mpi.engine import is_processes
 from ..mpi.timemodel import MACHINES
 from .jobs import (
     Study, StudyReport, Table, open_store, render_text, run_study,
@@ -209,10 +208,6 @@ KILL_TIMINGS: Dict[str, Tuple[Callable[[int], List[dict]],
 #: Storage choices whose scenarios run against the WAL engine.
 WAL_STORAGES = frozenset({"wal", "wal-disk"})
 
-#: Storage choices whose medium survives a killed OS process — what
-#: the processes engine needs for fault-injected scenarios.
-DISK_STORAGES = frozenset({"disk", "wal-disk"})
-
 
 def inapplicable(kills: Kills, app: str, storage: str) -> Optional[str]:
     """Why ``kills`` can never fire on ``app`` over ``storage``, or None."""
@@ -327,43 +322,8 @@ def full_matrix(nprocs: int = 4) -> List[Scenario]:
 # Execution and reporting
 # ---------------------------------------------------------------------------
 
-def real_kill_refusal(engine: Optional[str],
-                      storage: Optional[str]) -> Optional[str]:
-    """Why faults on ``engine`` over ``storage`` cannot run, or ``None``.
-
-    Decided from the *resolved* engine (``None`` honours
-    ``REPRO_ENGINE``): the processes engine physically destroys the
-    victim OS process, so injected faults need a storage flavor whose
-    medium survives it.  The campaign skips such a scenario with this
-    reason; the fuzz CLI refuses the flags with it.
-    """
-    if is_processes(engine) and storage not in DISK_STORAGES:
-        return ("engine 'processes' delivers faults as real SIGKILLs, "
-                "so they need a disk-backed store that survives the "
-                "killed process: add --storage "
-                f"{' or '.join(sorted(DISK_STORAGES))}")
-    return None
-
-
-def skip_reason(scenario: Scenario) -> Optional[str]:
-    """Why this backend cannot run the scenario honestly, or ``None``.
-
-    A fault-injected scenario the backend cannot recover honestly
-    (:func:`real_kill_refusal`) is recorded as skipped-with-reason
-    rather than run dishonestly.
-    """
-    if not scenario.kills:
-        return None
-    return real_kill_refusal(scenario.engine, scenario.storage)
-
-
 def _judge(scenario: Scenario, record: Dict) -> Dict:
     """Fold a measurement record into a campaign row with a verdict."""
-    if record.get("skipped"):
-        # capability skip: a row with the reason, counted apart from
-        # passes in the summary, never a silent hole in the matrix
-        return {"scenario": scenario.label, "kill_timing": scenario.kill,
-                "passed": True, "failure": None, **record}
     failure = None
     if record.get("error"):
         failure = record["error"]
@@ -409,10 +369,6 @@ def _measure_scenario(scenario: Scenario) -> Dict:
     restart — runs against the log-structured engine.
     """
     s = scenario
-    reason = skip_reason(s)
-    if reason is not None:
-        return {"app": s.app, "nprocs": s.nprocs, "platform": s.platform,
-                "kills": list(s.kills), "skipped": reason}
     try:
         with open_store(s.storage, prefix="repro-campaign-") as factory:
             return measure_recovery(

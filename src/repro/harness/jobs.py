@@ -139,8 +139,6 @@ class Table:
 
 def verdict(row: Dict) -> str:
     """The gate column shared by every judged table."""
-    if row.get("skipped"):
-        return "SKIP"
     return "PASS" if row["passed"] else "FAIL"
 
 
@@ -208,9 +206,7 @@ class StudyReport:
         rows = self.rows
         out = {
             "scenarios": len(rows),
-            "passed": sum(r["passed"] and not r.get("skipped")
-                          for r in rows),
-            "skipped": sum(bool(r.get("skipped")) for r in rows),
+            "passed": sum(r["passed"] for r in rows),
             "failed": [r["scenario"] for r in self.failures],
             "total_restarts": sum(r.get("restarts", 0) for r in rows),
             "wall_seconds": self.wall_seconds,

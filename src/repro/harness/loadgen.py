@@ -38,12 +38,9 @@ import argparse
 import asyncio
 import math
 import random
-import shutil
-import tempfile
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..mpi.engine import is_processes
 from ..service import CampaignService, JobSpec, canonical_result_bytes
 from .jobs import Study, Table, study_main
 
@@ -164,19 +161,8 @@ def run_loadgen(tenants: int = 4, jobs: int = 120,
     tenant_names = [f"tenant{i:02d}" for i in range(max(1, tenants))]
     workers = workers if workers is not None else 4
 
-    # The processes engine physically destroys node processes, so the
-    # tenants' shared medium must be real disk for fault-injected jobs
-    # to have stable bytes to recover from; namespaces delegate
-    # shared_across_fork.  Decided from the resolved engine, so an
-    # unset --engine honours REPRO_ENGINE like every other layer.
-    disk_root = tempfile.mkdtemp(prefix="repro-loadgen-") \
-        if is_processes(engine) else None
-
     async def bench() -> Tuple[List[Dict], List[Dict], Dict]:
-        from ..storage.stable import DiskStorage
-        shared = DiskStorage(disk_root) if disk_root is not None else None
-        async with CampaignService(backend=shared,
-                                   queue_limit=queue_limit,
+        async with CampaignService(queue_limit=queue_limit,
                                    workers=workers,
                                    default_engine=engine) as svc:
             first, second = await drive(svc, tenant_names, specs,
@@ -184,11 +170,7 @@ def run_loadgen(tenants: int = 4, jobs: int = 120,
             return first, second, svc.stats()
 
     t0 = time.monotonic()
-    try:
-        first, second, stats = asyncio.run(bench())
-    finally:
-        if disk_root is not None:
-            shutil.rmtree(disk_root, ignore_errors=True)
+    first, second, stats = asyncio.run(bench())
     wall = time.monotonic() - t0
 
     everything = first + second
@@ -211,7 +193,6 @@ def run_loadgen(tenants: int = 4, jobs: int = 120,
             "duplicate_frac": duplicate_frac,
             "queue_limit": queue_limit, "workers": workers,
             "seed": seed, "storage": storage, "engine": engine,
-            "service_backend": "memory" if disk_root is None else "disk",
             "platform": platform, "p99_budget_s": p99_budget,
         },
         "submissions": submissions,

@@ -56,13 +56,12 @@ def gate_real_kills(rows: Sequence[Dict]) -> List[str]:
     """The real-kill gate: failures for cells whose faults never
     physically took a process.
 
-    Skipped-with-reason rows are exempt (they ran nothing); every other
-    fault-injected row must carry waitpid-confirmed SIGKILL evidence
-    and at least one restart from stable storage.
+    Every fault-injected row must carry waitpid-confirmed SIGKILL
+    evidence and at least one restart from stable storage.
     """
     bad = []
     for r in rows:
-        if r.get("skipped") or not r.get("kills"):
+        if not r.get("kills"):
             continue
         if not r.get("real_kills"):
             bad.append(f"{r['scenario']}: no waitpid-confirmed SIGKILL "

@@ -63,7 +63,8 @@ from ..statesave.serializer import dumps
 from ..storage.stable import InMemoryStorage
 from ..storage.wal import WalStore
 from .jobs import (
-    Study, Table, null_row, render_text, run_study, study_main, verdict,
+    Study, Table, null_row, open_store, render_text, run_study, study_main,
+    verdict,
 )
 from .parallel import Cell
 from .platforms import TABLE1_PLATFORMS
@@ -144,19 +145,6 @@ def measure_kernel_sizes(app_name: str, nprocs: int = 4,
     params = dict(params if params is not None
                   else SIZES_PARAMS.get(app_name, {}))
     app = APPS[app_name]
-    backend_root = None
-    if storage in ("disk", "wal-disk"):
-        import tempfile
-
-        backend_root = tempfile.mkdtemp(prefix="repro-sizes-")
-
-    def backend(tag: str):
-        if backend_root is None:
-            return InMemoryStorage()
-        from ..storage.stable import DiskStorage
-
-        return DiskStorage(f"{backend_root}/{tag}")
-
     # 1. original-mode accounting run (golden time anchors the interval)
     probe = _accounting_probe(app, params, churn_blocks)
     base = run_original(probe, nprocs, machine=machine,
@@ -170,36 +158,40 @@ def measure_kernel_sizes(app_name: str, nprocs: int = 4,
     def c3_app(ctx):
         return app(ctx, **params)
 
-    # 2. real protocol run through the production WAL engine: what the
-    #    last recovery line wrote per process, plus what the log-structured
-    #    store physically retains after segment GC (record framing +
-    #    not-yet-compacted garbage included)
-    config = C3Config(checkpoint_interval=base.virtual_time * interval_frac)
-    wal_store = WalStore(backend("wal"))
-    full_run, full_stats = run_c3(c3_app, nprocs, machine=machine,
-                                  storage=wal_store, config=config,
-                                  wall_timeout=wall_timeout, engine=engine)
-    full_run.raise_errors()
-    fst = [s for s in full_stats if s is not None]
-    committed = min((s.checkpoints_committed for s in fst), default=0)
-    # last_committed_bytes: what actually reached stable storage — a line
-    # that was started but never committed must not be reported (or gated)
-    c3_committed = max((s.last_committed_bytes for s in fst), default=0)
-    wal_retained = wal_store.storage_bytes() // nprocs
+    # the disk flavors root both runs' backends in one tmpdir, removed
+    # however the runs end
+    with open_store("disk" if storage in ("disk", "wal-disk") else None,
+                    prefix="repro-sizes-") as disk:
+        fresh = disk or InMemoryStorage
+        # 2. real protocol run through the production WAL engine: what
+        #    the last recovery line wrote per process, plus what the
+        #    log-structured store physically retains after segment GC
+        #    (record framing + not-yet-compacted garbage included)
+        config = C3Config(
+            checkpoint_interval=base.virtual_time * interval_frac)
+        wal_store = WalStore(fresh())
+        full_run, full_stats = run_c3(
+            c3_app, nprocs, machine=machine, storage=wal_store,
+            config=config, wall_timeout=wall_timeout, engine=engine)
+        full_run.raise_errors()
+        fst = [s for s in full_stats if s is not None]
+        committed = min((s.checkpoints_committed for s in fst), default=0)
+        # last_committed_bytes: what actually reached stable storage — a
+        # line that was started but never committed must not be reported
+        # (or gated)
+        c3_committed = max((s.last_committed_bytes for s in fst),
+                           default=0)
+        wal_retained = wal_store.storage_bytes() // nprocs
 
-    # 3. the same run with incremental checkpointing: the last save is a
-    #    dirty-page delta against the previous line
-    inc_config = C3Config(checkpoint_interval=base.virtual_time
-                          * interval_frac,
-                          incremental=True, incremental_full_interval=64)
-    inc_run, inc_stats = run_c3(c3_app, nprocs, machine=machine,
-                                storage=backend("inc"), config=inc_config,
-                                wall_timeout=wall_timeout, engine=engine)
-    inc_run.raise_errors()
-    if backend_root is not None:
-        import shutil
-
-        shutil.rmtree(backend_root, ignore_errors=True)
+        # 3. the same run with incremental checkpointing: the last save
+        #    is a dirty-page delta against the previous line
+        inc_config = C3Config(checkpoint_interval=base.virtual_time
+                              * interval_frac,
+                              incremental=True, incremental_full_interval=64)
+        inc_run, inc_stats = run_c3(
+            c3_app, nprocs, machine=machine, storage=fresh(),
+            config=inc_config, wall_timeout=wall_timeout, engine=engine)
+        inc_run.raise_errors()
     ist = [s for s in inc_stats if s is not None]
     inc_committed = min((s.checkpoints_committed for s in ist), default=0)
     inc_delta = max((s.last_committed_bytes for s in ist), default=0)

@@ -45,6 +45,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..core.ccc import run_c3, run_original
 from ..core.protocol import C3Config
+from ..mpi.engine import is_processes
 from ..mpi.timemodel import MACHINES
 from ..storage.manifest import section_digest
 from ..storage.stable import DiskStorage, InMemoryStorage
@@ -357,6 +358,15 @@ def _add_args(ap: argparse.ArgumentParser) -> None:
                     help="commit cells only (no controlled-count slice)")
 
 
+def _refuse(args: argparse.Namespace) -> Optional[str]:
+    if is_processes(args.engine):
+        return ("engine 'processes' counts every fsync in the forked "
+                "node process that made it, and this study reads the "
+                "backend's fsync_count / write_count in the parent: run "
+                "it on the cooperative engine")
+    return None
+
+
 def _run(args: argparse.Namespace, progress):
     t0 = time.time()
     # the study inherently compares scatter vs WAL; --storage selects the
@@ -397,7 +407,7 @@ STUDY = Study(
                 "cells; exits non-zero if group commit does not reduce "
                 "fsyncs per line, exceeds one fsync per node per line, or "
                 "GC retains more than 2 lines.",
-    run=_run, add_args=_add_args,
+    run=_run, add_args=_add_args, refuse=_refuse,
     selections=(("platforms", MACHINES, "platforms"),
                 ("kernels", WAL_KERNELS, "kernels")),
     help={"storage": "storage backend under *both* engines of the commit "

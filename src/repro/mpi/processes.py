@@ -63,17 +63,13 @@ Cross-shard semantics beyond messages:
 * **storage**: checkpoint stores found in the job args are wrapped
   per-shard in a :class:`~repro.storage.store.RecordingStore`; commit
   notices travel through the master at epoch boundaries (so GC floors
-  converge).  A store on a ``shared_across_fork`` medium (real disk)
-  survives a kill and is reloaded from its own bytes after the run, so
-  a restart (:func:`repro.core.ccc.resume_from_manifest`) sees exactly
-  what group commit made durable before the crash.  A killed node's
-  staged log tail is lost whole; surviving nodes flush theirs on abort,
-  matching the cooperative engine's survivors-drain semantics.  A
-  fault-free run over private memory replays each shard's operation log
-  into the parent's store instead (per-node keyspaces are
-  shard-disjoint, so shard-order replay is exact);
-  :func:`require_shared_store` refuses every other combination before
-  the fork.
+  converge).  Workers write through to a medium every process shares
+  — real disk, or a scratch-directory copy of private memory that the
+  parent writes back — and each store reloads from its bytes after the
+  run, so a restart (:func:`repro.core.ccc.resume_from_manifest`) sees
+  exactly what group commit made durable before the crash.  A killed
+  node's staged log tail is lost whole; surviving nodes flush theirs on
+  abort, matching the cooperative engine's survivors-drain semantics.
 
 ``repro.harness.procstudy`` runs the campaign matrix on both engines
 and diffs the rows under the real-kill tolerance contract.  See
@@ -87,8 +83,10 @@ import mmap
 import os
 import pickle
 import select
+import shutil
 import signal
 import struct
+import tempfile
 import time as _time
 import traceback
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -97,8 +95,7 @@ from .errors import ProcessFailure
 from .lookahead import LookaheadWindow
 from .scheduler import CooperativeScheduler
 
-__all__ = ["SharedFlag", "plan_shards", "require_shared_store",
-           "run_processes"]
+__all__ = ["SharedFlag", "plan_shards", "run_processes"]
 
 _LEN = struct.Struct("<I")
 
@@ -125,42 +122,6 @@ class SharedFlag:
 
     def set(self) -> None:
         self._map[0] = 1
-
-
-def require_shared_store(engine) -> None:
-    """Refuse, before any fork, a job whose store dies with its process.
-
-    A store on a ``shared_across_fork`` medium (real disk) survives a
-    killed process and is reloaded from its bytes after the run.  A
-    store in private memory exists once per node process; the
-    coordinator rebuilds the parent's copy by replaying the workers'
-    completed calls, which is exact only for a run with nothing
-    injected.  So a private-memory store is refused when the job has
-    unfired fault specs (a kill takes the committed lines with it) or
-    when its backend chain holds a :class:`~repro.storage.faulty.
-    FaultyStorage` with faults (a replay would fire them again).
-    """
-    from ..storage.faulty import FaultyStorage
-    from ..storage.store import CheckpointStore
-
-    def injects(backend) -> bool:
-        while backend is not None:
-            if isinstance(backend, FaultyStorage) and backend.faults:
-                return True
-            backend = backend.inner
-        return False
-
-    refused = [type(arg).__name__ for arg in engine._job_args
-               if isinstance(arg, CheckpointStore)
-               and not arg.backend.shared_across_fork
-               and (engine.fault_plan.unfired() or injects(arg.backend))]
-    if refused:
-        raise ValueError(
-            "engine='processes' delivers faults as real SIGKILLs and "
-            "rebuilds an in-memory store by replaying each node process's "
-            "completed calls, so a job with injected kills or storage "
-            "faults needs a disk-backed store (--storage wal-disk or "
-            f"disk); got in-memory-backed store(s) {refused}")
 
 
 def plan_shards(nprocs: int, procs_per_node: int, n_shards: int
@@ -287,8 +248,8 @@ class _ShardWorker:
         self.epoch = 0
         self.outbox: List[Tuple[int, Any]] = []
         self.sched: Optional[_ShardScheduler] = None
-        #: recording stores substituted into the job args, by position
-        self.stores: List[Tuple[int, Any]] = []
+        #: recording stores substituted into the job args
+        self.stores: List[Any] = []
 
     # -- plumbing -----------------------------------------------------------
     def capture_send(self, env) -> None:
@@ -297,7 +258,7 @@ class _ShardWorker:
 
     def _drain_notices(self) -> List[Tuple[int, int]]:
         notices: List[Tuple[int, int]] = []
-        for _pos, store in self.stores:
+        for store in self.stores:
             notices.extend(store.take_notices())
         return notices
 
@@ -317,7 +278,7 @@ class _ShardWorker:
         self.epoch = msg[-1]  # every master message carries the epoch
         if tag == "gr":
             _tag, items, notices, _epoch = msg
-            for _pos, store in self.stores:
+            for store in self.stores:
                 store.apply_remote_commits(notices)
             for _src, env in items:
                 self.engine.mailboxes[env.dest].deliver(env)
@@ -406,8 +367,9 @@ class _ShardWorker:
         os._exit(1)  # pragma: no cover - unreachable (SIGKILL lands first)
 
     # -- lifecycle ----------------------------------------------------------
-    def install(self) -> None:
-        """Rewire the forked engine copy for this shard."""
+    def install(self, disks: Dict[int, Any]) -> None:
+        """Rewire the forked engine copy for this shard; ``disks`` maps
+        ``id()`` of each private medium to its scratch copy."""
         engine = self.engine
         self.sched = _ShardScheduler(engine, self.ranks, self)
         engine.scheduler = self.sched
@@ -421,9 +383,9 @@ class _ShardWorker:
             else:
                 engine.mailboxes[r] = _RemoteMailbox(r, self)
         # Substitute recording wrappers for every checkpoint store in
-        # the job args: local mutations are logged for the parent's
-        # replay (private memory only), remote commit notices overlay
-        # the fork-private view.
+        # the job args (remote commit notices overlay the fork-private
+        # view), each first pointed at the scratch copy of a private
+        # medium so its writes outlive this process.
         from ..storage.store import CheckpointStore, RecordingStore
         args = list(engine._job_args)
         seen: Dict[int, Any] = {}
@@ -431,9 +393,10 @@ class _ShardWorker:
             if isinstance(value, CheckpointStore):
                 wrapper = seen.get(id(value))
                 if wrapper is None:
+                    _repoint(value, disks)
                     wrapper = RecordingStore(value)
                     seen[id(value)] = wrapper
-                    self.stores.append((pos, wrapper))
+                    self.stores.append(wrapper)
                 args[pos] = wrapper
         engine._job_args = tuple(args)
 
@@ -448,7 +411,7 @@ class _ShardWorker:
             # cannot reach state staged inside this process).  The
             # *killed* node never gets here: its staged tail is lost
             # whole.
-            for _pos, store in self.stores:
+            for store in self.stores:
                 try:
                     store.flush()
                 except Exception:  # noqa: BLE001 - crash-grade abandon
@@ -475,7 +438,6 @@ class _ShardWorker:
             "fired": sorted(spec_index[id(s)]
                             for s in engine.fault_plan.fired
                             if id(s) in spec_index),
-            "store_ops": [(pos, store.ops) for pos, store in self.stores],
             "outbox": self.outbox,
             "notices": self._drain_notices(),
         }
@@ -483,7 +445,6 @@ class _ShardWorker:
             _write_msg(self.wfd, ("ex", self.shard, report))
         except (pickle.PicklingError, TypeError):
             report["returns"] = {r: None for r in self.ranks}
-            report["store_ops"] = []
             report["errors"] = list(errors) + [
                 (self.ranks[0], "processes engine: shard report was "
                                 "not picklable (unpicklable return "
@@ -491,14 +452,27 @@ class _ShardWorker:
             _write_msg(self.wfd, ("ex", self.shard, report))
 
 
+def _repoint(store, disks: Dict[int, Any]) -> None:
+    """Point the link of ``store``'s backend chain that names a staged
+    medium at its scratch disk; proxies above the link stay in place."""
+    owner, attr, link = store, "backend", store.backend
+    while link is not None:
+        disk = disks.get(id(link))
+        if disk is not None:
+            setattr(owner, attr, disk)
+            return
+        owner, attr, link = link, "inner", link.inner
+
+
 def _worker_main(engine, shard: int, ranks: List[int], rfd: int, wfd: int,
-                 deadline: float, body: Callable[[int], None],
+                 deadline: float, disks: Dict[int, Any],
+                 body: Callable[[int], None],
                  returns: List[Any], errors: List) -> None:
     """Child-process entry; never returns (``os._exit``)."""
     status = 0
     try:
         worker = _ShardWorker(engine, shard, ranks, rfd, wfd, deadline)
-        worker.install()
+        worker.install(disks)
         worker.run(body, returns, errors)
     except BaseException:
         status = 1
@@ -551,9 +525,74 @@ def run_processes(engine, body: Callable[[int], None], timeout: float,
     the child (one dying-breath ``"dy"`` frame, then SIGKILL), ``at_time``
     victims are killed by this coordinator directly — and every death
     is confirmed by waitpid status before its evidence lands in
-    ``engine.real_kills``.
+    ``engine.real_kills``.  Checkpoint stores in the job args come back
+    by reload alone (a private medium is staged, :func:`_stage`).
     """
-    require_shared_store(engine)
+    from ..storage.store import CheckpointStore
+    stores = {id(a): a for a in engine._job_args
+              if isinstance(a, CheckpointStore)}
+    private: Dict[int, Any] = {}
+    for store in stores.values():
+        medium = store.backend
+        while medium.inner is not None:
+            medium = medium.inner
+        if not medium.shared_across_fork:
+            private[id(medium)] = medium
+    root = tempfile.mkdtemp(prefix="repro-processes-") if private else None
+    staged: Dict[int, Tuple] = {}
+    try:
+        for key, medium in private.items():
+            staged[key] = _stage(medium, os.path.join(root, str(len(staged))))
+        _run_shards(engine, body, errors, returns,
+                    {key: disk for key, (disk, _) in staged.items()})
+    finally:
+        try:
+            for key, (disk, snapshot) in staged.items():
+                _hand_back(private[key], disk, snapshot)
+        finally:
+            if root is not None:
+                shutil.rmtree(root, ignore_errors=True)
+    for store in stores.values():
+        store.reload()
+
+
+def _stage(medium, root: str) -> Tuple[Any, Dict[str, bytes]]:
+    """Copy a private medium, which dies with each node process, into a
+    fresh :class:`~repro.storage.stable.DiskStorage` at ``root`` the
+    workers write through instead (appends, unsynced: the copy is
+    scratch).  Returns the disk and the pre-fork snapshot."""
+    from ..storage.stable import DiskStorage, StorageError
+    disk = DiskStorage(root)
+    snapshot: Dict[str, bytes] = {}
+    for path in medium.list():
+        try:
+            snapshot[path] = medium.read(path)
+        except StorageError:
+            continue  # deleted meanwhile by a concurrent job
+        disk.append(path, snapshot[path])
+    return disk, snapshot
+
+
+def _hand_back(medium, disk, snapshot: Dict[str, bytes]) -> None:
+    """Write what the run changed on ``disk`` back into ``medium``: new
+    or changed objects and deletions only, so concurrent jobs whose
+    namespaces share the medium never overwrite each other."""
+    from ..storage.stable import StorageError
+    live = disk.list()
+    for path in live:
+        data = disk.read(path)
+        if snapshot.get(path) != data:
+            medium.write(path, data)
+    for path in snapshot.keys() - set(live):
+        try:
+            medium.delete(path)
+        except StorageError:
+            pass  # already gone
+
+
+def _run_shards(engine, body: Callable[[int], None], errors: List,
+                returns: List[Any], disks: Dict[int, Any]) -> None:
+    """The fork, routing and merge of one run (see :func:`run_processes`)."""
     count = engine.backend.partition(":")[2]
     # nprocs >= the node count, so the default is one shard per node
     shards = plan_shards(engine.nprocs, engine.machine.procs_per_node,
@@ -591,7 +630,7 @@ def run_processes(engine, body: Callable[[int], None], timeout: float,
                     os.close(other.wfd)
                     os.close(other.rfd)
             _worker_main(engine, h.shard, h.ranks, p2c_r, c2p_w,
-                         deadline, body, returns, errors)
+                         deadline, disks, body, returns, errors)
             raise SystemExit(1)  # pragma: no cover - unreachable
         os.close(p2c_r)
         os.close(c2p_w)
@@ -886,7 +925,6 @@ def _merge(engine, handles: List[_ShardHandle], spec_list: List,
     SIGKILLed shard sends no exit report, so its failure arrives out of
     band.
     """
-    store_ops: Dict[int, List[Tuple[int, List]]] = {}
     for h in handles:
         report = h.report
         if report is None:
@@ -906,8 +944,6 @@ def _merge(engine, handles: List[_ShardHandle], spec_list: List,
             failures.append(ProcessFailure(*report["failure"]))
         for idx in report["fired"]:
             engine.fault_plan.mark_fired(spec_list[idx])
-        for pos, ops in report["store_ops"]:
-            store_ops.setdefault(pos, []).append((h.shard, ops))
     if failures and engine.failure is None:
         # The schedule-level "first" failure is not observable across
         # processes; pick the earliest virtual time (rank breaks ties),
@@ -915,13 +951,3 @@ def _merge(engine, handles: List[_ShardHandle], spec_list: List,
         # plan — the only case whose failure record we pin bitwise.
         failures.sort(key=lambda f: (f.time, f.rank))
         engine.failure = failures[0]
-    # Bring each store the shards wrote into up to date (shard-order op
-    # replay, or a reload when the shards wrote through to a shared
-    # medium — see merge_shards).
-    from ..storage.store import merge_shards
-    merged: set = set()
-    for pos in sorted(store_ops):
-        store = engine._job_args[pos]
-        if id(store) not in merged:
-            merged.add(id(store))
-            merge_shards(store, [ops for _shard, ops in sorted(store_ops[pos])])

@@ -74,9 +74,8 @@ class StorageBackend:
     @property
     def shared_across_fork(self) -> bool:
         """True when writes made in a forked child are visible to the
-        parent process (real files): the processes engine then reloads
-        store indexes from the medium instead of replaying shard op
-        logs."""
+        parent process (real files); the processes engine stages any
+        other medium on a scratch directory for the run."""
         return self.inner is not None and self.inner.shared_across_fork
 
     def on_job_end(self, crashed: bool) -> None:
@@ -215,11 +214,7 @@ class InMemoryStorage(StorageBackend):
 
 
 class DiskStorage(StorageBackend):
-    """File-backed store with atomic writes.
-
-    ``shared_across_fork``: the files are visible to every process, so
-    forked node processes write through and the parent reloads (no op
-    replay).
+    """File-backed store with atomic writes, shared across fork.
 
     Writes are lock-free: each goes to a uniquely named temp file
     (pid + thread id + per-instance counter) that is fsynced and then

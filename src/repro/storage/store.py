@@ -260,12 +260,12 @@ class CheckpointStore:
     def reload(self) -> None:
         """Rebuild in-memory indexes from the backend's bytes.
 
-        The processes engine calls this on a store whose backend is
-        ``shared_across_fork`` (real disk): worker processes wrote
-        through their forked store copies directly to the medium, so
-        the parent's indexes are stale while the bytes are current.
-        Stateless stores (the scatter layout derives everything from
-        the backend) need nothing; the WAL re-replays its segments.
+        The processes engine calls this after every run: its workers
+        wrote through forked copies of the store to a medium every
+        process shares, so the parent's indexes are stale while the
+        bytes are current.  Stateless stores (the scatter layout
+        derives everything from the backend) need nothing; the WAL
+        re-replays its segments.
         """
 
 
@@ -336,19 +336,12 @@ class ScatterStore(CheckpointStore):
 class RecordingStore(CheckpointStore):
     """Per-shard checkpoint-store veneer for the processes engine.
 
-    Each forked shard wraps the job's store in one of these.  Three
-    concerns, all in service of keeping a multi-process run
-    bit-identical to the cooperative engine (see DESIGN.md §12):
+    Each forked shard wraps the job's store in one of these.  Mutators
+    forward to the store, whose bytes reach a medium every process
+    shares (the parent reloads from it after the run).  Two concerns,
+    both in service of keeping a multi-process run bit-identical to the
+    cooperative engine (see DESIGN.md §12):
 
-    * **operation log** — every completed mutator is recorded, so the
-      parent can replay the shard's writes into the real store after
-      the run (:func:`merge_shards`).  Only fault-free runs keep private
-      in-memory stores (the engine refuses the rest up front), so every
-      call completes.  Per-node keyspaces are shard-disjoint, which
-      makes shard-order replay exact.  A store over a
-      ``shared_across_fork`` backend (real disk) keeps no log (``ops``
-      is None): its bytes already landed on the medium and the parent
-      reloads instead;
     * **commit notices** — :meth:`take_notices` diffs the inner store's
       ``committed_map`` against what was already reported, yielding the
       ``(version, rank)`` lines that became *durable* since the last
@@ -371,43 +364,32 @@ class RecordingStore(CheckpointStore):
     def __init__(self, inner: CheckpointStore):
         self.inner = inner
         self.backend = inner.backend
-        #: replay log of completed mutators, (method name, args tuple);
-        #: None when the medium is shared across fork and the parent
-        #: reloads instead
-        self.ops: Optional[List[Tuple[str, tuple]]] = (
-            None if inner.backend.shared_across_fork else [])
         #: rank -> versions already reported through take_notices
         self._noticed: Dict[int, set] = {}
         #: rank -> versions committed by other shards (overlay)
         self._remote: Dict[int, set] = {}
 
-    # -- mutators (recorded) -----------------------------------------------
-    def _logged(self, method: str, *args):
-        result = getattr(self.inner, method)(*args)
-        if self.ops is not None:
-            self.ops.append((method, args))
-        return result
-
+    # -- mutators (forwarded) ----------------------------------------------
     def configure(self, nprocs, procs_per_node=1):
-        self._logged("configure", nprocs, procs_per_node)
+        self.inner.configure(nprocs, procs_per_node)
 
     def put_section(self, version, rank, section, payload):
-        self._logged("put_section", version, rank, section, payload)
+        self.inner.put_section(version, rank, section, payload)
 
     def commit_line(self, version, rank, sections):
-        self._logged("commit_line", version, rank, sections)
+        self.inner.commit_line(version, rank, sections)
 
     def delete_line(self, version, rank):
-        self._logged("delete_line", version, rank)
+        self.inner.delete_line(version, rank)
 
     def flush(self):
-        self._logged("flush")
+        self.inner.flush()
 
     def flush_rank(self, rank):
-        self._logged("flush_rank", rank)
+        self.inner.flush_rank(rank)
 
     def on_job_end(self, failed_rank=None):
-        self._logged("on_job_end", failed_rank)
+        self.inner.on_job_end(failed_rank)
 
     # -- cross-shard plumbing ------------------------------------------------
     def take_notices(self) -> List[Tuple[int, int]]:
@@ -453,24 +435,6 @@ class RecordingStore(CheckpointStore):
         if name == "inner":  # guard recursion before __init__ ran
             raise AttributeError(name)
         return getattr(self.inner, name)
-
-
-def merge_shards(store: CheckpointStore,
-                 shard_ops: List[Optional[List[Tuple[str, tuple]]]],
-                 ) -> None:
-    """Bring the parent's real store up to date after a multi-process run.
-
-    ``shard_ops`` holds each shard's :attr:`RecordingStore.ops`, in
-    shard order.  Shards that kept no log wrote through to a shared
-    medium, so the store reloads its indexes from the bytes; otherwise
-    each log replays in turn.
-    """
-    if any(ops is None for ops in shard_ops):
-        store.reload()
-        return
-    for ops in shard_ops:
-        for method, args in ops:
-            getattr(store, method)(*args)
 
 
 def as_store(storage, procs_per_node: Optional[int] = None,

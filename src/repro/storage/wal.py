@@ -562,7 +562,7 @@ class WalStore(CheckpointStore):
         return bytes(memoryview(ns.buf)[:cut])
 
     def reload(self) -> None:
-        """Rebuild indexes from the medium (processes runs over real disk).
+        """Rebuild indexes from the medium (after a processes run).
 
         Worker processes appended to the segments through their forked
         copies of this store; the parent's index is stale but the bytes

@@ -52,6 +52,22 @@ class TestMeasurement:
         # by far the largest of the set (Table 1's EP row)
         assert row["reduction_pct"] > 60.0
 
+    @pytest.mark.parametrize("storage", ["disk", "wal-disk"])
+    def test_failed_run_leaves_no_tmpdir(self, storage, monkeypatch,
+                                         tmp_path):
+        import tempfile
+
+        from repro.harness import sizes
+
+        def broken(*_a, **_kw):
+            raise RuntimeError("run failed")
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        monkeypatch.setattr(sizes, "run_c3", broken)
+        with pytest.raises(RuntimeError, match="run failed"):
+            measure_kernel_sizes("EP+ccc", nprocs=2, storage=storage)
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ValueError, match="unknown app"):
             measure_kernel_sizes("nope+ccc")

@@ -2,8 +2,8 @@
 
 DESIGN.md §12.1: :func:`repro.mpi.engine.resolve_backend` owns the
 engine vocabulary, and every other layer (``Engine.run``, the study
-CLIs' ``--engine``, ``service.JobSpec`` validation, the campaign's
-real-kill refusal) asks it.  These tests pin the spellings and their
+CLIs' ``--engine``, ``service.JobSpec`` validation, the refusals of
+``walstudy`` and ``fuzz --smoke`` on ``processes``) asks it.  These tests pin the spellings and their
 ``:N`` suffix, the error texts, the ``REPRO_ENGINE`` fallback, that the
 deleted ``threads`` engine is refused with the same message everywhere,
 and that a platform without ``os.fork`` refuses ``processes`` instead of
@@ -15,9 +15,10 @@ import threading
 
 import pytest
 
-from repro.harness.campaign import real_kill_refusal
 from repro.mpi import run_job
-from repro.mpi.engine import _SPELLINGS, engine_help, resolve_backend
+from repro.mpi.engine import (
+    _SPELLINGS, engine_help, is_processes, resolve_backend,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -71,29 +72,31 @@ class TestRegistry:
 
 class TestCapabilityFlags:
     def test_oracle_is_simulated(self):
-        # the oracle's faults are unwinds: any store can recover them
-        assert real_kill_refusal("cooperative", None) is None
-        assert real_kill_refusal("coop", "wal") is None
+        # the oracle's faults are unwinds: nothing refuses it
+        assert not is_processes("cooperative")
+        assert not is_processes("coop")
 
     def test_sharded_flags(self):
         # "sharded" is a spelling of the processes engine (the perf
         # benchmark's shard-256 workload names "sharded:4")
         assert resolve_backend("sharded:4") == "processes:4"
         assert resolve_backend("sharded") == "processes"
-        assert real_kill_refusal("sharded:4", "wal") \
-            == real_kill_refusal("processes", "wal")
+        assert is_processes("sharded:4")
 
     def test_processes_flags(self):
-        refusal = real_kill_refusal("processes:2", "wal")
-        assert refusal.startswith("engine 'processes' delivers faults as "
-                                  "real SIGKILLs")
-        assert refusal.endswith("add --storage disk or wal-disk")
-        assert real_kill_refusal("processes:2", "wal-disk") is None
+        assert is_processes("processes:2")
+        assert is_processes("procs")
 
-    def test_refusal_honours_repro_engine(self, monkeypatch):
+    def test_refusal_honours_repro_engine(self, monkeypatch, capsys):
+        # walstudy refuses the processes engine, including when only
+        # REPRO_ENGINE names it
+        from repro.harness import walstudy
+
         monkeypatch.setenv("REPRO_ENGINE", "processes")
-        assert real_kill_refusal(None, "wal") is not None
-        assert real_kill_refusal("cooperative", "wal") is None
+        assert is_processes(None)
+        assert walstudy.main([]) == 2
+        assert "fsync_count" in capsys.readouterr().err
+        assert not is_processes("cooperative")
 
 
 # ---------------------------------------------------------------------------

@@ -11,14 +11,16 @@ The acceptance contract (DESIGN.md §12, pinned here):
   victims);
 * the kill/restart/verify pipeline recovers from WAL stable storage on
   real disk and verifies bitwise against the golden run;
-* fault-injected jobs, and injected storage faults, on storage that
-  dies with the killed process are refused up front with instructions,
-  and the service layer rejects unknown engine spellings at submission
+* a private in-memory medium is staged on a scratch directory for the
+  run, so the same pipeline, and injected storage faults, work over it
+  too, and no scratch directory outlives a run;
+* the service layer rejects unknown engine spellings at submission
   construction.
 """
 
 import os
 import signal
+import tempfile
 
 import numpy as np
 import pytest
@@ -188,47 +190,64 @@ class TestRecoveryFromDisk:
 
 
 # ---------------------------------------------------------------------------
-# Storage precondition: refuse faults over storage that dies with us
+# Every medium survives a kill: disk as is, private memory staged on a
+# scratch directory and handed back by reload
 # ---------------------------------------------------------------------------
 
 class TestSharedStorePrecondition:
-    def test_fault_job_on_memory_store_refused(self):
+    def test_fault_job_on_memory_store_recovers(self):
+        # the killed run's committed lines outlive its node processes:
+        # the restart resumes from one and matches the golden run
         from repro.core import C3Config, run_c3
+        from repro.core.ccc import resume_from_manifest
         from repro.harness.runner import APPS
-        from repro.storage import InMemoryStorage
+        from repro.storage import InMemoryStorage, WalStore
 
-        plan = FaultPlan([FaultSpec(rank=1, after_ops=8)])
-        with pytest.raises(ValueError, match="disk-backed store"):
-            run_c3(APPS["ring"], 4, storage=InMemoryStorage(),
-                   config=C3Config(checkpoint_interval=0.001),
-                   fault_plan=plan, engine="processes", wall_timeout=60)
+        def config():
+            return C3Config(checkpoint_interval=0.0003)
 
-    def test_storage_faults_on_memory_store_refused_before_fork(
-            self, monkeypatch):
+        golden, _ = run_c3(APPS["ring"], 4, storage=InMemoryStorage(),
+                           config=config(), wall_timeout=60)
+        store = WalStore(InMemoryStorage())
+        plan = FaultPlan([FaultSpec(rank=1,
+                                    at_time=golden.virtual_time * 0.8)])
+        killed, _ = run_c3(APPS["ring"], 4, storage=store, config=config(),
+                           fault_plan=plan, engine="processes:2",
+                           wall_timeout=60)
+        assert [ev["sigkill"] for ev in killed.real_kills] == [True]
+        assert store.last_committed_global(4) is not None
+        resumed, _ = resume_from_manifest(
+            APPS["ring"], 4, storage=store, config=config(),
+            engine="processes:2", wall_timeout=60)
+        resumed.raise_errors()
+        assert resumed.returns == golden.returns
+
+    def test_storage_faults_on_memory_store_inject(self):
         # the sf_enospc seed schedule has no kills, only an injected
-        # ENOSPC: a replay of the workers' calls would fire it again
-        from repro.core import C3Config, run_c3
-        from repro.harness.fuzz import seed_schedules
-        from repro.harness.runner import APPS
+        # ENOSPC: each worker's FaultyStorage stays above the scratch
+        # copy of the memory medium, fires, and abandons checkpoints
+        from repro.core import C3Config, run_c3, run_original
+        from repro.harness.fuzz import run_schedule, seed_schedules
+        from repro.harness.runner import _with_params
         from repro.storage import InMemoryStorage
         from repro.storage.faulty import FaultyStorage, StorageFault
         from repro.storage.store import ScatterStore
 
         [sched] = [s for s in seed_schedules() if s.label == "sf_enospc"]
         assert sched.storage == "memory" and not sched.kills
+        app = _with_params(sched.app, sched.params)
+        golden = run_original(app, sched.nprocs, wall_timeout=60)
         store = ScatterStore(FaultyStorage(
             InMemoryStorage(),
             [StorageFault.from_dict(sf) for sf in sched.storage_faults]))
-
-        def no_fork():
-            raise AssertionError("forked before the refusal")
-
-        monkeypatch.setattr(os, "fork", no_fork)
-        with pytest.raises(ValueError, match="injected kills or storage "
-                                             "faults needs a disk-backed"):
-            run_c3(APPS[sched.app], sched.nprocs, storage=store,
-                   config=C3Config(checkpoint_interval=0.001),
-                   engine="processes:2", wall_timeout=60)
+        result, stats = run_c3(
+            app, sched.nprocs, storage=store, engine="processes:2",
+            config=C3Config(checkpoint_interval=golden.virtual_time
+                            * sched.interval_frac), wall_timeout=60)
+        result.raise_errors()
+        assert sum(s.checkpoints_abandoned for s in stats) >= 1
+        assert store.last_committed_global(sched.nprocs) is not None
+        assert run_schedule(sched, engine="processes:2")["verdict"] == "pass"
 
     def test_storage_faults_on_disk_store_allowed(self, tmp_path):
         from repro.core import C3Config, run_c3
@@ -257,43 +276,58 @@ class TestSharedStorePrecondition:
         result.raise_errors()
 
 
-# ---------------------------------------------------------------------------
-# Campaign capability skips and the service layer
-# ---------------------------------------------------------------------------
+class TestPrivateMemoryHandBack:
+    def test_no_scratch_directory_outlives_a_run(self, monkeypatch,
+                                                 tmp_path):
+        from repro.core import C3Config, run_c3
+        from repro.harness.runner import APPS
+        from repro.mpi import processes
+        from repro.storage import InMemoryStorage, WalStore
 
-class TestCampaignSkips:
-    def test_fault_scenario_on_memory_storage_skipped_with_reason(self):
-        from repro.harness.campaign import (
-            build_matrix, run_campaign, skip_reason,
-        )
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        staged = []
+        stage = processes._stage
+
+        def spy(medium, root):
+            staged.append(root)
+            return stage(medium, root)
+
+        monkeypatch.setattr(processes, "_stage", spy)
+
+        def job(fault_plan=None):
+            return run_c3(APPS["ring"], 4,
+                          storage=WalStore(InMemoryStorage()),
+                          config=C3Config(checkpoint_interval=0.0003),
+                          fault_plan=fault_plan, engine="processes:2",
+                          wall_timeout=60)[0]
+
+        job().raise_errors()
+        killed = job(FaultPlan([FaultSpec(rank=2, after_ops=40)]))
+        assert [ev["sigkill"] for ev in killed.real_kills] == [True]
+
+        def crash(worker, body, returns, errors):
+            raise RuntimeError("shard crash")
+
+        monkeypatch.setattr(processes._ShardWorker, "run", crash)
+        crashed = job()
+        assert any("crashed" in err and "shard crash" in err
+                   for _rank, err in crashed.errors), crashed.errors
+        assert len(staged) == 3
+        assert all(root.startswith(str(tmp_path)) for root in staged)
+        assert os.listdir(tmp_path) == []
+
+
+class TestCampaignOverMemory:
+    def test_fault_scenario_on_memory_storage_real_kills(self):
+        from repro.harness.campaign import build_matrix, run_campaign
 
         scenarios = build_matrix(["ring"], ["testing"], ["mid_run"],
-                                 engine="processes", storage="memory")
-        assert len(scenarios) == 1
-        reason = skip_reason(scenarios[0])
-        assert reason is not None and "SIGKILL" in reason
+                                 engine="processes:2", storage="memory")
         report = run_campaign(scenarios, parallel=False)
-        assert report.ok
         [row] = report.rows
-        assert row["skipped"] == reason
-        assert report.summary()["skipped"] == 1
-        assert report.summary()["passed"] == 0
-
-    def test_disk_backed_scenario_not_skipped(self):
-        from repro.harness.campaign import build_matrix, skip_reason
-
-        for storage in ("disk", "wal-disk"):
-            [s] = build_matrix(["ring"], ["testing"], ["mid_run"],
-                               engine="processes", storage=storage)
-            assert skip_reason(s) is None
-
-    def test_simulated_engines_never_skip(self):
-        from repro.harness.campaign import build_matrix, skip_reason
-
-        for engine in (None, "cooperative"):
-            [s] = build_matrix(["ring"], ["testing"], ["mid_run"],
-                               engine=engine, storage="memory")
-            assert skip_reason(s) is None
+        assert report.ok, row
+        assert row["real_kills"] >= 1 and row["restarts"] >= 1
+        assert report.summary()["passed"] == 1
 
 
 class TestServiceValidation:
@@ -429,12 +463,14 @@ class TestUniformSelectionCLI:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
-        ["--engine", "processes:2"],
-        ["--engine", "sharded:2", "--storage", "wal"],
-        ["--engine", "procs", "--storage", "memory", "--smoke"],
+        ["--smoke", "--engine", "processes:2"],
+        ["--smoke", "--engine", "sharded:2", "--storage", "wal-disk"],
+        ["--smoke", "--engine", "procs", "--storage", "memory"],
     ])
-    def test_fuzz_real_kill_engine_needs_disk(self, argv, monkeypatch,
-                                              capsys):
+    def test_fuzz_smoke_on_processes_exits_2(self, argv, monkeypatch,
+                                             capsys):
+        # the coverage gate cannot see storage faults fired inside the
+        # forked workers, so --smoke would fail on coverage it never saw
         from repro.harness import fuzz
 
         def boom(*_a, **_kw):
@@ -442,6 +478,31 @@ class TestUniformSelectionCLI:
 
         monkeypatch.setattr(fuzz, "fuzz", boom)
         assert fuzz.main(argv) == 2
-        assert ("need a disk-backed store that survives the killed "
-                "process: add --storage disk or wal-disk"
-                ) in capsys.readouterr().err
+        assert "--smoke gates on storage-fault coverage" \
+            in capsys.readouterr().err
+
+    def test_fuzz_seed_wave_over_memory_on_processes(self, tmp_path,
+                                                     capsys):
+        import json
+
+        from repro.harness import fuzz
+
+        out = tmp_path / "fuzz.json"
+        assert fuzz.main(["--engine", "processes:2", "--storage", "memory",
+                          "--schedules", "3", "--inline", "-q",
+                          "--json", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["schedules_tried"] == 3
+        assert report["failures"] == []
+
+    def test_walstudy_on_processes_exits_2(self, monkeypatch, capsys):
+        # every fsync is counted in the forked worker that made it, so
+        # the parent's counters cannot judge group commit
+        from repro.harness import walstudy
+
+        def boom(*_a, **_kw):
+            raise AssertionError("the study ran before the refusal")
+
+        monkeypatch.setattr(walstudy, "commit_rows", boom)
+        assert walstudy.main(["--engine", "processes:2"]) == 2
+        assert "fsync_count" in capsys.readouterr().err

@@ -214,6 +214,26 @@ class TestServiceBehavior:
         assert any(p.startswith("tenants/alice/jobs/") for p in paths)
         assert any(p.startswith("tenants/bob/jobs/") for p in paths)
 
+    def test_concurrent_processes_jobs_share_one_memory_medium(self):
+        # each processes job stages the whole medium on its own scratch
+        # directory and writes back only what it changed, so concurrent
+        # tenants' jobs never clobber each other's bytes
+        async def go():
+            async with CampaignService(workers=2, cache=False,
+                                       default_engine="processes:2") as svc:
+                jobs = [await svc.submit(tenant, spec(nprocs=4,
+                                                      storage=storage))
+                        for tenant, storage in (("alice", "wal"),
+                                                ("bob", "memory"))]
+                rows = await asyncio.gather(*[j.result() for j in jobs])
+                return rows, svc.backend.list("")
+        rows, paths = run(go())
+        for [row] in rows:
+            assert row["verified"], row
+            assert row["real_kills"] >= 1 and row["restarts"] >= 1
+        assert any(p.startswith("tenants/alice/jobs/") for p in paths)
+        assert any(p.startswith("tenants/bob/jobs/") for p in paths)
+
     def test_submit_backpressure_when_the_queue_is_full(self):
         async def go():
             svc = CampaignService(queue_limit=2, workers=1)
@@ -277,14 +297,13 @@ class TestLoadgen:
         assert report["cache"]["duplicate_mismatches"] == 0
 
     def test_repro_engine_processes_gets_a_disk_medium(self, monkeypatch):
-        # REPRO_ENGINE=processes with no explicit engine must pick the
-        # real-disk medium a SIGKILLed node's store survives on, exactly
-        # as engine="processes" does; an in-memory medium has every
-        # fault-injected job refused by the processes engine.
+        # REPRO_ENGINE=processes with no explicit engine: the tenants'
+        # shared in-memory medium reaches each job's node processes as
+        # a scratch-disk copy a SIGKILLed node's store survives on, and
+        # every fault-injected job recovers from it.
         from repro.harness.loadgen import run_loadgen
         monkeypatch.setenv("REPRO_ENGINE", "processes")
         report = run_loadgen(tenants=2, jobs=6, workers=2, seed=0)
-        assert report["config"]["service_backend"] == "disk"
         assert report["verify_failures"] == []
         assert report["ok"], report["gates"]
 
