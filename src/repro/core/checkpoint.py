@@ -348,19 +348,9 @@ def restore_checkpoint(p: "C3Protocol") -> bool:
         if entry.kind != "recv":
             continue
         centry = p.commtable.get(entry.comm_key)
-        if entry.from_log:
-            m = p.late_reg.match_rid(entry.rid)
-            if m is None:
-                raise ProtocolError(
-                    f"request {entry.rid} was completed by a late message "
-                    "but the log has no matching entry"
-                )
-            p.late_reg.pop(m)
-            entry.log_payload = m.payload
-            entry.source, entry.tag = m.source, m.tag
-            p.stats.replayed_from_log += 1
-            continue
-        # Re-post into the restored buffer, found through its state key.
+        # Re-post into the restored buffer, found through its state key;
+        # a receive a late message completed takes that message from the
+        # log here, matched by its request id (``_post_recv`` replays).
         if entry.state_key is None or entry.state_key not in p.ctx.state:
             raise ProtocolError(
                 f"cannot re-post request {entry.rid}: its buffer's state "

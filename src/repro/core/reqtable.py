@@ -18,8 +18,9 @@ Lifecycle rules from the paper:
   is substituted with a ``Wait``;
 * on restore, entries allocated during the logging phase (after the
   recovery line) are deleted — their allocations re-execute — and the
-  remaining entries are recreated; those completed by a late message are
-  *not* re-posted (the data replays from the log).
+  remaining receives are re-posted; one a late message completed takes
+  that message from the log when it is re-posted, matched by its
+  request id.
 
 Paper mapping
 -------------
@@ -59,11 +60,10 @@ class RequestEntry:
     buffer: Any = None         # live numpy buffer, never checkpointed
     state_key: Optional[str] = None  # ctx.state key of the buffer (resolved lazily)
     test_counter: int = 0
-    completed_by: Optional[str] = None   # "late" | "intra" | "early"
     released: bool = False     # application has waited on it
     garbage: bool = False      # released during the checkpointing period
     from_log: bool = False     # recovery: data comes from the late registry
-    log_payload: Optional[bytes] = None  # reserved log data for replay
+    log_payload: Optional[bytes] = None  # the logged payload it replays
 
 
 class C3Request:
@@ -153,7 +153,9 @@ class RequestTable:
                 "dtype_name": entry.dtype_name,
                 "epoch_created": entry.epoch_created,
                 "test_counter": entry.test_counter,
-                "completed_by": entry.completed_by,
+                # never set; kept on the wire until the format bump of
+                # ROADMAP item 2 drops it
+                "completed_by": None,
                 "garbage": entry.garbage,
                 "state_key": state_key,
             })
@@ -168,9 +170,10 @@ class RequestTable:
     def restore_wire(self, wire: dict, line_epoch: int) -> List[RequestEntry]:
         """Roll the table back to the recovery line.
 
-        Returns the surviving entries (allocated before the line), with
-        ``from_log`` set for those completed by late messages.  The caller
-        re-posts the others.  Test counters of *all* saved entries —
+        Returns the surviving entries (allocated before the line, open or
+        released after it alike); the caller re-posts their receives, and
+        a receive a late message completed takes that message from the
+        log as it is re-posted.  Test counters of *all* saved entries —
         including rolled-back ones, whose allocations re-execute with the
         same ids — are kept for Test replay.
         """
@@ -181,18 +184,11 @@ class RequestTable:
             self.replay_test_counters[e["rid"]] = e["test_counter"]
             if e["epoch_created"] >= line_epoch:
                 continue  # allocated after the line: the allocation re-executes
-            if e["garbage"] and e["completed_by"] != "late":
-                # Released after the line by a non-late message: the message
-                # is resent during recovery and the wait re-executes, so the
-                # entry is recreated and re-posted like an open one.
-                pass
             entry = RequestEntry(
                 rid=e["rid"], kind=e["kind"], comm_key=e["comm_key"],
                 source=e["source"], tag=e["tag"], count=e["count"],
                 dtype_name=e["dtype_name"], epoch_created=e["epoch_created"],
                 state_key=e["state_key"],
-                completed_by=e["completed_by"],
-                from_log=(e["completed_by"] == "late"),
             )
             self._entries[entry.rid] = entry
             survivors.append(entry)

@@ -219,7 +219,12 @@ def run_schedule(sched: FuzzSchedule, cache: Optional[GoldenCache] = None,
       escaping the runtime, or a deterministic schedule that exhausted
       its restart budget (``failure_class`` tags which);
     * ``"inconclusive"`` — a *probabilistic* schedule exhausted the
-      restart budget (the storm may simply keep killing; not a bug).
+      restart budget (the storm may simply keep killing; not a bug), or
+      the schedule was vacuous (``failure_class`` ``"vacuous"``): a
+      deterministic kill never fired (the campaign's
+      :meth:`~repro.harness.runner.Kills.vacuous` rule), or no kill fired
+      and no storage fault was injected (on engine ``processes`` the
+      injections are not visible here, so only kills are judged).
 
     All coverage observed during the faulty phase is in ``coverage``,
     including ``window:*`` points derived from the fired fault specs and
@@ -291,10 +296,19 @@ def run_schedule(sched: FuzzSchedule, cache: Optional[GoldenCache] = None,
         if tmp_root is not None:
             shutil.rmtree(tmp_root, ignore_errors=True)
 
+    injected = {k: n for k, n in backend.injected.items() if n}
+    # engine "processes" counts storage injections inside its node
+    # processes, out of this process's sight
+    unseen = is_processes(engine) and bool(sched.storage_faults)
+    if failure_class is None and (
+            kills.vacuous(plan.fired)
+            or not (plan.fired or injected or unseen)):
+        failure = "no fault took effect (schedule vacuous)"
+        failure_class = "vacuous"
     points: Set[str] = set(cmap.points())
     for spec in plan.fired:
         points.add(f"window:{spec.kind()}")
-    if failure_class == "inconclusive":
+    if failure_class in ("inconclusive", "vacuous"):
         verdict = "inconclusive"
     elif failure_class is not None:
         verdict = "fail"
@@ -312,7 +326,7 @@ def run_schedule(sched: FuzzSchedule, cache: Optional[GoldenCache] = None,
         "golden_seconds": golden_s,
         "coverage": sorted(points),
         "fired": [s.describe() for s in plan.fired],
-        "injected": {k: n for k, n in backend.injected.items() if n},
+        "injected": injected,
         "checkpoints_committed": committed,
         "lines_retained": lines_retained,
         "replayed_from_log": sum(s.replayed_from_log for s in st),

@@ -172,18 +172,22 @@ def _judge_overhead(row: Dict) -> Optional[str]:
 
 
 def measure_fault_cell(platform: str, kill: str, nprocs: int = 4,
-                       engine: Optional[str] = None) -> Dict:
+                       engine: Optional[str] = None,
+                       storage: Optional[str] = None) -> Dict:
     """Top-level (picklable) cell body: one torn-line recovery row."""
     machine = MACHINES[platform]
-    record = measure_recovery(
-        "heat", nprocs, machine, OVERLAP_KERNELS["heat"],
-        [dict(k) for k in FAULT_KILLS[kill]], interval_frac=0.18,
-        engine=engine)
+    with open_store(storage, prefix="repro-overlap-") as factory:
+        record = measure_recovery(
+            "heat", nprocs, machine, OVERLAP_KERNELS["heat"],
+            [dict(k) for k in FAULT_KILLS[kill]], interval_frac=0.18,
+            engine=engine, storage_factory=factory)
     row = {
         "platform": platform,
         "kill": kill,
         **record,
     }
+    if storage is not None:
+        row["storage"] = storage
     row["failure"] = _judge_fault(row)
     row["passed"] = row["failure"] is None
     return row
@@ -193,12 +197,13 @@ def fault_rows(platforms: Sequence[str] = OVERLAP_PLATFORMS,
                nprocs: int = 4, engine: Optional[str] = None,
                parallel: Optional[bool] = None,
                max_workers: Optional[int] = None,
+               storage: Optional[str] = None,
                on_row: Optional[Callable[[Dict], None]] = None,
                ) -> List[Dict]:
     """Kill-mid-drain / kill-mid-commit recovery cells, gate-judged."""
     cells = [Cell(measure_fault_cell,
                   dict(platform=platform, kill=kill_name, nprocs=nprocs,
-                       engine=engine),
+                       engine=engine, storage=storage),
                   label=f"overlap-fault:{platform}/{kill_name}")
              for platform in platforms for kill_name in FAULT_KILLS]
 
@@ -288,7 +293,7 @@ def _run(args: argparse.Namespace, progress):
                            on_row=partial(progress, OVERLAP_TABLE))
     f_rows = [] if args.skip_faults else fault_rows(
         platforms, nprocs=args.nprocs, engine=args.engine,
-        parallel=parallel, max_workers=args.workers,
+        storage=args.storage, parallel=parallel, max_workers=args.workers,
         on_row=partial(progress, FAULT_TABLE))
     failures = ([f"{r['platform']}/{r['kernel']}"
                  for r in o_rows if not r["passed"]]

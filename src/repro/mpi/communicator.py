@@ -30,6 +30,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import collectives as _coll
+from . import datatypes as _dt
+from . import requests as _req
 from .datatypes import Datatype, from_numpy_dtype
 from .errors import InvalidCommunicatorError, InvalidRankError, InvalidTagError
 from .matching import ANY_SOURCE, ANY_TAG, PostedRecv
@@ -229,6 +231,24 @@ class Communicator:
             status.__dict__.update(st.__dict__)
         return st
 
+    # ------------------------------------------------------ request completion
+    # The same calls the C3 communicator offers, so an application talks
+    # to either one unchanged.
+    def Wait(self, request: Request) -> Status:
+        return request.wait()
+
+    def Test(self, request: Request) -> Tuple[bool, Optional[Status]]:
+        return request.test()
+
+    def Waitall(self, requests: Sequence[Request]) -> List[Status]:
+        return _req.wait_all(requests)
+
+    def Waitany(self, requests: Sequence[Request]) -> Tuple[int, Status]:
+        return _req.wait_any(requests)
+
+    def Waitsome(self, requests: Sequence[Request]) -> Tuple[List[int], List[Status]]:
+        return _req.wait_some(requests)
+
     # ---------------------------------------------------------------- probing
     def has_pending(self, context_id: Optional[int] = None) -> bool:
         """O(1): is any unmatched message pending on this communicator?
@@ -394,6 +414,23 @@ class Communicator:
         """Release the handle (``MPI_Comm_free``)."""
         self._check()
         self.freed = True
+
+    # --------------------------------------------------- datatype constructors
+    def Type_contiguous(self, count: int, base: Datatype) -> _dt.ContiguousType:
+        return _dt.ContiguousType(count, base)
+
+    def Type_vector(self, count: int, blocklength: int, stride: int,
+                    base: Datatype) -> _dt.VectorType:
+        return _dt.VectorType(count, blocklength, stride, base)
+
+    def Type_indexed(self, blocklengths: Sequence[int], displacements: Sequence[int],
+                     base: Datatype) -> _dt.IndexedType:
+        return _dt.IndexedType(blocklengths, displacements, base)
+
+    def Type_create_struct(self, blocklengths: Sequence[int],
+                           displacements: Sequence[int],
+                           types: Sequence[Datatype]) -> _dt.StructType:
+        return _dt.StructType(blocklengths, displacements, types)
 
 
 class CartComm(Communicator):

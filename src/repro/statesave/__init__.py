@@ -1,18 +1,14 @@
 """Application-level state saving (paper Section 5)."""
 
 from .checkpointfile import CheckpointError, CheckpointReader, CheckpointWriter
-from .context import AppState, Context, RawCommAdapter, StateError
+from .context import AppState, Context, StateError
 from .heap import Block, HeapError, SimHeap
 from .incremental import IncrementalError, IncrementalTracker, PAGE
-from .registry import (
-    RegistryError, Scope, VariableDescriptor, VariableRegistry,
-)
 from .serializer import SerializationError, Serializer, dumps, loads
 
 __all__ = [
-    "Context", "AppState", "RawCommAdapter", "StateError",
+    "Context", "AppState", "StateError",
     "SimHeap", "Block", "HeapError",
-    "VariableRegistry", "VariableDescriptor", "Scope", "RegistryError",
     "Serializer", "dumps", "loads", "SerializationError",
     "CheckpointWriter", "CheckpointReader", "CheckpointError",
     "IncrementalTracker", "IncrementalError", "PAGE",

@@ -20,7 +20,7 @@ by :mod:`repro.precompiler` into) the :class:`Context` API:
 * ``ctx.checkpoint(force=...)`` — the ``#pragma ccc checkpoint`` site.
 * ``ctx.comm`` — the communicator the application talks to.  Under C3 it
   is the protocol-wrapped communicator; in an original (non-fault-
-  tolerant) run it is a thin adapter over the raw simulated MPI.
+  tolerant) run it is the runtime's ``COMM_WORLD`` itself.
 
 The same application function therefore runs unmodified in three modes:
 original, C3 without checkpoints, and C3 with checkpoint/restart.
@@ -34,7 +34,11 @@ import numpy as np
 
 from ..mpi.api import MPI
 from .heap import SimHeap
-from .registry import VariableRegistry
+
+#: The ``registry`` key of every ``app`` section: the snapshot of an
+#: empty variable registry, kept on the wire as a constant until the
+#: format bump of ROADMAP item 2 drops it.
+_REGISTRY_WIRE = {"scopes": [{"name": "<globals>", "vars": {}}]}
 
 
 class StateError(Exception):
@@ -139,91 +143,16 @@ class AppState:
         return sum(_value_nbytes(v) for v in self._values.values())
 
 
-class RawCommAdapter:
-    """Thin pass-through giving a raw Communicator the protocol interface.
-
-    The C3 protocol wrapper exposes ``wait``/``test``/... as methods (it
-    must interpose on them); this adapter mirrors that surface for
-    original runs so applications are mode-agnostic.
-    """
-
-    def __init__(self, comm, mpi: MPI):
-        self._comm = comm
-        self._mpi = mpi
-
-    def __getattr__(self, name: str):
-        return getattr(self._comm, name)
-
-    @property
-    def rank(self) -> int:
-        return self._comm.rank
-
-    @property
-    def size(self) -> int:
-        return self._comm.size
-
-    # communicator creation returns wrapped handles so the adapter surface
-    # is preserved on sub-communicators too
-    def Dup(self, name=None):
-        return RawCommAdapter(self._comm.Dup(name), self._mpi)
-
-    def Split(self, color, key=0):
-        sub = self._comm.Split(color, key)
-        return RawCommAdapter(sub, self._mpi) if sub is not None else None
-
-    def Cart_create(self, dims, periods, reorder=False):
-        return RawCommAdapter(self._comm.Cart_create(dims, periods, reorder),
-                              self._mpi)
-
-    # datatype constructors, mirrored from the MPI facade
-    def Type_contiguous(self, count, base):
-        return self._mpi.Type_contiguous(count, base)
-
-    def Type_vector(self, count, blocklength, stride, base):
-        return self._mpi.Type_vector(count, blocklength, stride, base)
-
-    def Type_indexed(self, blocklengths, displacements, base):
-        return self._mpi.Type_indexed(blocklengths, displacements, base)
-
-    def Type_create_struct(self, blocklengths, displacements, types):
-        return self._mpi.Type_create_struct(blocklengths, displacements, types)
-
-    # request completion, routed like the protocol wrapper routes them
-    def Wait(self, request):
-        return request.wait()
-
-    def Test(self, request):
-        return request.test()
-
-    def Waitall(self, requests):
-        return self._mpi.Waitall(requests)
-
-    def Waitany(self, requests):
-        return self._mpi.Waitany(requests)
-
-    def Waitsome(self, requests):
-        return self._mpi.Waitsome(requests)
-
-    def Testall(self, requests):
-        return self._mpi.Testall(requests)
-
-    def Testany(self, requests):
-        return self._mpi.Testany(requests)
-
-
 class Context:
     """Everything an instrumented application touches at runtime."""
 
     def __init__(self, mpi: MPI, comm=None,
-                 pragma_hook: Optional[Callable[..., None]] = None,
-                 heap: Optional[SimHeap] = None,
-                 registry: Optional[VariableRegistry] = None):
+                 pragma_hook: Optional[Callable[..., None]] = None):
         self.mpi = mpi
-        self.comm = comm if comm is not None else RawCommAdapter(mpi.COMM_WORLD, mpi)
+        self.comm = comm if comm is not None else mpi.COMM_WORLD
         self.state = AppState()
-        self.heap = heap or SimHeap(
+        self.heap = SimHeap(
             static_segment_bytes=mpi._ctx.machine.static_segment_bytes)
-        self.registry = registry or VariableRegistry()
         self.restored = False
         self._pragma_hook = pragma_hook
         self.pragma_count = 0
@@ -407,14 +336,13 @@ class Context:
         return {
             "state": self.state.to_dict(),
             "heap": self.heap.snapshot(),
-            "registry": self.registry.snapshot(),
+            "registry": _REGISTRY_WIRE,
             "pragma_count": self.pragma_count,
         }
 
     def restore_state(self, snap: dict) -> None:
         self.state.replace_all(snap["state"])
         self.heap = SimHeap.from_snapshot(snap["heap"])
-        self.registry.restore(snap["registry"])
         self.pragma_count = snap["pragma_count"]
         self.restored = True
 

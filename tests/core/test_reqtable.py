@@ -61,15 +61,18 @@ def test_commit_snapshot_and_rollback(table):
     assert again.rid == post.rid
 
 
-def test_late_completed_entries_marked_from_log(table):
+def test_released_entries_survive_for_repost(table):
+    # A receive released after the line is recreated like an open one:
+    # its re-post takes a logged late message by request id, if any.
     e = table.alloc("recv", 0, 1, 2, 4, "MPI_DOUBLE", epoch=0)
     table.on_start_checkpoint()
-    e.completed_by = "late"
     table.release(e)
     wire = table.on_commit(lambda buf: "k")
+    assert wire["entries"][0]["completed_by"] is None
     fresh = RequestTable()
     survivors = fresh.restore_wire(wire, line_epoch=1)
-    assert survivors[0].from_log is True
+    assert [s.rid for s in survivors] == [e.rid]
+    assert survivors[0].from_log is False
 
 
 def test_state_key_resolved_for_open_recvs(table):

@@ -156,6 +156,21 @@ def test_probabilistic_livelock_is_inconclusive_not_failing():
     assert record["failure_class"] == "inconclusive"
 
 
+@pytest.mark.parametrize("sched", [
+    FuzzSchedule("v-kill", "ring", 4, kills=[{"rank": 0, "at_epoch": 99}]),
+    FuzzSchedule("v-storage", "ring", 4,
+                 storage_faults=[{"kind": "enospc", "after_ops": 100000}]),
+], ids=["kill-never-fires", "storage-fault-never-injects"])
+def test_schedule_where_no_fault_takes_effect_is_not_a_pass(sched):
+    # a corpus entry whose fault window drifted away must not keep
+    # passing; it is inconclusive (so the random phase never minimizes it)
+    record = run_schedule(sched, _CACHE)
+    assert record["verified"] is True
+    assert not record["fired"] and not record["injected"]
+    assert record["verdict"] == "inconclusive"
+    assert record["failure_class"] == "vacuous"
+
+
 @pytest.mark.parametrize("engine", ["processes:2"])
 def test_disk_schedule_recovers_under_forking_engines(engine):
     # Regression: a fault-injecting backend over real disk reported

@@ -32,6 +32,31 @@ def test_fault_gate_passes_on_one_platform():
     assert "cmi/mid_drain" in out
 
 
+def test_fault_cells_run_on_the_chosen_storage(monkeypatch):
+    from repro.harness import overlap
+    from repro.storage.stable import DiskStorage
+    from repro.storage.wal import WalStore
+
+    stores = []
+    real = overlap.measure_recovery
+
+    def spy(*args, storage_factory=None, **kwargs):
+        def factory():
+            stores.append(storage_factory())
+            return stores[-1]
+        return real(*args, storage_factory=factory, **kwargs)
+
+    monkeypatch.setattr(overlap, "measure_recovery", spy)
+    rows = fault_rows(platforms=["cmi"], storage="wal-disk", parallel=False)
+    assert [r["storage"] for r in rows] == ["wal-disk", "wal-disk"]
+    for r in rows:
+        assert r["passed"], r["failure"]
+        assert r["restored_version"] == 1
+    assert stores and all(isinstance(s, WalStore)
+                          and isinstance(s.backend, DiskStorage)
+                          for s in stores)
+
+
 def test_overhead_judge_rejects_inversion():
     row = dict(committed_inline=1, committed_overlap=1,
                overlap_cost_s=2.0, inline_cost_s=1.0)

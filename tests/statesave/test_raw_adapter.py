@@ -1,17 +1,26 @@
-"""RawCommAdapter: the original-mode communicator surface."""
+"""The original-mode communicator surface.
+
+Without C3, ``ctx.comm`` is the runtime's ``COMM_WORLD`` itself; it and
+every communicator created from it offer each call the C3 communicator
+does, so one application runs unchanged in both modes.
+"""
 
 import numpy as np
-import pytest
 
+from repro.core.comms import C3CartComm, C3Comm
 from repro.mpi import DOUBLE
-from repro.statesave.context import Context, RawCommAdapter
+from repro.statesave.context import Context
 from repro.testutil import run
+
+
+def _public(cls):
+    return {name for name in dir(cls) if not name.startswith("_")}
 
 
 def test_adapter_passthrough_and_identity():
     def main(mpi):
         ctx = Context(mpi)
-        assert isinstance(ctx.comm, RawCommAdapter)
+        assert ctx.comm is mpi.COMM_WORLD
         return (ctx.comm.rank, ctx.comm.size, ctx.rank, ctx.size)
 
     result = run(3, main)
@@ -21,14 +30,19 @@ def test_adapter_passthrough_and_identity():
 def test_adapter_wraps_created_communicators():
     def main(mpi):
         ctx = Context(mpi)
-        dup = ctx.comm.Dup()
-        split = ctx.comm.Split(color=0, key=ctx.rank)
-        cart = ctx.comm.Cart_create((mpi.size,), (True,))
-        # the protocol-style completion surface must exist on all of them
-        return all(hasattr(c, "Waitall") and hasattr(c, "Wait")
-                   for c in (dup, split, cart))
+        world = ctx.comm
+        dup = world.Dup()
+        split = world.Split(color=0, key=ctx.rank)
+        cart = world.Cart_create((mpi.size,), (True,))
+        missing = {name: sorted(n for n in _public(cls)
+                                if not hasattr(comm, n))
+                   for name, comm, cls in (("world", world, C3Comm),
+                                           ("dup", dup, C3Comm),
+                                           ("split", split, C3Comm),
+                                           ("cart", cart, C3CartComm))}
+        return {k: v for k, v in missing.items() if v}
 
-    assert all(run(2, main).returns)
+    assert run(2, main).returns == [{}, {}]
 
 
 def test_adapter_split_undefined_color():
@@ -54,9 +68,19 @@ def test_adapter_wait_family():
         done, st2 = comm.Test(reqs[1 - idx])
         if not done:
             comm.Wait(reqs[1 - idx])
-        return sorted([bufs[0][0], bufs[1][0]])
+        # Waitall / Waitsome, on a created communicator
+        dup = comm.Dup()
+        more = [np.zeros(1) for _ in range(3)]
+        reqs = [dup.Irecv(more[i], source=(r - 1) % s, tag=i)
+                for i in range(3)]
+        for i in range(3):
+            dup.Send(np.array([10.0 + i]), dest=(r + 1) % s, tag=i)
+        indices, statuses = dup.Waitsome(reqs[:1])
+        assert indices == [0] and statuses[0].tag == 0
+        assert [st.tag for st in dup.Waitall(reqs[1:])] == [1, 2]
+        return sorted([bufs[0][0], bufs[1][0]]) + [b[0] for b in more]
 
-    assert run(3, main).returns[0] == [0.0, 1.0]
+    assert run(3, main).returns[0] == [0.0, 1.0, 10.0, 11.0, 12.0]
 
 
 def test_adapter_datatype_constructors():
