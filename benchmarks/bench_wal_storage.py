@@ -7,7 +7,9 @@ group-commit discipline cells of :mod:`repro.harness.walstudy` and fails
 if group commit does not reduce fsyncs-per-line on the real-file disk
 backend, if the WAL exceeds one fsync per node per committed line, or if
 segment GC retains more lines than the scatter baseline's per-file
-deletes.
+deletes.  It also fails if the disk backend's append count on the
+controlled schedule moves from its pinned value, or if the disk and
+in-memory segment images differ by a byte.
 
 Emits ``BENCH_wal.json`` (the same machine-readable report the
 ``python -m repro.harness.walstudy`` CLI writes).
@@ -21,6 +23,10 @@ from repro.harness.jobs import render_text
 from repro.harness.walstudy import (
     COMMIT_TABLE, DISCIPLINE_TABLE, commit_rows, discipline_rows,
 )
+
+#: procs per node -> the disk backend's ``write_count`` on the controlled
+#: schedule of 4 ranks x 6 lines: one append per group commit
+DISK_APPENDS = {1: 24, 2: 12, 4: 6}
 
 
 def test_wal_group_commit_study(benchmark):
@@ -51,3 +57,11 @@ def test_wal_group_commit_study(benchmark):
         # group-committed line under a controlled commit schedule.
         assert r["fsyncs"] == r["nodes"] * r["lines"]
         assert r["replay_bitwise"]
+    images = {}
+    for r in d_rows:
+        ppn = r["procs_per_node"]
+        if r["backend"] == "disk":
+            assert r["appends"] == DISK_APPENDS[ppn], r
+        images.setdefault(ppn, set()).add(r["image_sha256"])
+    # the disk and in-memory backends hold the same log, byte for byte
+    assert all(len(digests) == 1 for digests in images.values()), images

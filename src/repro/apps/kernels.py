@@ -9,6 +9,9 @@ value", Section 2.3).
 
 from __future__ import annotations
 
+import os
+import threading
+from collections import OrderedDict
 from typing import Tuple
 
 import numpy as np
@@ -25,13 +28,59 @@ def seeded_rng(name: str, rank: int = 0, extra: int = 0) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+#: bytes of CSR blocks :func:`sparse_rows` keeps per process (DESIGN.md
+#: §6, "The CG block cache"); ckpt-stream's CG holds 4.5 MB of them
+SPARSE_CACHE_BYTES = 32 << 20
+#: (name, rank, local_n, global_n, nnz_per_row) -> read-only block, LRU first
+_SPARSE_CACHE: "OrderedDict[tuple, Tuple[np.ndarray, ...]]" = OrderedDict()
+#: bytes of the blocks in ``_SPARSE_CACHE``
+_SPARSE_HELD = 0
+#: guards the cache's dict operations only, never a build; a fork waits
+#: for it, so no forked child starts with it held
+_SPARSE_LOCK = threading.Lock()
+os.register_at_fork(before=_SPARSE_LOCK.acquire,
+                    after_in_parent=_SPARSE_LOCK.release,
+                    after_in_child=_SPARSE_LOCK.release)
+
+
 def sparse_rows(name: str, rank: int, local_n: int, global_n: int,
                 nnz_per_row: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A deterministic CSR block of ``local_n`` rows of a ``global_n`` matrix.
 
-    Returns (indptr, indices, values).  The diagonal is included and
-    dominant, so CG on the symmetric part converges.
+    Returns (indptr, indices, values), read-only.  The diagonal is
+    included and dominant, so CG on the symmetric part converges.  A
+    process builds each block once: later calls with the same arguments
+    get the same arrays from a byte-bounded LRU cache.  Threads that
+    miss on one key together may each build it; all get the arrays
+    cached first.
     """
+    global _SPARSE_HELD
+    key = (name, rank, local_n, global_n, nnz_per_row)
+    with _SPARSE_LOCK:  # the service's executor threads share the cache
+        block = _SPARSE_CACHE.get(key)
+        if block is not None:
+            _SPARSE_CACHE.move_to_end(key)
+            return block
+    block = _build_sparse_rows(*key)
+    for a in block:
+        a.flags.writeable = False
+    nbytes = sum(a.nbytes for a in block)
+    with _SPARSE_LOCK:
+        first = _SPARSE_CACHE.get(key)
+        if first is not None:
+            return first
+        if nbytes <= SPARSE_CACHE_BYTES:
+            while _SPARSE_CACHE and _SPARSE_HELD + nbytes > SPARSE_CACHE_BYTES:
+                _, evicted = _SPARSE_CACHE.popitem(last=False)
+                _SPARSE_HELD -= sum(a.nbytes for a in evicted)
+            _SPARSE_CACHE[key] = block
+            _SPARSE_HELD += nbytes
+    return block
+
+
+def _build_sparse_rows(name: str, rank: int, local_n: int, global_n: int,
+                       nnz_per_row: int,
+                       ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     rng = seeded_rng(name, rank)
     k = min(nnz_per_row - 1, global_n - 1)
     diag = rank * local_n + np.arange(local_n, dtype=np.int64)

@@ -37,6 +37,7 @@ Command line::
 from __future__ import annotations
 
 import argparse
+import hashlib
 import sys
 import tempfile
 import time
@@ -250,6 +251,10 @@ def measure_discipline_cell(backend_name: str, ppn: int, nprocs: int = 4,
                                   section_digest(payload))})
         nodes = _nodes(nprocs, ppn)
         fsyncs = backend.fsync_count
+        appends = backend.write_count
+        image = hashlib.sha256()
+        for path in backend.list("wal/"):
+            image.update(path.encode() + b"\0" + backend.read(path))
         replay_ok = True
         if backend_name == "disk":
             reopened = WalStore(backend)
@@ -268,6 +273,8 @@ def measure_discipline_cell(backend_name: str, ppn: int, nprocs: int = 4,
         "lines": lines,
         "fsyncs": fsyncs,
         "fsyncs_per_node_per_line": fsyncs / (nodes * lines),
+        "appends": appends,
+        "image_sha256": image.hexdigest(),
         "replay_bitwise": replay_ok,
     }
     row["failure"] = _judge_discipline(row)
@@ -286,7 +293,9 @@ def discipline_rows(nprocs: int = 4, lines: int = 6,
     every node shape — no job noise, so the fsync count is pinned
     *exactly*: one per node per group-committed line.  The disk cells
     then reopen the backend cold and require WAL replay to rebuild the
-    same committed index with bitwise-identical payloads.
+    same committed index with bitwise-identical payloads.  Each row also
+    reports the backend's append count and a SHA-256 of its segment
+    image, so the two media can be compared byte for byte.
     """
     cells = [Cell(measure_discipline_cell,
                   dict(backend_name=backend_name, ppn=ppn, nprocs=nprocs,

@@ -47,7 +47,7 @@ from dataclasses import dataclass, fields
 from typing import Any, Dict, List, Sequence
 
 from .. import coverage
-from .stable import StorageBackend, StorageError
+from .stable import Buffers, StorageBackend, StorageError, as_buffers
 
 #: every injectable fault class, in display order
 STORAGE_FAULT_KINDS = ("torn_write", "short_append", "bit_rot", "enospc",
@@ -214,7 +214,7 @@ class FaultyStorage(StorageBackend):
             if fault.kind == "bit_rot":
                 self._rot(path, fault.bit)
 
-    def append(self, path: str, data: bytes) -> int:
+    def append(self, path: str, data: Buffers) -> int:
         due = self._due("append", path)
         for fault in due:
             if fault.kind == "enospc":
@@ -223,7 +223,8 @@ class FaultyStorage(StorageBackend):
                                    f"appending to {path!r}")
         short = next((f for f in due if f.kind == "short_append"), None)
         if short is not None:
-            data = self._cut(data, short.keep_fraction)
+            # only a cut flattens the caller's buffers
+            data = self._cut(b"".join(as_buffers(data)), short.keep_fraction)
         offset = self.inner.append(path, data)
         if short is not None:
             self._record("short_append")

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import List
 
-from .stable import StorageBackend, normalize_path
+from .stable import Buffers, StorageBackend, as_buffers, normalize_path
 
 __all__ = ["PrefixBackend", "tenant_backend"]
 
@@ -81,10 +81,10 @@ class PrefixBackend(StorageBackend):
 
     # -- append-stream API (the WAL substrate) -------------------------------
 
-    def append(self, path: str, data: bytes) -> int:
+    def append(self, path: str, data: Buffers) -> int:
         offset = self.inner.append(self._map(path), data)
         self.write_count += 1
-        self.written_bytes += len(data)
+        self.written_bytes += sum(map(len, as_buffers(data)))
         return offset
 
     def sync(self, path: str) -> None:

@@ -39,11 +39,22 @@ import itertools
 import os
 import posixpath
 import threading
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Union
+
+#: what :meth:`StorageBackend.append` takes: one bytes-like object, or a
+#: sequence of them written back to back
+Buffers = Union[bytes, memoryview, Sequence[Union[bytes, memoryview]]]
 
 
 class StorageError(Exception):
     """Missing object / invalid path in a storage backend."""
+
+
+def as_buffers(data: Buffers) -> Sequence:
+    """``data`` as a sequence of buffers (a lone bytes-like object is one)."""
+    if isinstance(data, (bytes, bytearray, memoryview)):
+        return (data,)
+    return data
 
 
 def normalize_path(path: str) -> str:
@@ -109,15 +120,18 @@ class StorageBackend:
         return sum(self.size(p) for p in self.list(prefix))
 
     # -- append-stream API (the WAL substrate) ------------------------------
-    def append(self, path: str, data: bytes) -> int:
+    def append(self, path: str, data: Buffers) -> int:
         """Extend ``path`` with ``data`` (creating it if absent).
 
         Returns the offset the appended bytes start at.  Appends carry no
         durability: a crash before the next :meth:`sync` may lose or tear
         the appended tail — exactly the window the WAL replay truncates.
-        ``data`` may be a ``bytearray`` the caller clears and refills
-        once this returns (the WAL's staging buffer), so a backend copies
-        whatever it keeps.
+        ``data`` is one bytes-like object or a sequence of immutable
+        buffers, written back to back as one append: a WAL group commit
+        hands over each staged record's header, name and payload by
+        reference, in one call.  No caller reuses a staging buffer, but
+        a backend that keeps bytes still copies them out of ``data``
+        (joined once, or written straight to the file).
         """
         raise NotImplementedError
 
@@ -188,13 +202,14 @@ class InMemoryStorage(StorageBackend):
             except KeyError:
                 raise StorageError(f"no stored object at {path!r}") from None
 
-    def append(self, path: str, data: bytes) -> int:
+    def append(self, path: str, data: Buffers) -> int:
         path = normalize_path(path)
         with self._lock:
             old = self._data.get(path, b"")
-            self._data[path] = old + data  # bytes: one copy of ``data``
+            # one join: one copy of every buffer of ``data``
+            new = self._data[path] = b"".join((old, *as_buffers(data)))
             self.write_count += 1
-            self.written_bytes += len(data)
+            self.written_bytes += len(new) - len(old)
             return len(old)
 
     def sync(self, path: str) -> None:
@@ -223,8 +238,9 @@ class DiskStorage(StorageBackend):
     backend — therefore never serialize on a backend-global mutex, and
     readers always observe either the old or the new complete payload.
 
-    Appends go straight to the file (``"ab"``), unsynced; :meth:`sync`
-    fsyncs the file once — the WAL's group-commit durability point.
+    Appends go straight to the file (``"ab"``), unsynced, one
+    ``writelines`` over the caller's buffers; :meth:`sync` fsyncs the
+    file once — the WAL's group-commit durability point.
     """
 
     shared_across_fork = True
@@ -314,14 +330,17 @@ class DiskStorage(StorageBackend):
                     out.append(rel)
         return sorted(out)
 
-    def append(self, path: str, data: bytes) -> int:
+    def append(self, path: str, data: Buffers) -> int:
+        parts = as_buffers(data)
         fs = self._fs_path(path)
         os.makedirs(os.path.dirname(fs), exist_ok=True)
         with open(fs, "ab") as f:
             offset = f.tell()
-            f.write(data)
+            # buffered: small parts coalesce, a big payload goes to the
+            # file straight from the caller's buffer
+            f.writelines(parts)
         self.write_count += 1
-        self.written_bytes += len(data)
+        self.written_bytes += sum(map(len, parts))
         return offset
 
     def sync(self, path: str) -> None:

@@ -17,7 +17,9 @@ section payloads (``SECTION``), commit manifests (``COMMIT``), and line
 tombstones (``DELETE``).  Appends are staged in memory and carry no
 durability; co-located ranks' commits coalesce until every rank on the
 node has committed the line, then the whole batch goes down with **one**
-``append`` + **one** ``sync`` — the group commit.  A crash loses the
+``append`` + **one** ``sync`` — the group commit.  A staged record is
+held by reference (its header, name and payload buffers), so a payload
+is copied only by the medium that keeps it.  A crash loses the
 staged tail (the fail-stop model tears it mid-record, the window the
 ``at_group_commit`` fault windows aim at).
 
@@ -163,15 +165,27 @@ class _Commit:
 
 
 class _Node:
-    """Mutable per-node stream state: active segment + staged buffer."""
+    """Mutable per-node stream state: active segment + staged tail."""
 
     def __init__(self, index: int, seq: int):
         self.index = index
         self.seq = seq
         self.seg = segment_path(index, seq)
         self.base = 0              # durable length of the active segment
-        self.buf = bytearray()     # staged, unsynced appends
+        #: record offset -> (header, name, payload) of each staged,
+        #: unsynced record, in log order; the buffers are not copied
+        self.staged: Dict[int, Tuple[bytes, bytes, bytes]] = {}
+        self.staged_len = 0        # bytes in ``staged``
         self.pending: List[_Commit] = []  # commits staged since last sync
+
+    def staged_parts(self) -> List[bytes]:
+        """The staged tail as buffers in log order (what one append
+        writes)."""
+        return [part for parts in self.staged.values() for part in parts]
+
+    def clear_staged(self) -> None:
+        self.staged.clear()
+        self.staged_len = 0
 
 
 class WalStore(CheckpointStore):
@@ -249,18 +263,21 @@ class WalStore(CheckpointStore):
     # -- low-level append / index maintenance --------------------------------
     def _append_record(self, ns: _Node, rtype: int, version: int, rank: int,
                        name: str, payload: bytes) -> _Rec:
-        """Stage one record: the payload is copied once, into the buffer."""
+        """Stage one record by reference: header, name and payload join
+        the node's staged tail uncopied.  A payload that is not ``bytes``
+        (a ``bytearray``, a ``memoryview``) is copied once here, so the
+        caller may reuse its buffer the moment this returns."""
+        if not isinstance(payload, bytes):
+            payload = bytes(payload)
         nb = name.encode("utf-8")
         head = _record_head(rtype, version, rank, nb, payload)
         seg = self._seg_for(ns)
-        off = ns.base + len(ns.buf)
+        off = ns.base + ns.staged_len
         rec = _Rec(rtype, version, rank, name, off,
                    len(head) + len(nb) + len(payload),
                    off + HEADER_LEN + len(nb), len(payload))
-        buf = ns.buf
-        buf += head
-        buf += nb
-        buf += payload
+        ns.staged[off] = (head, nb, payload)
+        ns.staged_len += rec.length
         seg.records.append(rec)
         seg.total += rec.length
         seg.live += rec.length
@@ -305,8 +322,7 @@ class WalStore(CheckpointStore):
         if seg is not None:
             ns = self._nodes.get(seg.node)
             if ns is not None and segname == ns.seg and rec.off >= ns.base:
-                start = rec.payload_off - ns.base
-                return bytes(memoryview(ns.buf)[start:start + rec.payload_len])
+                return ns.staged[rec.off][2]
         return self.backend.read_range(segname, rec.payload_off,
                                        rec.payload_len)
 
@@ -355,10 +371,9 @@ class WalStore(CheckpointStore):
         ns = self._nodes.get(node)
         if ns is None:
             return
-        if ns.buf:
+        if ns.staged:
             try:
-                # the backend copies what it keeps: the buffer is reused
-                self.backend.append(ns.seg, ns.buf)
+                self.backend.append(ns.seg, ns.staged_parts())
             except StorageError:
                 # The staged tail never reached the medium (disk full,
                 # ...) and retrying would re-append a batch whose commit
@@ -373,8 +388,8 @@ class WalStore(CheckpointStore):
                 coverage.hit("path:wal_flush_failed")
                 self._drop_staged(ns)
                 raise
-            ns.base += len(ns.buf)
-            ns.buf.clear()
+            ns.base += ns.staged_len
+            ns.clear_staged()
             try:
                 self.backend.sync(ns.seg)
             except StorageError:
@@ -436,7 +451,7 @@ class WalStore(CheckpointStore):
                     if commit is not None and commit.rec is rec:
                         del self._commits[key]
         ns.pending.clear()
-        ns.buf.clear()
+        ns.clear_staged()
 
     def flush(self) -> None:
         with self._lock:
@@ -533,33 +548,32 @@ class WalStore(CheckpointStore):
                     except StorageError:
                         pass  # that node's staged tail is abandoned
             ns = self._nodes.get(failed_node)
-            if ns is not None and ns.buf:
-                torn = self._torn_prefix(ns)
-                if torn:
-                    try:
-                        self.backend.append(ns.seg, torn)
-                        coverage.hit("path:wal_torn_tail")
-                    except StorageError:
-                        pass  # the torn tail is lost whole: clean truncation
+            if ns is not None and ns.staged:
+                try:
+                    self.backend.append(ns.seg, self._torn_prefix(ns))
+                    coverage.hit("path:wal_torn_tail")
+                except StorageError:
+                    pass  # the torn tail is lost whole: clean truncation
             self._replay()
 
-    def _torn_prefix(self, ns: _Node) -> bytes:
-        """What the failed node's page cache happened to write.
+    def _torn_prefix(self, ns: _Node) -> list:
+        """What the failed node's page cache happened to write, as
+        buffers for one append (``ns`` has a staged tail).
 
         Deterministic model: every staged record but the last made it
         out whole; the last was cut mid-record.  Replay keeps the whole
         prefix and truncates at the cut — so every WAL crash exercises
         the torn-record path.
         """
-        seg = self._segments.get(ns.seg)
-        if seg is None:
-            return b""
-        staged = [r for r in seg.records if r.off >= ns.base]
-        if not staged:
-            return b""
-        last = staged[-1]
-        cut = (last.off - ns.base) + max(1, last.length // 2)
-        return bytes(memoryview(ns.buf)[:cut])
+        records = list(ns.staged.values())
+        torn: list = [part for parts in records[:-1] for part in parts]
+        keep = max(1, sum(map(len, records[-1])) // 2)
+        for part in records[-1]:
+            if keep <= 0:
+                break
+            torn.append(memoryview(part)[:keep])  # the cut, uncopied
+            keep -= len(part)
+        return torn
 
     def reload(self) -> None:
         """Rebuild indexes from the medium (after a processes run).

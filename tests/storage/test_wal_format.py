@@ -5,8 +5,10 @@ back unchanged: the record codec is pinned to captured hex, and a
 captured segment image (two ranks on one node, two lines, the first
 deleted) must replay to the same index and manifests.  Its manifests
 hold BLAKE2b section digests, the format before SHA-256/128, so its
-lines fail verification by design.  Backends must copy what they keep
-of an ``append``: the WAL hands them its staging buffer and reuses it.
+lines fail verification by design.  An ``append`` takes one buffer or a
+sequence of them (the WAL hands over each staged record's header, name
+and payload by reference); a backend copies what it keeps, so a caller
+that reuses a buffer afterwards cannot change the medium.
 """
 
 import pytest
