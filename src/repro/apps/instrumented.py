@@ -39,7 +39,9 @@ from ..core.ccc import cached_comm
 from ..mpi.communicator import PROC_NULL
 from ..mpi.ops import MAX, SUM
 from ..precompiler import instrument
-from .kernels import checksum, csr_matvec, grid_2d, seeded_rng, sparse_rows
+from .heat import check_rod
+from .kernels import (checksum, csr_matvec, diffuse, grid_2d, seeded_rng,
+                      sparse_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -50,6 +52,7 @@ def _heat_src(ctx, local_n: int = 32, niter: int = 40, alpha: float = 0.4,
               t_left: float = 100.0, t_right: float = 0.0,
               work_scale: float = 1.0):
     # ccc: save(u, dmax)
+    check_rod(local_n, ctx.size)
     u = np.zeros(local_n)
     if ctx.rank == 0:
         u[0] = t_left
@@ -61,6 +64,7 @@ def _heat_src(ctx, local_n: int = 32, niter: int = 40, alpha: float = 0.4,
     rank, size = ctx.rank, ctx.size
     left = rank - 1 if rank > 0 else PROC_NULL
     right = rank + 1 if rank + 1 < size else PROC_NULL
+    spare = None  # the array the previous step replaced
     # ccc: loop(step)
     for step in range(niter):
         # ccc: checkpoint
@@ -72,8 +76,9 @@ def _heat_src(ctx, local_n: int = 32, niter: int = 40, alpha: float = 0.4,
         if right != PROC_NULL:
             comm.Sendrecv(np.ascontiguousarray(u[-1:]), right, 8,
                           ghost_r, right, 7)
-        new = u.copy()
-        new[1:-1] = u[1:-1] + alpha * (u[:-2] - 2 * u[1:-1] + u[2:])
+        new = np.empty_like(u) if spare is None else spare
+        new[0], new[-1] = u[0], u[-1]
+        diffuse(u, new, alpha)
         if left != PROC_NULL:
             new[0] = u[0] + alpha * (ghost_l[0] - 2 * u[0] + u[1])
         if right != PROC_NULL:
@@ -83,7 +88,9 @@ def _heat_src(ctx, local_n: int = 32, niter: int = 40, alpha: float = 0.4,
             new[0] = t_left
         if rank == size - 1:
             new[-1] = t_right
-        delta = float(np.abs(new - u).max())
+        np.subtract(new, u, out=u)
+        delta = float(np.abs(u, out=u).max())
+        spare = u
         u = new
         dbuf = np.zeros(1)
         comm.Allreduce(np.array([delta]), dbuf, MAX)

@@ -68,6 +68,7 @@ See DESIGN.md section 4 for the execution-model contract.
 
 from __future__ import annotations
 
+import os
 import threading
 import time as _time
 from _thread import allocate_lock
@@ -81,6 +82,16 @@ _RUNNING = "running"
 _BLOCKED = "blocked"
 _YIELDED = "yielded"
 _DONE = "done"
+
+#: ``threading.stack_size`` is one process-wide value: every launch
+#: saves, sets and restores it under this lock, or launches on the
+#: service's executor threads restore each other's carrier size and it
+#: stays set for every later thread.  A fork waits for it, so no forked
+#: ``processes`` worker starts with it held.
+_STACK_LOCK = threading.Lock()
+os.register_at_fork(before=_STACK_LOCK.acquire,
+                    after_in_parent=_STACK_LOCK.release,
+                    after_in_child=_STACK_LOCK.release)
 
 
 def _held_lock():
@@ -294,22 +305,23 @@ class CooperativeScheduler:
             finally:
                 self._park(task, _DONE)
 
-        old_stack = threading.stack_size()
-        try:
-            threading.stack_size(self.STACK_BYTES)
-        except (ValueError, RuntimeError):  # pragma: no cover - platform quirk
-            pass
-        try:
-            for task in self._tasks:
-                task.thread = threading.Thread(
-                    target=carrier, args=(task,), daemon=True,
-                    name=f"coop-rank-{task.rank}")
-                task.thread.start()
-        finally:
+        with _STACK_LOCK:
+            old_stack = threading.stack_size()
             try:
-                threading.stack_size(old_stack)
+                threading.stack_size(self.STACK_BYTES)
             except (ValueError, RuntimeError):  # pragma: no cover
-                pass
+                pass  # a platform that refuses the size keeps its default
+            try:
+                for task in self._tasks:
+                    task.thread = threading.Thread(
+                        target=carrier, args=(task,), daemon=True,
+                        name=f"coop-rank-{task.rank}")
+                    task.thread.start()
+            finally:
+                try:
+                    threading.stack_size(old_stack)
+                except (ValueError, RuntimeError):  # pragma: no cover
+                    pass
 
     # -- the run loop ----------------------------------------------------------
     def run(self, body: Callable[[int], None], deadline: float,

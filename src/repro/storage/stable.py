@@ -35,9 +35,11 @@ next ``sync`` (the batched fsync of a group commit).
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import os
 import posixpath
+import sys
 import threading
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -151,6 +153,9 @@ class InMemoryStorage(StorageBackend):
     def __init__(self):
         self._lock = threading.Lock()
         self._data: Dict[str, bytes] = {}
+        #: the keys of ``_data``, sorted: :meth:`list` answers a prefix
+        #: with two bisections instead of a scan of every key
+        self._keys: List[str] = []
         self.write_count = 0
         self.written_bytes = 0
         #: durability points the disk backend would have paid (one per
@@ -163,7 +168,9 @@ class InMemoryStorage(StorageBackend):
     def write(self, path: str, data: bytes) -> None:
         path = normalize_path(path)
         with self._lock:
-            self._data[path] = bytes(data)
+            payload = bytes(data)
+            self._add_key(path)
+            self._data[path] = payload
             self.write_count += 1
             self.written_bytes += len(data)
             self.fsync_count += 1
@@ -189,10 +196,17 @@ class InMemoryStorage(StorageBackend):
             if path not in self._data:
                 raise StorageError(f"no stored object at {path!r}")
             del self._data[path]
+            del self._keys[bisect.bisect_left(self._keys, path)]
 
     def list(self, prefix: str = "") -> List[str]:
         with self._lock:
-            return sorted(p for p in self._data if p.startswith(prefix))
+            keys = self._keys
+            lo = bisect.bisect_left(keys, prefix)
+            return keys[lo:_prefix_end(keys, prefix, lo)]
+
+    def _add_key(self, path: str) -> None:
+        if path not in self._data:
+            bisect.insort(self._keys, path)
 
     def size(self, path: str) -> int:
         path = normalize_path(path)
@@ -207,7 +221,9 @@ class InMemoryStorage(StorageBackend):
         with self._lock:
             old = self._data.get(path, b"")
             # one join: one copy of every buffer of ``data``
-            new = self._data[path] = b"".join((old, *as_buffers(data)))
+            new = b"".join((old, *as_buffers(data)))
+            self._add_key(path)
+            self._data[path] = new
             self.write_count += 1
             self.written_bytes += len(new) - len(old)
             return len(old)
@@ -226,6 +242,20 @@ class InMemoryStorage(StorageBackend):
                 raise StorageError(f"no stored object at {path!r}") from None
             self.read_count += 1
             return payload
+
+
+def _prefix_end(keys: List[str], prefix: str, lo: int) -> int:
+    """Index past the last of sorted ``keys`` that starts with ``prefix``.
+
+    The keys with a prefix are one run, ending before the least string
+    above every one of them: the prefix with its last character
+    incremented (trailing U+10FFFF characters, which have no successor,
+    dropped first; none left means the run reaches the end).
+    """
+    stem = prefix.rstrip(chr(sys.maxunicode))
+    if not stem:
+        return len(keys)
+    return bisect.bisect_left(keys, stem[:-1] + chr(ord(stem[-1]) + 1), lo)
 
 
 class DiskStorage(StorageBackend):

@@ -1,6 +1,9 @@
 """Engine behavior: results, virtual time, faults, deadlock watchdog."""
 
+import os
+import signal
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -206,6 +209,43 @@ class TestRankStacks:
         # carrier size applied before every start; restored only afterwards
         assert set_idx < min(start_idxs)
         assert restore_idx > max(start_idxs)
+
+    def test_a_fork_while_a_thread_holds_the_stack_lock_can_launch(self):
+        """Service executor threads fork ``processes`` workers while
+        other threads may be starting carriers: the child must not
+        start with the stack-size lock held."""
+        from repro.mpi import scheduler
+
+        holding = threading.Event()
+
+        def hold():
+            with scheduler._STACK_LOCK:
+                holding.set()
+                time.sleep(0.2)
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        holding.wait()
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                result = run_job(2, lambda mpi: mpi.rank, wall_timeout=30)
+                code = 0 if result.returns == [0, 1] else 2
+            finally:
+                os._exit(code)
+        holder.join(timeout=30)
+        assert not holder.is_alive()
+        deadline = time.monotonic() + 30
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done or time.monotonic() > deadline:
+                break
+            time.sleep(0.01)
+        if not done:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        assert done and os.waitstatus_to_exitcode(status) == 0
 
 
 class TestAbortUnification:

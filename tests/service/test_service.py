@@ -12,6 +12,8 @@ bytes.
 from __future__ import annotations
 
 import asyncio
+import sys
+import threading
 
 import pytest
 
@@ -170,6 +172,25 @@ class TestConcurrentReproducibility:
                 return [canonical_result_bytes(r) for r in rows]
         blobs = run(go())
         assert len(set(blobs)) == 1
+
+    def test_concurrent_launches_leave_the_thread_stack_size_alone(self):
+        """Each launch sets the carrier stack size and restores it; two
+        executor threads doing that at once used to leave the carrier
+        size set for every later thread of the process."""
+        async def go():
+            async with CampaignService(workers=2, cache=False) as svc:
+                jobs = [await svc.submit(f"t{i}", spec(seed=i))
+                        for i in range(8)]
+                await asyncio.gather(*[j.result() for j in jobs])
+
+        before = threading.stack_size()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            run(go())
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.stack_size() == before
 
 
 # ---------------------------------------------------------------------------

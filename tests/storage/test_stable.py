@@ -1,5 +1,6 @@
 """Storage backends."""
 
+import random
 import threading
 
 import pytest
@@ -68,6 +69,35 @@ def test_memory_stats():
     s.write("b", b"345")
     assert s.write_count == 2
     assert s.written_bytes == 5
+
+
+def test_memory_list_matches_a_scan_of_every_key():
+    """The sorted key index answers every prefix as the scan it
+    replaced did, through random writes, appends and deletes."""
+    rng = random.Random(7)
+    names = [f"wal/node{n}/seg-{i:04d}" for n in range(3) for i in range(12)]
+    names += ["wal/node1", "wal/node10/seg-0000", "ckpt/v1/rank0/app",
+              "ckpt/v10/rank0/app", "a", "a\U0010ffff", "a\U0010ffffb", "b"]
+    prefixes = ["", "wal/", "wal/node1", "wal/node1/", "wal/node0/seg-00",
+                "ckpt/v1", "ckpt/v1/", "a", "a\U0010ffff", "\U0010ffff",
+                "zzz", "wal/node2/seg-0011", "wal/node2/seg-00119"]
+    store = InMemoryStorage()
+    model = {}
+    for _ in range(600):
+        name = rng.choice(names)
+        op = rng.random()
+        if op < 0.4:
+            store.write(name, b"w")
+            model[name] = True
+        elif op < 0.7:
+            store.append(name, [b"a", b"b"])
+            model[name] = True
+        elif name in model:
+            store.delete(name)
+            del model[name]
+        for prefix in prefixes:
+            scan = sorted(p for p in model if p.startswith(prefix))
+            assert store.list(prefix) == scan, prefix
 
 
 def test_disk_path_escape_rejected(tmp_path):
