@@ -76,7 +76,6 @@ def start_checkpoint(p: "C3Protocol") -> None:
     p.epoch = line
     p.mpi._ctx.fault_point("at_epoch", line)
     writer = CheckpointWriter(p.store, version=line, rank=p.rank,
-                              portable=p.config.portable,
                               dry_run=not p.config.save_to_disk)
     # Save application state (full, or dirty pages against the previous
     # checkpoint when incremental checkpointing is on).
@@ -95,12 +94,10 @@ def start_checkpoint(p: "C3Protocol") -> None:
                             "incremental": record})
     else:
         writer.save("app", snap)
-    # Save basic MPI state: node count, local rank, processor name, current
-    # epoch, attached buffers.
+    # Save basic MPI state: node count, local rank, epoch, attached buffers.
     writer.save("mpi_state", {
         "nprocs": p.nprocs,
         "rank": p.rank,
-        "processor_name": p.mpi.Get_processor_name(),
         "epoch": p.epoch,
         "attached_buffers": p.mpi.attached_buffers,
     })

@@ -120,8 +120,6 @@ class C3Config:
     #: to their last full save.  False retains every committed line
     #: forever (ablation).
     gc_lines: bool = True
-    #: save checkpoints in the portable (typed) format
-    portable: bool = False
     #: piggyback codec: "3bit" (the paper's) or "full" (ablation)
     codec: str = "3bit"
     #: always emulate collectives with point-to-point (ablation; normally

@@ -153,9 +153,6 @@ class RequestTable:
                 "dtype_name": entry.dtype_name,
                 "epoch_created": entry.epoch_created,
                 "test_counter": entry.test_counter,
-                # never set; kept on the wire until the format bump of
-                # ROADMAP item 2 drops it
-                "completed_by": None,
                 "garbage": entry.garbage,
                 "state_key": state_key,
             })

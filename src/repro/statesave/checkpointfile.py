@@ -20,7 +20,7 @@ from typing import Any, Dict, List, Tuple
 from ..storage.manifest import section_digest
 from ..storage.stable import StorageError
 from ..storage.store import as_store
-from .serializer import Serializer
+from .serializer import dumps, loads
 
 
 class CheckpointError(Exception):
@@ -40,13 +40,12 @@ class CheckpointWriter:
     """
 
     def __init__(self, storage, version: int, rank: int,
-                 portable: bool = False, dry_run: bool = False):
+                 dry_run: bool = False):
         self.storage = storage
         self.store = as_store(storage)
         self.version = version
         self.rank = rank
         self.dry_run = dry_run
-        self._serializer = Serializer(portable=portable)
         self._written: Dict[str, Tuple[int, str]] = {}
         self.committed = False
         #: a section write hit a storage error (disk full, injected
@@ -67,7 +66,7 @@ class CheckpointWriter:
             raise CheckpointError("checkpoint already committed")
         if section in self._written:
             raise CheckpointError(f"section {section!r} already written")
-        payload = self._serializer.dumps(value)
+        payload = dumps(value)
         if self.dry_run or self.failed:
             self._written[section] = (len(payload), "")
         else:
@@ -132,7 +131,6 @@ class CheckpointReader:
                 f"rank {rank} checkpoint v{version} is not restorable: "
                 f"{exc}") from None
         self._nbytes = sum(len(p) for p in self._payloads.values())
-        self._serializer = Serializer()
 
     def load(self, section: str) -> Any:
         """Deserialize one section (raises if absent or already loaded)."""
@@ -141,7 +139,7 @@ class CheckpointReader:
             raise CheckpointError(
                 f"rank {self.rank} checkpoint v{self.version} has no "
                 f"section {section!r} left to load")
-        return self._serializer.loads(payload)
+        return loads(payload)
 
     def total_bytes(self) -> int:
         """Payload bytes of the line as read: its manifest's count,

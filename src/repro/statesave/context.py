@@ -35,12 +35,6 @@ import numpy as np
 from ..mpi.api import MPI
 from .heap import SimHeap
 
-#: The ``registry`` key of every ``app`` section: the snapshot of an
-#: empty variable registry, kept on the wire as a constant until the
-#: format bump of ROADMAP item 2 drops it.
-_REGISTRY_WIRE = {"scopes": [{"name": "<globals>", "vars": {}}]}
-
-
 class StateError(Exception):
     """Invalid use of the checkpointable state."""
 
@@ -155,7 +149,6 @@ class Context:
             static_segment_bytes=mpi._ctx.machine.static_segment_bytes)
         self.restored = False
         self._pragma_hook = pragma_hook
-        self.pragma_count = 0
         #: runtime stack of the named loops currently executing (rebuilt
         #: by re-execution after a restore; not part of the checkpoint)
         self._active_loops: list = []
@@ -188,7 +181,6 @@ class Context:
         control messages and start a checkpoint when forced, when the timer
         expired, or when another process initiated one.
         """
-        self.pragma_count += 1
         if self._pragma_hook is not None:
             self._pragma_hook(force=force)
 
@@ -336,14 +328,11 @@ class Context:
         return {
             "state": self.state.to_dict(),
             "heap": self.heap.snapshot(),
-            "registry": _REGISTRY_WIRE,
-            "pragma_count": self.pragma_count,
         }
 
     def restore_state(self, snap: dict) -> None:
         self.state.replace_all(snap["state"])
         self.heap = SimHeap.from_snapshot(snap["heap"])
-        self.pragma_count = snap["pragma_count"]
         self.restored = True
 
     @property

@@ -19,6 +19,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from .serializer import wire_dtype
+
 PAGE = 4096
 
 
@@ -58,12 +60,13 @@ class IncrementalTracker:
         new_digests: Dict[str, List[bytes]] = {}
         new_geometry: Dict[str, Tuple[str, tuple, int]] = {}
         for name, arr in arrays.items():
+            dtype = wire_dtype(arr)
             raw = np.ascontiguousarray(arr).tobytes()
             digests = _page_digests(raw)
             new_digests[name] = digests
-            geometry = (arr.dtype.str, tuple(arr.shape), len(raw))
+            geometry = (dtype, tuple(arr.shape), len(raw))
             new_geometry[name] = geometry
-            meta = {"dtype": arr.dtype.str, "shape": tuple(arr.shape),
+            meta = {"dtype": dtype, "shape": tuple(arr.shape),
                     "nbytes": len(raw)}
             if full or name not in self._digests or \
                     self._geometry.get(name) != geometry:

@@ -1,19 +1,19 @@
-"""Checkpoint serialization.
+"""Checkpoint serialization: one format, portable across hosts.
 
-Two formats, mirroring Section 5 of the paper:
-
-* **binary** (default) — values are dumped as raw bytes with minimal framing,
-  "irrespective of the data's type", favouring efficiency and transparency
-  over portability, exactly like C3's design philosophy;
-* **portable** — every value is tagged with its type and numeric data is
-  canonicalized to little-endian, so a checkpoint taken on one platform can
-  be restored on another (the paper's grid-environment extension).
+Section 5 of the paper: C3 dumps state as raw bytes "irrespective of the
+data's type", and checkpoints "can be made portable across platforms".
+This format is both.  Each value is a type tag and its raw bytes; scalars
+are packed little-endian and each array carries its ``dtype.str``, which
+names its byte order, so a payload decodes to the same values and dtypes
+on any host.  A dtype that string cannot rebuild (structured) is refused
+at save, like object dtype.
 
 The serializer is self-contained (no pickle): it supports ``None``, bools,
 ints, floats, complex, str, bytes, lists, tuples, dicts with str/int/tuple
 keys, and numpy arrays.  That covers everything the runtime checkpoints:
 application state, protocol registries (which hold message payload bytes),
-counters, and handle tables.
+counters, and handle tables.  A corrupt payload raises
+:class:`SerializationError`, after no more work than its length allows.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from typing import Any, Callable, Dict, List, Tuple
 import numpy as np
 
 MAGIC_BINARY = b"C3BN"
-MAGIC_PORTABLE = b"C3PT"
 FORMAT_VERSION = 1
 
 # type tags
@@ -91,7 +90,7 @@ def _unpack_varint(buf: bytes, pos: int) -> Tuple[int, int]:
 #: array, the caller's bytes) instead of being staged in the buffer first
 _BLOB_MIN = 4096
 
-_VERSION = struct.pack("<H", FORMAT_VERSION)
+_HEADER = MAGIC_BINARY + struct.pack("<H", FORMAT_VERSION)
 _D = struct.Struct("<d")
 _DD = struct.Struct("<dd")
 
@@ -105,13 +104,11 @@ class _Encoder:
     into the payload, which copies each byte once.
     """
 
-    __slots__ = ("out", "parts", "portable")
+    __slots__ = ("out", "parts")
 
-    def __init__(self, portable: bool):
-        self.out = bytearray(MAGIC_PORTABLE if portable else MAGIC_BINARY)
-        self.out += _VERSION
+    def __init__(self):
+        self.out = bytearray(_HEADER)
         self.parts: List[Any] = []
-        self.portable = portable
 
     def blob(self, raw) -> None:
         """Append a flat byte buffer (its length is already written)."""
@@ -207,14 +204,23 @@ def _enc_dict(e: _Encoder, v: Any) -> None:
         _encode(e, item)
 
 
-def _enc_ndarray(e: _Encoder, a: np.ndarray) -> None:
+def wire_dtype(a: np.ndarray) -> str:
+    """``a.dtype.str``, which names the byte order; SerializationError for
+    a dtype it cannot rebuild (object; structured loses field names)."""
     if a.dtype.hasobject:
         raise SerializationError("object-dtype arrays cannot be checkpointed")
+    name = a.dtype.str
+    if np.dtype(name) != a.dtype:
+        raise SerializationError(
+            f"dtype {a.dtype} cannot be checkpointed: it would restore "
+            f"as {name}")
+    return name
+
+
+def _enc_ndarray(e: _Encoder, a: np.ndarray) -> None:
     arr = np.ascontiguousarray(a)
-    if e.portable and arr.dtype.byteorder == ">":
-        arr = arr.astype(arr.dtype.newbyteorder("<"))
     e.out.append(_T_NDARRAY)
-    _enc_str(e, arr.dtype.str)  # includes byte order: portable restore works
+    _enc_str(e, wire_dtype(arr))
     out = e.out
     _put_varint(out, arr.ndim)
     for s in arr.shape:
@@ -269,34 +275,31 @@ def _resolve(tp: type) -> Callable[[_Encoder, Any], None]:
 
 
 class Serializer:
-    """Encode/decode checkpoint values in one of the two formats."""
-
-    def __init__(self, portable: bool = False):
-        self.portable = portable
+    """Encode/decode checkpoint values."""
 
     # -- public API ----------------------------------------------------------
     def dumps(self, value: Any) -> bytes:
-        e = _Encoder(self.portable)
+        e = _Encoder()
         _encode(e, value)
         return e.result()
 
     def loads(self, payload: bytes) -> Any:
-        if len(payload) < 6:
-            raise SerializationError("payload too short for header")
-        magic = payload[:4]
-        if magic not in (MAGIC_BINARY, MAGIC_PORTABLE):
-            raise SerializationError(f"bad magic {magic!r}")
-        (version,) = struct.unpack_from("<H", payload, 4)
-        if version != FORMAT_VERSION:
-            raise SerializationError(f"unsupported format version {version}")
-        portable = magic == MAGIC_PORTABLE
-        value, pos = self._decode(payload, 6, portable)
+        if payload[:4] != MAGIC_BINARY:
+            raise SerializationError(f"bad magic {bytes(payload[:4])!r}")
+        if payload[4:6] != _HEADER[4:]:
+            raise SerializationError(
+                f"unsupported format version {bytes(payload[4:6])!r}")
+        try:
+            value, pos = self._decode(payload, 6)
+        except _CORRUPT as exc:
+            raise SerializationError(
+                f"corrupt payload: {type(exc).__name__}: {exc}") from None
         if pos != len(payload):
             raise SerializationError(f"{len(payload) - pos} trailing bytes")
         return value
 
     # -- decoding -----------------------------------------------------------------
-    def _decode(self, buf: bytes, pos: int, portable: bool) -> Tuple[Any, int]:
+    def _decode(self, buf: bytes, pos: int) -> Tuple[Any, int]:
         tag = buf[pos]
         pos += 1
         if tag == _T_NONE:
@@ -312,50 +315,67 @@ class Serializer:
             re, im = struct.unpack_from("<dd", buf, pos)
             return complex(re, im), pos + 16
         if tag == _T_STR:
-            n, pos = _unpack_varint(buf, pos)
+            n, pos = _unpack_length(buf, pos)
             return buf[pos:pos + n].decode("utf-8"), pos + n
         if tag == _T_BYTES:
-            n, pos = _unpack_varint(buf, pos)
+            n, pos = _unpack_length(buf, pos)
             return bytes(buf[pos:pos + n]), pos + n
         if tag == _T_LIST or tag == _T_TUPLE:
-            n, pos = _unpack_varint(buf, pos)
+            n, pos = _unpack_length(buf, pos)
             items = []
             for _ in range(n):
-                item, pos = self._decode(buf, pos, portable)
+                item, pos = self._decode(buf, pos)
                 items.append(item)
             return (tuple(items) if tag == _T_TUPLE else items), pos
         if tag == _T_DICT:
-            n, pos = _unpack_varint(buf, pos)
+            n, pos = _unpack_length(buf, pos)
             d: Dict[Any, Any] = {}
             for _ in range(n):
-                k, pos = self._decode(buf, pos, portable)
-                v, pos = self._decode(buf, pos, portable)
+                k, pos = self._decode(buf, pos)
+                v, pos = self._decode(buf, pos)
                 d[k] = v
             return d, pos
         if tag == _T_NDARRAY:
-            dtype_str, pos = self._decode(buf, pos, portable)
-            ndim, pos = _unpack_varint(buf, pos)
+            dtype_str, pos = self._decode(buf, pos)
+            ndim, pos = _unpack_length(buf, pos)
             shape = []
             for _ in range(ndim):
                 s, pos = _unpack_varint(buf, pos)
+                if s < 0:
+                    raise SerializationError(f"negative array extent {s}")
                 shape.append(s)
-            nbytes, pos = _unpack_varint(buf, pos)
+            nbytes, pos = _unpack_length(buf, pos)
             arr = np.frombuffer(memoryview(buf)[pos:pos + nbytes],
                                 dtype=np.dtype(dtype_str))
             return arr.reshape(shape).copy(), pos + nbytes
         raise SerializationError(f"unknown type tag {tag} at offset {pos - 1}")
 
 
+#: what decoding a corrupt payload raises: its end, a bad dtype, shape,
+#: UTF-8 or dict key, nesting deeper than the stack
+_CORRUPT = (IndexError, ValueError, TypeError, struct.error,
+            UnicodeDecodeError, RecursionError)
+
+
+def _unpack_length(buf: bytes, pos: int) -> Tuple[int, int]:
+    """A length or count: never negative, nor more than the bytes left."""
+    n, pos = _unpack_varint(buf, pos)
+    if not 0 <= n <= len(buf) - pos:
+        raise SerializationError(
+            f"length {n} at offset {pos} does not fit the "
+            f"{len(buf) - pos} bytes left")
+    return n, pos
+
+
 #: module-level conveniences
-_BINARY = Serializer(portable=False)
-_PORTABLE = Serializer(portable=True)
+_SERIALIZER = Serializer()
 
 
-def dumps(value: Any, portable: bool = False) -> bytes:
+def dumps(value: Any) -> bytes:
     """Serialize a checkpoint value to bytes (module-level convenience)."""
-    return (_PORTABLE if portable else _BINARY).dumps(value)
+    return _SERIALIZER.dumps(value)
 
 
 def loads(payload: bytes) -> Any:
-    """Deserialize a checkpoint payload (either format)."""
-    return _BINARY.loads(payload)
+    """Deserialize a checkpoint payload (module-level convenience)."""
+    return _SERIALIZER.loads(payload)

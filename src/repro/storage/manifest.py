@@ -77,10 +77,7 @@ def decode_commit(data: bytes) -> dict:
 
     A record that is not a well-formed manifest — a torn write or
     bit-rot caught mid-marker, or a bare token — raises
-    :class:`StorageError`: the *line* is bad, not the program.  (Found
-    by the fault fuzzer: a torn COMMIT marker used to escape as a raw
-    ``IndexError``/``ValueError`` from the deserializer, crashing every
-    recovery query instead of failing validation.)
+    :class:`StorageError`: the *line* is bad, not the program.
     """
     from ..statesave import serializer
     try:

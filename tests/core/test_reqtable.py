@@ -68,7 +68,6 @@ def test_released_entries_survive_for_repost(table):
     table.on_start_checkpoint()
     table.release(e)
     wire = table.on_commit(lambda buf: "k")
-    assert wire["entries"][0]["completed_by"] is None
     fresh = RequestTable()
     survivors = fresh.restore_wire(wire, line_epoch=1)
     assert [s.rid for s in survivors] == [e.rid]

@@ -92,15 +92,39 @@ def test_recovery_from_disk_storage(tmp_path):
     assert len(storage.list("ckpt/")) > 0
 
 
-def test_portable_checkpoint_restores():
-    """The grid-environment extension: portable-format checkpoints restore
-    exactly like binary ones."""
-    returns, T = reference(3)
+def big_endian_app(ctx):
+    """State held in a big-endian array, updated in place so it keeps
+    its byte order."""
+    comm = ctx.comm
+    if ctx.first_time("setup"):
+        ctx.state.x = (np.arange(5.0) + ctx.rank).astype(">f8")
+        ctx.done("setup")
+    for it in ctx.range("i", 12):
+        ctx.checkpoint()
+        ctx.compute(1e-4)
+        x = ctx.state.x
+        x *= 1.25
+        x += it
+        out = np.zeros(1)
+        comm.Allreduce(np.array([float(x.sum())]), out, SUM)
+        x -= out[0] * 1e-3
+    return ctx.state.x.dtype.str, ctx.state.x.tobytes()
+
+
+def test_big_endian_state_restarts_bitwise():
+    """A checkpoint is portable as written: a ``>f8`` array restores
+    with its byte order and bytes, whatever the host's."""
+    golden = run_original(big_endian_app, 3)
+    golden.raise_errors()
     res = run_fault_tolerant(
-        dense_app, 3, storage=InMemoryStorage(),
-        config=C3Config(checkpoint_interval=T * 0.15, portable=True),
-        fault_plan=FaultPlan([FaultSpec(rank=0, at_time=T * 0.5)]))
-    assert res.returns == returns
+        big_endian_app, 3, storage=InMemoryStorage(),
+        config=C3Config(checkpoint_interval=golden.virtual_time * 0.15),
+        fault_plan=FaultPlan([
+            FaultSpec(rank=0, at_time=golden.virtual_time * 0.6)]))
+    assert res.restarts == 1
+    assert all(s.restored_version for s in res.stats)
+    assert res.returns == golden.returns
+    assert {dtype for dtype, _ in res.returns} == {">f8"}
 
 
 def test_full_codec_recovery():

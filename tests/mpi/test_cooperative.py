@@ -440,13 +440,15 @@ def _c3_heat64():
 
 #: launches that must keep the p2p schedule bit for bit, switches
 #: included — a C3 job with a checkpoint timer, a restart, an armed
-#: mid-collective kill — recorded before closed-form collectives existed
+#: mid-collective kill — recorded before closed-form collectives existed;
+#: the two C3 jobs' clocks were re-pinned when the checkpoint format
+#: dropped four unread fields (smaller sections: every clock fell)
 GUARD_PINS = {
     "c3-timer ring@16": (_c3_timer_ring16, dict(
-        switches=218, clocks="2245227df7661f57", sent="af7df80113476483",
+        switches=218, clocks="11267748e10ba2e4", sent="af7df80113476483",
         returns="a41edf37a5dcc20c", failure=None)),
     "resume heat@16": (_resume_heat16, dict(
-        switches=265, clocks="6f1837e2fe1e0500", sent="172760971b50f992",
+        switches=265, clocks="f068d2c85e2ded74", sent="172760971b50f992",
         returns="51e34d864f748e1d", failure=None)),
     "in_collective ring@16": (_in_collective_ring16, dict(
         switches=51, clocks="2128c30653e3ca1f", sent="d62bdea1fa572a1c",

@@ -258,14 +258,12 @@ class TestSnapshot:
         ctx = make_ctx()
         ctx.state.x = np.arange(3.0)
         ctx.state.n = 5
-        ctx.pragma_count = 2
         snap = ctx.snapshot_state()
         ctx2 = make_ctx()
         ctx2.restore_state(snap)
         assert np.array_equal(ctx2.state.x, np.arange(3.0))
         assert ctx2.state.n == 5
         assert ctx2.restored
-        assert ctx2.pragma_count == 2
 
     def test_checkpoint_bytes(self):
         ctx = make_ctx()

@@ -1,7 +1,7 @@
 """The table-driven encoder against the recursive encoder it replaced.
 
 ``spec_dumps`` below is the previous ``Serializer._encode``, frozen here
-as the byte-level specification of both formats: every value the
+as the byte-level specification of the format: every value the
 encoder accepts must encode to exactly these bytes, and decode back to a
 value that encodes to them again.
 """
@@ -17,13 +17,13 @@ from hypothesis.extra import numpy as npst
 
 from repro.statesave import serializer
 from repro.statesave.serializer import (
-    FORMAT_VERSION, MAGIC_BINARY, MAGIC_PORTABLE, SerializationError,
+    FORMAT_VERSION, MAGIC_BINARY, SerializationError,
     Serializer, _pack_varint, loads,
 )
 
 
 # -- the specification ------------------------------------------------------
-def _spec_encode(v, out, portable):
+def _spec_encode(v, out):
     if v is None:
         out.append(0)
     elif isinstance(v, (bool, np.bool_)):
@@ -52,26 +52,24 @@ def _spec_encode(v, out, portable):
         out.append(7)
         out += _pack_varint(len(v))
         for item in v:
-            _spec_encode(item, out, portable)
+            _spec_encode(item, out)
     elif isinstance(v, tuple):
         out.append(8)
         out += _pack_varint(len(v))
         for item in v:
-            _spec_encode(item, out, portable)
+            _spec_encode(item, out)
     elif isinstance(v, dict):
         out.append(9)
         out += _pack_varint(len(v))
         for k, item in v.items():
-            _spec_encode(k, out, portable)
-            _spec_encode(item, out, portable)
+            _spec_encode(k, out)
+            _spec_encode(item, out)
     elif isinstance(v, np.ndarray):
         if v.dtype.hasobject:
             raise SerializationError("object-dtype arrays cannot be checkpointed")
         arr = np.ascontiguousarray(v)
-        if portable and arr.dtype.byteorder == ">":
-            arr = arr.astype(arr.dtype.newbyteorder("<"))
         out.append(10)
-        _spec_encode(arr.dtype.str, out, portable)
+        _spec_encode(arr.dtype.str, out)
         out += _pack_varint(arr.ndim)
         for s in arr.shape:
             out += _pack_varint(s)
@@ -83,20 +81,19 @@ def _spec_encode(v, out, portable):
             f"cannot checkpoint value of type {type(v).__name__}")
 
 
-def spec_dumps(value, portable=False):
-    out = bytearray(MAGIC_PORTABLE if portable else MAGIC_BINARY)
+def spec_dumps(value):
+    out = bytearray(MAGIC_BINARY)
     out += struct.pack("<H", FORMAT_VERSION)
-    _spec_encode(value, out, portable)
+    _spec_encode(value, out)
     return bytes(out)
 
 
 def assert_matches_spec(value):
-    for portable in (False, True):
-        s = Serializer(portable=portable)
-        payload = s.dumps(value)
-        assert type(payload) is bytes
-        assert payload == spec_dumps(value, portable)
-        assert s.dumps(loads(payload)) == payload
+    s = Serializer()
+    payload = s.dumps(value)
+    assert type(payload) is bytes
+    assert payload == spec_dumps(value)
+    assert s.dumps(loads(payload)) == payload
 
 
 # -- strategies --------------------------------------------------------------

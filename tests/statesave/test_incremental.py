@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.statesave.incremental import (
     IncrementalError, IncrementalTracker, PAGE,
 )
+from repro.statesave.serializer import SerializationError
 
 
 def test_first_save_is_full():
@@ -105,6 +106,31 @@ def test_decode_rejects_geometry_flipping_delta():
     rec2["arrays"]["a"]["dtype"] = "<i8"         # forged geometry flip
     with pytest.raises(IncrementalError, match="geometry"):
         IncrementalTracker.decode_chain([rec1, rec2])
+
+
+@pytest.mark.parametrize("dtype", [[("x", "<f8"), ("n", "<i4")],
+                                   np.dtype(object)])
+def test_dtype_the_wire_cannot_carry_is_refused(dtype):
+    """The record keeps ``dtype.str``, which drops a structured dtype's
+    field names: refused at save like the full format, and the tracker
+    is left as it was."""
+    t = IncrementalTracker()
+    first = t.encode({"a": np.arange(4.0)})
+    with pytest.raises(SerializationError, match="cannot be checkpointed"):
+        t.encode({"a": np.arange(4.0), "rec": np.zeros(3, dtype=dtype)})
+    again = t.encode({"a": np.arange(4.0)})
+    assert first["full"] and not again["full"]
+    assert again["arrays"]["a"]["pages"] == {}
+
+
+def test_big_endian_chain_keeps_its_dtype():
+    t = IncrementalTracker()
+    a = np.arange(1000, dtype=">f8")
+    records = [t.encode({"a": a})]
+    a[3] = -1.5
+    records.append(t.encode({"a": a}))
+    got = IncrementalTracker.decode_chain(records)["a"]
+    assert got.dtype.str == ">f8" and got.tobytes() == a.tobytes()
 
 
 def test_chain_must_start_full():

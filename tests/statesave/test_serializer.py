@@ -1,13 +1,17 @@
-"""Checkpoint serialization: binary and portable formats."""
+"""Checkpoint serialization: the one checkpoint format."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as npst
 
+from repro.core.reqtable import RequestTable
+from repro.statesave import Context
 from repro.statesave.serializer import (
-    SerializationError, Serializer, dumps, loads,
+    MAGIC_BINARY, SerializationError, Serializer, _pack_varint, dumps, loads,
 )
+from repro.storage.manifest import encode_commit
+from repro.testutil import run
 
 
 class TestScalars:
@@ -67,12 +71,26 @@ class TestArrays:
         with pytest.raises(SerializationError):
             dumps(np.array([object()]))
 
-    def test_portable_format_normalizes_byte_order(self):
-        big = np.arange(4, dtype=">f8")
-        payload = Serializer(portable=True).dumps(big)
-        back = loads(payload)
-        assert np.array_equal(back, big.astype(np.float64))
-        assert back.dtype.byteorder in ("<", "=")
+    @pytest.mark.parametrize("dtype", [">f8", "<U2", ">c16", "<c8",
+                                       "<M8[s]", ">m8[ms]", "|V8"])
+    def test_dtype_and_bytes_kept(self, dtype):
+        """An array restores in the byte order it was saved in: the
+        format carries ``dtype.str``, so it is portable as written."""
+        a = np.arange(6).astype(dtype)
+        b = loads(dumps(a))
+        assert b.dtype == a.dtype and b.dtype.str == a.dtype.str
+        assert b.tobytes() == a.tobytes()
+
+    @pytest.mark.parametrize("dtype", [
+        [("x", "<f8"), ("n", "<i4")],
+        {"names": ["a"], "formats": ["<i2"], "offsets": [2],
+         "itemsize": 4},
+    ])
+    def test_structured_dtype_refused(self, dtype):
+        """``dtype.str`` drops field names: such a state would restore
+        as raw ``|V`` bytes, so it is refused at save."""
+        with pytest.raises(SerializationError, match="cannot be checkpointed"):
+            dumps({"rec": np.zeros(3, dtype=dtype)})
 
 
 class TestErrors:
@@ -97,6 +115,79 @@ class TestErrors:
         payload[4] = 99
         with pytest.raises(SerializationError):
             loads(bytes(payload))
+
+    def test_retired_portable_magic_refused(self):
+        payload = b"C3PT" + dumps({"x": np.arange(3.0)})[4:]
+        with pytest.raises(SerializationError, match="bad magic"):
+            loads(payload)
+
+    def test_negative_length_refused(self):
+        with pytest.raises(SerializationError, match="length -64"):
+            loads(MAGIC_BINARY + b"\x01\x00\x05\x7f")
+
+    def test_declared_count_is_bounded_by_the_payload(self, monkeypatch):
+        """A 12-byte payload declaring a 10**6-item list fails before
+        decoding a single item."""
+        payload = (MAGIC_BINARY + b"\x01\x00\x07"
+                   + _pack_varint(10**6) + b"\x05\x7f")
+        assert len(payload) == 12
+        calls = []
+        decode = Serializer._decode
+
+        def counted(self, buf, pos):
+            calls.append(pos)
+            return decode(self, buf, pos)
+        monkeypatch.setattr(Serializer, "_decode", counted)
+        with pytest.raises(SerializationError, match="length 1000000"):
+            loads(payload)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("body", [
+        b"\x09\x02\x07\x00\x00",                   # a list as a dict key
+        b"\x0a\x05\x04zz\x02\x00\x00",             # an unknown dtype name
+        b"\x0a\x02\x02\x01\x00\x00",               # a dtype that is not a name
+        b"\x0a\x05\x06<f8\x02\x01\x00",            # a negative extent
+        b"\x0a\x05\x06<f8\x02\x04\x02\x00",        # 2 elements in 1 byte
+        b"\x0a\x05\x04|O\x02\x02\x10" + bytes(8),  # object dtype
+        b"\x05\x02\xff",                           # invalid UTF-8
+        b"\x07\x02" * 5000 + b"\x00",              # nested past the stack
+        b"\x0b",                                   # an unknown tag
+    ])
+    def test_crafted_payload_refused(self, body):
+        with pytest.raises(SerializationError):
+            loads(MAGIC_BINARY + b"\x01\x00" + body)
+
+
+def _app_section():
+    def main(mpi):
+        ctx = Context(mpi)
+        ctx.state.n = 3
+        ctx.state.grid = np.array([1.0, 2.5])
+        ctx.heap.malloc(8, label="b", data=np.array([7, 8], dtype=np.int32))
+        return ctx.snapshot_state()
+    return dumps(run(1, main).returns[0])
+
+
+def _request_table_section():
+    table = RequestTable()
+    table.alloc("recv", 0, 1, 2, 4, "MPI_DOUBLE", epoch=0, buffer=None)
+    table.alloc("send", 0, 3, 5, 1, "MPI_INT", epoch=0)
+    return dumps(table.on_commit(lambda b: None))
+
+
+def _commit_record():
+    return encode_commit(4, 1, {"app": (120, "ab" * 16),
+                                "counters": (9, "cd" * 16)})[1]
+
+
+@pytest.mark.parametrize("make", [_app_section, _request_table_section,
+                                  _commit_record])
+def test_every_truncation_raises_serialization_error(make):
+    payload = make()
+    loads(payload)
+    for end in range(len(payload)):
+        with pytest.raises(SerializationError):
+            loads(payload[:end])
 
 
 json_like = st.recursive(
@@ -126,9 +217,13 @@ def test_array_roundtrip_property(a):
     assert np.array_equal(a, b, equal_nan=True)
 
 
-@settings(max_examples=40, deadline=None)
-@given(json_like)
-def test_portable_and_binary_agree(value):
-    assert (Serializer(portable=True).dumps(value) != b""
-            and loads(Serializer(portable=True).dumps(value))
-            == loads(Serializer(portable=False).dumps(value)))
+@settings(max_examples=60, deadline=None)
+@given(json_like, st.data())
+def test_a_rotted_byte_raises_only_serialization_error(value, data):
+    payload = bytearray(dumps(value))
+    at = data.draw(st.integers(6, len(payload) - 1))
+    payload[at] ^= data.draw(st.integers(1, 255))
+    try:
+        loads(bytes(payload))
+    except SerializationError:
+        pass
