@@ -8,8 +8,9 @@ if group commit does not reduce fsyncs-per-line on the real-file disk
 backend, if the WAL exceeds one fsync per node per committed line, or if
 segment GC retains more lines than the scatter baseline's per-file
 deletes.  It also fails if the disk backend's append count on the
-controlled schedule moves from its pinned value, or if the disk and
-in-memory segment images differ by a byte.
+controlled schedule moves from its pinned value, if a controlled cell
+writes a byte its log does not keep (a compacted or rewritten record),
+or if the disk and in-memory segment images differ by a byte.
 
 Emits ``BENCH_wal.json`` (the same machine-readable report the
 ``python -m repro.harness.walstudy`` CLI writes).
@@ -57,6 +58,10 @@ def test_wal_group_commit_study(benchmark):
         # group-committed line under a controlled commit schedule.
         assert r["fsyncs"] == r["nodes"] * r["lines"]
         assert r["replay_bitwise"]
+        # each record is written once: no segment is compacted, and the
+        # medium was handed no byte the log does not hold
+        assert r["segments_compacted"] == 0
+        assert r["written_bytes"] <= 1.05 * r["stored_bytes"]
     images = {}
     for r in d_rows:
         ppn = r["procs_per_node"]

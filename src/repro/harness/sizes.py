@@ -166,7 +166,7 @@ def measure_kernel_sizes(app_name: str, nprocs: int = 4,
         # 2. real protocol run through the production WAL engine: what
         #    the last recovery line wrote per process, plus what the
         #    log-structured store physically retains after segment GC
-        #    (record framing + not-yet-compacted garbage included)
+        #    (record framing + the dead records of unretired segments)
         config = C3Config(
             checkpoint_interval=base.virtual_time * interval_frac)
         wal_store = WalStore(fresh())

@@ -252,6 +252,8 @@ def measure_discipline_cell(backend_name: str, ppn: int, nprocs: int = 4,
         nodes = _nodes(nprocs, ppn)
         fsyncs = backend.fsync_count
         appends = backend.write_count
+        written = backend.written_bytes
+        stored = backend.total_bytes()
         image = hashlib.sha256()
         for path in backend.list("wal/"):
             image.update(path.encode() + b"\0" + backend.read(path))
@@ -274,6 +276,9 @@ def measure_discipline_cell(backend_name: str, ppn: int, nprocs: int = 4,
         "fsyncs": fsyncs,
         "fsyncs_per_node_per_line": fsyncs / (nodes * lines),
         "appends": appends,
+        "written_bytes": written,
+        "stored_bytes": stored,
+        "segments_compacted": store.stats()["segments_compacted"],
         "image_sha256": image.hexdigest(),
         "replay_bitwise": replay_ok,
     }
@@ -294,8 +299,9 @@ def discipline_rows(nprocs: int = 4, lines: int = 6,
     *exactly*: one per node per group-committed line.  The disk cells
     then reopen the backend cold and require WAL replay to rebuild the
     same committed index with bitwise-identical payloads.  Each row also
-    reports the backend's append count and a SHA-256 of its segment
-    image, so the two media can be compared byte for byte.
+    reports the backend's append count, the bytes it was handed and the
+    bytes it holds, and a SHA-256 of its segment image, so the two media
+    can be compared byte for byte.
     """
     cells = [Cell(measure_discipline_cell,
                   dict(backend_name=backend_name, ppn=ppn, nprocs=nprocs,
@@ -305,7 +311,9 @@ def discipline_rows(nprocs: int = 4, lines: int = 6,
 
     def dead_row(cell: Cell, err) -> Dict:
         return null_row(err, ("nodes", "lines", "fsyncs",
-                              "fsyncs_per_node_per_line", "replay_bitwise"),
+                              "fsyncs_per_node_per_line", "written_bytes",
+                              "stored_bytes", "segments_compacted",
+                              "replay_bitwise"),
                         backend=cell.kwargs["backend_name"], nprocs=nprocs,
                         procs_per_node=cell.kwargs["ppn"])
 

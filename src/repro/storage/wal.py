@@ -28,10 +28,11 @@ records until the first torn/short/CRC-bad one, at which point the
 segment is physically truncated to its valid prefix and the index is
 whatever the durable log proves.  Recovery-line GC appends ``DELETE``
 tombstones instead of deleting files; space comes back by **segment
-retirement** — a sealed segment whose live bytes hit zero is unlinked
-whole, one below the live-ratio threshold is compacted into the active
-stream.  Both happen only *after* a sync, so a segment never disappears
-before the records that obsolete it are durable.
+retirement** — a sealed segment whose records are all dead is unlinked
+whole, only *after* a sync, so a segment never disappears before the
+records that obsolete it are durable.  No record is ever re-appended:
+each checkpoint byte is written once, and a sealed segment lives until
+the newest line it holds is deleted.
 """
 
 from __future__ import annotations
@@ -189,14 +190,12 @@ class _Node:
 
 
 class WalStore(CheckpointStore):
-    """Per-node write-ahead log with group commit and segment GC."""
+    """Per-node write-ahead log with group commit and segment retirement."""
 
     def __init__(self, backend: StorageBackend,
-                 segment_target_bytes: int = 256 << 10,
-                 compact_threshold: float = 0.5):
+                 segment_target_bytes: int = 256 << 10):
         self.backend = backend
         self.segment_target_bytes = max(1, int(segment_target_bytes))
-        self.compact_threshold = float(compact_threshold)
         self._lock = threading.RLock()
         self._nprocs: Optional[int] = None
         self._procs_per_node = 1
@@ -209,7 +208,6 @@ class WalStore(CheckpointStore):
         self.commit_records = 0
         self.segments_created = 0
         self.segments_retired = 0
-        self.segments_compacted = 0
         self.replays = 0
         self.replay_truncated_bytes = 0
         self.flush_failures = 0
@@ -224,14 +222,12 @@ class WalStore(CheckpointStore):
         #: (version, rank) -> section name -> (segment, record)
         self._sections: Dict[Tuple[int, int], Dict[str, Tuple[str, _Rec]]] = {}
         self._commits: Dict[Tuple[int, int], _Commit] = {}
-        #: (version, rank) -> tombstone records (live until the line has
-        #: no physical records left anywhere)
+        #: (version, rank) -> its live tombstone records (see
+        #: :meth:`_spend_tombstones`)
         self._deletes: Dict[Tuple[int, int], List[Tuple[str, _Rec]]] = {}
-        #: (version, rank) -> segments still physically holding its records
+        #: (version, rank) -> segments still physically holding its
+        #: SECTION and COMMIT records
         self._line_refs: Dict[Tuple[int, int], Set[str]] = {}
-        #: node -> segments compacted since that node's last sync (their
-        #: replacement records are still staged; unlink must wait)
-        self._compacted_pending: Dict[int, Set[str]] = {}
 
     def configure(self, nprocs: int, procs_per_node: int = 1) -> None:
         with self._lock:
@@ -316,6 +312,26 @@ class WalStore(CheckpointStore):
         commit = self._commits.pop(key, None)
         if commit is not None:
             self._mark_dead(commit.seg, commit.rec)
+        self._spend_tombstones(key)
+
+    def _spend_tombstones(self, key: Tuple[int, int]) -> None:
+        """Kill each tombstone of ``key`` that has nothing left to suppress.
+
+        A tombstone is spent once its line has no record outside the
+        tombstone's own segment: the records there precede it in log
+        order, so a replay of that segment still kills them, and they
+        are unlinked with it.  A tombstone with records elsewhere stays
+        live, which keeps its segment until those segments are gone.
+        """
+        refs = self._line_refs.get(key, set())
+        live = []
+        for segname, rec in self._deletes.pop(key, ()):
+            if refs <= {segname}:
+                self._mark_dead(segname, rec)
+            else:
+                live.append((segname, rec))
+        if live:
+            self._deletes[key] = live
 
     def _read_rec(self, segname: str, rec: _Rec) -> bytes:
         seg = self._segments.get(segname)
@@ -406,9 +422,6 @@ class WalStore(CheckpointStore):
             for commit in ns.pending:
                 commit.durable = True
             ns.pending.clear()
-        # Everything staged before this point is durable: compacted
-        # segments' replacement records included, so their sources may go.
-        self._compacted_pending.pop(node, None)
         if ns.base >= self.segment_target_bytes:
             ns.seq += 1
             ns.seg = segment_path(node, ns.seq)
@@ -421,11 +434,11 @@ class WalStore(CheckpointStore):
         Called when a group-commit flush fails: the buffered records will
         never be durable, so sections and commits that live only in the
         buffer are removed from the index and the pending commit batch is
-        abandoned.  Deliberately conservative — a record that re-pointed
-        the index away from a still-physical source copy (compaction) is
-        forgotten too, so the in-memory view may under-report what a
-        crash replay would reconstruct; recovering from an older line is
-        always safe.
+        abandoned.  Deliberately conservative — what a dropped record
+        killed stays dead (the older copy of a re-put section, the lines
+        a tombstone deleted), so the in-memory view may under-report what
+        a crash replay would reconstruct; recovering from an older line
+        is always safe.
         """
         seg = self._segments.get(ns.seg)
         if seg is not None:
@@ -436,6 +449,9 @@ class WalStore(CheckpointStore):
                     continue
                 seg.total -= rec.length
                 if rec.live:
+                    # dead for good: a tombstone's later spending must
+                    # not subtract its bytes a second time
+                    rec.live = False
                     seg.live -= rec.length
                 key = (rec.version, rec.rank)
                 if rec.rtype == SECTION:
@@ -464,19 +480,17 @@ class WalStore(CheckpointStore):
 
     # -- segment retirement ----------------------------------------------------
     def _retire_node(self, node: int) -> None:
+        """Unlink every sealed segment of ``node`` whose records are all
+        dead.  Runs post-sync only; repeats, because a retirement can
+        spend tombstones and so empty another segment."""
         progressed = True
         while progressed:
             progressed = False
-            ns = self._nodes[node]
-            held = self._compacted_pending.get(node, set())
+            active = self._nodes[node].seg
             for segname, seg in list(self._segments.items()):
-                if seg.node != node or segname == ns.seg or segname in held:
-                    continue
-                if seg.live <= 0:
+                if seg.node == node and segname != active and seg.live <= 0:
                     self._unlink_segment(segname, seg)
                     progressed = True
-                elif seg.total and seg.live / seg.total < self.compact_threshold:
-                    self._compact_segment(segname, seg, ns)
 
     def _unlink_segment(self, segname: str, seg: _Seg) -> None:
         try:
@@ -486,48 +500,15 @@ class WalStore(CheckpointStore):
         del self._segments[segname]
         self.segments_retired += 1
         coverage.hit("path:wal_retired")
-        for rec in seg.records:
-            if rec.rtype == DELETE:
-                continue
-            key = (rec.version, rec.rank)
+        for key in {(rec.version, rec.rank) for rec in seg.records
+                    if rec.rtype != DELETE}:
             refs = self._line_refs.get(key)
             if refs is None:
                 continue
             refs.discard(segname)
             if not refs:
-                # No physical record of this line anywhere: its
-                # tombstones have nothing left to suppress at replay.
                 del self._line_refs[key]
-                for dseg, drec in self._deletes.pop(key, ()):
-                    self._mark_dead(dseg, drec)
-
-    def _compact_segment(self, segname: str, seg: _Seg, ns: _Node) -> None:
-        self.segments_compacted += 1
-        coverage.hit("path:wal_compacted")
-        for rec in list(seg.records):
-            if not rec.live:
-                continue
-            key = (rec.version, rec.rank)
-            if rec.rtype == SECTION:
-                payload = self._read_rec(segname, rec)
-                new = self._append_record(ns, SECTION, rec.version, rec.rank,
-                                          rec.name, payload)
-                self._register_section(key, rec.name, new, ns.seg)
-            elif rec.rtype == COMMIT:
-                payload = self._read_rec(segname, rec)
-                new = self._append_record(ns, COMMIT, rec.version, rec.rank,
-                                          "", payload)
-                old = self._commits.get(key)
-                self._mark_dead(segname, rec)
-                if old is not None and old.rec is rec:
-                    self._register_commit(key, ns.seg, new, old.manifest,
-                                          old.durable)
-            else:  # DELETE tombstone still suppressing records elsewhere
-                new = self._append_record(ns, DELETE, rec.version, rec.rank,
-                                          "", b"")
-                self._mark_dead(segname, rec)
-                self._deletes.setdefault(key, []).append((ns.seg, new))
-        self._compacted_pending.setdefault(ns.index, set()).add(segname)
+            self._spend_tombstones(key)
 
     # -- job lifetime / crash semantics ----------------------------------------
     def _job_end(self, failed_rank: Optional[int]) -> None:
@@ -607,12 +588,6 @@ class WalStore(CheckpointStore):
                 for _seq, path in entries:
                     self._replay_segment(node, path)
                 self._nodes[node] = _Node(node, entries[-1][0] + 1)
-            # Tombstones whose line has no physical record left (its
-            # segments were retired before the crash) are spent.
-            for key, dlist in self._deletes.items():
-                if not self._line_refs.get(key):
-                    for dseg, drec in dlist:
-                        self._mark_dead(dseg, drec)
 
     def _replay_segment(self, node: int, path: str) -> None:
         try:
@@ -725,7 +700,8 @@ class WalStore(CheckpointStore):
                 "commit_records": self.commit_records,
                 "segments_created": self.segments_created,
                 "segments_retired": self.segments_retired,
-                "segments_compacted": self.segments_compacted,
+                # no record is ever re-appended (DESIGN.md §8.4)
+                "segments_compacted": 0,
                 "replays": self.replays,
                 "replay_truncated_bytes": self.replay_truncated_bytes,
                 "flush_failures": self.flush_failures,

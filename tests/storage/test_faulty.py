@@ -16,6 +16,7 @@ import pytest
 from repro import coverage
 from repro.storage.faulty import (STORAGE_FAULT_KINDS, FaultyStorage,
                                   StorageFault)
+from repro.storage.manifest import section_digest
 from repro.storage.namespace import PrefixBackend
 from repro.storage.stable import DiskStorage, InMemoryStorage, StorageError
 from repro.storage.wal import WalStore
@@ -250,3 +251,32 @@ def test_wal_group_commit_flush_survives_enospc():
     # a crash + replay agrees with the in-memory view
     store.on_job_end(failed_rank=0)
     assert store.committed_map().get(0) == [1, 3]
+
+
+def test_tombstones_of_an_abandoned_batch_leave_later_lines_alone():
+    # Regression: tombstones dropped with a failed flush kept their
+    # bytes counted live, so spending them once their lines' segments
+    # retired subtracted those bytes a second time — from the segment
+    # the next batch lands in.  Twelve of them drove that segment's live
+    # count to zero and unlinked it, committed line 15 and all.
+    medium = InMemoryStorage()
+    backend = FaultyStorage(medium, [StorageFault(kind="enospc",
+                                                  after_ops=14,
+                                                  path_prefix="wal/")])
+    store = WalStore(backend, segment_target_bytes=1)  # a segment a line
+    store.configure(nprocs=1, procs_per_node=1)
+
+    def line(v):
+        data = bytes([v]) * 16
+        store.put_section(v, 0, "app", data)
+        store.commit_line(v, 0, sections={"app": (16, section_digest(data))})
+
+    for v in range(1, 14):
+        line(v)
+    for v in range(1, 13):
+        store.delete_line(v, 0)
+    with pytest.raises(StorageError, match="no space left"):
+        line(14)  # the tombstones go down with this batch
+    line(15)
+    assert store.validate_line(15, 0, deep=True)
+    assert WalStore(medium).committed_map() == {0: [13, 15]}

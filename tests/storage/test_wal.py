@@ -1,7 +1,7 @@
 """The log-structured checkpoint store (DESIGN.md §8).
 
 Record codec, group-commit durability and fsync discipline, segment
-retirement/compaction, crash semantics (torn tails), replay recovery —
+retirement, crash semantics (torn tails), replay recovery —
 including randomized torn / short / bit-flipped segment tails, which
 must truncate cleanly at replay and fall back to the prior committed
 line bitwise — and parity with the scatter layout as the differential
@@ -224,7 +224,7 @@ class TestReadPath:
 
 
 # ---------------------------------------------------------------------------
-# GC: tombstones, segment retirement, compaction
+# GC: tombstones, segment retirement
 # ---------------------------------------------------------------------------
 
 class TestSegmentGC:
@@ -267,30 +267,79 @@ class TestSegmentGC:
         reopened = WalStore(backend)
         assert reopened.lines_on_storage() == {0: [7, 8]}
 
-    def test_mostly_dead_segment_is_compacted(self, backend):
+    def test_partly_dead_segment_is_kept_whole(self, backend):
         # roll after every group commit: each line-pair seals its own
-        # segment.  Rank 0's payload dwarfs rank 1's, so GCing only rank
-        # 0's line leaves the sealed segment mostly dead but not empty —
-        # the compaction case, not the unlink case.
+        # segment.  Rank 0's payload dwarfs rank 1's, so deleting rank
+        # 0's first line leaves that segment mostly dead: it is kept
+        # byte for byte, never rewritten, and is unlinked by the flush
+        # that kills rank 1's line too.
         store = WalStore(backend, segment_target_bytes=1)
         store.configure(2, procs_per_node=2)
-        big, small = payload_of(1, 0, 1000), payload_of(1, 1, 100)
-        write_line(store, 1, 0, {"state": big})
-        write_line(store, 1, 1, {"state": small})
-        write_line(store, 2, 0, {"state": payload_of(2, 0, 1000)})
-        write_line(store, 2, 1, {"state": payload_of(2, 1, 100)})
+        for v in (1, 2):
+            write_line(store, v, 0, {"state": payload_of(v, 0, 1000)})
+            write_line(store, v, 1, {"state": payload_of(v, 1, 100)})
+        first = segment_path(0, 0)
+        sealed = backend.read(first)
+        written = backend.written_bytes
         store.delete_line(1, 0)
         store.flush()
-        assert store.segments_compacted > 0
+        assert backend.read(first) == sealed
         assert store.segments_retired == 0
-        # compaction moved the surviving line, bitwise
-        assert store.read_section(1, 1, "state") == small
+        # only the tombstone was written
+        assert backend.written_bytes - written == HEADER_LEN
+        assert store.read_section(1, 1, "state") == payload_of(1, 1, 100)
         assert store.validate_line(1, 1, deep=True)
-        # the next sync makes the moved records durable and unlinks the
-        # compacted source segment
+        store.delete_line(1, 1)
+        store.flush()
+        # the segment, then the two sealed since that hold only its
+        # tombstones, spent with it
+        assert not backend.exists(first)
+        assert store.segments_retired == 3
+        assert set(backend.list("wal/")) == set(store.segment_names())
+        reopened = WalStore(backend)
+        assert reopened.lines_on_storage() == {0: [2], 1: [2]}
+
+    def test_a_long_run_keeps_two_segments_per_node(self, backend):
+        # tombstones spend themselves once their line has no record
+        # outside their own segment: without that rule every segment
+        # holding a tombstone would pin the next one, and the log would
+        # grow with the run
+        store = WalStore(backend)
+        store.configure(4, procs_per_node=2)
+        for v in range(1, 3001):
+            for r in range(4):
+                write_line(store, v, r, {"state": payload_of(v, r, 300)})
+            if v > 2:
+                for r in range(4):
+                    store.delete_line(v - 2, r)
+        store.flush()
+        nodes = {}
+        for path in backend.list("wal/"):
+            nodes.setdefault(path.split("/")[1], []).append(path)
+        assert sorted(nodes) == ["node0000", "node0001"]
+        assert all(len(segs) <= 2 for segs in nodes.values()), nodes
+        reopened = WalStore(backend)
+        assert reopened.lines_on_storage() == {
+            r: [2999, 3000] for r in range(4)}
+
+    def test_each_section_byte_is_written_once(self, backend):
+        # lines die in commit order, four to a segment: no live record is
+        # ever re-appended, so the medium takes little more than the
+        # section bytes plus record framing and manifests
+        store = WalStore(backend)
+        store.configure(2, procs_per_node=2)
+        handed = 0
+        for v in range(1, 25):
+            for r in range(2):
+                data = payload_of(v, r, 40 << 10)
+                handed += len(data)
+                write_line(store, v, r, {"state": data})
+            if v > 2:
+                for r in range(2):
+                    store.delete_line(v - 2, r)
         store.flush()
         assert store.segments_retired > 0
-        assert store.read_section(1, 1, "state") == small
+        assert backend.written_bytes <= 1.05 * handed
 
     def test_retirement_survives_reopen(self, tmp_path):
         backend = DiskStorage(str(tmp_path / "gc"))

@@ -1,12 +1,12 @@
 """The WAL's log image, pinned byte for byte.
 
-One fixed scenario — two nodes of two ranks, several group commits, a
-``DELETE``, a compaction, and a crash that tears the victim node's
-staged tail — runs over the disk medium, the in-memory medium and a
-``short_append`` fault.  Every segment's SHA-256 and the media's
-traffic counters were captured before the WAL staged records by
-reference, so the staging path may change only how bytes travel, never
-which bytes land.
+One fixed scenario — two nodes of two ranks, several group commits,
+two ``DELETE`` tombstones that kill a sealed segment whole, its
+retirement, and a crash that tears the victim node's staged tail — runs
+over the disk medium, the in-memory medium and a ``short_append``
+fault.  Every segment's SHA-256 and the media's traffic counters are
+pinned, so a change to how bytes travel (staging, batching) may never
+change which bytes land.
 """
 
 import hashlib
@@ -21,9 +21,9 @@ from repro.storage.wal import WalStore
 #: segment path -> SHA-256 of its bytes after the crash's replay
 IMAGE = {
     "wal/node0000/seg00000001":
-        "c2cb906e34759faaa52eea8df31c81468625036a825a5186d59ca19f838d5a5a",
+        "b2352ce63e1a1edbb9348973c5a57e499b208e477f946f84f8733f86466b556f",
     "wal/node0000/seg00000002":
-        "d144cdc95f09c358193179402847a27d02ba4cadcdd6bcf4c5e9ac5ae3492278",
+        "748dc8349ba7b4cb7a752d0de7a38b5853d9f374f0d694a9758c8ef0ff83f22b",
     "wal/node0001/seg00000000":
         "3999bf1a25177ba4756563f9f3f8831e00378c797e705f7d4b2b8f7db99d15ea",
     "wal/node0001/seg00000001":
@@ -36,10 +36,10 @@ SHORT_IMAGE = dict(IMAGE, **{
     "wal/node0000/seg00000001":
         "d68d4152a2d3094cb8756a78b4f7247ace796d6cfc1caaa3386eec37f3373d92",
 })
-#: write_count, written_bytes, fsync_count, segments_compacted,
+#: write_count, written_bytes, fsync_count, segments_retired,
 #: replay_truncated_bytes
-COUNTS = (11, 6339, 10, 1, 53)
-SHORT_COUNTS = (12, 6328, 11, 1, 645)
+COUNTS = (11, 6072, 10, 1, 53)
+SHORT_COUNTS = (12, 6061, 11, 1, 668)
 
 
 def payload(version, rank, name, size):
@@ -56,9 +56,9 @@ def commit(store, version, rank, sections):
 
 
 def run_scenario(backend):
-    """Four ranks on two nodes commit four lines; rank 0's first line is
-    deleted, which drives one compaction; then rank 2 dies with a line
-    staged on its node."""
+    """Four ranks on two nodes commit four lines; node 0's first lines
+    are deleted, so its first segment dies whole and is retired; then
+    rank 2 dies with a line staged on its node."""
     store = WalStore(backend, segment_target_bytes=1024)
     store.configure(4, 2)
     for version in range(1, 5):
@@ -69,6 +69,7 @@ def run_scenario(backend):
                 "reg": payload(version, rank, "reg", 8 + rank)})
         if version == 2:
             store.delete_line(1, 0)
+            store.delete_line(1, 1)
     store.put_section(5, 0, "app", payload(5, 0, "app", 70))
     store.put_section(5, 2, "app", payload(5, 2, "app", 90))
     store.commit_line(5, 2, {"app": (90, section_digest(
@@ -84,7 +85,7 @@ def image(backend):
 
 def counts(backend, store):
     return (backend.write_count, backend.written_bytes, backend.fsync_count,
-            store.segments_compacted, store.replay_truncated_bytes)
+            store.segments_retired, store.replay_truncated_bytes)
 
 
 @pytest.mark.parametrize("medium", ["memory", "disk"])
@@ -94,7 +95,7 @@ def test_the_log_image_is_pinned(medium, tmp_path):
     store = run_scenario(backend)
     assert image(backend) == IMAGE
     assert counts(backend, store) == COUNTS
-    assert store.committed_map() == {0: [2, 3, 4], 1: [1, 2, 3, 4],
+    assert store.committed_map() == {0: [2, 3, 4], 1: [2, 3, 4],
                                      2: [1, 2, 3, 4], 3: [1, 2, 3, 4]}
 
 
@@ -106,7 +107,7 @@ def test_a_short_append_lands_the_pinned_torn_image():
     assert backend.injected["short_append"] == 1
     assert image(medium) == SHORT_IMAGE
     assert counts(medium, store) == SHORT_COUNTS
-    assert store.committed_map() == {0: [2, 4], 1: [1, 4],
+    assert store.committed_map() == {0: [2, 4], 1: [4],
                                      2: [1, 2, 3, 4], 3: [1, 2, 3, 4]}
 
 
