@@ -174,5 +174,5 @@ def checksum(*arrays) -> float:
     for a in arrays:
         arr = np.asarray(a, dtype=np.float64).reshape(-1)
         weights = np.arange(1, arr.size + 1, dtype=np.float64)
-        total += float(np.dot(arr, np.sin(weights)))
+        total += float(np.dot(arr, np.sin(weights, out=weights)))
     return total

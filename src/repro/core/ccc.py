@@ -88,13 +88,19 @@ def _c3_main(mpi: MPI, app: Callable, config: C3Config,
                   pragma_hook=protocol.pragma)
     ctx.c3 = protocol
     protocol.bind(ctx)
-    if restoring:
-        restore_checkpoint(protocol)
-        # After a restore the world entry may have been replaced.
-        ctx.comm = C3Comm(protocol, protocol.commtable.get(0))
-    result = app(ctx, *app_args)
-    protocol.finalize()
-    return result, protocol.stats
+    try:
+        if restoring:
+            restore_checkpoint(protocol)
+            # After a restore the world entry may have been replaced.
+            ctx.comm = C3Comm(protocol, protocol.commtable.get(0))
+        result = app(ctx, *app_args)
+        protocol.finalize()
+        return result, protocol.stats
+    finally:
+        # The context and the layer point at each other; untie them so
+        # the rank's state dies with its frames, not at the next
+        # garbage collection.
+        ctx.c3 = ctx._pragma_hook = protocol.ctx = None
 
 
 def _c3_exchanges_control(app: Callable, config: C3Config, storage,

@@ -413,9 +413,14 @@ class Engine:
             )
 
     def abort(self, failure: Optional[ProcessFailure]) -> None:
-        """Mark the job failed and wake every blocked rank."""
+        """Mark the job failed and wake every blocked rank.
+
+        The failure is kept without its traceback: rank, time and reason
+        are the record, and the victim's frames (its whole state) must
+        not outlive the job.
+        """
         if failure is not None and self.failure is None:
-            self.failure = failure
+            self.failure = failure.with_traceback(None)
         self.abort_event.set()
         for mb in self.mailboxes:
             mb.notify()

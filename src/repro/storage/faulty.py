@@ -247,6 +247,12 @@ class FaultyStorage(StorageBackend):
             self._synced_len.pop(path, None)
         self._stalled.discard(path)
 
+    def truncate(self, path: str, length: int) -> None:
+        self.inner.truncate(path, length)
+        # a truncate is its own durability point, as a write is
+        self._synced_len[path] = length
+        self._stalled.discard(path)
+
     def read(self, path: str) -> bytes:
         return self.inner.read(path)
 
@@ -272,23 +278,23 @@ class FaultyStorage(StorageBackend):
         """Lose what the stalled syncs never made durable — on a crash.
 
         Every path whose last durability point was swallowed is truncated
-        back to its recorded durable length: the medium state a crash
-        exposes.  The store calls this *before* its own crash handling,
-        so WAL replay parses the post-loss bytes.  A clean job end loses
+        back to its recorded durable length, in place: the medium state a
+        crash exposes.  The store calls this *before* its own crash
+        handling, so WAL replay parses the post-loss bytes.  A clean job end loses
         nothing (the page cache drains after all): the stalled state is
         just forgotten.
         """
         for path in sorted(self._stalled) if crashed else ():
             durable = self._synced_len.get(path, 0)
             try:
-                current = self.inner.read(path)
+                current = self.inner.size(path)
             except StorageError:
                 continue
-            if len(current) <= durable:
+            if current <= durable:
                 continue
             coverage.hit("storage:stall_loss")
             if durable:
-                self.inner.write(path, current[:durable])
+                self.inner.truncate(path, durable)
             else:
                 try:
                     self.inner.delete(path)

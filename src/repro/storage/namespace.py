@@ -91,6 +91,11 @@ class PrefixBackend(StorageBackend):
         self.inner.sync(self._map(path))
         self.fsync_count += 1
 
+    def truncate(self, path: str, length: int) -> None:
+        self.inner.truncate(self._map(path), length)
+        self.write_count += 1
+        self.fsync_count += 1
+
     def read_range(self, path: str, offset: int, nbytes: int) -> bytes:
         payload = self.inner.read_range(self._map(path), offset, nbytes)
         self.read_count += 1

@@ -26,11 +26,15 @@ lets the group-commit study report fsyncs-per-committed-line on either.
 
 On top of the atomic object operations the backends support an
 *append stream* API — :meth:`StorageBackend.append`,
-:meth:`StorageBackend.sync`, :meth:`StorageBackend.read_range` — used by
-the log-structured WAL engine (:mod:`repro.storage.wal`): appends extend
-an object without the read-modify-write an atomic ``write`` would need,
-carry **no** durability on their own, and become durable only at the
-next ``sync`` (the batched fsync of a group commit).
+:meth:`StorageBackend.sync`, :meth:`StorageBackend.truncate`,
+:meth:`StorageBackend.read_range` — used by the log-structured WAL
+engine (:mod:`repro.storage.wal`): appends extend an object without the
+read-modify-write an atomic ``write`` would need, carry **no**
+durability on their own, and become durable only at the next ``sync``
+(the batched fsync of a group commit).  ``truncate`` cuts an object to a
+prefix in place and durably — how replay drops a torn tail without
+rewriting the bytes it keeps; it counts one write, one fsync and no
+bytes written.
 """
 
 from __future__ import annotations
@@ -141,6 +145,13 @@ class StorageBackend:
         """Durability point for everything appended to ``path`` so far."""
         raise NotImplementedError
 
+    def truncate(self, path: str, length: int) -> None:
+        """Cut ``path`` to its first ``length`` bytes (at most its size),
+        in place, and make the cut object durable: a durability point
+        for ``path`` as a :meth:`sync` is.  Counted as one write and one
+        fsync of no bytes."""
+        raise NotImplementedError
+
     def read_range(self, path: str, offset: int, nbytes: int) -> bytes:
         """``nbytes`` of one object starting at ``offset`` (may be short
         if the object ends first)."""
@@ -233,6 +244,16 @@ class InMemoryStorage(StorageBackend):
         with self._lock:
             self.fsync_count += 1
 
+    def truncate(self, path: str, length: int) -> None:
+        path = normalize_path(path)
+        with self._lock:
+            try:
+                self._data[path] = self._data[path][:length]
+            except KeyError:
+                raise StorageError(f"no stored object at {path!r}") from None
+            self.write_count += 1
+            self.fsync_count += 1
+
     def read_range(self, path: str, offset: int, nbytes: int) -> bytes:
         path = normalize_path(path)
         with self._lock:
@@ -270,7 +291,9 @@ class DiskStorage(StorageBackend):
 
     Appends go straight to the file (``"ab"``), unsynced, one
     ``writelines`` over the caller's buffers; :meth:`sync` fsyncs the
-    file once — the WAL's group-commit durability point.
+    file once — the WAL's group-commit durability point — and
+    :meth:`truncate` is one ``ftruncate`` and one fsync on one
+    descriptor.
     """
 
     shared_across_fork = True
@@ -380,6 +403,19 @@ class DiskStorage(StorageBackend):
                 os.fsync(f.fileno())
         except FileNotFoundError:
             raise StorageError(f"no stored object at {path!r}") from None
+        self.fsync_count += 1
+
+    def truncate(self, path: str, length: int) -> None:
+        try:
+            fd = os.open(self._fs_path(path), os.O_WRONLY)
+        except FileNotFoundError:
+            raise StorageError(f"no stored object at {path!r}") from None
+        try:
+            os.ftruncate(fd, length)
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+        self.write_count += 1
         self.fsync_count += 1
 
     def read_range(self, path: str, offset: int, nbytes: int) -> bytes:

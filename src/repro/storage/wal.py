@@ -25,12 +25,13 @@ staged tail (the fail-stop model tears it mid-record, the window the
 
 Recovery is **replay**: walk each node's segments in order, re-applying
 records until the first torn/short/CRC-bad one, at which point the
-segment is physically truncated to its valid prefix and the index is
-whatever the durable log proves.  Recovery-line GC appends ``DELETE``
-tombstones instead of deleting files; space comes back by **segment
-retirement** — a sealed segment whose records are all dead is unlinked
-whole, only *after* a sync, so a segment never disappears before the
-records that obsolete it are durable.  No record is ever re-appended:
+segment is truncated in place to its valid prefix (the bytes kept are
+never rewritten) and the index is whatever the durable log proves.
+Recovery-line GC appends ``DELETE`` tombstones instead of deleting
+files; space comes back by **segment retirement** — a sealed segment
+whose records are all dead is unlinked whole, only *after* a sync, so a
+segment never disappears before the records that obsolete it are
+durable.  No record is ever re-appended:
 each checkpoint byte is written once, and a sealed segment lives until
 the newest line it holds is deleted.
 """
@@ -600,21 +601,17 @@ class WalStore(CheckpointStore):
         while off < len(data):
             parsed = _parse_record(mv, off)
             if parsed is None:
-                # Torn/corrupt tail: physically truncate to the valid
-                # prefix so later appends never land after garbage.
+                # Torn/corrupt tail: cut the file to the valid prefix, in
+                # place, so later appends never land after garbage.
                 self.replay_truncated_bytes += len(data) - off
                 coverage.hit("path:wal_truncated")
-                data = data[:off]
-                if data:
-                    try:
-                        self.backend.write(path, data)
-                    except StorageError:
-                        pass  # best-effort: a later replay re-truncates
-                else:
-                    try:
+                try:
+                    if off:
+                        self.backend.truncate(path, off)
+                    else:
                         self.backend.delete(path)
-                    except StorageError:
-                        pass
+                except StorageError:
+                    pass  # best-effort: a later replay re-truncates
                 break
             rtype, version, rank, name_len, payload_len, total = parsed
             payload_off = off + HEADER_LEN + name_len
@@ -639,10 +636,6 @@ class WalStore(CheckpointStore):
             else:
                 self._apply_delete(key, path, rec)
             off += total
-        if seg.records:
-            self._segments[path] = seg
-        elif not data:
-            self._segments.pop(path, None)
 
     # -- read path -------------------------------------------------------------
     def _section_entry(self, version: int, rank: int, section: str,

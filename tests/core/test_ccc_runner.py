@@ -1,8 +1,12 @@
 """The top-level runner plumbing (repro.core.ccc)."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from repro.apps.heat import heat
 from repro.apps.ring import ring
 from repro.core import (
     C3Config, C3RunResult, ProtocolError, RestartsExhausted, cached_comm,
@@ -110,3 +114,58 @@ def test_app_exception_surfaces_through_runner():
     with pytest.raises(RuntimeError, match="app bug"):
         run_fault_tolerant(app, 2, storage=InMemoryStorage(),
                            config=C3Config())
+
+
+HEAT_ARGS = (1 << 12, 40)   # local_n, niter: a 32 KiB rod per rank
+
+
+def heat_run_c3(kill_frac=None):
+    """One 4-rank heat job under C3, optionally killed at ``kill_frac``
+    of its clean virtual time, with the collector off: only reference
+    counting may free what the ranks held.  Returns the job and a weak
+    reference to every rank's rod as its body exited."""
+    config = C3Config()
+    golden, _ = run_c3(heat, 4, config=config, app_args=HEAT_ARGS)
+    plan = None if kill_frac is None else FaultPlan(
+        [FaultSpec(rank=1, at_time=kill_frac * golden.virtual_time)])
+    rods = []
+
+    def app(ctx, *args):
+        try:
+            return heat(ctx, *args)
+        finally:
+            rods.append(weakref.ref(ctx.state.u))
+
+    gc.collect()
+    gc.disable()
+    try:
+        result, _ = run_c3(app, 4, config=config, fault_plan=plan,
+                           app_args=HEAT_ARGS)
+        alive = [ref() is not None for ref in rods]
+    finally:
+        gc.enable()
+    return result, alive, golden
+
+
+@pytest.mark.parametrize("kill_frac", [None, 0.6])
+def test_a_jobs_rods_die_when_run_c3_returns(kill_frac):
+    """No rank's context outlives its job: the context and its C3 layer
+    are untied when the body exits, and a killed job's failure holds no
+    frames."""
+    result, alive, _ = heat_run_c3(kill_frac)
+    assert (result.failure is None) == (kill_frac is None)
+    assert alive == [False] * 4
+
+
+def test_a_killed_jobs_failure_keeps_no_traceback():
+    result, _, golden = heat_run_c3(0.6)
+    failure = result.failure
+    assert failure.__traceback__ is None
+    # rank, time and reason stay: the strike lands on the victim's
+    # first clock advance past the kill instant
+    kill_at = 0.6 * golden.virtual_time
+    assert failure.rank == 1
+    assert kill_at <= failure.time < 1.01 * kill_at
+    assert failure.reason == "injected fail-stop fault"
+    assert str(failure) == (f"rank 1 failed at t={failure.time:.6f}: "
+                            "injected fail-stop fault")

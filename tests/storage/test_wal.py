@@ -470,6 +470,28 @@ class TestCrashReplay:
         assert again.replay_truncated_bytes == 0
         assert again.last_committed_global(nprocs, validate=True) == 3
 
+    def test_a_torn_tail_is_cut_to_its_valid_prefix(self, backend):
+        """Replay cuts the torn tail in place: the file is its valid
+        prefix byte for byte, and the cut is one write and one fsync of
+        no bytes."""
+        store = WalStore(backend)
+        store.configure(1, procs_per_node=1)
+        for v in (1, 2):
+            write_line(store, v, 0, {"state": payload_of(v, 0, 4096)})
+        seg = segment_path(0, 0)
+        valid = backend.read(seg)
+        record = encode_record(SECTION, 3, 0, "state", payload_of(3, 0, 4096))
+        backend.append(seg, record[:len(record) // 2])
+        before = (backend.write_count, backend.written_bytes,
+                  backend.fsync_count)
+        recovered = WalStore(backend)
+        assert backend.read(seg) == valid
+        assert recovered.replay_truncated_bytes == len(record) // 2
+        assert (backend.write_count, backend.written_bytes,
+                backend.fsync_count) == (before[0] + 1, before[1],
+                                         before[2] + 1)
+        assert recovered.committed_map() == {0: [1, 2]}
+
     def test_fully_corrupt_first_record_drops_segment(self, tmp_path):
         backend = DiskStorage(str(tmp_path / "wal"))
         store = WalStore(backend)

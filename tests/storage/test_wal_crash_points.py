@@ -7,8 +7,9 @@ from it — the technique of ALICE (Pillai et al., OSDI 2014) and
 CrashMonkey (Mohan et al., OSDI 2018).  The crash model is DESIGN.md
 §8.3's: a file keeps the bytes it had at its last sync; the bytes
 appended to it since survive as none, whole, up to each record boundary,
-or cut inside a record; an atomic ``write`` and an unlink land whole and
-at once.
+or cut inside a record; an atomic ``write``, an unlink and a truncate
+land whole and at once (a truncate is a durability point for the prefix
+it keeps).
 
 Each state must reopen; every line whose COMMIT was synced on all ranks,
 and whose DELETE was neither synced nor left on the medium, must pass
@@ -50,6 +51,10 @@ class RecordingStorage(InMemoryStorage):
         super().delete(path)
         self.ops.append(("delete", path, b""))
 
+    def truncate(self, path, length):
+        super().truncate(path, length)
+        self.ops.append(("truncate", path, length))
+
 
 def records(data):
     """``(rtype, version, rank, end)`` of each whole record of ``data``,
@@ -84,6 +89,14 @@ def crash_states(ops):
     COMMIT had been appended whole."""
     files = {}  # path -> (synced bytes, bytes appended since)
     synced, deleted, appended = set(), set(), set()
+
+    def land(pending):
+        for rtype, v, r, _ in records(pending):
+            if rtype == COMMIT:
+                synced.add((v, r))
+            elif rtype == DELETE:
+                deleted.add((v, r))
+
     for cut in range(len(ops) + 1):
         paths = sorted(files)
         choices = [survivals(files[path][1]) for path in paths]
@@ -98,6 +111,11 @@ def crash_states(ops):
             files[path] = (data, b"")
         elif kind == "delete":
             del files[path]
+        elif kind == "truncate":
+            base, pending = files[path]
+            kept = (base + pending)[:data]
+            land(kept[len(base):])
+            files[path] = (kept, b"")
         elif kind == "append":
             base, pending = files.get(path, (b"", b""))
             files[path] = (base, pending + data)
@@ -106,11 +124,7 @@ def crash_states(ops):
         else:  # sync
             base, pending = files[path]
             files[path] = (base + pending, b"")
-            for rtype, v, r, _ in records(pending):
-                if rtype == COMMIT:
-                    synced.add((v, r))
-                elif rtype == DELETE:
-                    deleted.add((v, r))
+            land(pending)
 
 
 def check(state, synced, deleted, appended):
@@ -159,9 +173,10 @@ def test_every_crash_point_of_the_scenario_recovers():
     ops, nstates, violations = sweep()
     assert violations == []
     kinds = {kind for kind, _path, _data in ops}
-    # the trace holds every operation the model branches on, and the
+    # the trace holds every operation the WAL makes (replay cuts a torn
+    # tail with a truncate, so no atomic write is among them), and the
     # sweep built more states than there are cut points
-    assert kinds == {"append", "sync", "delete", "write"}
+    assert kinds == {"append", "sync", "delete", "truncate"}
     assert nstates > 2 * len(ops)
 
 

@@ -37,9 +37,10 @@ SHORT_IMAGE = dict(IMAGE, **{
         "d68d4152a2d3094cb8756a78b4f7247ace796d6cfc1caaa3386eec37f3373d92",
 })
 #: write_count, written_bytes, fsync_count, segments_retired,
-#: replay_truncated_bytes
-COUNTS = (11, 6072, 10, 1, 53)
-SHORT_COUNTS = (12, 6061, 11, 1, 668)
+#: replay_truncated_bytes (replay's truncate counts one write and one
+#: fsync of no bytes: the prefix it keeps is never rewritten)
+COUNTS = (11, 5956, 10, 1, 53)
+SHORT_COUNTS = (12, 5677, 11, 1, 668)
 
 
 def payload(version, rank, name, size):
