@@ -40,5 +40,5 @@ def test_instrumented_kernel_sizes(benchmark):
         assert r["passed"], f"{r['kernel']}: {r['failure']}"
         assert r["c3_bytes"] < r["condor_bytes"]
     # EP's reduction dominates, as in Table 1.
-    ep = next(r for r in rows if r["kernel"] == "EP+ccc")
+    ep = next(r for r in rows if r["kernel"] == "EP")
     assert ep["reduction_pct"] == max(r["reduction_pct"] for r in rows)

@@ -13,7 +13,7 @@ from repro import (
     C3Config, FaultPlan, FaultSpec, InMemoryStorage, run_c3,
     run_fault_tolerant, run_original,
 )
-from repro.apps.cg import cg
+from repro.apps import APPS
 from repro.mpi.timemodel import LEMIEUX
 
 NPROCS = 8
@@ -21,7 +21,7 @@ PARAMS = dict(local_n=48, nnz_per_row=8, niter=16, work_scale=232.0)
 
 
 def app(ctx):
-    return cg(ctx, **PARAMS)
+    return APPS["CG"](ctx, **PARAMS)
 
 
 def main() -> None:

@@ -16,14 +16,14 @@ from repro import (
     C3Config, FaultPlan, FaultSpec, InMemoryStorage, run_fault_tolerant,
     run_original,
 )
-from repro.apps.heat import heat
+from repro.apps import APPS
 
 NPROCS = 8
 PARAMS = dict(local_n=24, niter=120, t_left=100.0, t_right=0.0)
 
 
 def app(ctx):
-    return heat(ctx, **PARAMS)
+    return APPS["heat"](ctx, **PARAMS)
 
 
 def main() -> None:

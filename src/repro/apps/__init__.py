@@ -6,17 +6,19 @@ persistent data in ``ctx.state``, loops with ``ctx.range``, places its
 charges modelled FLOPs with ``ctx.work``.  The same function runs in
 original mode, under C3 without checkpoints, and under C3 with
 checkpoint/restart.
+
+Heat, ring, CG, LU, MG and EP are written in the pre-precompiler form —
+plain Python annotated with ``# ccc:`` directives — and instrumented by
+:mod:`repro.precompiler` when :mod:`.instrumented` is imported.  FT, IS,
+SP/BT, HPL and SMG2000 are written directly against the
+:class:`~repro.statesave.context.Context` API, the form the precompiler
+emits.
 """
 
-from .cg import cg
-from .ep import ep
 from .ft import ft
-from .heat import heat
 from .hpl import hpl
+from .instrumented import cg, ep, heat, lu, mg, ring
 from .is_sort import is_sort
-from .lu import lu
-from .mg import mg
-from .ring import ring
 from .smg2000 import smg2000
 from .sp import bt, sp
 
@@ -36,13 +38,5 @@ APPS = {
     "heat": heat,
 }
 
-# precompiler-instrumented variants (imported late: instrumented.py pulls
-# in core.ccc, which imports this package's kernels through the registry
-# consumers only, so the dict above must exist first)
-from .instrumented import HANDWRITTEN_COUNTERPART, INSTRUMENTED_APPS  # noqa: E402
-
-APPS.update(INSTRUMENTED_APPS)
-
 __all__ = ["cg", "lu", "sp", "bt", "mg", "ep", "ft", "is_sort", "smg2000",
-           "hpl", "ring", "heat", "APPS", "INSTRUMENTED_APPS",
-           "HANDWRITTEN_COUNTERPART"]
+           "hpl", "ring", "heat", "APPS"]

@@ -1,12 +1,12 @@
-"""Precompiler-instrumented app kernels: the Figure-1 pipeline end to end.
+"""Heat, ring, CG, LU, MG and EP: the Figure-1 pipeline end to end.
 
-The handwritten kernels in this package are already *written against* the
-:class:`~repro.statesave.context.Context` API — the post-precompiler
-form.  This module carries the **pre**-precompiler form of six of them:
-plain Python functions using ordinary local variables and ordinary
-``for``/``while`` loops, annotated only with ``# ccc:`` directives, and
-run through :func:`repro.precompiler.instrument` at import time.  Their
-checkpoints flow through exactly the production path — ``ctx.state`` →
+Each kernel here is written in the **pre**-precompiler form: a plain
+Python function using ordinary local variables and ordinary ``for``
+loops, annotated only with ``# ccc:`` directives, and run through
+:func:`repro.precompiler.instrument` at import time.  The precompiler
+emits the self-checkpointing form: saved variables in ``ctx.state``, a
+``"setup"`` guard, resumable ``ctx.range`` loops and the pragma calls.
+Their checkpoints flow through the production path — ``ctx.state`` →
 :mod:`repro.statesave.serializer` → (optionally)
 :class:`~repro.statesave.incremental.IncrementalTracker` → storage — and
 the recovery campaign kills and restarts them like any other kernel.
@@ -17,8 +17,9 @@ Directive coverage across the six kernels:
 kernel     exercises
 =========  ==========================================================
 ``heat``   save / setup-end / loop / checkpoint (the canonical form)
-``ring``   ``ccc: call`` guard (one-time payload init skipped on restart)
-``CG``     ``ccc: loop`` on a **while** loop (condition over saved state)
+``ring``   the same on the smallest kernel (the quickstart demo)
+``CG``     a tuple assignment in the setup that binds three saved
+           arrays at once
 ``LU``     non-blocking receives into saved arrays, a lambda under the
            scope-aware rewriter (``cached_comm`` factory)
 ``MG``     **nested** ``ccc: loop`` with a mid-V-cycle pragma — the
@@ -26,9 +27,10 @@ kernel     exercises
 ``EP``     tiny state (ten counters + two sums): the Table-1 extreme
 =========  ==========================================================
 
-Each instrumented kernel computes bit-for-bit the same results as its
-handwritten counterpart (pinned by ``tests/apps/test_instrumented.py``),
-so every verification the campaign does against golden runs carries over.
+``ccc: call`` and the ``while`` form of ``ccc: loop`` are exercised by
+small kernels in ``tests/precompiler``.  The returns and the stored
+checkpoint bytes of every kernel here are pinned by
+``tests/apps/test_instrumented.py``.
 """
 
 from __future__ import annotations
@@ -39,18 +41,39 @@ from ..core.ccc import cached_comm
 from ..mpi.communicator import PROC_NULL
 from ..mpi.ops import MAX, SUM
 from ..precompiler import instrument
-from .heat import check_rod
 from .kernels import (checksum, csr_matvec, diffuse, grid_2d, seeded_rng,
                       sparse_rows)
 
 
 # ---------------------------------------------------------------------------
-# heat — the canonical directive set
+# heat — 1D explicit heat diffusion (the canonical directive set)
 # ---------------------------------------------------------------------------
 
-def _heat_src(ctx, local_n: int = 32, niter: int = 40, alpha: float = 0.4,
-              t_left: float = 100.0, t_right: float = 0.0,
-              work_scale: float = 1.0):
+def check_rod(local_n: int, size: int) -> None:
+    """Reject a rod the stencil cannot step.
+
+    Every rank needs a cell, and with a neighbour its halo update reads
+    both ``u[1]`` and ``u[-2]``, so a rod split over more than one rank
+    needs two cells per rank.
+    """
+    least = 2 if size > 1 else 1
+    if local_n < least:
+        raise ValueError(
+            f"heat needs local_n >= {least} cells per rank on {size} "
+            f"rank(s), got local_n={local_n}")
+
+
+@instrument
+def heat(ctx, local_n: int = 32, niter: int = 40, alpha: float = 0.4,
+         t_left: float = 100.0, t_right: float = 0.0,
+         work_scale: float = 1.0):
+    """Block-partitioned rod with a ghost-cell exchange each step.
+
+    The rod's ends are held at fixed temperatures, so the steady state
+    is a linear profile.  ``work_scale`` multiplies the modelled FLOP
+    charge, so scaling studies can hold paper-regime compute-to-
+    communication ratios without paper-class arrays.
+    """
     # ccc: save(u, dmax)
     check_rod(local_n, ctx.size)
     u = np.zeros(local_n)
@@ -64,7 +87,7 @@ def _heat_src(ctx, local_n: int = 32, niter: int = 40, alpha: float = 0.4,
     rank, size = ctx.rank, ctx.size
     left = rank - 1 if rank > 0 else PROC_NULL
     right = rank + 1 if rank + 1 < size else PROC_NULL
-    spare = None  # the array the previous step replaced
+    spare = None  # the array the previous step replaced (DESIGN.md §6)
     # ccc: loop(step)
     for step in range(niter):
         # ccc: checkpoint
@@ -100,22 +123,19 @@ def _heat_src(ctx, local_n: int = 32, niter: int = 40, alpha: float = 0.4,
 
 
 # ---------------------------------------------------------------------------
-# ring — ccc: call guard for the one-time payload initialisation
+# ring — the minimal demo application (used by the quickstart)
 # ---------------------------------------------------------------------------
 
-def _ring_payload(payload: int, rank: int) -> np.ndarray:
-    return np.arange(payload, dtype=np.float64) * (rank + 1)
-
-
-def _ring_src(ctx, payload: int = 16, niter: int = 12, work: float = 1e-4):
-    # ccc: save(total)
+@instrument
+def ring(ctx, payload: int = 16, niter: int = 12, work: float = 1e-4):
+    """Pass a growing payload around the ring; allreduce a running sum."""
+    # ccc: save(x, total)
+    x = np.arange(payload, dtype=np.float64) * (ctx.rank + 1)
     total = 0.0
     # ccc: setup-end
     comm = ctx.comm
     rank, size = ctx.rank, ctx.size
     right, left = (rank + 1) % size, (rank - 1) % size
-    # ccc: call(init_x)
-    x = _ring_payload(payload, rank)
     # ccc: loop(it)
     for it in range(niter):
         # ccc: checkpoint
@@ -131,12 +151,21 @@ def _ring_src(ctx, payload: int = 16, niter: int = 12, work: float = 1e-4):
 
 
 # ---------------------------------------------------------------------------
-# CG — the main loop as an instrumented *while* loop
+# CG — conjugate gradient (NPB CG analog)
 # ---------------------------------------------------------------------------
 
-def _cg_src(ctx, local_n: int = 64, nnz_per_row: int = 8, niter: int = 15,
-            work_scale: float = 1.0):
-    # ccc: save(indptr, indices, values, x, r, p_full, rho, zeta, it)
+@instrument
+def cg(ctx, local_n: int = 64, nnz_per_row: int = 8, niter: int = 15,
+       work_scale: float = 1.0):
+    """``niter`` CG iterations on a ``local_n * nprocs`` system.
+
+    Row-block partitioned sparse matrix; every iteration does a local
+    CSR matvec, an allgather to assemble the full iterate and
+    allreduces for the dot products — no global barrier.  The pragma
+    heads each iteration: "the bottom of the main loop in conj_grad"
+    (Section 6.3) is the same program point.
+    """
+    # ccc: save(indptr, indices, values, x, r, p_full, rho, zeta)
     indptr, indices, values = sparse_rows("cg", ctx.rank, local_n,
                                           local_n * ctx.size, nnz_per_row)
     x = np.ones(local_n * ctx.size)
@@ -144,13 +173,12 @@ def _cg_src(ctx, local_n: int = 64, nnz_per_row: int = 8, niter: int = 15,
     p_full = np.zeros(local_n * ctx.size)
     rho = 1.0
     zeta = 0.0
-    it = 0
     # ccc: setup-end
     comm = ctx.comm
     n = local_n * ctx.size
     flops_per_iter = 2.0 * len(values) * work_scale
     # ccc: loop(iter)
-    while it < niter:
+    for it in range(niter):
         # ccc: checkpoint
         # q = A p   (local rows of the matvec)
         q_local = csr_matvec(indptr, indices, values, p_full)
@@ -172,16 +200,23 @@ def _cg_src(ctx, local_n: int = 64, nnz_per_row: int = 8, niter: int = 15,
         rho = float(norm[0]) / (n or 1)
         zeta = zeta + 1.0 / (1.0 + rho)
         p_full = p_full / (1.0 + np.sqrt(rho))
-        it = it + 1
     return checksum(r, [rho, zeta])
 
 
 # ---------------------------------------------------------------------------
-# LU — non-blocking halos into saved arrays; lambda under the rewriter
+# LU — SSOR wavefront solver (NPB LU analog)
 # ---------------------------------------------------------------------------
 
-def _lu_src(ctx, local_nx: int = 16, local_ny: int = 16, niter: int = 10,
-            work_scale: float = 1.0):
+@instrument
+def lu(ctx, local_nx: int = 16, local_ny: int = 16, niter: int = 10,
+       work_scale: float = 1.0):
+    """Lower and upper wavefront sweeps on a 2D processor grid.
+
+    Pure point-to-point pipelining, no barriers — the communication
+    structure that motivates non-blocking coordinated checkpointing.
+    The incoming halos are non-blocking receives into saved arrays, so
+    LU also exercises the request table across recovery lines.
+    """
     # ccc: save(u, halo_n, halo_w, halo_s, halo_e)
     rng = seeded_rng("lu", ctx.rank)
     u = rng.standard_normal((local_ny, local_nx)) * 0.01 + 1.0
@@ -243,7 +278,7 @@ def _lu_src(ctx, local_nx: int = 16, local_ny: int = 16, niter: int = 10,
 
 
 # ---------------------------------------------------------------------------
-# MG — nested resumable loops (a two-deep loop-position stack)
+# MG — multigrid V-cycles (NPB MG analog)
 # ---------------------------------------------------------------------------
 
 def _mg_smooth(ctx, comm, v, lv, left, right, work_scale):
@@ -267,8 +302,16 @@ def _mg_smooth(ctx, comm, v, lv, left, right, work_scale):
     ctx.work(4.0 * len(arr) * work_scale)
 
 
-def _mg_src(ctx, local_n: int = 64, levels: int = 4, niter: int = 6,
-            work_scale: float = 1.0):
+@instrument
+def mg(ctx, local_n: int = 64, levels: int = 4, niter: int = 6,
+       work_scale: float = 1.0):
+    """V-cycles over a 1D grid hierarchy, a barrier between cycles.
+
+    The only NAS kernel that calls ``MPI_Barrier`` during the
+    computation (Section 6), so barriers cross recovery lines like any
+    other collective.  Each cycle smooths with ring halo exchanges at
+    every level, restricts down and prolongates back.
+    """
     # ccc: save(v, resid)
     n0 = local_n if local_n % (1 << (levels - 1)) == 0 else \
         (1 << (levels - 1)) * max(1, local_n // (1 << (levels - 1)))
@@ -309,11 +352,18 @@ def _mg_src(ctx, local_n: int = 64, levels: int = 4, niter: int = 6,
 
 
 # ---------------------------------------------------------------------------
-# EP — tiny saved state (the Table-1 extreme)
+# EP — embarrassingly parallel random numbers (NPB EP analog)
 # ---------------------------------------------------------------------------
 
-def _ep_src(ctx, pairs_per_batch: int = 4096, batches: int = 12,
-            work_scale: float = 1.0):
+@instrument
+def ep(ctx, pairs_per_batch: int = 4096, batches: int = 12,
+       work_scale: float = 1.0):
+    """Gaussian pairs tallied into annulus counts, one final reduction.
+
+    The saved state is ten counters and two sums, which is why EP shows
+    the largest Condor-vs-C3 reduction in Table 1: the system-level
+    image is dominated by the static segment, which C3 never saves.
+    """
     # ccc: save(counts, sx, sy)
     counts = np.zeros(10, dtype=np.int64)
     sx = 0.0
@@ -346,39 +396,4 @@ def _ep_src(ctx, pairs_per_batch: int = 4096, batches: int = 12,
     return checksum(total.astype(np.float64), sums)
 
 
-# ---------------------------------------------------------------------------
-# instrument at import: these run through the precompiler exactly once
-# ---------------------------------------------------------------------------
-
-heat_ccc = instrument(_heat_src)
-ring_ccc = instrument(_ring_src)
-cg_ccc = instrument(_cg_src)
-lu_ccc = instrument(_lu_src)
-mg_ccc = instrument(_mg_src)
-ep_ccc = instrument(_ep_src)
-
-#: instrumented-kernel registry, merged into :data:`repro.apps.APPS`.
-#: The ``+ccc`` suffix marks checkpoint state produced by the precompiler
-#: path rather than by handwritten Context calls.
-INSTRUMENTED_APPS = {
-    "heat+ccc": heat_ccc,
-    "ring+ccc": ring_ccc,
-    "CG+ccc": cg_ccc,
-    "LU+ccc": lu_ccc,
-    "MG+ccc": mg_ccc,
-    "EP+ccc": ep_ccc,
-}
-
-#: handwritten counterpart of each instrumented kernel (used by the
-#: equivalence tests and the sizes study's golden anchoring)
-HANDWRITTEN_COUNTERPART = {
-    "heat+ccc": "heat",
-    "ring+ccc": "ring",
-    "CG+ccc": "CG",
-    "LU+ccc": "LU",
-    "MG+ccc": "MG",
-    "EP+ccc": "EP",
-}
-
-__all__ = ["INSTRUMENTED_APPS", "HANDWRITTEN_COUNTERPART", "heat_ccc",
-           "ring_ccc", "cg_ccc", "lu_ccc", "mg_ccc", "ep_ccc"]
+__all__ = ["cg", "check_rod", "ep", "heat", "lu", "mg", "ring"]

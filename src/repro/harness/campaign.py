@@ -97,25 +97,18 @@ from .parallel import Cell, CellError
 from .runner import VACUOUS_KILL, Kills, measure_recovery, resolve_kills
 
 __all__ = [
-    "APP_KERNELS", "CAMPAIGN_PARAMS", "COLLECTIVE_APPS",
-    "INSTRUMENTED_KERNELS", "KILL_TIMINGS",
+    "APP_KERNELS", "CAMPAIGN_PARAMS", "COLLECTIVE_APPS", "KILL_TIMINGS",
     "CAMPAIGN_TABLE", "CampaignReport", "STUDY", "Scenario",
     "build_matrix", "diff_campaigns", "diff_rows", "full_matrix", "main",
     "render_campaign", "run_campaign", "smoke_matrix",
 ]
 
 #: The ten benchmark kernels of the paper's Section 6, plus the two demo
-#: apps, plus the six precompiler-instrumented kernel variants
-#: (``*+ccc``: plain annotated source run through ``repro.precompiler``)
-#: — the campaign's default coverage set.
-INSTRUMENTED_KERNELS: Tuple[str, ...] = (
-    "CG+ccc", "LU+ccc", "MG+ccc", "EP+ccc", "ring+ccc", "heat+ccc",
-)
-
+#: apps — the campaign's default coverage set.
 APP_KERNELS: Tuple[str, ...] = (
     "CG", "LU", "SP", "BT", "MG", "EP", "FT", "IS", "SMG2000", "HPL",
     "ring", "heat",
-) + INSTRUMENTED_KERNELS
+)
 
 #: Campaign-sized app parameters: long enough for several checkpoint
 #: intervals (so structural kills have epochs/collectives to land in),
@@ -134,16 +127,9 @@ CAMPAIGN_PARAMS: Dict[str, dict] = {
     "ring": dict(payload=8, niter=10),
     "heat": dict(local_n=16, niter=10),
 }
-# the instrumented variants run at the same campaign scale as their
-# handwritten counterparts
-CAMPAIGN_PARAMS.update({
-    name: dict(CAMPAIGN_PARAMS[name.split("+")[0]])
-    for name in INSTRUMENTED_KERNELS
-})
-
 #: Apps whose kernels perform collective operations; ``mid_collective``
 #: scenarios only apply to these (LU is pure point-to-point).
-COLLECTIVE_APPS = frozenset(APP_KERNELS) - {"LU", "LU+ccc"}
+COLLECTIVE_APPS = frozenset(APP_KERNELS) - {"LU"}
 
 #: The three platform models of the evaluation (Tables 2-7).
 FULL_PLATFORMS: Tuple[str, ...] = ("lemieux", "velocity2", "cmi")

@@ -62,9 +62,10 @@ from ..core.protocol import C3Config
 from ..mpi.engine import is_processes
 from ..mpi.faults import TRIGGER_FIELDS, FaultPlan
 from ..mpi.timemodel import MACHINES, TESTING
-from ..storage.faulty import STORAGE_FAULT_KINDS, FaultyStorage, StorageFault
+from ..storage.faulty import (OP_CLASS, STORAGE_FAULT_KINDS, FaultyStorage,
+                              StorageFault)
 from ..storage.stable import DiskStorage, InMemoryStorage
-from ..storage.store import ScatterStore
+from ..storage.store import WAL_PREFIX, ScatterStore
 from ..storage.wal import WalStore
 from .campaign import CAMPAIGN_PARAMS, COLLECTIVE_APPS
 from .jobs import STORAGE_CHOICES, Study, Table, study_main
@@ -90,6 +91,11 @@ REQUIRED_COVERAGE = REQUIRED_WINDOWS | REQUIRED_STORAGE
 
 #: fault features only the WAL engine exposes
 _WAL_ONLY_KINDS = frozenset({"short_append", "stall_sync"})
+
+#: per engine (WAL or not): the backend operations it issues and the
+#: prefix of every path it writes; a fault outside them never fires
+_ENGINE_SURFACE = {False: (frozenset({"write"}), "ckpt/"),
+                   True: (frozenset({"append", "sync"}), WAL_PREFIX)}
 
 
 # ---------------------------------------------------------------------------
@@ -439,15 +445,25 @@ def _random_storage_fault(rng: random.Random) -> dict:
 
 def _normalize(sched: FuzzSchedule) -> FuzzSchedule:
     """Repair generator/mutator artifacts: clamp ranks, force the WAL
-    engine when a WAL-only fault feature is present, ensure >= 1 fault."""
+    engine when a WAL-only fault feature is present, and aim every
+    storage fault at what the chosen engine does — a torn ``write``
+    becomes a short ``append`` on the WAL (which issues no ``write``),
+    and a path prefix the engine never writes becomes its own."""
     kills = [dict(k) for k in sched.kills]
     for kill in kills:
         kill["rank"] = kill.get("rank", 0) % sched.nprocs
     storage = sched.storage
     if sched.needs_wal() and storage in ("memory", "disk"):
         storage = "wal" if storage == "memory" else "wal-disk"
+    ops, prefix = _ENGINE_SURFACE[storage in ("wal", "wal-disk")]
+    faults = [dict(sf) for sf in sched.storage_faults]
+    for sf in faults:
+        if not ops.intersection(OP_CLASS[sf["kind"]]):
+            sf["kind"] = "short_append"
+        if sf.get("path_prefix", prefix) != prefix:
+            sf["path_prefix"] = prefix
     return replace(sched, kills=kills, storage=storage,
-                   params=dict(sched.params or {}))
+                   storage_faults=faults, params=dict(sched.params or {}))
 
 
 def random_schedule(rng: random.Random, index: int) -> FuzzSchedule:
@@ -667,10 +683,7 @@ def fuzz(max_schedules: int = 200, max_seconds: Optional[float] = None,
     def force(s: FuzzSchedule) -> FuzzSchedule:
         if storage is None:
             return s
-        want = storage
-        if s.needs_wal() and want in ("memory", "disk"):
-            want = "wal" if want == "memory" else "wal-disk"
-        return replace(s, storage=want) if want != s.storage else s
+        return _normalize(replace(s, storage=storage))
 
     def runner(s: FuzzSchedule) -> Dict[str, Any]:
         return run_schedule(s, cache, engine=engine)

@@ -42,7 +42,7 @@ Command line::
 
     python -m repro.harness.sizes                       # all 6 kernels
     python -m repro.harness.sizes --json BENCH_table1.json
-    python -m repro.harness.sizes --kernels heat+ccc,EP+ccc --nprocs 2
+    python -m repro.harness.sizes --kernels heat,EP --nprocs 2
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ from functools import partial
 from typing import Dict, List, Optional, Sequence
 
 from ..apps import APPS
-from ..apps.instrumented import INSTRUMENTED_APPS
 from ..baselines.condor import CondorCheckpointer, measure_sizes
 from ..core.ccc import run_c3, run_original
 from ..core.protocol import C3Config
@@ -74,15 +73,16 @@ __all__ = [
     "measure_kernel_sizes", "render_sizes", "table_sizes_rows",
 ]
 
-#: study parameters: larger working sets than the campaign's (so sizes
-#: are dominated by application arrays) but still sub-second per run
+#: study parameters, one per precompiler-instrumented kernel (the default
+#: selection): larger working sets than the campaign's (so sizes are
+#: dominated by application arrays) but still sub-second per run
 SIZES_PARAMS: Dict[str, dict] = {
-    "heat+ccc": dict(local_n=4096, niter=6),
-    "ring+ccc": dict(payload=2048, niter=8),
-    "CG+ccc": dict(local_n=1024, nnz_per_row=8, niter=6),
-    "LU+ccc": dict(local_nx=48, local_ny=48, niter=5),
-    "MG+ccc": dict(local_n=4096, levels=4, niter=4),
-    "EP+ccc": dict(pairs_per_batch=2048, batches=6),
+    "heat": dict(local_n=4096, niter=6),
+    "ring": dict(payload=2048, niter=8),
+    "CG": dict(local_n=1024, nnz_per_row=8, niter=6),
+    "LU": dict(local_nx=48, local_ny=48, niter=5),
+    "MG": dict(local_n=4096, levels=4, niter=4),
+    "EP": dict(pairs_per_batch=2048, batches=6),
 }
 
 #: uniprocessor platforms of Table 1, static segments at 1/SIZE_SCALE
@@ -272,7 +272,7 @@ def table_sizes_rows(kernels: Optional[Sequence[str]] = None,
                      storage: Optional[str] = None,
                      on_row: Optional[callable] = None) -> List[Dict]:
     """One gate-judged row per instrumented kernel (EXPERIMENTS.md feed)."""
-    names = list(kernels) if kernels else sorted(INSTRUMENTED_APPS)
+    names = list(kernels) if kernels else sorted(SIZES_PARAMS)
     cells = sizes_cells(names, nprocs=nprocs, platform=platform,
                         engine=engine, storage=storage)
 
@@ -314,7 +314,7 @@ render_sizes = partial(render_text, SIZES_TABLE)
 def _add_args(ap: argparse.ArgumentParser) -> None:
     ap.add_argument("--kernels",
                     help="comma-separated instrumented kernels "
-                         f"(default: {', '.join(sorted(INSTRUMENTED_APPS))})")
+                         f"(default: {', '.join(sorted(SIZES_PARAMS))})")
     ap.add_argument("--nprocs", type=int, default=4,
                     help="simulated ranks per run (default 4)")
     ap.add_argument("--platform", choices=sorted(SIZES_PLATFORMS),

@@ -12,7 +12,7 @@ coordination layer (the paper piggybacks 3 bits: a 2-bit epoch color and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -22,9 +22,6 @@ class MessageSignature:
     source: int
     tag: int
     context_id: int
-
-    def as_tuple(self) -> Tuple[int, int, int]:
-        return (self.source, self.tag, self.context_id)
 
 
 class Envelope:

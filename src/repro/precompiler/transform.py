@@ -29,6 +29,7 @@ import inspect
 import textwrap
 from typing import Callable, List, Optional, Set
 
+from ..statesave.context import RESERVED
 from .directives import (
     DirectiveError, SENTINEL_CALL, SENTINEL_LOOP, SENTINEL_SAVE,
     SENTINEL_SETUP_END, SENTINELS, preprocess,
@@ -420,7 +421,7 @@ def instrument(fn: Callable) -> Callable:
                 "setup section assigns variables that are used later but "
                 f"not saved: {sorted(leaked)} — add them to ccc: save(...)"
             )
-        guard = _guard_if("__setup__", setup)
+        guard = _guard_if("setup", setup)
         body = body[:start] + [guard] + rest
 
     funcdef.body = body
@@ -431,6 +432,11 @@ def instrument(fn: Callable) -> Callable:
     saved |= applier.call_saved
     if "ctx" in saved:
         raise TransformError("'ctx' cannot be a saved variable")
+    shadowing = saved & RESERVED
+    if shadowing:
+        raise TransformError(
+            f"saved variables {sorted(shadowing)} would shadow methods of "
+            "ctx.state; rename them")
     if saved:
         rewriter = _StateRewriter(saved)
         funcdef.body = [rewriter.visit(stmt) for stmt in funcdef.body]

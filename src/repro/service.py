@@ -299,10 +299,6 @@ class ResultCache:
         self.hits += 1
         return json.loads(blob)
 
-    def get_bytes(self, key: Tuple) -> Optional[bytes]:
-        """The raw canonical bytes (bitwise-equality checks)."""
-        return self._data.get(key)
-
     def put(self, key: Tuple, rows: List[Dict[str, Any]]) -> None:
         self._data[key] = canonical_result_bytes(rows)
 

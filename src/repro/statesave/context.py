@@ -71,61 +71,70 @@ def _value_nbytes(v: Any) -> int:
 
 
 class AppState:
-    """Dict-like checkpointable variable set with attribute access."""
+    """Dict-like checkpointable variable set with attribute access.
+
+    The variables are the instance ``__dict__`` itself, so reading one
+    that exists is a plain attribute lookup.  A variable may therefore
+    not take the name of a method (:data:`RESERVED`): it would hide the
+    method, or the method would hide it.
+    """
 
     def __init__(self, values: Optional[Dict[str, Any]] = None):
-        object.__setattr__(self, "_values", dict(values or {}))
+        if values:
+            self.replace_all(values)
 
     # -- mapping protocol ----------------------------------------------------
     def __getitem__(self, name: str) -> Any:
         try:
-            return self._values[name]
+            return self.__dict__[name]
         except KeyError:
             raise StateError(f"no state variable {name!r}") from None
 
     def __setitem__(self, name: str, value: Any) -> None:
-        self._values[name] = value
+        if name in RESERVED:
+            raise _reserved(name)
+        self.__dict__[name] = value
 
     def __delitem__(self, name: str) -> None:
         try:
-            del self._values[name]
+            del self.__dict__[name]
         except KeyError:
             raise StateError(f"no state variable {name!r}") from None
 
     def __contains__(self, name: str) -> bool:
-        return name in self._values
+        return name in self.__dict__
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._values)
+        return iter(self.__dict__)
 
     def __len__(self) -> int:
-        return len(self._values)
+        return len(self.__dict__)
 
     def get(self, name: str, default: Any = None) -> Any:
-        return self._values.get(name, default)
+        return self.__dict__.get(name, default)
 
     def setdefault(self, name: str, default: Any) -> Any:
-        return self._values.setdefault(name, default)
+        if name in RESERVED:
+            raise _reserved(name)
+        return self.__dict__.setdefault(name, default)
 
     # -- attribute sugar ------------------------------------------------------
     def __getattr__(self, name: str) -> Any:
-        if name.startswith("_"):
-            raise AttributeError(name)
-        try:
-            return self._values[name]
-        except KeyError:
-            raise AttributeError(f"no state variable {name!r}") from None
+        # reached only for a name that is not a variable
+        raise AttributeError(f"no state variable {name!r}")
 
-    def __setattr__(self, name: str, value: Any) -> None:
-        self._values[name] = value
+    __setattr__ = __setitem__
 
     # -- checkpoint plumbing -----------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
-        return dict(self._values)
+        return dict(self.__dict__)
 
     def replace_all(self, values: Dict[str, Any]) -> None:
-        self._values.clear()
-        self._values.update(values)
+        clash = RESERVED.intersection(values)
+        if clash:
+            raise _reserved(min(clash))
+        self.__dict__.clear()
+        self.__dict__.update(values)
 
     @property
     def nbytes(self) -> int:
@@ -134,7 +143,17 @@ class AppState:
         Containers are counted recursively (instrumented kernels keep
         e.g. a list of per-level grids as one saved variable).
         """
-        return sum(_value_nbytes(v) for v in self._values.values())
+        return sum(_value_nbytes(v) for v in self.__dict__.values())
+
+
+#: names no state variable may take: :class:`AppState`'s own methods
+RESERVED = frozenset(n for n in vars(AppState) if not n.startswith("_"))
+
+
+def _reserved(name: str) -> StateError:
+    return StateError(
+        f"state variable {name!r} would shadow AppState.{name}; "
+        f"reserved names: {sorted(RESERVED)}")
 
 
 class Context:

@@ -54,7 +54,7 @@ STORAGE_FAULT_KINDS = ("torn_write", "short_append", "bit_rot", "enospc",
                       "stall_sync")
 
 #: which backend operations each fault class counts as eligible
-_OP_CLASS = {
+OP_CLASS = {
     "torn_write": ("write",),
     "short_append": ("append",),
     "bit_rot": ("write", "append"),
@@ -153,7 +153,7 @@ class FaultyStorage(StorageBackend):
         """Advance eligibility counters; return the faults firing now."""
         due = []
         for fault in self.faults:
-            if op not in _OP_CLASS[fault.kind]:
+            if op not in OP_CLASS[fault.kind]:
                 continue
             if fault.path_prefix and not path.startswith(fault.path_prefix):
                 continue

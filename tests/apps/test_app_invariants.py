@@ -69,7 +69,7 @@ class TestMG:
     def test_hierarchy_shapes(self):
         def probe(ctx):
             APPS["MG"](ctx, local_n=64, levels=4, niter=2)
-            return [ctx.state[f"v{lv}"].shape[0] for lv in range(4)]
+            return [v.shape[0] for v in ctx.state.v]
 
         result = run_original(probe, 2)
         result.raise_errors()

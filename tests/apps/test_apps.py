@@ -73,7 +73,7 @@ def test_hpl_residual_is_small():
 
 
 def test_heat_converges_to_linear_profile():
-    from repro.apps.heat import heat
+    from repro.apps import heat
 
     def app(ctx):
         heat(ctx, local_n=16, niter=400, t_left=10.0, t_right=0.0)
@@ -87,7 +87,7 @@ def test_heat_converges_to_linear_profile():
 
 
 def test_ep_counts_are_conserved():
-    from repro.apps.ep import ep
+    from repro.apps import ep
 
     def app(ctx):
         return ep(ctx, pairs_per_batch=512, batches=3)

@@ -2,9 +2,9 @@
 
 Each step writes the new temperatures into the array the previous step
 replaced and takes ``delta`` in the old one, through one stencil,
-:func:`repro.apps.kernels.diffuse`, shared by both heat forms.  Pinned
-here: the stencil is bitwise the expression it replaced, both forms
-return bitwise what they returned before it, a killed run restarts
+:func:`repro.apps.kernels.diffuse`.  Pinned here: the stencil is
+bitwise the expression it replaced, heat returns bitwise what it
+returned before it, a killed run restarts
 bitwise, a steady step allocates no rod-sized array, and the two
 invariants the recycling relies on — a checkpoint section is serialized
 at the pragma, a send's payload is copied at the call.
@@ -17,8 +17,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.apps import APPS
-from repro.apps.heat import heat
+from repro.apps import APPS, heat
 from repro.apps.kernels import DIFFUSE_BLOCK, diffuse
 from repro.core import C3Config, run_c3, run_fault_tolerant, run_original
 from repro.mpi import FaultPlan, FaultSpec, run_job
@@ -26,11 +25,8 @@ from repro.statesave import Context
 from repro.statesave.checkpointfile import CheckpointReader
 from repro.storage import DiskStorage, InMemoryStorage, WalStore
 
-HEAT_FORMS = ("heat", "heat+ccc")
-
-
 def reference_diffuse(u, alpha):
-    """The stencil as both heat forms wrote it before :func:`diffuse`."""
+    """The stencil as heat wrote it before :func:`diffuse`."""
     new = u.copy()
     new[1:-1] = u[1:-1] + alpha * (u[:-2] - 2 * u[1:-1] + u[2:])
     return new
@@ -76,7 +72,7 @@ def heat_fingerprint(name, nprocs=4, **params):
 
 
 #: (local_n, niter) -> fingerprint on 4 ranks, recorded with the
-#: allocating step each heat form had before the recycled one
+#: allocating step heat had before the recycled one
 FINGERPRINTS = {
     (2, 40): "f0c6e7e0f95cd350e448fce4444cf8f9",
     (3, 40): "74e45dab9ed7772aa090ccf7555ce57b",
@@ -85,14 +81,14 @@ FINGERPRINTS = {
 }
 
 
-@pytest.mark.parametrize("name", HEAT_FORMS)
+@pytest.mark.parametrize("name", ["heat"])
 @pytest.mark.parametrize("local_n,niter", sorted(FINGERPRINTS))
 def test_heat_returns_are_pinned(name, local_n, niter):
     assert heat_fingerprint(name, local_n=local_n, niter=niter) == \
         FINGERPRINTS[local_n, niter]
 
 
-@pytest.mark.parametrize("name", HEAT_FORMS)
+@pytest.mark.parametrize("name", ["heat"])
 def test_killed_heat_restarts_bitwise_on_wal_disk(name, tmp_path):
     """A kill mid-run on real disk: the restarted rank starts with no
     spare array, and the job still ends bitwise on the golden run."""
@@ -111,7 +107,7 @@ def test_killed_heat_restarts_bitwise_on_wal_disk(name, tmp_path):
     assert res.returns == golden.returns
 
 
-@pytest.mark.parametrize("name", HEAT_FORMS)
+@pytest.mark.parametrize("name", ["heat"])
 @pytest.mark.parametrize("local_n,nprocs", [(1, 2), (1, 4), (0, 1)])
 def test_heat_rejects_a_rod_it_cannot_step(name, local_n, nprocs):
     result = run_original(lambda ctx: APPS[name](ctx, local_n=local_n),

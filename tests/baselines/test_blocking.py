@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.apps.ring import ring
+from repro.apps import ring
 from repro.baselines.blocking import run_blocking
 from repro.core import run_original
 from repro.storage import InMemoryStorage, as_store

@@ -6,8 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.apps.heat import heat
-from repro.apps.ring import ring
+from repro.apps import heat, ring
 from repro.core import (
     C3Config, C3RunResult, ProtocolError, RestartsExhausted, cached_comm,
     run_c3, run_fault_tolerant, run_original,

@@ -12,6 +12,7 @@ from repro.harness.fuzz import (REQUIRED_COVERAGE, REQUIRED_STORAGE,
                                 load_schedule, minimize, mutate,
                                 random_schedule, run_schedule,
                                 seed_schedules, write_corpus_entry)
+from repro.storage.faulty import OP_CLASS
 
 _CACHE: dict = {}
 
@@ -109,6 +110,26 @@ def test_generator_and_mutator_yield_valid_schedules():
         # both survive the codec
         assert FuzzSchedule.from_dict(sched.to_dict()) == sched
         assert FuzzSchedule.from_dict(child.to_dict()) == child
+
+
+def test_every_drawn_storage_fault_can_fire():
+    """The scatter layout only ``write``s, under ``ckpt/``; the WAL only
+    ``append``s and ``sync``s, under ``wal/``.  A fault aimed at an
+    operation or a path its schedule's engine never issues cannot fire."""
+    surface = {False: ({"write"}, "ckpt/"),
+               True: ({"append", "sync"}, "wal/")}
+    rng = random.Random(5)
+    drawn = 0
+    for i in range(1200):
+        sched = random_schedule(rng, i)
+        for sched in (sched, mutate(rng, sched, i)):
+            ops, prefix = surface[sched.storage == "wal"]
+            for sf in sched.storage_faults:
+                assert ops & set(OP_CLASS[sf["kind"]]), (sched.storage, sf)
+                assert sf.get("path_prefix", prefix) == prefix, \
+                    (sched.storage, sf)
+                drawn += 1
+    assert drawn > 1000
 
 
 def test_generator_is_deterministic_per_seed():

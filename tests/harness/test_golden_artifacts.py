@@ -26,7 +26,7 @@ GRIDS = {
     "campaign": ["--apps", "ring", "--kills", "mid_run"],
     "scaling": ["--ranks", "4,8", "--apps", "ring", "--platforms",
                 "testing"],
-    "sizes": ["--kernels", "EP+ccc"],
+    "sizes": ["--kernels", "EP"],
     "overlap": ["--kernels", "heat", "--platforms", "testing",
                 "--skip-faults"],
     "walstudy": ["--kernels", "heat", "--platforms", "testing",

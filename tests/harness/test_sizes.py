@@ -13,7 +13,7 @@ from repro.harness.sizes import _judge
 
 @pytest.fixture(scope="module")
 def heat_row():
-    return measure_kernel_sizes("heat+ccc", nprocs=2,
+    return measure_kernel_sizes("heat", nprocs=2,
                                 params=dict(local_n=2048, niter=6))
 
 
@@ -44,7 +44,7 @@ class TestMeasurement:
         assert delta < heat_row["c3_committed_bytes"] * 0.5
 
     def test_ep_is_the_tiny_state_extreme(self):
-        row = measure_kernel_sizes("EP+ccc", nprocs=2,
+        row = measure_kernel_sizes("EP", nprocs=2,
                                    params=dict(pairs_per_batch=512,
                                                batches=6))
         assert row["passed"], row["failure"]
@@ -65,12 +65,12 @@ class TestMeasurement:
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         monkeypatch.setattr(sizes, "run_c3", broken)
         with pytest.raises(RuntimeError, match="run failed"):
-            measure_kernel_sizes("EP+ccc", nprocs=2, storage=storage)
+            measure_kernel_sizes("EP", nprocs=2, storage=storage)
         assert list(tmp_path.iterdir()) == []
 
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ValueError, match="unknown app"):
-            measure_kernel_sizes("nope+ccc")
+            measure_kernel_sizes("nope")
 
 
 class TestGate:
@@ -95,16 +95,18 @@ class TestGate:
 
 class TestDriver:
     def test_rows_cover_requested_kernels(self):
-        rows = table_sizes_rows(kernels=["EP+ccc"], nprocs=2)
-        assert [r["kernel"] for r in rows] == ["EP+ccc"]
+        rows = table_sizes_rows(kernels=["EP"], nprocs=2)
+        assert [r["kernel"] for r in rows] == ["EP"]
 
     def test_sizes_params_cover_all_instrumented_kernels(self):
-        from repro.apps.instrumented import INSTRUMENTED_APPS
-        assert set(SIZES_PARAMS) == set(INSTRUMENTED_APPS)
+        from repro.apps import APPS
+        assert set(SIZES_PARAMS) == {
+            name for name, app in APPS.items()
+            if hasattr(app, "__ccc_saved__")}
 
     def test_render_mentions_gate_verdicts(self, heat_row):
         text = render_sizes([heat_row])
-        assert "heat+ccc" in text and "PASS" in text
+        assert "heat" in text and "PASS" in text
 
     def test_platforms_are_scaled_uniprocessors(self):
         assert set(SIZES_PLATFORMS) == {"solaris", "linux"}
@@ -115,13 +117,13 @@ class TestDriver:
 class TestCLI:
     def test_smoke_run_writes_json_and_exits_zero(self, tmp_path, capsys):
         out = tmp_path / "BENCH_table1.json"
-        rc = main(["--kernels", "EP+ccc,heat+ccc", "--nprocs", "2",
+        rc = main(["--kernels", "EP,heat", "--nprocs", "2",
                    "--json", str(out), "-q"])
         assert rc == 0
         report = json.loads(out.read_text())
         assert report["summary"]["passed"] == 2
         assert {r["kernel"] for r in report["rows"]} == \
-            {"EP+ccc", "heat+ccc"}
+            {"EP", "heat"}
         assert "2/2 cells passed" in capsys.readouterr().out
 
     def test_unknown_kernel_exits_two(self, capsys):

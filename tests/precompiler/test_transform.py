@@ -139,6 +139,18 @@ class TestRejections:
         with pytest.raises(TransformError):
             instrument(bad)
 
+    def test_saved_name_may_not_shadow_a_state_method(self):
+        def bad(ctx):
+            # ccc: save(total)
+            total = 0
+            # ccc: setup-end
+            # ccc: call(init)
+            get, nbytes = divmod(7, 2)
+            return total + get + nbytes
+
+        with pytest.raises(TransformError, match=r"\['get', 'nbytes'\]"):
+            instrument(bad)
+
 
 class TestWhileLoops:
     @staticmethod

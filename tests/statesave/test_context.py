@@ -62,6 +62,28 @@ class TestAppState:
         s.replace_all({"b": 2})
         assert "a" not in s and s.b == 2
 
+    def test_reading_a_variable_runs_no_state_method(self, monkeypatch):
+        s = AppState({"u": 1})
+
+        def trap(self, name):
+            raise AssertionError(f"__getattr__ ran for {name!r}")
+
+        monkeypatch.setattr(AppState, "__getattr__", trap)
+        assert s.u == 1
+
+    @pytest.mark.parametrize("name", ["get", "setdefault", "to_dict",
+                                      "replace_all", "nbytes"])
+    def test_a_variable_may_not_shadow_a_method(self, name):
+        s = AppState()
+        for assign in (lambda: setattr(s, name, 1),
+                       lambda: s.__setitem__(name, 1),
+                       lambda: s.setdefault(name, 1),
+                       lambda: s.replace_all({name: 1}),
+                       lambda: AppState({name: 1})):
+            with pytest.raises(StateError, match="shadow"):
+                assign()
+        assert len(s) == 0
+
 
 class TestResumableRange:
     def test_plain_iteration(self):

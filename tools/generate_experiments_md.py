@@ -82,9 +82,9 @@ SECTIONS = (
     ("sizes",
      "Checkpoint sizes — the precompiler path "
      "(Table 1 / Tables 4-5 \"Size/proc\")",
-     "The rows above use handwritten Context-API kernels; this study "
+     "The rows above scale each code to its paper footprint; this study "
      "(`python -m repro.harness.sizes`, CI job `table1-sizes`) repeats "
-     "the size claim over the **precompiler-instrumented** kernels "
+     "the size claim over the six **precompiler-instrumented** kernels "
      "(`repro.apps.instrumented`, `# ccc:` directives only): per process "
      "it compares the Condor full-image accounting against C3's live "
      "data, the serialized state payload, what the protocol actually "
