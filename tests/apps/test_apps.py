@@ -8,13 +8,24 @@ from repro.core import C3Config, run_c3, run_fault_tolerant, run_original
 from repro.mpi import FaultPlan, FaultSpec
 from repro.storage import InMemoryStorage
 
-APP_NAMES = sorted(APPS)
+#: ``X`` checks a kernel against itself; ``X+ccc`` checks a precompiled
+#: kernel against its annotated source run as written — the MPI program
+#: the precompiler started from, whose ``# ccc:`` directives are comments
+APP_NAMES = sorted(APPS) + [f"{name}+ccc" for name in sorted(APPS)
+                            if hasattr(APPS[name], "__ccc_saved__")]
+
+
+def forms(name):
+    """(the kernel under test, the program it must agree with)."""
+    base, _, ccc = name.partition("+")
+    app = APPS[base]
+    return app, (app.__wrapped__ if ccc else app)
 
 
 @pytest.mark.parametrize("name", APP_NAMES)
 def test_original_run_is_deterministic(name):
-    app = APPS[name]
-    a = run_original(app, 4)
+    app, reference = forms(name)
+    a = run_original(reference, 4)
     a.raise_errors()
     b = run_original(app, 4)
     b.raise_errors()
@@ -34,8 +45,8 @@ def _close(a, b):
 
 @pytest.mark.parametrize("name", APP_NAMES)
 def test_c3_matches_original(name):
-    app = APPS[name]
-    ref = run_original(app, 4)
+    app, reference = forms(name)
+    ref = run_original(reference, 4)
     ref.raise_errors()
     result, _ = run_c3(app, 4, storage=InMemoryStorage(), config=C3Config())
     result.raise_errors()
@@ -44,8 +55,8 @@ def test_c3_matches_original(name):
 
 @pytest.mark.parametrize("name", APP_NAMES)
 def test_recovery_exact(name):
-    app = APPS[name]
-    ref = run_original(app, 4)
+    app, reference = forms(name)
+    ref = run_original(reference, 4)
     ref.raise_errors()
     T = ref.virtual_time
     res = run_fault_tolerant(

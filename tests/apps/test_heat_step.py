@@ -4,8 +4,8 @@ Each step writes the new temperatures into the array the previous step
 replaced and takes ``delta`` in the old one, through one stencil,
 :func:`repro.apps.kernels.diffuse`.  Pinned here: the stencil is
 bitwise the expression it replaced, heat returns bitwise what it
-returned before it, a killed run restarts
-bitwise, a steady step allocates no rod-sized array, and the two
+returned before it (and so does its annotated source run unmodified,
+the ``heat+ccc`` cases), a killed run restarts bitwise, a steady step allocates no rod-sized array, and the two
 invariants the recycling relies on — a checkpoint section is serialized
 at the pragma, a send's payload is copied at the call.
 """
@@ -17,13 +17,23 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.apps import APPS, heat
+from repro.apps import heat
 from repro.apps.kernels import DIFFUSE_BLOCK, diffuse
 from repro.core import C3Config, run_c3, run_fault_tolerant, run_original
 from repro.mpi import FaultPlan, FaultSpec, run_job
 from repro.statesave import Context
 from repro.statesave.checkpointfile import CheckpointReader
 from repro.storage import DiskStorage, InMemoryStorage, WalStore
+
+#: ``heat`` is checked against itself; ``heat+ccc`` checks the
+#: precompiled heat against its annotated source run as written
+HEAT_FORMS = ("heat", "heat+ccc")
+
+
+def heat_forms(name):
+    """(the heat under test, the program it must agree with)."""
+    return heat, (heat.__wrapped__ if name.endswith("+ccc") else heat)
+
 
 def reference_diffuse(u, alpha):
     """The stencil as heat wrote it before :func:`diffuse`."""
@@ -56,10 +66,10 @@ class TestDiffuse:
         assert u.tobytes() == before.tobytes()
 
 
-def heat_fingerprint(name, nprocs=4, **params):
+def heat_fingerprint(kernel, nprocs=4, **params):
     """SHA-256 over every rank's return, final rod and ``dmax``."""
     def app(ctx):
-        ret = APPS[name](ctx, **params)
+        ret = kernel(ctx, **params)
         return (ret.hex(), ctx.state.u.tobytes(),
                 float(ctx.state.dmax).hex())
 
@@ -69,6 +79,13 @@ def heat_fingerprint(name, nprocs=4, **params):
     for ret, u, dmax in result.returns:
         digest.update(ret.encode() + u + dmax.encode())
     return digest.hexdigest()[:32]
+
+
+def heat_returns(kernel, nprocs=4, **params):
+    """Every rank's return, as the hex of its bits."""
+    result = run_original(lambda ctx: kernel(ctx, **params), nprocs)
+    result.raise_errors()
+    return [ret.hex() for ret in result.returns]
 
 
 #: (local_n, niter) -> fingerprint on 4 ranks, recorded with the
@@ -81,20 +98,25 @@ FINGERPRINTS = {
 }
 
 
-@pytest.mark.parametrize("name", ["heat"])
+@pytest.mark.parametrize("name", HEAT_FORMS)
 @pytest.mark.parametrize("local_n,niter", sorted(FINGERPRINTS))
 def test_heat_returns_are_pinned(name, local_n, niter):
-    assert heat_fingerprint(name, local_n=local_n, niter=niter) == \
+    app, reference = heat_forms(name)
+    assert heat_fingerprint(app, local_n=local_n, niter=niter) == \
         FINGERPRINTS[local_n, niter]
+    if reference is not app:  # the source keeps its rod in a local
+        assert heat_returns(reference, local_n=local_n, niter=niter) == \
+            heat_returns(app, local_n=local_n, niter=niter)
 
 
-@pytest.mark.parametrize("name", ["heat"])
+@pytest.mark.parametrize("name", HEAT_FORMS)
 def test_killed_heat_restarts_bitwise_on_wal_disk(name, tmp_path):
     """A kill mid-run on real disk: the restarted rank starts with no
     spare array, and the job still ends bitwise on the golden run."""
     params = dict(local_n=262144, niter=12)
-    app = lambda ctx: APPS[name](ctx, **params)  # noqa: E731
-    golden = run_original(app, 4)
+    kernel, reference = heat_forms(name)
+    app = lambda ctx: kernel(ctx, **params)  # noqa: E731
+    golden = run_original(lambda ctx: reference(ctx, **params), 4)
     golden.raise_errors()
     T = golden.virtual_time
     res = run_fault_tolerant(
@@ -107,10 +129,11 @@ def test_killed_heat_restarts_bitwise_on_wal_disk(name, tmp_path):
     assert res.returns == golden.returns
 
 
-@pytest.mark.parametrize("name", ["heat"])
+@pytest.mark.parametrize("name", HEAT_FORMS)
 @pytest.mark.parametrize("local_n,nprocs", [(1, 2), (1, 4), (0, 1)])
 def test_heat_rejects_a_rod_it_cannot_step(name, local_n, nprocs):
-    result = run_original(lambda ctx: APPS[name](ctx, local_n=local_n),
+    _, reference = heat_forms(name)
+    result = run_original(lambda ctx: reference(ctx, local_n=local_n),
                           nprocs)
     least = 2 if nprocs > 1 else 1
     assert result.errors
